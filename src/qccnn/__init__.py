@@ -1,6 +1,6 @@
 """Hybrid quantum-classical CNN lab with quantum pooling circuits.
 
-Statevector-simulated quantum convolution kernels (with four pooling
+Quantum convolution kernels simulated on dense statevectors (with four pooling
 families), parameter-shift training against a classical baseline, and
 Fisher-information effective-dimension analysis of every circuit.
 """
@@ -12,7 +12,6 @@ from .sim import (
     Circuit,
     GateOp,
     MidMeasure,
-    Statevector,
     defer_measurements,
     run_deferred,
     run_trajectories,
@@ -29,7 +28,6 @@ __all__ = [
     "GateOp",
     "HybridModel",
     "MidMeasure",
-    "Statevector",
     "SyntheticSpec",
     "build_ansatz",
     "defer_measurements",

@@ -131,22 +131,6 @@ def _output_grad_to_prob_grad(jac, probs, ys, prob_map):
     return np.einsum("rdj,rj->rd", jac, residual)
 
 
-def log_likelihood_grad(ansatz, params, x, y: int, prob_map: str = "softmax") -> np.ndarray:
-    """Score d log p(x, y; theta)/d theta for one sample.
-
-    The input distribution does not depend on theta, so this equals the
-    gradient of the conditional log likelihood.  Raises if p(y|x) underflows.
-    """
-    circuit = _circuit_of(ansatz)
-    x_arr = None if x is None else np.asarray(x, dtype=float)
-    z = run_deferred_batch(circuit, params, x_arr)
-    probs = class_probabilities(z, prob_map)
-    if probs[0, y] < _MIN_PROB:
-        raise NumericError(f"p(y={y}|x) below {_MIN_PROB}; sample must be skipped")
-    jac = readout_jacobian_batch(circuit, params, x_arr)
-    return _output_grad_to_prob_grad(jac, probs, np.asarray([y]), prob_map)[0]
-
-
 def _circuit_of(ansatz) -> Circuit:
     return ansatz.circuit if isinstance(ansatz, Ansatz) else ansatz
 

@@ -20,7 +20,6 @@ execution time.  Families:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -96,35 +95,19 @@ def postprocess_derivative(kind: str, values):
 # ---------------------------------------------------------------------------
 
 
-def _encoding_ops(make_rz) -> list:
-    ops = [GateOp("H", (q,)) for q in range(4)]
-    ops += [make_rz((q,), q) for q in range(4)]
-    for i, j in itertools.combinations(range(4), 2):
-        ops.append(GateOp("CNOT", (i, j)))
-        ops.append(make_rz((i, j), j))
-        ops.append(GateOp("CNOT", (i, j)))
-    return ops
-
-
 def higher_order_encoding_template() -> list:
     """Encoding fragment with input-slot angles, reusable across patches.
 
     Hadamard on every qubit, RZ(pi*x_n) per qubit, then for every pair i<j
     the two-qubit phase RZZ(pi*x_i*x_j) written out as CNOT / RZ / CNOT.
     """
-    return _encoding_ops(lambda idx, q: GateOp("RZ", (q,), input_idx=idx))
-
-
-def higher_order_encoding(x) -> list:
-    """Encoding fragment with the angles for one concrete patch baked in."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (4,):
-        raise ValueError(f"encoding takes 4 inputs, got shape {x.shape}")
-    if np.any(np.abs(x) > 1.0 + 1e-12):
-        raise ValueError("encoding inputs must be normalized to [-1, 1]")
-    return _encoding_ops(
-        lambda idx, q: GateOp("RZ", (q,), angle=math.pi * float(np.prod(x[list(idx)])))
-    )
+    ops = [GateOp("H", (q,)) for q in range(4)]
+    ops += [GateOp("RZ", (q,), input_idx=(q,)) for q in range(4)]
+    for i, j in itertools.combinations(range(4), 2):
+        ops.append(GateOp("CNOT", (i, j)))
+        ops.append(GateOp("RZ", (j,), input_idx=(i, j)))
+        ops.append(GateOp("CNOT", (i, j)))
+    return ops
 
 
 def basic_entangling_layer(param_base: int = 0) -> list:

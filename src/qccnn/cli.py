@@ -210,12 +210,17 @@ def read_metrics_csv(path: Path) -> dict[str, dict[int, list]]:
         header = f.readline().strip().split(",")
         if header != ["epoch", "seed", "train_acc", "train_loss", "val_acc", "val_loss"]:
             raise DataError(f"{path}: unexpected metrics header {header}")
-        for line in f:
-            epoch, seed, *values = line.strip().split(",")
+        for lineno, line in enumerate(f, 2):
+            cells = line.strip().split(",")
+            if len(cells) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
+            epoch, seed, *values = cells
             if seed == "agg":
                 continue
-            rec = per_seed.setdefault(seed, {})
-            rec[int(epoch)] = [float(v) for v in values]
+            try:
+                per_seed.setdefault(seed, {})[int(epoch)] = [float(v) for v in values]
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-numeric cell in {line.strip()!r}") from None
     return per_seed
 
 
@@ -282,13 +287,15 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig, checkpoint: str) -> int:
     try:
         state = json.loads(Path(checkpoint).read_text())
+        model = make_model(
+            state["front"], tuple(state["image_shape"]), state["stride"], 0, state["relu"]
+        )
+        model.load_state_dict(state)
     except OSError as exc:
         raise DataError(f"cannot read checkpoint: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # parse error, missing key, bad record
+        raise DataError(f"malformed checkpoint {checkpoint}: {exc!r}") from exc
     train, val = load_dataset(cfg.data)
-    model = make_model(
-        state["front"], tuple(state["image_shape"]), state["stride"], 0, state["relu"]
-    )
-    model.load_state_dict(state)
     for name, dataset in (("train", train), ("val", val)):
         acc, loss = evaluate(model, dataset)
         print(f"{name}: accuracy={acc:.4f} loss={loss:.6f} n={len(dataset)}")

@@ -214,7 +214,12 @@ def load_dataset(source) -> tuple[Dataset, Dataset]:
                 key, _, value = item.partition("=")
                 if key not in ("seed", "train_n", "val_n", "size"):
                     raise DataError(f"unknown synthetic option {key!r}")
-                setattr(spec, key, int(value))
+                try:
+                    setattr(spec, key, int(value))
+                except ValueError:
+                    raise DataError(
+                        f"synthetic option {key!r} must be an integer, got {value!r}"
+                    ) from None
         return generate_synthetic(spec)
     path = Path(source)
     if path.suffix in (".npz", ".zip"):

@@ -310,7 +310,9 @@ def fit(
 
     Records the epoch mean of batch train metrics and a full validation pass
     per epoch.  When `stop_at_train_acc` is set, training halts at the end
-    of the first epoch whose train accuracy reaches it.
+    of the first epoch whose train accuracy reaches it.  Raises
+    FloatingPointError at the end of the first epoch with a non-finite loss
+    or parameter group.
     """
     if len(train) == 0 or len(val) == 0:
         raise ValueError("empty dataset")
@@ -318,7 +320,7 @@ def fit(
     state = AdamState(lr=lr)
     params = model.parameters()
     result = FitResult([], [], [], [])
-    for _ in range(epochs):
+    for epoch in range(epochs):
         order = rng.permutation(len(train))
         loss_sum = 0.0
         acc_sum = 0.0
@@ -335,6 +337,10 @@ def fit(
         val_acc, val_loss = evaluate(model, val)
         result.val_acc.append(val_acc)
         result.val_loss.append(val_loss)
+        checks = {"train_loss": result.train_loss[-1], "val_loss": val_loss, **params}
+        bad = [name for name, value in checks.items() if not np.isfinite(value).all()]
+        if bad:
+            raise FloatingPointError(f"non-finite {', '.join(bad)} at epoch {epoch}")
         if stop_at_train_acc is not None and result.train_acc[-1] >= stop_at_train_acc:
             break
     return result

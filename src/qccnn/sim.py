@@ -31,8 +31,11 @@ TWO_QUBIT_KINDS = frozenset({"RZZ", "CNOT", "CY", "CZ", "CRX", "CRY", "CRZ"})
 ROTATION_KINDS = frozenset({"RX", "RY", "RZ", "RZZ", "CRX", "CRY", "CRZ"})
 GATE_KINDS = SINGLE_QUBIT_KINDS | TWO_QUBIT_KINDS
 
+# Controlled kind -> the single-qubit action it applies when the control is 1.
+_CONTROLLED_BASE = {"CNOT": "X", "CY": "Y", "CZ": "Z", "CRX": "RX", "CRY": "RY", "CRZ": "RZ"}
+
 # Deferred-measurement rewrite of a conditioned rotation.
-_CONTROLLED_FORM = {"RX": "CRX", "RY": "CRY", "RZ": "CRZ"}
+_CONTROLLED_FORM = {b: k for k, b in _CONTROLLED_BASE.items() if k in ROTATION_KINDS}
 
 # Gates diagonal in the computational basis commute with a Z measurement on
 # every qubit they touch, so they may follow a mid-circuit measurement.
@@ -140,35 +143,6 @@ class Circuit:
 
 
 @dataclass
-class Statevector:
-    """Dense complex amplitude vector of an n-qubit register."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (1 << self.num_qubits,):
-            raise ValueError(
-                f"amplitude vector must have length {1 << self.num_qubits}, "
-                f"got shape {self.amplitudes.shape}"
-            )
-
-    @classmethod
-    def zero(cls, num_qubits: int) -> "Statevector":
-        """All-zeros basis state |0...0>."""
-        amps = np.zeros(1 << num_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(num_qubits, amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
-@dataclass
 class TrajectoryResult:
     """Shot-resolved output of :func:`run_trajectories`.
 
@@ -243,73 +217,52 @@ def _half_angle(theta):
 def _apply_kind(state: np.ndarray, n: int, kind: str, targets: tuple, theta=None):
     """Apply one gate in place to `state` of shape (rows, 2**n).
 
-    `theta` is a scalar or a length-`rows` vector for rotation kinds.
+    `theta` is a scalar or a length-`rows` vector for rotation kinds.  Every
+    kind but RZZ is a 2x2 base action on pairs of basis indices: all pairs
+    split by the target bit, or for controlled kinds only those with the
+    control bit set.
     """
-    if kind == "H":
-        i0, i1 = _pair_indices(n, targets[0])
-        a, b = state[:, i0], state[:, i1]
-        state[:, i0] = (a + b) * _INV_SQRT2
-        state[:, i1] = (a - b) * _INV_SQRT2
-    elif kind == "X":
-        i0, i1 = _pair_indices(n, targets[0])
-        a = state[:, i0]
-        state[:, i0] = state[:, i1]
-        state[:, i1] = a
-    elif kind == "RX":
-        i0, i1 = _pair_indices(n, targets[0])
-        c, s = _half_angle(theta)
-        a, b = state[:, i0], state[:, i1]
-        state[:, i0] = c * a - 1j * s * b
-        state[:, i1] = c * b - 1j * s * a
-    elif kind == "RY":
-        i0, i1 = _pair_indices(n, targets[0])
-        c, s = _half_angle(theta)
-        a, b = state[:, i0], state[:, i1]
-        state[:, i0] = c * a - s * b
-        state[:, i1] = c * b + s * a
-    elif kind == "RZ":
-        i0, i1 = _pair_indices(n, targets[0])
-        c, s = _half_angle(theta)
-        state[:, i0] *= c - 1j * s
-        state[:, i1] *= c + 1j * s
-    elif kind == "RZZ":
+    if kind == "RZZ":
         signs = _parity_signs(n, *targets)
         t = np.multiply(theta, 0.5)
         if np.ndim(t) == 1:
             t = t[:, None]
         state *= np.exp(-1j * t * signs)
-    elif kind == "CNOT":
-        i10, i11 = _controlled_pair_indices(n, *targets)
-        a = state[:, i10]
-        state[:, i10] = state[:, i11]
-        state[:, i11] = a
-    elif kind == "CY":
-        i10, i11 = _controlled_pair_indices(n, *targets)
-        a, b = state[:, i10], state[:, i11]
-        state[:, i10] = -1j * b
-        state[:, i11] = 1j * a
-    elif kind == "CZ":
-        _, i11 = _controlled_pair_indices(n, *targets)
-        state[:, i11] *= -1.0
-    elif kind == "CRX":
-        i10, i11 = _controlled_pair_indices(n, *targets)
+        return
+    base = _CONTROLLED_BASE.get(kind)
+    if base is None:
+        base = kind
+        i0, i1 = _pair_indices(n, targets[0])
+    else:
+        i0, i1 = _controlled_pair_indices(n, *targets)
+    if base == "H":
+        a, b = state[:, i0], state[:, i1]
+        state[:, i0] = (a + b) * _INV_SQRT2
+        state[:, i1] = (a - b) * _INV_SQRT2
+    elif base == "X":
+        a = state[:, i0]
+        state[:, i0] = state[:, i1]
+        state[:, i1] = a
+    elif base == "Y":
+        a, b = state[:, i0], state[:, i1]
+        state[:, i0] = -1j * b
+        state[:, i1] = 1j * a
+    elif base == "Z":
+        state[:, i1] *= -1.0
+    elif base == "RX":
         c, s = _half_angle(theta)
-        a, b = state[:, i10], state[:, i11]
-        state[:, i10] = c * a - 1j * s * b
-        state[:, i11] = c * b - 1j * s * a
-    elif kind == "CRY":
-        i10, i11 = _controlled_pair_indices(n, *targets)
+        a, b = state[:, i0], state[:, i1]
+        state[:, i0] = c * a - 1j * s * b
+        state[:, i1] = c * b - 1j * s * a
+    elif base == "RY":
         c, s = _half_angle(theta)
-        a, b = state[:, i10], state[:, i11]
-        state[:, i10] = c * a - s * b
-        state[:, i11] = c * b + s * a
-    elif kind == "CRZ":
-        i10, i11 = _controlled_pair_indices(n, *targets)
+        a, b = state[:, i0], state[:, i1]
+        state[:, i0] = c * a - s * b
+        state[:, i1] = c * b + s * a
+    else:  # RZ
         c, s = _half_angle(theta)
-        state[:, i10] *= c - 1j * s
-        state[:, i11] *= c + 1j * s
-    else:  # pragma: no cover - GateOp validation makes this unreachable
-        raise ValueError(f"unknown gate kind {kind!r}")
+        state[:, i0] *= c - 1j * s
+        state[:, i1] *= c + 1j * s
 
 
 def _resolve_angle(op: GateOp, params: np.ndarray, inputs, shift=None):
@@ -353,63 +306,6 @@ def _check_inputs(circuit: Circuit, inputs):
     if np.any(np.abs(inputs) > 1.0 + 1e-12):
         raise ValueError("inputs must be normalized to [-1, 1]")
     return inputs
-
-
-# ---------------------------------------------------------------------------
-# public single-state operations
-# ---------------------------------------------------------------------------
-
-
-def apply_gate(state: Statevector, gate: GateOp, params=()) -> Statevector:
-    """Apply one gate to a statevector, returning a new statevector.
-
-    Rotation gates draw their angle from `params[gate.param_slot]` or from
-    the baked-in constant.  Input-dependent and conditioned gates cannot be
-    applied in isolation.
-    """
-    n = state.num_qubits
-    for q in gate.targets:
-        if not 0 <= q < n:
-            raise ValueError(f"target {q} out of range for {n}-qubit state")
-    if gate.condition is not None:
-        raise ValueError("conditioned gate needs a measurement record; use run_trajectories")
-    theta = None
-    if gate.kind in ROTATION_KINDS:
-        if gate.param_slot is not None:
-            params = np.asarray(params, dtype=float)
-            if gate.param_slot >= params.size:
-                raise ValueError(f"missing parameter for slot {gate.param_slot}")
-            theta = float(params[gate.param_slot])
-        elif gate.angle is not None:
-            theta = float(gate.angle)
-        else:
-            raise ValueError("gate angle depends on unbound inputs; bind_inputs first")
-    amps = state.amplitudes.copy()
-    _apply_kind(amps.reshape(1, -1), n, gate.kind, gate.targets, theta)
-    return Statevector(n, amps)
-
-
-def expectation_z(state: Statevector, qubit: int) -> float:
-    """Pauli-Z expectation of one qubit, in [-1, 1]."""
-    if not 0 <= qubit < state.num_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {state.num_qubits}-qubit state")
-    return float(state.probabilities() @ _z_signs(state.num_qubits, qubit))
-
-
-def bind_inputs(circuit: Circuit, x) -> Circuit:
-    """Bake input-dependent angles into constants, returning a closed circuit."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (circuit.num_inputs,):
-        raise ValueError(f"expected {circuit.num_inputs} inputs, got shape {x.shape}")
-    if np.any(np.abs(x) > 1.0 + 1e-12):
-        raise ValueError("inputs must be normalized to [-1, 1]")
-    new_ops = []
-    for op in circuit.ops:
-        if isinstance(op, GateOp) and op.input_idx is not None:
-            angle = math.pi * float(np.prod(x[list(op.input_idx)]))
-            op = GateOp(op.kind, op.targets, angle=angle, condition=op.condition)
-        new_ops.append(op)
-    return Circuit(circuit.num_qubits, tuple(new_ops), circuit.num_params, 0, circuit.readout)
 
 
 def param_ops(circuit: Circuit) -> tuple:
@@ -497,7 +393,7 @@ def _touches_measured(op: GateOp, measured: set) -> bool:
     """True if `op` acts non-diagonally on an already-measured qubit."""
     if op.kind in _Z_DIAGONAL_KINDS:
         return False
-    if op.kind in ("CNOT", "CY", "CRX", "CRY"):
+    if op.kind in _CONTROLLED_BASE:
         return op.targets[1] in measured  # control-only use commutes
     return op.targets[0] in measured
 

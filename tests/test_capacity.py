@@ -14,14 +14,14 @@ from qccnn.capacity import (
     effective_dimension,
     effective_dimension_from_fims,
     empirical_fim,
-    log_likelihood_grad,
     normalized_fim,
     sample_labels,
+    score_batch,
     uniform_input_sampler,
 )
 from qccnn.circuits import build_ansatz
 from qccnn.data import SyntheticSpec, generate_synthetic
-from qccnn.sim import Circuit, GateOp
+from qccnn.sim import Circuit, GateOp, run_deferred
 
 from oracles import finite_difference_gradient
 
@@ -52,10 +52,10 @@ def test_class_probabilities_four_readouts_sum_to_one():
 def test_bernoulli_toy_fisher_is_one():
     # p(y=1) = (1 + cos theta)/2 has Fisher exactly 1 wherever sin(theta) != 0
     circuit = _rx_toy()
-    rng = np.random.default_rng(51)
     for theta in (0.8, 2.1, -1.3):
-        s0 = log_likelihood_grad(circuit, [theta], x=None, y=0, prob_map="linear")
-        s1 = log_likelihood_grad(circuit, [theta], x=None, y=1, prob_map="linear")
+        scores, skipped = score_batch(circuit, [theta], np.zeros((2, 0)), [0, 1], "linear")
+        assert skipped == 0
+        s0, s1 = scores
         p1 = (1 + math.cos(theta)) / 2
         fisher = (1 - p1) * s0[0] ** 2 + p1 * s1[0] ** 2
         assert abs(fisher - 1.0) < 1e-10
@@ -80,29 +80,30 @@ def test_score_expectation_is_zero():
         theta = 0.9
         z = math.cos(theta)
         probs = class_probabilities(np.array([[z]]), prob_map)[0]
-        total = sum(
-            probs[y] * log_likelihood_grad(circuit, [theta], None, y, prob_map)[0]
-            for y in (0, 1)
-        )
+        scores, _ = score_batch(circuit, [theta], np.zeros((2, 0)), [0, 1], prob_map)
+        total = probs[0] * scores[0, 0] + probs[1] * scores[1, 0]
         assert abs(total) < 1e-8
 
 
-def test_log_likelihood_grad_matches_finite_difference():
+def _log_prob_fd(circuit, theta, x, y):
+    """Central-difference score of one sample, sharing no code with score_batch."""
+
+    def logp(params):
+        z = run_deferred(circuit, params, x)
+        return math.log(class_probabilities(z[None, :], "softmax")[0, y])
+
+    return finite_difference_gradient(logp, theta, h=1e-5)
+
+
+def test_score_batch_single_row_matches_finite_difference():
     ansatz = build_ansatz("select-tanh")
     rng = np.random.default_rng(53)
     x = rng.uniform(-1, 1, 4)
     theta = rng.uniform(-math.pi, math.pi, 4)
     for y in (0, 1):
-        got = log_likelihood_grad(ansatz, theta, x, y)
-
-        def logp(params):
-            from qccnn.sim import run_deferred
-
-            z = run_deferred(ansatz.circuit, params, x)
-            return math.log(class_probabilities(z[None, :], "softmax")[0, y])
-
-        fd = finite_difference_gradient(logp, theta, h=1e-5)
-        np.testing.assert_allclose(got, fd, atol=1e-5)
+        scores, skipped = score_batch(ansatz.circuit, theta, x[None, :], [y])
+        assert skipped == 0 and scores.shape == (1, 4)
+        np.testing.assert_allclose(scores[0], _log_prob_fd(ansatz.circuit, theta, x, y), atol=1e-5)
 
 
 def test_single_sample_fim_is_rank_one_outer_product():
@@ -111,10 +112,26 @@ def test_single_sample_fim_is_rank_one_outer_product():
     x = rng.uniform(-1, 1, (1, 4))
     theta = rng.uniform(-math.pi, math.pi, 4)
     fim = empirical_fim(ansatz, theta, x, np.array([1]))
-    score = log_likelihood_grad(ansatz, theta, x[0], 1)
-    np.testing.assert_allclose(fim.matrix, np.outer(score, score), atol=1e-12)
+    score = _log_prob_fd(ansatz.circuit, theta, x[0], 1)
+    np.testing.assert_allclose(fim.matrix, np.outer(score, score), atol=1e-8)
     assert np.linalg.matrix_rank(fim.matrix, tol=1e-10) == 1
     assert np.trace(fim.matrix) >= 0
+
+
+def test_score_batch_drops_underflowing_rows():
+    # RX(pi x) then RX(theta): at theta = 0 and x = 0, z = 1 so the linear map
+    # gives p(y=0) = 0, below the underflow floor; that row alone is dropped
+    ops = (GateOp("RX", (0,), input_idx=(0,)), GateOp("RX", (0,), param_slot=0))
+    circuit = Circuit(1, ops, num_params=1, num_inputs=1, readout=(0,))
+    xs = np.array([[0.3], [0.0], [-0.6]])
+    ys = np.array([0, 0, 1])
+    scores, skipped = score_batch(circuit, [0.0], xs, ys, "linear")
+    assert skipped == 1
+    kept = [0, 2]
+    want, none_skipped = score_batch(circuit, [0.0], xs[kept], ys[kept], "linear")
+    assert none_skipped == 0
+    np.testing.assert_array_equal(scores, want)
+    assert np.all(scores != 0.0)
 
 
 # ---------------------------------------------------------------------------

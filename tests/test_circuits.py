@@ -10,7 +10,6 @@ from qccnn.circuits import (
     apply_postprocess,
     basic_entangling_layer,
     build_ansatz,
-    higher_order_encoding,
     higher_order_encoding_template,
     postprocess_derivative,
 )
@@ -36,10 +35,13 @@ def test_encoding_gate_count_and_order():
 
 
 def test_encoding_zero_input_gives_plus_state():
-    ops = higher_order_encoding(np.zeros(4))
-    assert all(op.angle == 0.0 for op in ops if op.kind == "RZ")
-    circuit = Circuit(4, tuple(ops), readout=(0, 1, 2, 3))
-    np.testing.assert_allclose(run_deferred(circuit, []), np.zeros(4), atol=1e-15)
+    ops = tuple(higher_order_encoding_template())
+    template = Circuit(4, ops, num_inputs=4, readout=(0, 1, 2, 3))
+    np.testing.assert_allclose(run_deferred(template, [], np.zeros(4)), np.zeros(4), atol=1e-15)
+    # a second Hadamard layer maps |++++> back to |0000> only if every phase is zero
+    undo = Circuit(4, ops + tuple(GateOp("H", (q,)) for q in range(4)), num_inputs=4,
+                   readout=(0, 1, 2, 3))
+    np.testing.assert_allclose(run_deferred(undo, [], np.zeros(4)), np.ones(4), atol=1e-15)
 
 
 def test_encoding_never_polarizes_z():
@@ -54,10 +56,11 @@ def test_encoding_never_polarizes_z():
 
 
 def test_encoding_rejects_bad_inputs():
+    template = Circuit(4, tuple(higher_order_encoding_template()), num_inputs=4, readout=(0,))
     with pytest.raises(ValueError, match="4 inputs"):
-        higher_order_encoding([0.1, 0.2])
+        run_deferred(template, [], [0.1, 0.2])
     with pytest.raises(ValueError, match="normalized"):
-        higher_order_encoding([0.0, 0.0, 0.0, 1.5])
+        run_deferred(template, [], [0.0, 0.0, 0.0, 1.5])
 
 
 def test_entangling_layer_structure():

@@ -10,6 +10,7 @@ import pytest
 from qccnn.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_NUMERIC,
     EXIT_OK,
     build_config,
     main,
@@ -169,6 +170,63 @@ def test_eval_checkpoint(tmp_path, capsys):
     assert code == EXIT_OK
     printed = capsys.readouterr().out
     assert "val: accuracy=" in printed
+
+
+def _eval_argv(tmp_path, edit):
+    """eval on a copy of a fresh checkpoint whose text is `edit(state)`."""
+    state = json.loads((_train(tmp_path, "run") / "checkpoint_seed0.json").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(edit(state))
+    return ["eval", str(bad), "--data", SMALL_DATA]
+
+
+def _curves_argv(tmp_path, row):
+    run = tmp_path / "run"
+    run.mkdir()
+    header = "epoch,seed,train_acc,train_loss,val_acc,val_loss"
+    (run / "metrics.csv").write_text(f"{header}\n{row}\n")
+    return ["curves", str(run), "--out", str(tmp_path / "c.csv")]
+
+
+MALFORMED_INPUTS = {
+    "checkpoint-not-json": lambda tmp: _eval_argv(tmp, lambda s: "{not json"),
+    "checkpoint-missing-front": lambda tmp: _eval_argv(
+        tmp, lambda s: json.dumps({k: v for k, v in s.items() if k != "front"})
+    ),
+    "checkpoint-wrong-version": lambda tmp: _eval_argv(
+        tmp, lambda s: json.dumps({**s, "version": 2})
+    ),
+    "checkpoint-shape-mismatch": lambda tmp: _eval_argv(
+        tmp, lambda s: json.dumps({**s, "params": {**s["params"], "head_bias": [0.0]}})
+    ),
+    "synthetic-seed-not-int": lambda tmp: [
+        "train", "--ansatz", "classical", "--data", "synthetic:seed=abc", "--out", str(tmp / "x"),
+    ],
+    "metrics-short-row": lambda tmp: _curves_argv(tmp, "0,0,abc"),
+    "metrics-non-numeric": lambda tmp: _curves_argv(tmp, "0,0,abc,0.5,0.5,0.7"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_data_error(tmp_path, capsys, case):
+    assert main(MALFORMED_INPUTS[case](tmp_path)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    if case.startswith("metrics-"):
+        assert "metrics.csv:2: " in err  # path and line number of the bad row
+
+
+def test_non_finite_training_is_numeric_failure(tmp_path, capsys):
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        code = main([
+            "train", "--ansatz", "classical", "--data", SMALL_DATA, "--lr", "1e308",
+            "--epochs", "3", "--seeds", "0", "--out", str(out),
+        ])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "at epoch 0" in err and "head_weights" in err
+    assert not (out / "metrics.csv").exists()
 
 
 def test_config_file_and_env_precedence(tmp_path, monkeypatch):

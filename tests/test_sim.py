@@ -9,18 +9,28 @@ from qccnn.sim import (
     Circuit,
     GateOp,
     MidMeasure,
-    Statevector,
-    apply_gate,
-    bind_inputs,
-    expectation_z,
+    _apply_kind,
     run_deferred,
     run_deferred_batch,
     run_trajectories,
 )
 
-from oracles import circuit_unitary, gate_unitary, random_circuit, z_expectations_oracle
+from oracles import gate_unitary, random_circuit, z_expectations_oracle
 
 SQRT2_INV = 1 / math.sqrt(2)
+
+
+def _zero(n):
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0] = 1.0
+    return amps
+
+
+def _apply(amps, kind, targets, theta=None):
+    """One gate through the production kernel, on a copy of one amplitude row."""
+    state = np.array(amps, dtype=complex).reshape(1, -1)
+    _apply_kind(state, state.shape[1].bit_length() - 1, kind, targets, theta)
+    return state[0]
 
 
 # ---------------------------------------------------------------------------
@@ -29,21 +39,20 @@ SQRT2_INV = 1 / math.sqrt(2)
 
 
 def test_hadamard_on_zero():
-    state = apply_gate(Statevector.zero(1), GateOp("H", (0,)))
-    np.testing.assert_allclose(state.amplitudes, [SQRT2_INV, SQRT2_INV], atol=1e-15)
+    amps = _apply(_zero(1), "H", (0,))
+    np.testing.assert_allclose(amps, [SQRT2_INV, SQRT2_INV], atol=1e-15)
 
 
 def test_rx_pi_on_zero():
-    state = apply_gate(Statevector.zero(1), GateOp("RX", (0,), angle=math.pi))
-    np.testing.assert_allclose(state.amplitudes, [0, -1j], atol=1e-15)
+    amps = _apply(_zero(1), "RX", (0,), math.pi)
+    np.testing.assert_allclose(amps, [0, -1j], atol=1e-15)
 
 
 def test_cnot_flips_target_when_control_set():
     # little-endian: qubit 0 is the least significant bit
-    state = Statevector.zero(2)
-    state = apply_gate(state, GateOp("X", (0,)))  # |01> = index 1
-    state = apply_gate(state, GateOp("CNOT", (0, 1)))  # -> |11> = index 3
-    np.testing.assert_allclose(state.amplitudes, [0, 0, 0, 1], atol=1e-15)
+    amps = _apply(_zero(2), "X", (0,))  # |01> = index 1
+    amps = _apply(amps, "CNOT", (0, 1))  # -> |11> = index 3
+    np.testing.assert_allclose(amps, [0, 0, 0, 1], atol=1e-15)
 
 
 def test_rzz_matches_composite_on_basis_states():
@@ -62,8 +71,8 @@ def test_rzz_matches_composite_on_basis_states():
         for basis in range(4):
             amps = np.zeros(4, dtype=complex)
             amps[basis] = 1.0
-            got = apply_gate(Statevector(2, amps), GateOp("RZZ", (0, 1), angle=float(phi)))
-            np.testing.assert_allclose(got.amplitudes, composite[:, basis], atol=1e-12)
+            got = _apply(amps, "RZZ", (0, 1), float(phi))
+            np.testing.assert_allclose(got, composite[:, basis], atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["RX", "RY", "RZ", "CRX", "CRY", "CRZ", "CNOT", "CY", "CZ", "H", "X"])
@@ -73,22 +82,12 @@ def test_every_gate_matches_dense_matrix(kind):
     targets = (1,) if kind in ("H", "X", "RX", "RY", "RZ") else (2, 0)
     theta = float(rng.uniform(-math.pi, math.pi))
     needs_angle = kind in ("RX", "RY", "RZ", "CRX", "CRY", "CRZ")
-    gate = GateOp(kind, targets, angle=theta) if needs_angle else GateOp(kind, targets)
+    theta = theta if needs_angle else None
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     amps /= np.linalg.norm(amps)
-    got = apply_gate(Statevector(n, amps), gate).amplitudes
-    want = gate_unitary(kind, targets, n, theta if needs_angle else None) @ amps
+    got = _apply(amps, kind, targets, theta)
+    want = gate_unitary(kind, targets, n, theta) @ amps
     np.testing.assert_allclose(got, want, atol=1e-13)
-
-
-def test_apply_gate_rejects_bad_target_and_missing_param():
-    state = Statevector.zero(2)
-    with pytest.raises(ValueError, match="out of range"):
-        apply_gate(state, GateOp("H", (2,)))
-    with pytest.raises(ValueError, match="missing parameter"):
-        apply_gate(state, GateOp("RX", (0,), param_slot=0), params=())
-    with pytest.raises(ValueError, match="unbound"):
-        apply_gate(state, GateOp("RZ", (0,), input_idx=(0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +96,19 @@ def test_apply_gate_rejects_bad_target_and_missing_param():
 
 
 def test_expectation_z_basis_states():
-    assert expectation_z(Statevector.zero(1), 0) == 1.0
-    one = apply_gate(Statevector.zero(1), GateOp("X", (0,)))
-    assert expectation_z(one, 0) == -1.0
-    plus = apply_gate(Statevector.zero(1), GateOp("H", (0,)))
-    assert abs(expectation_z(plus, 0)) < 1e-15
+    def z_after(*ops):
+        return run_deferred(Circuit(1, ops, readout=(0,)), [])[0]
+
+    assert z_after() == 1.0
+    assert z_after(GateOp("X", (0,))) == -1.0
+    assert abs(z_after(GateOp("H", (0,)))) < 1e-15
 
 
 def test_expectation_z_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        expectation_z(Statevector.zero(1), 1)
+    with pytest.raises(ValueError, match="out of range"):
+        Circuit(1, (), readout=(1,))
+    with pytest.raises(ValueError, match="out of range"):
+        Circuit(2, (GateOp("H", (2,)),), readout=(0,))
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +179,11 @@ def test_norm_preserved_by_random_deep_circuits():
     for _ in range(10):
         circuit = random_circuit(rng, num_qubits=5, depth=50)
         params = rng.uniform(-math.pi, math.pi, circuit.num_params)
-        state = Statevector.zero(5)
+        amps = _zero(5)
         for op in circuit.ops:
-            state = apply_gate(state, op, params)
-            assert abs(state.norm() - 1.0) < 1e-12
+            theta = None if op.param_slot is None else params[op.param_slot]
+            amps = _apply(amps, op.kind, op.targets, theta)
+            assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
 
 
 def test_inputs_resolved_like_baked_constants():
@@ -196,8 +199,14 @@ def test_inputs_resolved_like_baked_constants():
     for _ in range(5):
         x = rng.uniform(-1, 1, 2)
         theta = rng.uniform(-math.pi, math.pi, 1)
+        baked_ops = [
+            GateOp(op.kind, op.targets, angle=math.pi * float(np.prod(x[list(op.input_idx)])))
+            if op.input_idx else op
+            for op in ops
+        ]
+        baked = Circuit(2, tuple(baked_ops), num_params=1, readout=(0, 1))
         via_inputs = run_deferred(circuit, theta, x)
-        via_baked = run_deferred(bind_inputs(circuit, x), theta)
+        via_baked = run_deferred(baked, theta)
         np.testing.assert_allclose(via_inputs, via_baked, atol=1e-14)
         np.testing.assert_allclose(via_inputs, z_expectations_oracle(circuit, theta, x), atol=1e-12)
 
