@@ -8,14 +8,7 @@ Fisher-information effective-dimension analysis of every circuit.
 from .circuits import ANSATZ_KEYS, Ansatz, build_ansatz
 from .data import Dataset, DataError, SyntheticSpec, generate_synthetic, load_dataset
 from .nn import HybridModel, fit, make_model
-from .sim import (
-    Circuit,
-    GateOp,
-    MidMeasure,
-    defer_measurements,
-    run_deferred,
-    run_trajectories,
-)
+from .sim import Circuit, GateOp, MidMeasure, defer_measurements
 
 __version__ = "0.1.0"
 
@@ -35,7 +28,5 @@ __all__ = [
     "generate_synthetic",
     "load_dataset",
     "make_model",
-    "run_deferred",
-    "run_trajectories",
     "__version__",
 ]

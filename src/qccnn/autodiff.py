@@ -11,11 +11,9 @@ accumulates the per-occurrence contributions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import postprocess_derivative
 from .sim import Circuit, defer_measurements, param_ops, run_deferred_batch
 
 _HALF_PI = 0.5 * math.pi
@@ -96,19 +94,6 @@ def readout_jacobian_batch(circuit: Circuit, params, inputs=None) -> np.ndarray:
     return jac
 
 
-def readout_jacobian(circuit: Circuit, params, inputs=None) -> np.ndarray:
-    """d<Z_j>/d theta_p as a (num_params, num_readouts) matrix."""
-    return readout_jacobian_batch(circuit, params, inputs)[0]
-
-
-def param_shift_gradient(circuit: Circuit, params, readout_index: int = 0, inputs=None) -> np.ndarray:
-    """Gradient of one readout expectation with respect to every parameter."""
-    jac = readout_jacobian(circuit, params, inputs)
-    if not 0 <= readout_index < jac.shape[1]:
-        raise ValueError(f"readout index {readout_index} out of range")
-    return jac[:, readout_index]
-
-
 def weighted_readout_gradient(circuit: Circuit, params, inputs, weights) -> np.ndarray:
     """sum_r sum_j weights[r, j] * d<Z_j>/d theta at input row r.
 
@@ -124,45 +109,3 @@ def weighted_readout_gradient(circuit: Circuit, params, inputs, weights) -> np.n
             f" (rows, readouts) = {(jac.shape[0], jac.shape[2])}"
         )
     return np.einsum("rpj,rj->p", jac, weights)
-
-
-@dataclass
-class QuantumForwardContext:
-    """Cached forward-pass state the quantum layer backward needs.
-
-    `kernel_params` has shape (kernels, num_params); `inputs` holds one row
-    per evaluated patch; `raw_values` the pre-postprocess readouts with
-    shape (kernels, rows, num_readouts).
-    """
-
-    circuit: Circuit
-    kernel_params: np.ndarray
-    inputs: np.ndarray
-    raw_values: np.ndarray
-    postprocess: str = "identity"
-
-
-def quantum_layer_backward(upstream, ctx: QuantumForwardContext) -> np.ndarray:
-    """Parameter gradients of all kernels given upstream map sensitivities.
-
-    `upstream[k, r, j]` is dLoss/d(postprocessed readout j of kernel k at
-    patch row r).  The postprocess chain rule is applied here; Sign has
-    zero derivative almost everywhere, so its kernels receive zero
-    gradients.
-    """
-    upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != ctx.raw_values.shape:
-        raise ValueError(
-            f"upstream shape {upstream.shape} does not match cached"
-            f" forward shape {ctx.raw_values.shape}"
-        )
-    n_kernels, n_params = ctx.kernel_params.shape
-    grads = np.zeros((n_kernels, n_params))
-    if ctx.postprocess == "sign":
-        return grads
-    for k in range(n_kernels):
-        w = upstream[k] * postprocess_derivative(ctx.postprocess, ctx.raw_values[k])
-        if not np.any(w):
-            continue
-        grads[k] = weighted_readout_gradient(ctx.circuit, ctx.kernel_params[k], ctx.inputs, w)
-    return grads

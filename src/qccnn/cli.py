@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -22,7 +21,7 @@ from .capacity import (
     NumericError,
     dataset_input_sampler,
     effective_dimension,
-    effective_dimension_from_fims,
+    effective_dimension_from_fims,  # noqa: F401  (a perfbench span target)
     uniform_input_sampler,
 )
 from .circuits import ANSATZ_KEYS
@@ -296,7 +295,14 @@ def cmd_eval(cfg: RunConfig, checkpoint: str) -> int:
     except (KeyError, TypeError, ValueError) as exc:  # parse error, missing key, bad record
         raise DataError(f"malformed checkpoint {checkpoint}: {exc!r}") from exc
     train, val = load_dataset(cfg.data)
-    for name, dataset in (("train", train), ("val", val)):
+    splits = (("train", train), ("val", val))
+    for name, dataset in splits:
+        if dataset.image_shape != model.image_shape:
+            raise DataError(
+                f"checkpoint {checkpoint} takes images of shape {model.image_shape};"
+                f" the {name} split of {cfg.data} has {dataset.image_shape}"
+            )
+    for name, dataset in splits:
         acc, loss = evaluate(model, dataset)
         print(f"{name}: accuracy={acc:.4f} loss={loss:.6f} n={len(dataset)}")
     return EXIT_OK
@@ -311,10 +317,9 @@ def _ed_sampler(cfg: RunConfig):
 
 def cmd_ed(cfg: RunConfig) -> int:
     keys = cfg.ansatz.split(",") if cfg.ansatz else list(ED_TABLE_KEYS)
-    known = ANSATZ_KEYS + ("debug-identity",)
     for key in keys:
-        if key not in known:
-            raise ConfigError(f"unknown ansatz {key!r}; choose from {', '.join(known)}")
+        if key not in ANSATZ_KEYS:
+            raise ConfigError(f"unknown ansatz {key!r}; choose from {', '.join(ANSATZ_KEYS)}")
     out_dir = Path(cfg.out or "runs/ed")
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "ed_results.csv"
@@ -327,14 +332,11 @@ def cmd_ed(cfg: RunConfig) -> int:
     for key in keys:
         values = []
         for seed in cfg.seeds:
-            if key == "debug-identity":
-                report = _debug_identity_report(cfg, seed)
-            else:
-                report = effective_dimension(
-                    key, gamma=cfg.gamma, n=cfg.n,
-                    theta_samples=cfg.theta_samples, data_samples=cfg.data_samples,
-                    seed=seed, input_sampler=sampler,
-                )
+            report = effective_dimension(
+                key, gamma=cfg.gamma, n=cfg.n,
+                theta_samples=cfg.theta_samples, data_samples=cfg.data_samples,
+                seed=seed, input_sampler=sampler,
+            )
             print("\n".join(report.lines()))
             print()
             with table_path.open("a") as f:
@@ -351,20 +353,6 @@ def cmd_ed(cfg: RunConfig) -> int:
         indent=2, sort_keys=True,
     ) + "\n")
     return EXIT_OK
-
-
-def _debug_identity_report(cfg: RunConfig, seed: int):
-    """Closed-form check row: identity FIMs of dimension 4."""
-    from .capacity import EDReport
-
-    d = 4
-    fims = [np.eye(d) for _ in range(cfg.theta_samples)]
-    ed, normalized = effective_dimension_from_fims(fims, cfg.gamma, cfg.n)
-    return EDReport(
-        ansatz_key="debug-identity", ed=ed, normalized_ed=normalized, gamma=cfg.gamma,
-        n=cfg.n, d=d, theta_samples=cfg.theta_samples, data_samples=cfg.data_samples,
-        seed=seed, log_param_volume=d * math.log(2 * math.pi),
-    )
 
 
 def cmd_curves(run_dirs, out_csv: str | None, out_svg: str | None) -> int:

@@ -70,11 +70,6 @@ def normalize_pixels(pixels) -> np.ndarray:
     return 2.0 * (np.asarray(pixels, dtype=float) / 255.0) - 1.0
 
 
-def denormalize_pixels(values) -> np.ndarray:
-    """Inverse of :func:`normalize_pixels`, exact on integer pixels."""
-    return np.rint((np.asarray(values, dtype=float) + 1.0) * 255.0 / 2.0).astype(np.uint8)
-
-
 # ---------------------------------------------------------------------------
 # loaders
 # ---------------------------------------------------------------------------
@@ -204,24 +199,43 @@ def load_dataset(source) -> tuple[Dataset, Dataset]:
     Accepts ``synthetic`` (optionally ``synthetic:seed=N``), a ``.npz``/
     ``.zip`` archive path, or a directory holding either ``train.csv`` +
     ``val.csv`` or IDX files named ``{split}-images.idx`` /
-    ``{split}-labels.idx``.
+    ``{split}-labels.idx``.  Both splits must hold at least one image of at
+    least 2x2 pixels, the patch window.
     """
     source = str(source)
     if source == "synthetic" or source.startswith("synthetic:"):
-        spec = SyntheticSpec()
-        if ":" in source:
-            for item in source.split(":", 1)[1].split(","):
-                key, _, value = item.partition("=")
-                if key not in ("seed", "train_n", "val_n", "size"):
-                    raise DataError(f"unknown synthetic option {key!r}")
-                try:
-                    setattr(spec, key, int(value))
-                except ValueError:
-                    raise DataError(
-                        f"synthetic option {key!r} must be an integer, got {value!r}"
-                    ) from None
-        return generate_synthetic(spec)
-    path = Path(source)
+        splits = generate_synthetic(_synthetic_spec(source))
+    else:
+        splits = _load_path(Path(source))
+    for split in splits:
+        h, w = split.image_shape
+        if len(split) == 0:
+            raise DataError(f"{source}: {split.split} split has no images")
+        if h < 2 or w < 2:
+            raise DataError(f"{source}: {split.split} images are {h}x{w}, smaller than 2x2")
+    return splits
+
+
+def _synthetic_spec(source: str) -> SyntheticSpec:
+    spec = SyntheticSpec()
+    if ":" in source:
+        for item in source.split(":", 1)[1].split(","):
+            key, _, value = item.partition("=")
+            if key not in ("seed", "train_n", "val_n", "size"):
+                raise DataError(f"unknown synthetic option {key!r}")
+            try:
+                setattr(spec, key, int(value))
+            except ValueError:
+                raise DataError(
+                    f"synthetic option {key!r} must be an integer, got {value!r}"
+                ) from None
+    for key, least in (("train_n", 1), ("val_n", 1), ("size", 2)):
+        if getattr(spec, key) < least:
+            raise DataError(f"synthetic option {key!r} must be >= {least}, got {getattr(spec, key)}")
+    return spec
+
+
+def _load_path(path: Path) -> tuple[Dataset, Dataset]:
     if path.suffix in (".npz", ".zip"):
         return load_array_archive(path)
     if path.is_dir():
@@ -233,7 +247,7 @@ def load_dataset(source) -> tuple[Dataset, Dataset]:
                 load_idx_pair(path / "val-images.idx", path / "val-labels.idx", "val"),
             )
         raise DataError(f"{path}: no recognized dataset files in directory")
-    raise DataError(f"unrecognized data source {source!r}")
+    raise DataError(f"unrecognized data source {str(path)!r}")
 
 
 # ---------------------------------------------------------------------------

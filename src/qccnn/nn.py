@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff
-from .circuits import Ansatz, apply_postprocess, build_ansatz
+from .autodiff import weighted_readout_gradient
+from .circuits import Ansatz, apply_postprocess, build_ansatz, postprocess_derivative
 from .data import Dataset, extract_patches, patch_grid
 from .sim import defer_measurements, run_deferred_batch
 
@@ -34,7 +34,7 @@ class QuantumConvLayer:
         # One kernel when the circuit itself emits all four maps.
         self.num_kernels = 1 if ansatz.num_readouts == NUM_FEATURE_MAPS else NUM_FEATURE_MAPS
         self.params = rng.uniform(-math.pi, math.pi, (self.num_kernels, ansatz.num_params))
-        self._ctx: autodiff.QuantumForwardContext | None = None
+        self._cache = None
 
     @property
     def num_params(self) -> int:
@@ -49,22 +49,40 @@ class QuantumConvLayer:
         raw = np.empty((self.num_kernels, patches.shape[0], self.ansatz.num_readouts))
         for k in range(self.num_kernels):
             raw[k] = run_deferred_batch(self.circuit, self.params[k], patches)
-        self._ctx = autodiff.QuantumForwardContext(
-            self.circuit, self.params, patches, raw, self.ansatz.postprocess
-        )
+        self._cache = (patches, raw)
         values = apply_postprocess(self.ansatz.postprocess, raw)
         # (kernels, rows, readouts) -> (batch, kernels*readouts, h_out, w_out)
         maps = values.transpose(1, 0, 2).reshape(batch, h_out * w_out, NUM_FEATURE_MAPS)
         return maps.transpose(0, 2, 1).reshape(batch, NUM_FEATURE_MAPS, h_out, w_out)
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
-        if self._ctx is None:
+        """Kernel parameter gradients given dLoss/d(feature maps).
+
+        Sign has zero derivative almost everywhere, so its kernels receive
+        zero gradients; other postprocesses chain through their derivative.
+        """
+        if self._cache is None:
             raise RuntimeError("backward called before forward")
+        patches, raw = self._cache
         batch = upstream.shape[0]
         flat = upstream.reshape(batch, NUM_FEATURE_MAPS, -1).transpose(0, 2, 1)
         flat = flat.reshape(-1, NUM_FEATURE_MAPS)  # (rows, kernels*readouts)
         per_kernel = flat.reshape(flat.shape[0], self.num_kernels, self.ansatz.num_readouts)
-        return autodiff.quantum_layer_backward(per_kernel.transpose(1, 0, 2), self._ctx)
+        per_kernel = per_kernel.transpose(1, 0, 2)  # (kernels, rows, readouts), like raw
+        if per_kernel.shape != raw.shape:
+            raise ValueError(
+                f"upstream shape {upstream.shape} does not match cached"
+                f" forward shape {raw.shape}"
+            )
+        grads = np.zeros(self.params.shape)
+        if self.ansatz.postprocess == "sign":
+            return grads
+        for k in range(self.num_kernels):
+            w = per_kernel[k] * postprocess_derivative(self.ansatz.postprocess, raw[k])
+            if not np.any(w):
+                continue
+            grads[k] = weighted_readout_gradient(self.circuit, self.params[k], patches, w)
+        return grads
 
 
 class ClassicalConvLayer:

@@ -7,13 +7,10 @@ value ``(b >> q) & 1``.
 A :class:`Circuit` is an immutable template.  Rotation angles are resolved at
 execution time from one of three sources: a trainable parameter slot, a
 product of circuit inputs (scaled by pi), or a baked-in constant.
-Mid-circuit measurements and classically conditioned gates execute either
-exactly, by rewriting conditioned rotations to controlled rotations
-(:func:`defer_measurements` / :func:`run_deferred`), or stochastically shot
-by shot (:func:`run_trajectories`).
-
-All execution entry points accept a batch of evaluations at once; rows of
-the batch are independent simulations whose results are returned in order.
+Mid-circuit measurements and classically conditioned gates always execute
+exactly: :func:`defer_measurements` rewrites each conditioned rotation to a
+controlled rotation on the measured qubit, and :func:`run_deferred_batch`
+simulates the rewritten circuit for a batch of independent rows at once.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ _CONTROLLED_FORM = {b: k for k, b in _CONTROLLED_BASE.items() if k in ROTATION_K
 _Z_DIAGONAL_KINDS = frozenset({"RZ", "RZZ", "CZ", "CRZ"})
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_MIN_BRANCH_PROB = 1e-15
 
 
 @dataclass(frozen=True)
@@ -91,8 +87,8 @@ class MidMeasure:
 class Circuit:
     """Ordered gate program with trainable parameter and input slots.
 
-    `readout` lists the qubits whose Pauli-Z expectations the run functions
-    return, in order.
+    `readout` lists the qubits whose Pauli-Z expectations
+    :func:`run_deferred_batch` returns, in order.
     """
 
     num_qubits: int
@@ -140,20 +136,6 @@ class Circuit:
     @property
     def num_midmeasures(self) -> int:
         return sum(isinstance(op, MidMeasure) for op in self.ops)
-
-
-@dataclass
-class TrajectoryResult:
-    """Shot-resolved output of :func:`run_trajectories`.
-
-    `shot_values[s, j]` is the analytic Z expectation of readout qubit j on
-    the collapsed final state of shot s; `estimates` is its mean over shots.
-    `outcomes[s, b]` records classical bit b of shot s.
-    """
-
-    estimates: np.ndarray
-    shot_values: np.ndarray
-    outcomes: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -452,69 +434,3 @@ def run_deferred_batch(circuit: Circuit, params, inputs=None, param_shifts=None)
     for j, q in enumerate(circuit.readout):
         out[:, j] = probs @ _z_signs(n, q)
     return out
-
-
-def run_deferred(circuit: Circuit, params, inputs=None) -> np.ndarray:
-    """Deterministic exact execution: one Z expectation per readout qubit."""
-    return run_deferred_batch(circuit, params, inputs)[0]
-
-
-def run_trajectories(
-    circuit: Circuit, params, shots: int, seed: int, inputs=None
-) -> TrajectoryResult:
-    """Stochastic execution sampling every mid-circuit measurement.
-
-    Each shot collapses measured qubits by the Born rule, applies conditioned
-    gates according to its recorded bits, and contributes the analytic Z
-    expectation of its final state per readout qubit.  Deterministic for a
-    fixed (circuit, params, seed).
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    params = _check_params(circuit, params)
-    inputs = _check_inputs(circuit, inputs)
-    if inputs is not None and inputs.ndim != 1:
-        raise ValueError("run_trajectories takes a single input vector")
-
-    rng = np.random.default_rng(seed)
-    n = circuit.num_qubits
-    state = np.zeros((shots, 1 << n), dtype=complex)
-    state[:, 0] = 1.0
-    n_bits = max(
-        (op.classical_bit for op in circuit.ops if isinstance(op, MidMeasure)), default=-1
-    ) + 1
-    bits = np.zeros((shots, n_bits), dtype=np.uint8)
-
-    for op in circuit.ops:
-        if isinstance(op, MidMeasure):
-            i0, i1 = _pair_indices(n, op.qubit)
-            block = state[:, i1]
-            p1 = (block.real**2 + block.imag**2).sum(axis=1)
-            outcome = rng.random(shots) < p1
-            chosen = np.where(outcome, p1, 1.0 - p1)
-            if np.any(chosen < _MIN_BRANCH_PROB):
-                raise ArithmeticError(
-                    f"collapse onto (near-)zero-probability branch at qubit {op.qubit}"
-                )
-            state[np.ix_(outcome, i0)] = 0.0
-            state[np.ix_(~outcome, i1)] = 0.0
-            state /= np.sqrt(chosen)[:, None]
-            bits[:, op.classical_bit] = outcome
-            continue
-        theta = None
-        if op.kind in ROTATION_KINDS:
-            theta = _resolve_angle(op, params, inputs, None)
-        if op.condition is None:
-            _apply_kind(state, n, op.kind, op.targets, theta)
-        else:
-            mask = bits[:, op.condition] == 1
-            if np.any(mask):
-                sub = state[mask]
-                _apply_kind(sub, n, op.kind, op.targets, theta)
-                state[mask] = sub
-
-    probs = state.real**2 + state.imag**2
-    shot_values = np.empty((shots, len(circuit.readout)))
-    for j, q in enumerate(circuit.readout):
-        shot_values[:, j] = probs @ _z_signs(n, q)
-    return TrajectoryResult(shot_values.mean(axis=0), shot_values, bits)

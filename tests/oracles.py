@@ -5,11 +5,15 @@ Kronecker lifting and straight matrix multiplication; it shares no code with
 the production gate kernels.  Qubit ordering matches the package convention:
 qubit 0 is the least significant bit of the basis index, so a single-qubit
 matrix U on qubit q lifts to I_(2^(n-1-q)) (x) U (x) I_(2^q).
+
+The shot sampler runs mid-circuit measurements stochastically on the same
+dense matrices, so it checks the deferred-measurement rewrite of the
+production simulator independently of its kernels.
 """
 
 import numpy as np
 
-from qccnn.sim import Circuit, GateOp
+from qccnn.sim import Circuit, GateOp, MidMeasure
 
 _I2 = np.eye(2, dtype=complex)
 _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -55,20 +59,25 @@ def gate_unitary(kind: str, targets, n: int, theta: float | None = None) -> np.n
     )
 
 
+def op_unitary(op: GateOp, n: int, params, inputs=None) -> np.ndarray:
+    """Dense matrix of one gate op with its angle resolved."""
+    theta = None
+    if op.param_slot is not None:
+        theta = float(params[op.param_slot])
+    elif op.input_idx is not None:
+        theta = np.pi * float(np.prod(np.asarray(inputs)[list(op.input_idx)]))
+    elif op.angle is not None:
+        theta = float(op.angle)
+    return gate_unitary(op.kind, op.targets, n, theta)
+
+
 def circuit_unitary(circuit: Circuit, params, inputs=None) -> np.ndarray:
     """Full unitary of a measurement-free circuit by matrix-chain product."""
     params = np.asarray(params, dtype=float)
     u = np.eye(1 << circuit.num_qubits, dtype=complex)
     for op in circuit.ops:
         assert isinstance(op, GateOp) and op.condition is None
-        theta = None
-        if op.param_slot is not None:
-            theta = float(params[op.param_slot])
-        elif op.input_idx is not None:
-            theta = np.pi * float(np.prod(np.asarray(inputs)[list(op.input_idx)]))
-        elif op.angle is not None:
-            theta = float(op.angle)
-        u = gate_unitary(op.kind, op.targets, circuit.num_qubits, theta) @ u
+        u = op_unitary(op, circuit.num_qubits, params, inputs) @ u
     return u
 
 
@@ -82,6 +91,48 @@ def z_expectations_oracle(circuit: Circuit, params, inputs=None) -> np.ndarray:
         signs = np.where((np.arange(dim) >> q) & 1 == 0, 1.0, -1.0)
         out.append(float(probs @ signs))
     return np.asarray(out)
+
+
+def sample_shots(circuit: Circuit, params, shots: int, seed: int, inputs=None):
+    """Shot-by-shot execution sampling every mid-circuit measurement.
+
+    Each shot collapses a measured qubit by the Born rule (outcome 1 when
+    its uniform draw falls below p1; one ``rng.random(shots)`` per
+    measurement from ``default_rng(seed)``), renormalizes, and applies a
+    conditioned gate only when its recorded bit is 1.  Returns
+    ``(estimates, shot_values, outcomes)``: ``shot_values[s, j]`` is the
+    exact Z expectation of readout qubit j on the final state of shot s,
+    ``estimates`` its mean over shots, and ``outcomes[s, b]`` classical bit
+    b of shot s.
+    """
+    params = np.asarray(params, dtype=float)
+    n = circuit.num_qubits
+    basis = np.arange(1 << n)
+    state = np.zeros((shots, basis.size), dtype=complex)
+    state[:, 0] = 1.0
+    bits = [op.classical_bit for op in circuit.ops if isinstance(op, MidMeasure)]
+    outcomes = np.zeros((shots, max(bits, default=-1) + 1), dtype=np.uint8)
+    rng = np.random.default_rng(seed)
+    for op in circuit.ops:
+        if isinstance(op, MidMeasure):
+            one = (basis >> op.qubit) & 1 == 1
+            p1 = (np.abs(state[:, one]) ** 2).sum(axis=1)
+            bit = rng.random(shots) < p1
+            state[:, one] *= bit[:, None]
+            state[:, ~one] *= ~bit[:, None]
+            state /= np.sqrt(np.where(bit, p1, 1.0 - p1))[:, None]
+            outcomes[:, op.classical_bit] = bit
+            continue
+        u_t = op_unitary(op, n, params, inputs).T
+        if op.condition is None:
+            state = state @ u_t
+        else:
+            rows = outcomes[:, op.condition] == 1
+            state[rows] = state[rows] @ u_t
+    probs = np.abs(state) ** 2
+    signs = np.stack([np.where((basis >> q) & 1 == 0, 1.0, -1.0) for q in circuit.readout], axis=1)
+    shot_values = probs @ signs
+    return shot_values.mean(axis=0), shot_values, outcomes
 
 
 _RANDOM_KINDS = (

@@ -13,15 +13,20 @@ import time
 import numpy as np
 import pytest
 
-from qccnn.autodiff import param_shift_gradient
+from qccnn.autodiff import readout_jacobian_batch
 from qccnn.capacity import effective_dimension, effective_dimension_from_fims
 from qccnn.circuits import ANSATZ_KEYS, build_ansatz, higher_order_encoding_template
 from qccnn.cli import main as cli_main
 from qccnn.data import SyntheticSpec, generate_synthetic
 from qccnn.nn import fit, make_model
-from qccnn.sim import Circuit, run_deferred, run_trajectories
+from qccnn.sim import Circuit, run_deferred_batch
 
-from oracles import finite_difference_gradient, random_circuit, z_expectations_oracle
+from oracles import (
+    finite_difference_gradient,
+    random_circuit,
+    sample_shots,
+    z_expectations_oracle,
+)
 
 ED_SETTINGS = dict(gamma=1.0, n=546, theta_samples=100, data_samples=100)
 ED_SEEDS = (0, 1, 2)
@@ -61,7 +66,7 @@ def test_acceptance_01_simulator_matches_dense_oracle():
     for _ in range(200):
         circuit = random_circuit(rng, num_qubits=4, depth=int(rng.integers(5, 40)))
         params = rng.uniform(-math.pi, math.pi, circuit.num_params)
-        got = run_deferred(circuit, params)
+        got = run_deferred_batch(circuit, params)[0]
         want = z_expectations_oracle(circuit, params)
         worst = max(worst, float(np.abs(got - want).max()))
     elapsed = time.monotonic() - start
@@ -86,10 +91,10 @@ def test_acceptance_02_deferred_vs_trajectory():
     for _ in range(20):
         x = rng.uniform(-1, 1, 4)
         theta = rng.uniform(-math.pi, math.pi, 6)
-        exact = run_deferred(circuit, theta, x)[0]
-        result = run_trajectories(circuit, theta, shots, int(rng.integers(2**31)), x)
-        stderr = result.shot_values[:, 0].std(ddof=1) / math.sqrt(shots)
-        if abs(result.estimates[0] - exact) <= 3 * stderr:
+        exact = run_deferred_batch(circuit, theta, x)[0][0]
+        estimates, shot_values, _ = sample_shots(circuit, theta, shots, int(rng.integers(2**31)), x)
+        stderr = shot_values[:, 0].std(ddof=1) / math.sqrt(shots)
+        if abs(estimates[0] - exact) <= 3 * stderr:
             hits += 1
     elapsed = time.monotonic() - start
     _report(
@@ -113,8 +118,10 @@ def test_acceptance_03_gradients_all_ansatz_keys():
         for _ in range(10):
             x = rng.uniform(-1, 1, 4)
             theta = rng.uniform(-math.pi, math.pi, circuit.num_params)
-            ps = param_shift_gradient(circuit, theta, 0, x)
-            fd = finite_difference_gradient(lambda p: run_deferred(circuit, p, x)[0], theta)
+            ps = readout_jacobian_batch(circuit, theta, x)[0][:, 0]
+            fd = finite_difference_gradient(
+                lambda p: run_deferred_batch(circuit, p, x)[0][0], theta
+            )
             tol = np.maximum(1e-4 * np.maximum(np.abs(ps), np.abs(fd)), 1e-7)
             worst_ratio = max(worst_ratio, float((np.abs(ps - fd) / tol).max()))
     elapsed = time.monotonic() - start
@@ -139,7 +146,9 @@ def test_acceptance_04_ancilla_variant_identity():
     for _ in range(50):
         x = rng.uniform(-1, 1, 4)
         theta = rng.uniform(-math.pi, math.pi, 4)
-        worst = max(worst, abs(run_deferred(cy, theta, x)[0] - run_deferred(cz, theta, x)[0]))
+        z_cy = run_deferred_batch(cy, theta, x)[0][0]
+        z_cz = run_deferred_batch(cz, theta, x)[0][0]
+        worst = max(worst, abs(z_cy - z_cz))
     _report("4 ancilla CY/CZ identity", worst < 1e-12, f"max |dZ| = {worst:.2e} over 50 draws")
 
 
@@ -156,7 +165,7 @@ def test_acceptance_05_encoding_null_polarization():
     worst = 0.0
     for _ in range(100):
         x = rng.uniform(-1, 1, 4)
-        worst = max(worst, float(np.abs(run_deferred(template, [], x)).max()))
+        worst = max(worst, float(np.abs(run_deferred_batch(template, [], x)[0]).max()))
     _report("5 encoding null polarization", worst < 1e-12, f"max |Z| = {worst:.2e} over 100 inputs")
 
 

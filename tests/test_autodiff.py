@@ -5,17 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from qccnn.autodiff import (
-    QuantumForwardContext,
-    param_shift_gradient,
-    quantum_layer_backward,
-    readout_jacobian,
-    readout_jacobian_batch,
-    shift_rule_for,
-    weighted_readout_gradient,
-)
+from qccnn.autodiff import readout_jacobian_batch, shift_rule_for, weighted_readout_gradient
 from qccnn.circuits import ANSATZ_KEYS, build_ansatz
-from qccnn.sim import Circuit, GateOp, defer_measurements, run_deferred, run_deferred_batch
+from qccnn.nn import QuantumConvLayer
+from qccnn.sim import Circuit, GateOp, defer_measurements, run_deferred_batch
 
 from oracles import finite_difference_gradient
 
@@ -24,12 +17,17 @@ def _rx_circuit():
     return Circuit(1, (GateOp("RX", (0,), param_slot=0),), num_params=1, readout=(0,))
 
 
+def _gradient(circuit, params, readout_index=0, inputs=None):
+    """d<Z_j>/d theta for one readout at one input row."""
+    return readout_jacobian_batch(circuit, params, inputs)[0][:, readout_index]
+
+
 def test_rx_gradient_closed_form():
     circuit = _rx_circuit()
-    assert abs(param_shift_gradient(circuit, [0.0])[0]) < 1e-15
-    assert abs(param_shift_gradient(circuit, [math.pi / 2])[0] + 1.0) < 1e-14
+    assert abs(_gradient(circuit, [0.0])[0]) < 1e-15
+    assert abs(_gradient(circuit, [math.pi / 2])[0] + 1.0) < 1e-14
     theta = 0.37
-    assert abs(param_shift_gradient(circuit, [theta])[0] + math.sin(theta)) < 1e-13
+    assert abs(_gradient(circuit, [theta])[0] + math.sin(theta)) < 1e-13
 
 
 def test_controlled_rotation_four_term_rule():
@@ -37,7 +35,7 @@ def test_controlled_rotation_four_term_rule():
     ops = (GateOp("H", (0,)), GateOp("CRX", (0, 1), param_slot=0))
     circuit = Circuit(2, ops, num_params=1, readout=(1,))
     theta = 0.81
-    got = param_shift_gradient(circuit, [theta])[0]
+    got = _gradient(circuit, [theta])[0]
     assert abs(got + math.sin(theta) / 2) < 1e-13
 
 
@@ -58,9 +56,9 @@ def test_parameter_shift_matches_finite_differences(key):
         x = rng.uniform(-1, 1, 4)
         theta = rng.uniform(-math.pi, math.pi, ansatz.num_params)
         for readout_index in range(ansatz.num_readouts):
-            ps = param_shift_gradient(circuit, theta, readout_index, x)
+            ps = _gradient(circuit, theta, readout_index, x)
             fd = finite_difference_gradient(
-                lambda p: run_deferred(circuit, p, x)[readout_index], theta
+                lambda p: run_deferred_batch(circuit, p, x)[0][readout_index], theta
             )
             err = np.abs(ps - fd)
             tol = np.maximum(1e-4 * np.maximum(np.abs(ps), np.abs(fd)), 1e-7)
@@ -72,8 +70,8 @@ def test_gradient_on_undeferred_equals_deferred():
     rng = np.random.default_rng(42)
     x = rng.uniform(-1, 1, 4)
     theta = rng.uniform(-math.pi, math.pi, 6)
-    direct = param_shift_gradient(circuit, theta, 0, x)
-    explicit = param_shift_gradient(defer_measurements(circuit), theta, 0, x)
+    direct = _gradient(circuit, theta, 0, x)
+    explicit = _gradient(defer_measurements(circuit), theta, 0, x)
     np.testing.assert_allclose(direct, explicit, atol=1e-14)
 
 
@@ -82,7 +80,7 @@ def test_shared_slot_accumulates_contributions():
     ops = (GateOp("RX", (0,), param_slot=0), GateOp("RX", (0,), param_slot=0))
     circuit = Circuit(1, ops, num_params=1, readout=(0,))
     theta = 0.53
-    got = param_shift_gradient(circuit, [theta])[0]
+    got = _gradient(circuit, [theta])[0]
     assert abs(got + 2 * math.sin(2 * theta)) < 1e-13
 
 
@@ -94,7 +92,8 @@ def test_jacobian_batch_matches_per_row():
     batch = readout_jacobian_batch(ansatz.circuit, theta, xs)
     assert batch.shape == (7, 12, 1)
     for i, x in enumerate(xs):
-        np.testing.assert_allclose(batch[i], readout_jacobian(ansatz.circuit, theta, x), atol=1e-13)
+        single = readout_jacobian_batch(ansatz.circuit, theta, x)[0]
+        np.testing.assert_allclose(batch[i], single, atol=1e-13)
 
 
 def test_backward_linearity_and_weighting():
@@ -110,43 +109,49 @@ def test_backward_linearity_and_weighting():
     np.testing.assert_allclose(g12, g1 + g2, atol=1e-12)
 
 
-def _make_ctx(key, xs, theta):
-    ansatz = build_ansatz(key)
-    circuit = defer_measurements(ansatz.circuit)
-    raw = run_deferred_batch(circuit, theta, xs)[None, :, :]
-    return ansatz, QuantumForwardContext(
-        circuit, np.asarray([theta]), xs, raw, ansatz.postprocess
-    )
+def _layer(key, xs, theta):
+    """Quantum conv layer with `theta` in kernel 0, run forward on one 2x2 image per patch row."""
+    layer = QuantumConvLayer(build_ansatz(key))
+    layer.params[0] = theta
+    layer.forward(xs.reshape(-1, 2, 2))
+    return layer
+
+
+def _kernel0_upstream(values):
+    """Feature-map sensitivities that are `values` on kernel 0's map and zero elsewhere."""
+    upstream = np.zeros((len(values), 4, 1, 1))
+    upstream[:, 0, 0, 0] = values
+    return upstream
 
 
 def test_layer_backward_zero_upstream_gives_zero():
     rng = np.random.default_rng(45)
     xs = rng.uniform(-1, 1, (4, 4))
     theta = rng.uniform(-math.pi, math.pi, 4)
-    _, ctx = _make_ctx("select-tanh", xs, theta)
-    grads = quantum_layer_backward(np.zeros((1, 4, 1)), ctx)
-    np.testing.assert_array_equal(grads, np.zeros((1, 4)))
+    layer = _layer("select-tanh", xs, theta)
+    grads = layer.backward(np.zeros((4, 4, 1, 1)))
+    np.testing.assert_array_equal(grads, np.zeros((4, 4)))
 
 
 def test_layer_backward_single_patch_equals_scaled_gradient():
     rng = np.random.default_rng(46)
     x = rng.uniform(-1, 1, (1, 4))
     theta = rng.uniform(-math.pi, math.pi, 6)
-    ansatz, ctx = _make_ctx("midcircuit-rx", x, theta)
-    upstream = np.full((1, 1, 1), 2.5)
-    grads = quantum_layer_backward(upstream, ctx)
-    expected = 2.5 * param_shift_gradient(ansatz.circuit, theta, 0, x[0])
+    layer = _layer("midcircuit-rx", x, theta)
+    grads = layer.backward(_kernel0_upstream([2.5]))
+    expected = 2.5 * _gradient(layer.ansatz.circuit, theta, 0, x[0])
     np.testing.assert_allclose(grads[0], expected, atol=1e-12)
+    np.testing.assert_array_equal(grads[1:], 0.0)
 
 
 def test_layer_backward_tanh_chain_rule():
     rng = np.random.default_rng(47)
     x = rng.uniform(-1, 1, (1, 4))
     theta = rng.uniform(-math.pi, math.pi, 4)
-    ansatz, ctx = _make_ctx("select-tanh", x, theta)
-    raw = ctx.raw_values[0, 0, 0]
-    grads = quantum_layer_backward(np.ones((1, 1, 1)), ctx)
-    expected = (1 - math.tanh(raw) ** 2) * param_shift_gradient(ansatz.circuit, theta, 0, x[0])
+    layer = _layer("select-tanh", x, theta)
+    raw = run_deferred_batch(layer.ansatz.circuit, theta, x)[0, 0]
+    grads = layer.backward(_kernel0_upstream([1.0]))
+    expected = (1 - math.tanh(raw) ** 2) * _gradient(layer.ansatz.circuit, theta, 0, x[0])
     np.testing.assert_allclose(grads[0], expected, atol=1e-12)
 
 
@@ -154,15 +159,15 @@ def test_layer_backward_sign_gradient_is_zero():
     rng = np.random.default_rng(48)
     xs = rng.uniform(-1, 1, (3, 4))
     theta = rng.uniform(-math.pi, math.pi, 4)
-    _, ctx = _make_ctx("select-sign", xs, theta)
-    grads = quantum_layer_backward(rng.normal(size=(1, 3, 1)), ctx)
-    np.testing.assert_array_equal(grads, np.zeros((1, 4)))
+    layer = _layer("select-sign", xs, theta)
+    grads = layer.backward(rng.normal(size=(3, 4, 1, 1)))
+    np.testing.assert_array_equal(grads, np.zeros((4, 4)))
 
 
 def test_layer_backward_shape_mismatch_rejected():
     rng = np.random.default_rng(49)
     xs = rng.uniform(-1, 1, (3, 4))
     theta = rng.uniform(-math.pi, math.pi, 4)
-    _, ctx = _make_ctx("select-tanh", xs, theta)
+    layer = _layer("select-tanh", xs, theta)
     with pytest.raises(ValueError, match="does not match"):
-        quantum_layer_backward(np.zeros((1, 2, 1)), ctx)
+        layer.backward(np.zeros((2, 4, 1, 1)))

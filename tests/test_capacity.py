@@ -21,7 +21,7 @@ from qccnn.capacity import (
 )
 from qccnn.circuits import build_ansatz
 from qccnn.data import SyntheticSpec, generate_synthetic
-from qccnn.sim import Circuit, GateOp, run_deferred
+from qccnn.sim import Circuit, GateOp, run_deferred_batch
 
 from oracles import finite_difference_gradient
 
@@ -89,7 +89,7 @@ def _log_prob_fd(circuit, theta, x, y):
     """Central-difference score of one sample, sharing no code with score_batch."""
 
     def logp(params):
-        z = run_deferred(circuit, params, x)
+        z = run_deferred_batch(circuit, params, x)[0]
         return math.log(class_probabilities(z[None, :], "softmax")[0, y])
 
     return finite_difference_gradient(logp, theta, h=1e-5)

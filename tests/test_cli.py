@@ -95,7 +95,7 @@ def test_invalid_gamma_rejected(tmp_path):
 def test_ed_outputs_rows_and_summary(tmp_path):
     out = tmp_path / "ed"
     code = main([
-        "ed", "--ansatz", "debug-identity,select-tanh", "--theta-samples", "4",
+        "ed", "--ansatz", "select-sign,select-tanh", "--theta-samples", "4",
         "--data-samples", "10", "--seeds", "0,1", "--out", str(out),
     ])
     assert code == EXIT_OK
@@ -103,13 +103,11 @@ def test_ed_outputs_rows_and_summary(tmp_path):
     assert rows[0].startswith("ansatz,seed,gamma,n,")
     assert len(rows) == 1 + 4  # 2 ansatz keys x 2 seeds
     summary = json.loads((out / "ed_summary.json").read_text())
-    assert set(summary["normalized_ed"]) == {"debug-identity", "select-tanh"}
-    # identity-FIM debug row matches the closed form d*log(1+kappa)/log(kappa)
-    import math
-
-    kappa = 546 / (2 * math.pi * math.log(546))
-    expected = math.log1p(kappa) / math.log(kappa)
-    assert summary["normalized_ed"]["debug-identity"]["mean"] == pytest.approx(expected, abs=1e-9)
+    assert set(summary["normalized_ed"]) == {"select-sign", "select-tanh"}
+    # each summary mean is the mean of that key's rows
+    for key, stats in summary["normalized_ed"].items():
+        values = [float(r.split(",")[-1]) for r in rows[1:] if r.startswith(key + ",")]
+        assert stats["mean"] == pytest.approx(float(np.mean(values)), abs=1e-12)
 
 
 def test_ed_default_key_set_matches_comparison_table():
@@ -188,6 +186,36 @@ def _curves_argv(tmp_path, row):
     return ["curves", str(run), "--out", str(tmp_path / "c.csv")]
 
 
+def _train_argv(tmp_path, data):
+    return ["train", "--ansatz", "classical", "--data", data, "--out", str(tmp_path / "x")]
+
+
+def _ed_inputs_argv(tmp_path, data):
+    return ["ed", "--ansatz", "select-tanh", "--ed-inputs", data, "--out", str(tmp_path / "ed")]
+
+
+def _empty_val_archive(tmp_path):
+    path = tmp_path / "empty_val.npz"
+    np.savez(
+        path,
+        train_images=np.zeros((4, 8, 8), dtype=np.uint8),
+        train_labels=np.array([0, 1, 0, 1], dtype=np.uint8),
+        val_images=np.zeros((0, 8, 8), dtype=np.uint8),
+        val_labels=np.zeros(0, dtype=np.uint8),
+    )
+    return _train_argv(tmp_path, str(path))
+
+
+def _eval_other_size_argv(tmp_path):
+    """eval of a 12x12 checkpoint on 8x8 data."""
+    out = tmp_path / "run12"
+    assert main([
+        "train", "--ansatz", "classical", "--data", "synthetic:size=12,train_n=4,val_n=2",
+        "--epochs", "1", "--seeds", "0", "--out", str(out),
+    ]) == EXIT_OK
+    return ["eval", str(out / "checkpoint_seed0.json"), "--data", SMALL_DATA]
+
+
 MALFORMED_INPUTS = {
     "checkpoint-not-json": lambda tmp: _eval_argv(tmp, lambda s: "{not json"),
     "checkpoint-missing-front": lambda tmp: _eval_argv(
@@ -199,9 +227,14 @@ MALFORMED_INPUTS = {
     "checkpoint-shape-mismatch": lambda tmp: _eval_argv(
         tmp, lambda s: json.dumps({**s, "params": {**s["params"], "head_bias": [0.0]}})
     ),
-    "synthetic-seed-not-int": lambda tmp: [
-        "train", "--ansatz", "classical", "--data", "synthetic:seed=abc", "--out", str(tmp / "x"),
-    ],
+    "synthetic-seed-not-int": lambda tmp: _train_argv(tmp, "synthetic:seed=abc"),
+    "synthetic-size-below-window": lambda tmp: _train_argv(tmp, "synthetic:size=1"),
+    "synthetic-no-train-images": lambda tmp: _train_argv(tmp, "synthetic:train_n=0"),
+    "synthetic-negative-val-n": lambda tmp: _train_argv(tmp, "synthetic:val_n=-3"),
+    "archive-empty-val-split": _empty_val_archive,
+    "ed-inputs-size-below-window": lambda tmp: _ed_inputs_argv(tmp, "synthetic:size=1"),
+    "ed-inputs-no-train-images": lambda tmp: _ed_inputs_argv(tmp, "synthetic:train_n=0"),
+    "eval-image-size-mismatch": _eval_other_size_argv,
     "metrics-short-row": lambda tmp: _curves_argv(tmp, "0,0,abc"),
     "metrics-non-numeric": lambda tmp: _curves_argv(tmp, "0,0,abc,0.5,0.5,0.7"),
 }

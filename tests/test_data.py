@@ -11,7 +11,6 @@ from qccnn.data import (
     DataError,
     Dataset,
     SyntheticSpec,
-    denormalize_pixels,
     extract_patches,
     generate_synthetic,
     load_array_archive,
@@ -35,7 +34,8 @@ def test_pixel_normalization_endpoints():
 
 def test_normalization_round_trip_exact():
     pixels = np.arange(256, dtype=np.uint8)
-    np.testing.assert_array_equal(denormalize_pixels(normalize_pixels(pixels)), pixels)
+    back = np.rint((normalize_pixels(pixels) + 1.0) * 255.0 / 2.0).astype(np.uint8)
+    np.testing.assert_array_equal(back, pixels)
 
 
 # ---------------------------------------------------------------------------

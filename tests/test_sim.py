@@ -1,21 +1,13 @@
-"""Statevector simulator tests: gates, expectations, batching, trajectories."""
+"""Statevector simulator tests: gates, expectations, batching; the shot-sampling oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qccnn.sim import (
-    Circuit,
-    GateOp,
-    MidMeasure,
-    _apply_kind,
-    run_deferred,
-    run_deferred_batch,
-    run_trajectories,
-)
+from qccnn.sim import Circuit, GateOp, MidMeasure, _apply_kind, run_deferred_batch
 
-from oracles import gate_unitary, random_circuit, z_expectations_oracle
+from oracles import gate_unitary, random_circuit, sample_shots, z_expectations_oracle
 
 SQRT2_INV = 1 / math.sqrt(2)
 
@@ -97,7 +89,7 @@ def test_every_gate_matches_dense_matrix(kind):
 
 def test_expectation_z_basis_states():
     def z_after(*ops):
-        return run_deferred(Circuit(1, ops, readout=(0,)), [])[0]
+        return run_deferred_batch(Circuit(1, ops, readout=(0,)), [])[0][0]
 
     assert z_after() == 1.0
     assert z_after(GateOp("X", (0,))) == -1.0
@@ -153,15 +145,15 @@ def test_gateop_rejects_bad_arity_and_angle_sources():
 
 def test_run_deferred_rx_readout():
     circuit = Circuit(1, (GateOp("RX", (0,), param_slot=0),), num_params=1, readout=(0,))
-    np.testing.assert_allclose(run_deferred(circuit, [0.0]), [1.0], atol=1e-15)
-    np.testing.assert_allclose(run_deferred(circuit, [math.pi / 2]), [0.0], atol=1e-15)
-    np.testing.assert_allclose(run_deferred(circuit, [1.1]), [math.cos(1.1)], atol=1e-14)
+    np.testing.assert_allclose(run_deferred_batch(circuit, [0.0])[0], [1.0], atol=1e-15)
+    np.testing.assert_allclose(run_deferred_batch(circuit, [math.pi / 2])[0], [0.0], atol=1e-15)
+    np.testing.assert_allclose(run_deferred_batch(circuit, [1.1])[0], [math.cos(1.1)], atol=1e-14)
 
 
 def test_run_deferred_param_length_checked():
     circuit = Circuit(1, (GateOp("RX", (0,), param_slot=0),), num_params=1, readout=(0,))
     with pytest.raises(ValueError, match="parameters"):
-        run_deferred(circuit, [0.1, 0.2])
+        run_deferred_batch(circuit, [0.1, 0.2])
 
 
 def test_random_circuits_match_dense_oracle():
@@ -169,7 +161,7 @@ def test_random_circuits_match_dense_oracle():
     for _ in range(40):
         circuit = random_circuit(rng, num_qubits=4, depth=int(rng.integers(5, 30)))
         params = rng.uniform(-math.pi, math.pi, circuit.num_params)
-        got = run_deferred(circuit, params)
+        got = run_deferred_batch(circuit, params)[0]
         want = z_expectations_oracle(circuit, params)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -205,8 +197,8 @@ def test_inputs_resolved_like_baked_constants():
             for op in ops
         ]
         baked = Circuit(2, tuple(baked_ops), num_params=1, readout=(0, 1))
-        via_inputs = run_deferred(circuit, theta, x)
-        via_baked = run_deferred(baked, theta)
+        via_inputs = run_deferred_batch(circuit, theta, x)[0]
+        via_baked = run_deferred_batch(baked, theta)[0]
         np.testing.assert_allclose(via_inputs, via_baked, atol=1e-14)
         np.testing.assert_allclose(via_inputs, z_expectations_oracle(circuit, theta, x), atol=1e-12)
 
@@ -216,9 +208,9 @@ def test_inputs_outside_range_rejected():
         1, (GateOp("H", (0,)), GateOp("RZ", (0,), input_idx=(0,))), num_inputs=1, readout=(0,)
     )
     with pytest.raises(ValueError, match="normalized"):
-        run_deferred(circuit, [], [1.5])
+        run_deferred_batch(circuit, [], [1.5])
     with pytest.raises(ValueError, match="requires"):
-        run_deferred(circuit, [])
+        run_deferred_batch(circuit, [])
 
 
 def test_batch_rows_match_single_runs():
@@ -234,21 +226,32 @@ def test_batch_rows_match_single_runs():
     xs = rng.uniform(-1, 1, (17, 3))
     batch = run_deferred_batch(circuit, params, xs)
     for i, x in enumerate(xs):
-        np.testing.assert_allclose(batch[i], run_deferred(circuit, params, x), atol=1e-14)
+        np.testing.assert_allclose(batch[i], run_deferred_batch(circuit, params, x)[0], atol=1e-14)
 
 
 def test_deterministic_repeat_calls_bit_identical():
     rng = np.random.default_rng(15)
     circuit = random_circuit(rng, num_qubits=4, depth=25)
     params = rng.uniform(-math.pi, math.pi, circuit.num_params)
-    first = run_deferred(circuit, params)
-    second = run_deferred(circuit, params)
+    first = run_deferred_batch(circuit, params)[0]
+    second = run_deferred_batch(circuit, params)[0]
     assert np.array_equal(first, second)
 
 
 # ---------------------------------------------------------------------------
-# trajectories
+# shot sampling (test oracle for the deferred-measurement rewrite)
 # ---------------------------------------------------------------------------
+
+
+def test_shot_oracle_shares_no_code_with_sim():
+    import oracles
+    import qccnn.sim as sim
+
+    from_sim = {
+        name for name, obj in vars(oracles).items()
+        if getattr(obj, "__module__", "") == sim.__name__
+    }
+    assert from_sim == {"Circuit", "GateOp", "MidMeasure"}  # types only, no kernel or helper
 
 
 def _measure_plus_circuit():
@@ -258,28 +261,23 @@ def _measure_plus_circuit():
 
 def test_trajectory_no_measurement_single_shot_is_exact():
     circuit = Circuit(1, (GateOp("RX", (0,), param_slot=0),), num_params=1, readout=(0,))
-    result = run_trajectories(circuit, [1.3], shots=1, seed=0)
-    np.testing.assert_allclose(result.estimates, [math.cos(1.3)], atol=1e-14)
+    estimates, _, _ = sample_shots(circuit, [1.3], shots=1, seed=0)
+    np.testing.assert_allclose(estimates, [math.cos(1.3)], atol=1e-14)
 
 
 def test_trajectory_outcome_frequency_within_binomial_band():
     # measuring H|0> gives outcome 1 with probability 1/2
-    result = run_trajectories(_measure_plus_circuit(), [], shots=100_000, seed=7)
-    freq = result.outcomes[:, 0].mean()
+    _, _, outcomes = sample_shots(_measure_plus_circuit(), [], shots=100_000, seed=7)
+    freq = outcomes[:, 0].mean()
     assert 0.494 <= freq <= 0.506  # 3 sigma band around 0.5 at 1e5 shots
-
-
-def test_trajectory_rejects_zero_shots():
-    with pytest.raises(ValueError):
-        run_trajectories(_measure_plus_circuit(), [], shots=0, seed=0)
 
 
 def test_trajectory_deterministic_given_seed():
     circuit = _measure_plus_circuit()
-    a = run_trajectories(circuit, [], shots=500, seed=3)
-    b = run_trajectories(circuit, [], shots=500, seed=3)
-    assert np.array_equal(a.outcomes, b.outcomes)
-    assert np.array_equal(a.shot_values, b.shot_values)
+    _, values_a, outcomes_a = sample_shots(circuit, [], shots=500, seed=3)
+    _, values_b, outcomes_b = sample_shots(circuit, [], shots=500, seed=3)
+    assert np.array_equal(outcomes_a, outcomes_b)
+    assert np.array_equal(values_a, values_b)
 
 
 def test_trajectory_conditioned_gate_applies_per_outcome():
@@ -290,7 +288,7 @@ def test_trajectory_conditioned_gate_applies_per_outcome():
         GateOp("RX", (1,), angle=math.pi, condition=0),
     )
     circuit = Circuit(2, ops, readout=(1,))
-    result = run_trajectories(circuit, [], shots=4000, seed=1)
-    flipped = result.outcomes[:, 0] == 1
-    np.testing.assert_allclose(result.shot_values[flipped, 0], -1.0, atol=1e-12)
-    np.testing.assert_allclose(result.shot_values[~flipped, 0], 1.0, atol=1e-12)
+    _, shot_values, outcomes = sample_shots(circuit, [], shots=4000, seed=1)
+    flipped = outcomes[:, 0] == 1
+    np.testing.assert_allclose(shot_values[flipped, 0], -1.0, atol=1e-12)
+    np.testing.assert_allclose(shot_values[~flipped, 0], 1.0, atol=1e-12)
