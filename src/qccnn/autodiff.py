@@ -97,9 +97,9 @@ def readout_jacobian_batch(circuit: Circuit, params, inputs=None) -> np.ndarray:
 def weighted_readout_gradient(circuit: Circuit, params, inputs, weights) -> np.ndarray:
     """sum_r sum_j weights[r, j] * d<Z_j>/d theta at input row r.
 
-    The workhorse of the quantum layer's backward pass: contracts the
-    parameter-shift jacobian against upstream loss sensitivities without
-    materializing it per row.
+    The workhorse of the quantum layer's backward pass: builds the full
+    (rows, params, readouts) parameter-shift jacobian, then contracts it
+    against the upstream loss sensitivities.
     """
     weights = np.asarray(weights, dtype=float)
     jac = readout_jacobian_batch(circuit, params, inputs)

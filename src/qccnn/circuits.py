@@ -27,10 +27,6 @@ import numpy as np
 
 from .sim import Circuit, GateOp, MidMeasure
 
-INPUTS_PER_PATCH = 4
-
-POSTPROCESS_KINDS = ("identity", "sign", "tanh")
-
 ANSATZ_KEYS = (
     "conv",
     "midcircuit-rx",
@@ -50,8 +46,6 @@ class Ansatz:
     """One quantum kernel variant: circuit template plus classical postprocess."""
 
     key: str
-    family: str
-    option: str | None
     circuit: Circuit
     postprocess: str = "identity"
 
@@ -244,16 +238,16 @@ def build_ansatz(key: str) -> Ansatz:
     if key not in ANSATZ_KEYS:
         raise ValueError(f"unknown ansatz key {key!r}; known keys: {', '.join(ANSATZ_KEYS)}")
     if key == "conv":
-        return Ansatz(key, "conv", None, build_conv_no_pool())
+        return Ansatz(key, build_conv_no_pool())
     if key.startswith("midcircuit-"):
         axis = key.removeprefix("midcircuit-").upper()
-        return Ansatz(key, "midcircuit", axis, build_midcircuit_pooling(axis))
+        return Ansatz(key, build_midcircuit_pooling(axis))
     if key.startswith("ancilla-"):
         gate = key.removeprefix("ancilla-").upper()
-        return Ansatz(key, "ancilla", gate, build_ancilla_pooling(gate))
+        return Ansatz(key, build_ancilla_pooling(gate))
     if key.startswith("mod-"):
         variant = key.removeprefix("mod-")
-        return Ansatz(key, "modular", variant, build_modular_pooling(variant))
+        return Ansatz(key, build_modular_pooling(variant))
     post = key.removeprefix("select-")
     circuit, post = build_qubit_select(post)
-    return Ansatz(key, "select", post, circuit, postprocess=post)
+    return Ansatz(key, circuit, postprocess=post)

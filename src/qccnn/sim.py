@@ -2,7 +2,9 @@
 
 Qubit ordering is little-endian throughout: qubit 0 is the least significant
 bit of a basis-state index, so basis state ``b`` assigns qubit ``q`` the
-value ``(b >> q) & 1``.
+value ``(b >> q) & 1``.  A batch of states is stored amplitude-major, as a
+(2**n, rows) array, and gates act on its (2,)*n + (rows,) view, in which
+qubit ``q`` is axis ``n-1-q``.
 
 A :class:`Circuit` is an immutable template.  Rotation angles are resolved at
 execution time from one of three sources: a trainable parameter slot, a
@@ -133,35 +135,10 @@ class Circuit:
         if not 0 <= q < self.num_qubits:
             raise ValueError(f"qubit {q} out of range for {self.num_qubits}-qubit circuit")
 
-    @property
-    def num_midmeasures(self) -> int:
-        return sum(isinstance(op, MidMeasure) for op in self.ops)
-
 
 # ---------------------------------------------------------------------------
-# index caches (little-endian bit arithmetic)
+# sign tables (little-endian bit arithmetic)
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _pair_indices(n: int, q: int):
-    idx = np.arange(1 << n)
-    i0 = idx[(idx >> q) & 1 == 0]
-    i1 = i0 | (1 << q)
-    i0.setflags(write=False)
-    i1.setflags(write=False)
-    return i0, i1
-
-
-@lru_cache(maxsize=None)
-def _controlled_pair_indices(n: int, control: int, target: int):
-    idx = np.arange(1 << n)
-    mask = ((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 0)
-    i10 = idx[mask]
-    i11 = i10 | (1 << target)
-    i10.setflags(write=False)
-    i11.setflags(write=False)
-    return i10, i11
 
 
 @lru_cache(maxsize=None)
@@ -187,64 +164,61 @@ def _parity_signs(n: int, a: int, b: int) -> np.ndarray:
 
 
 def _half_angle(theta):
-    """cos/sin of theta/2, shaped to broadcast over batch rows."""
+    """cos/sin of theta/2; a per-row vector broadcasts over the row axis."""
     t = np.multiply(theta, 0.5)
-    c, s = np.cos(t), np.sin(t)
-    if np.ndim(c) == 1:
-        c = c[:, None]
-        s = s[:, None]
-    return c, s
+    return np.cos(t), np.sin(t)
 
 
-def _apply_kind(state: np.ndarray, n: int, kind: str, targets: tuple, theta=None):
-    """Apply one gate in place to `state` of shape (rows, 2**n).
+def _apply_kind(psi: np.ndarray, kind: str, targets: tuple, theta=None):
+    """Apply one gate in place to `psi`, a (2,)*n + (rows,) view of the state.
 
-    `theta` is a scalar or a length-`rows` vector for rotation kinds.  Every
-    kind but RZZ is a 2x2 base action on pairs of basis indices: all pairs
-    split by the target bit, or for controlled kinds only those with the
-    control bit set.
+    Qubit q lives on axis n-1-q.  `theta` is a scalar or a length-`rows`
+    vector for rotation kinds.  Every kind but RZZ is a 2x2 base action on
+    the two halves split by the target axis; controlled kinds also fix the
+    control axis to 1.
     """
+    n = psi.ndim - 1
     if kind == "RZZ":
-        signs = _parity_signs(n, *targets)
-        t = np.multiply(theta, 0.5)
-        if np.ndim(t) == 1:
-            t = t[:, None]
-        state *= np.exp(-1j * t * signs)
+        signs = _parity_signs(n, *targets).reshape((2,) * n + (1,))
+        psi *= np.exp(-1j * np.multiply(theta, 0.5) * signs)
         return
-    base = _CONTROLLED_BASE.get(kind)
-    if base is None:
-        base = kind
-        i0, i1 = _pair_indices(n, targets[0])
-    else:
-        i0, i1 = _controlled_pair_indices(n, *targets)
+    base = _CONTROLLED_BASE.get(kind, kind)
+    half = [slice(None)] * n
+    if kind in _CONTROLLED_BASE:
+        half[n - 1 - targets[0]] = 1
+    half[n - 1 - targets[-1]] = 0
+    i0 = tuple(half)
+    half[n - 1 - targets[-1]] = 1
+    i1 = tuple(half)
+    # The halves are views: `a` is copied because psi[i0] is written first.
     if base == "H":
-        a, b = state[:, i0], state[:, i1]
-        state[:, i0] = (a + b) * _INV_SQRT2
-        state[:, i1] = (a - b) * _INV_SQRT2
+        a, b = psi[i0].copy(), psi[i1]
+        psi[i0] = (a + b) * _INV_SQRT2
+        psi[i1] = (a - b) * _INV_SQRT2
     elif base == "X":
-        a = state[:, i0]
-        state[:, i0] = state[:, i1]
-        state[:, i1] = a
+        a = psi[i0].copy()
+        psi[i0] = psi[i1]
+        psi[i1] = a
     elif base == "Y":
-        a, b = state[:, i0], state[:, i1]
-        state[:, i0] = -1j * b
-        state[:, i1] = 1j * a
+        a, b = psi[i0].copy(), psi[i1]
+        psi[i0] = -1j * b
+        psi[i1] = 1j * a
     elif base == "Z":
-        state[:, i1] *= -1.0
+        psi[i1] *= -1.0
     elif base == "RX":
         c, s = _half_angle(theta)
-        a, b = state[:, i0], state[:, i1]
-        state[:, i0] = c * a - 1j * s * b
-        state[:, i1] = c * b - 1j * s * a
+        a, b = psi[i0].copy(), psi[i1]
+        psi[i0] = c * a - 1j * s * b
+        psi[i1] = c * b - 1j * s * a
     elif base == "RY":
         c, s = _half_angle(theta)
-        a, b = state[:, i0], state[:, i1]
-        state[:, i0] = c * a - s * b
-        state[:, i1] = c * b + s * a
+        a, b = psi[i0].copy(), psi[i1]
+        psi[i0] = c * a - s * b
+        psi[i1] = c * b + s * a
     else:  # RZ
         c, s = _half_angle(theta)
-        state[:, i0] *= c - 1j * s
-        state[:, i1] *= c + 1j * s
+        psi[i0] *= c - 1j * s
+        psi[i1] *= c + 1j * s
 
 
 def _resolve_angle(op: GateOp, params: np.ndarray, inputs, shift=None):
@@ -307,7 +281,6 @@ def param_ops(circuit: Circuit) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def defer_measurements(circuit: Circuit) -> Circuit:
     """Rewrite mid-circuit measurements into controlled gates.
 
@@ -414,8 +387,9 @@ def run_deferred_batch(circuit: Circuit, params, inputs=None, param_shifts=None)
         rows = param_shifts.shape[0] if rows == 1 else rows
 
     n = circuit.num_qubits
-    state = np.zeros((rows, 1 << n), dtype=complex)
-    state[:, 0] = 1.0
+    state = np.zeros((1 << n, rows), dtype=complex)
+    state[0] = 1.0
+    psi = state.reshape((2,) * n + (rows,))
 
     pos = 0
     for op in circuit.ops:
@@ -427,9 +401,9 @@ def run_deferred_batch(circuit: Circuit, params, inputs=None, param_shifts=None)
             theta = _resolve_angle(op, params, inputs, shift)
             if op.param_slot is not None:
                 pos += 1
-        _apply_kind(state, n, op.kind, op.targets, theta)
+        _apply_kind(psi, op.kind, op.targets, theta)
 
-    probs = state.real**2 + state.imag**2
+    probs = np.ascontiguousarray((state.real**2 + state.imag**2).T)
     out = np.empty((rows, len(circuit.readout)))
     for j, q in enumerate(circuit.readout):
         out[:, j] = probs @ _z_signs(n, q)

@@ -1,11 +1,12 @@
 """Statevector simulator tests: gates, expectations, batching; the shot-sampling oracle."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
 
-from qccnn.sim import Circuit, GateOp, MidMeasure, _apply_kind, run_deferred_batch
+from qccnn.sim import ROTATION_KINDS, Circuit, GateOp, MidMeasure, _apply_kind, run_deferred_batch
 
 from oracles import gate_unitary, random_circuit, sample_shots, z_expectations_oracle
 
@@ -19,10 +20,15 @@ def _zero(n):
 
 
 def _apply(amps, kind, targets, theta=None):
-    """One gate through the production kernel, on a copy of one amplitude row."""
-    state = np.array(amps, dtype=complex).reshape(1, -1)
-    _apply_kind(state, state.shape[1].bit_length() - 1, kind, targets, theta)
-    return state[0]
+    """One gate through the production kernel, on a copy of `amps`.
+
+    `amps` is one amplitude vector or an amplitude-major (2**n, rows) batch,
+    the simulator's own layout.
+    """
+    state = np.array(amps, dtype=complex)
+    n = state.shape[0].bit_length() - 1
+    _apply_kind(state.reshape((2,) * n + (-1,)), kind, targets, theta)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -67,19 +73,38 @@ def test_rzz_matches_composite_on_basis_states():
             np.testing.assert_allclose(got, composite[:, basis], atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["RX", "RY", "RZ", "CRX", "CRY", "CRZ", "CNOT", "CY", "CZ", "H", "X"])
-def test_every_gate_matches_dense_matrix(kind):
-    rng = np.random.default_rng(hash(kind) % 2**32)
+_CONTROLLED = ("CRX", "CRY", "CRZ", "CNOT", "CY", "CZ")
+_GATE_CASES = (
+    [pytest.param(k, (1,), 1, id=k) for k in ("RX", "RY", "RZ")]
+    + [pytest.param(k, (2, 0), 1, id=k) for k in _CONTROLLED]
+    + [pytest.param(k, (1,), 1, id=k) for k in ("H", "X")]
+    + [pytest.param(k, (0, 2), 1, id=f"{k}-control-below") for k in _CONTROLLED]
+    + [pytest.param("RZZ", (a, b), 1, id=f"RZZ-{a}-{b}") for a, b in ((2, 0), (0, 2))]
+    + [
+        pytest.param(k, t, 3, id=f"{k}-3-rows")
+        for k, t in (("H", (1,)), ("RX", (0,)), ("RY", (1,)), ("RZ", (2,)),
+                     ("CY", (0, 2)), ("CRX", (2, 0)), ("CRY", (0, 2)), ("CRZ", (1, 0)),
+                     ("RZZ", (0, 2)))
+    ]
+)
+
+
+@pytest.mark.parametrize("kind, targets, rows", _GATE_CASES)
+def test_every_gate_matches_dense_matrix(kind, targets, rows):
+    # One amplitude column per row; with 3 rows each gets its own angle.
+    rng = np.random.default_rng(zlib.crc32(f"{kind}{targets}{rows}".encode()))
     n = 3
-    targets = (1,) if kind in ("H", "X", "RX", "RY", "RZ") else (2, 0)
-    theta = float(rng.uniform(-math.pi, math.pi))
-    needs_angle = kind in ("RX", "RY", "RZ", "CRX", "CRY", "CRZ")
-    theta = theta if needs_angle else None
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    amps /= np.linalg.norm(amps)
+    angles = [None] * rows
+    theta = None
+    if kind in ROTATION_KINDS:
+        angles = [float(a) for a in rng.uniform(-math.pi, math.pi, rows)]
+        theta = angles[0] if rows == 1 else np.array(angles)
+    amps = rng.normal(size=(8, rows)) + 1j * rng.normal(size=(8, rows))
+    amps /= np.linalg.norm(amps, axis=0)
     got = _apply(amps, kind, targets, theta)
-    want = gate_unitary(kind, targets, n, theta) @ amps
-    np.testing.assert_allclose(got, want, atol=1e-13)
+    for r, angle in enumerate(angles):
+        want = gate_unitary(kind, targets, n, angle) @ amps[:, r]
+        np.testing.assert_allclose(got[:, r], want, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
