@@ -1,7 +1,7 @@
 """Hybrid quantum-classical CNN lab with quantum pooling circuits.
 
 Quantum convolution kernels simulated on dense statevectors (with four pooling
-families), parameter-shift training against a classical baseline, and
+families), adjoint-gradient training against a classical baseline, and
 Fisher-information effective-dimension analysis of every circuit.
 """
 

@@ -1,111 +1,102 @@
-"""Exact gradients of circuit readouts via the parameter-shift rule.
+"""Exact gradients of circuit readouts by adjoint differentiation.
 
-Single-qubit rotations (and RZZ) use the two-term rule with shifts of
-+-pi/2; controlled rotations, whose generators have eigenvalues {0, +-1/2},
-use the four-term rule with shifts +-pi/2 and +-3pi/2.  Circuits are
-rewritten to deferred form first, so conditioned rotations differentiate as
-controlled rotations.  A parameter slot referenced by several gates
-accumulates the per-occurrence contributions.
+Jones & Gacon 2020 (arXiv:2009.02823): one forward pass gives the final
+state phi; lambda = O_w phi with O_w = sum_j w[r, j] Z_j, diagonal per row
+r.  Walking back through the gates, each parameterised gate exp(-i theta P/2)
+adds Im<lambda|P|phi> to its slot, and then is undone on both states, down
+to the first parameterised gate.  Circuits are rewritten to deferred form
+first, so conditioned rotations differentiate as controlled rotations,
+whose generator acts on the control-1 half only.  A parameter slot
+referenced by several gates accumulates the per-occurrence contributions.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .sim import Circuit, defer_measurements, param_ops, run_deferred_batch
-
-_HALF_PI = 0.5 * math.pi
-_THREE_HALF_PI = 1.5 * math.pi
-# Four-term rule coefficients for generators with eigenvalues {0, +-1/2}.
-_C1 = (math.sqrt(2.0) + 1.0) / (4.0 * math.sqrt(2.0))
-_C2 = (math.sqrt(2.0) - 1.0) / (4.0 * math.sqrt(2.0))
-
-_TWO_TERM = (( _HALF_PI, 0.5), (-_HALF_PI, -0.5))
-_FOUR_TERM = (
-    (_HALF_PI, _C1),
-    (-_HALF_PI, -_C1),
-    (_THREE_HALF_PI, -_C2),
-    (-_THREE_HALF_PI, _C2),
+from .sim import (
+    _CONTROLLED_BASE,
+    ROTATION_KINDS,
+    Circuit,
+    _apply_kind,
+    _check_inputs,
+    _check_params,
+    _halves,
+    _parity_signs,
+    _resolve_angle,
+    _z_signs,
+    defer_measurements,
+    final_state,
+    # Unused here: perfbench wraps qccnn.autodiff:run_deferred_batch and a test
+    # asserts that every wrap target resolves.  The adjoint calls final_state.
+    run_deferred_batch,  # noqa: F401
 )
 
 
-def shift_rule_for(kind: str):
-    """(shift, coefficient) pairs for one rotation gate kind."""
-    if kind in ("RX", "RY", "RZ", "RZZ"):
-        return _TWO_TERM
-    if kind in ("CRX", "CRY", "CRZ"):
-        return _FOUR_TERM
-    raise ValueError(f"no parameter-shift rule for gate kind {kind!r}")
+def _generator_overlap(lam: np.ndarray, phi: np.ndarray, kind: str, targets: tuple):
+    """Per-row Im<lam|P|phi>, P the Pauli generator of one rotation gate.
+
+    `lam` and `phi` are (2,)*n + (rows,) views; P is X, Y or Z on the target
+    (restricted to the control-1 half for controlled kinds), or Z(x)Z for RZZ.
+    """
+    n = phi.ndim - 1
+    if kind == "RZZ":
+        prod = lam.conj() * phi * _parity_signs(n, *targets).reshape((2,) * n + (1,))
+    else:
+        i0, i1 = _halves(n, kind, targets)
+        l0, l1 = lam[i0].conj(), lam[i1].conj()
+        base = _CONTROLLED_BASE.get(kind, kind)
+        if base == "RX":
+            prod = l0 * phi[i1] + l1 * phi[i0]
+        elif base == "RY":
+            prod = 1j * (l1 * phi[i0] - l0 * phi[i1])
+        else:  # RZ
+            prod = l0 * phi[i0] - l1 * phi[i1]
+    return prod.sum(axis=tuple(range(prod.ndim - 1))).imag
 
 
-def _shift_tasks(circuit: Circuit):
-    """One task per (parameterized occurrence, shift): arrays of equal length."""
-    positions, slots, shifts, coeffs = [], [], [], []
-    for pos, op in enumerate(param_ops(circuit)):
-        for shift, coeff in shift_rule_for(op.kind):
-            positions.append(pos)
-            slots.append(op.param_slot)
-            shifts.append(shift)
-            coeffs.append(coeff)
-    return (
-        np.asarray(positions, dtype=int),
-        np.asarray(slots, dtype=int),
-        np.asarray(shifts, dtype=float),
-        np.asarray(coeffs, dtype=float),
-    )
+def readout_gradient(circuit: Circuit, params, inputs, weights) -> np.ndarray:
+    """Per-row gradient of sum_j weights[r, j] * <Z_j> with respect to params.
 
-
-def readout_jacobian_batch(circuit: Circuit, params, inputs=None) -> np.ndarray:
-    """d<Z_j>/d theta_p for a batch of input rows.
-
-    Returns an array of shape (rows, num_params, num_readouts).  `inputs`
-    may be omitted (input-free circuit), a single vector, or a matrix of
-    rows.
+    `inputs` may be omitted (input-free circuit), one vector shared by all
+    rows, or a (rows, num_inputs) matrix; `weights` is (rows, readouts).
+    Returns an array of shape (rows, num_params).
     """
     circuit = defer_measurements(circuit)
-    inputs_arr = None if inputs is None else np.asarray(inputs, dtype=float)
-    if circuit.num_params == 0:
-        rows = inputs_arr.shape[0] if inputs_arr is not None and inputs_arr.ndim == 2 else 1
-        return np.zeros((rows, 0, len(circuit.readout)))
-    positions, slots, shifts, coeffs = _shift_tasks(circuit)
-    n_tasks = len(positions)
-    n_pop = len(param_ops(circuit))
-
-    shift_matrix = np.zeros((n_tasks, n_pop))
-    shift_matrix[np.arange(n_tasks), positions] = shifts
-
-    if inputs_arr is None or inputs_arr.ndim == 1:
-        rows = 1
-        tiled_inputs = inputs_arr
-        tiled_shifts = shift_matrix
-    else:
-        rows = inputs_arr.shape[0]
-        tiled_inputs = np.repeat(inputs_arr, n_tasks, axis=0)
-        tiled_shifts = np.tile(shift_matrix, (rows, 1))
-
-    values = run_deferred_batch(circuit, params, tiled_inputs, tiled_shifts)
-    values = values.reshape(rows, n_tasks, -1)
-
-    jac = np.zeros((rows, circuit.num_params, values.shape[2]))
-    for t in range(n_tasks):
-        jac[:, slots[t], :] += coeffs[t] * values[:, t, :]
-    return jac
-
-
-def weighted_readout_gradient(circuit: Circuit, params, inputs, weights) -> np.ndarray:
-    """sum_r sum_j weights[r, j] * d<Z_j>/d theta at input row r.
-
-    The workhorse of the quantum layer's backward pass: builds the full
-    (rows, params, readouts) parameter-shift jacobian, then contracts it
-    against the upstream loss sensitivities.
-    """
+    params = _check_params(circuit, params)
+    inputs = _check_inputs(circuit, inputs)
     weights = np.asarray(weights, dtype=float)
-    jac = readout_jacobian_batch(circuit, params, inputs)
-    if weights.shape != (jac.shape[0], jac.shape[2]):
+    rows = weights.shape[0] if weights.ndim else 0
+    if inputs is not None and inputs.ndim == 2:
+        rows = inputs.shape[0]
+    if weights.shape != (rows, len(circuit.readout)):
         raise ValueError(
             f"weights shape {weights.shape} does not match"
-            f" (rows, readouts) = {(jac.shape[0], jac.shape[2])}"
+            f" (rows, readouts) = {(rows, len(circuit.readout))}"
         )
-    return np.einsum("rpj,rj->p", jac, weights)
+    n = circuit.num_qubits
+
+    phi = final_state(circuit, params, inputs)
+    if phi.shape[1] != rows:  # one shared row of inputs
+        phi = np.repeat(phi, rows, axis=1)
+    signs = np.stack([_z_signs(n, q) for q in circuit.readout], axis=1)
+    lam = (signs @ weights.T) * phi
+    phi_v = phi.reshape((2,) * n + (rows,))
+    lam_v = lam.reshape((2,) * n + (rows,))
+
+    grad = np.zeros((rows, circuit.num_params))
+    ops = circuit.ops
+    first = min((i for i, op in enumerate(ops) if op.param_slot is not None), default=len(ops))
+    for i in range(len(ops) - 1, first - 1, -1):
+        op = ops[i]
+        if op.param_slot is not None:
+            grad[:, op.param_slot] += _generator_overlap(lam_v, phi_v, op.kind, op.targets)
+        if i == first:
+            break
+        # Rotations are undone at -theta; the fixed gates are their own inverses.
+        theta = None
+        if op.kind in ROTATION_KINDS:
+            theta = np.negative(_resolve_angle(op, params, inputs))
+        _apply_kind(phi_v, op.kind, op.targets, theta)
+        _apply_kind(lam_v, op.kind, op.targets, theta)
+    return grad

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import readout_jacobian_batch
+from .autodiff import readout_gradient
 from .circuits import Ansatz, build_ansatz
 from .data import Dataset, extract_patches
 from .sim import Circuit, defer_measurements, run_deferred_batch
@@ -111,24 +111,23 @@ def class_probabilities(readouts: np.ndarray, prob_map: str = "softmax") -> np.n
     return _softmax(readouts)
 
 
-def _output_grad_to_prob_grad(jac, probs, ys, prob_map):
-    """Chain d<Z>/dtheta through the probability map to d log p(y)/dtheta.
+def _log_prob_weights(probs, ys, prob_map, num_readouts):
+    """d log p(y)/d<Z_j> for each row: shape (rows, num_readouts).
 
-    jac: (rows, d, readouts); probs: (rows, classes); ys: (rows,).
+    probs: (rows, classes); ys: (rows,).
     """
     rows = np.arange(len(ys))
     if prob_map == "linear":
         # p(y) = (1 + (-1)^(1-y) z)/2 -> dlogp = sign/(2 p_y) * dz
         sign = np.where(ys == 1, 1.0, -1.0)
-        return jac[:, :, 0] * (sign / (2.0 * probs[rows, ys]))[:, None]
+        return (sign / (2.0 * probs[rows, ys]))[:, None]
     onehot = np.zeros_like(probs)
     onehot[rows, ys] = 1.0
     residual = onehot - probs  # d log p_y / d outputs for a softmax
-    if jac.shape[2] == 1:
+    if num_readouts == 1:
         # outputs were (z, -z)
-        coeff = residual[:, 0] - residual[:, 1]
-        return jac[:, :, 0] * coeff[:, None]
-    return np.einsum("rdj,rj->rd", jac, residual)
+        return (residual[:, 0] - residual[:, 1])[:, None]
+    return residual
 
 
 def _circuit_of(ansatz) -> Circuit:
@@ -148,10 +147,8 @@ def score_batch(circuit: Circuit, params, xs, ys, prob_map: str = "softmax"):
     probs = class_probabilities(z, prob_map)
     keep = probs[np.arange(n), ys] >= _MIN_PROB
     skipped = int((~keep).sum())
-    jac = readout_jacobian_batch(circuit, params, xs[keep] if has_inputs else None)
-    if jac.shape[0] == 1 and int(keep.sum()) > 1:
-        jac = np.repeat(jac, int(keep.sum()), axis=0)
-    scores = _output_grad_to_prob_grad(jac, probs[keep], ys[keep], prob_map)
+    weights = _log_prob_weights(probs[keep], ys[keep], prob_map, z.shape[1])
+    scores = readout_gradient(circuit, params, xs[keep] if has_inputs else None, weights)
     return scores, skipped
 
 

@@ -315,6 +315,9 @@ def _ed_sampler(cfg: RunConfig):
     return dataset_input_sampler(train, cfg.stride)
 
 
+_ED_HEADER = "ansatz,seed,gamma,n,theta_samples,data_samples,d,ed,normalized_ed"
+
+
 def cmd_ed(cfg: RunConfig) -> int:
     keys = cfg.ansatz.split(",") if cfg.ansatz else list(ED_TABLE_KEYS)
     for key in keys:
@@ -323,10 +326,12 @@ def cmd_ed(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out or "runs/ed")
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "ed_results.csv"
-    if not table_path.exists():
-        table_path.write_text(
-            "ansatz,seed,gamma,n,theta_samples,data_samples,d,ed,normalized_ed\n"
-        )
+    # Rows are keyed by their settings, the first six columns, so a rerun
+    # replaces its own rows in place and keeps every other row.
+    table = {}
+    if table_path.exists():
+        for line in table_path.read_text().splitlines()[1:]:
+            table[tuple(line.split(",")[:6])] = line
     sampler = _ed_sampler(cfg)
     summary = {}
     for key in keys:
@@ -339,12 +344,13 @@ def cmd_ed(cfg: RunConfig) -> int:
             )
             print("\n".join(report.lines()))
             print()
-            with table_path.open("a") as f:
-                f.write(
-                    f"{report.ansatz_key},{report.seed},{report.gamma},{report.n},"
-                    f"{report.theta_samples},{report.data_samples},{report.d},"
-                    f"{_fmt(report.ed)},{_fmt(report.normalized_ed)}\n"
-                )
+            line = (
+                f"{report.ansatz_key},{report.seed},{report.gamma},{report.n},"
+                f"{report.theta_samples},{report.data_samples},{report.d},"
+                f"{_fmt(report.ed)},{_fmt(report.normalized_ed)}"
+            )
+            table[tuple(line.split(",")[:6])] = line
+            _atomic_write(table_path, "\n".join([_ED_HEADER, *table.values()]) + "\n")
             values.append(report.normalized_ed)
         summary[key] = {"mean": float(np.mean(values)), "std": float(np.std(values))}
         print(f"== {key}: normalized ED {summary[key]['mean']:.3f} +- {summary[key]['std']:.3f}\n")

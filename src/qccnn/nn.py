@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import weighted_readout_gradient
+from .autodiff import readout_gradient
 from .circuits import Ansatz, apply_postprocess, build_ansatz, postprocess_derivative
 from .data import Dataset, extract_patches, patch_grid
 from .sim import defer_measurements, run_deferred_batch
@@ -81,7 +81,7 @@ class QuantumConvLayer:
             w = per_kernel[k] * postprocess_derivative(self.ansatz.postprocess, raw[k])
             if not np.any(w):
                 continue
-            grads[k] = weighted_readout_gradient(self.circuit, self.params[k], patches, w)
+            grads[k] = readout_gradient(self.circuit, self.params[k], patches, w).sum(axis=0)
         return grads
 
 

@@ -11,8 +11,9 @@ execution time from one of three sources: a trainable parameter slot, a
 product of circuit inputs (scaled by pi), or a baked-in constant.
 Mid-circuit measurements and classically conditioned gates always execute
 exactly: :func:`defer_measurements` rewrites each conditioned rotation to a
-controlled rotation on the measured qubit, and :func:`run_deferred_batch`
-simulates the rewritten circuit for a batch of independent rows at once.
+controlled rotation on the measured qubit, :func:`final_state` simulates the
+rewritten circuit for a batch of independent rows at once, and
+:func:`run_deferred_batch` reads the readout Z expectations off that state.
 """
 
 from __future__ import annotations
@@ -169,6 +170,20 @@ def _half_angle(theta):
     return np.cos(t), np.sin(t)
 
 
+def _halves(n: int, kind: str, targets: tuple) -> tuple:
+    """Index tuples of the target-0 and target-1 halves of a (2,)*n + (rows,) view.
+
+    Controlled kinds also fix the control axis to 1.
+    """
+    half = [slice(None)] * n
+    if kind in _CONTROLLED_BASE:
+        half[n - 1 - targets[0]] = 1
+    half[n - 1 - targets[-1]] = 0
+    i0 = tuple(half)
+    half[n - 1 - targets[-1]] = 1
+    return i0, tuple(half)
+
+
 def _apply_kind(psi: np.ndarray, kind: str, targets: tuple, theta=None):
     """Apply one gate in place to `psi`, a (2,)*n + (rows,) view of the state.
 
@@ -183,13 +198,7 @@ def _apply_kind(psi: np.ndarray, kind: str, targets: tuple, theta=None):
         psi *= np.exp(-1j * np.multiply(theta, 0.5) * signs)
         return
     base = _CONTROLLED_BASE.get(kind, kind)
-    half = [slice(None)] * n
-    if kind in _CONTROLLED_BASE:
-        half[n - 1 - targets[0]] = 1
-    half[n - 1 - targets[-1]] = 0
-    i0 = tuple(half)
-    half[n - 1 - targets[-1]] = 1
-    i1 = tuple(half)
+    i0, i1 = _halves(n, kind, targets)
     # The halves are views: `a` is copied because psi[i0] is written first.
     if base == "H":
         a, b = psi[i0].copy(), psi[i1]
@@ -221,11 +230,10 @@ def _apply_kind(psi: np.ndarray, kind: str, targets: tuple, theta=None):
         psi[i1] *= c + 1j * s
 
 
-def _resolve_angle(op: GateOp, params: np.ndarray, inputs, shift=None):
+def _resolve_angle(op: GateOp, params: np.ndarray, inputs):
     """Angle for one rotation op: scalar, or per-row vector for 2-D inputs."""
     if op.param_slot is not None:
-        base = params[op.param_slot]
-        return base if shift is None else base + shift
+        return params[op.param_slot]
     if op.input_idx is not None:
         if inputs is None:
             raise ValueError("circuit has input-dependent angles; inputs are required")
@@ -262,18 +270,6 @@ def _check_inputs(circuit: Circuit, inputs):
     if np.any(np.abs(inputs) > 1.0 + 1e-12):
         raise ValueError("inputs must be normalized to [-1, 1]")
     return inputs
-
-
-def param_ops(circuit: Circuit) -> tuple:
-    """Parameterized gate occurrences in op order.
-
-    The deferred rewrite maps these one-to-one (conditioned rotations become
-    controlled rotations in place), so positions are stable across
-    :func:`defer_measurements`.
-    """
-    return tuple(
-        op for op in circuit.ops if isinstance(op, GateOp) and op.param_slot is not None
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -358,53 +354,37 @@ def _touches_measured(op: GateOp, measured: set) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def run_deferred_batch(circuit: Circuit, params, inputs=None, param_shifts=None) -> np.ndarray:
-    """Exact Z expectations for a batch of independent evaluations.
+def final_state(circuit: Circuit, params, inputs=None) -> np.ndarray:
+    """Final state of the deferred circuit, as a (2**n, rows) array.
 
-    `inputs` may be one vector (shared by all rows) or a (rows, num_inputs)
-    matrix.  `param_shifts`, when given, is a (rows, n_param_ops) matrix of
-    per-row angle offsets added to the parameterized gate occurrences in op
-    order (the parameter-shift rule's evaluation grid).  Returns an array of
-    shape (rows, len(readout)).
+    `inputs` may be one vector (shared by all rows, so rows is 1) or a
+    (rows, num_inputs) matrix.
     """
     circuit = defer_measurements(circuit)
     params = _check_params(circuit, params)
     inputs = _check_inputs(circuit, inputs)
-
-    n_param_ops = len(param_ops(circuit))
-    rows = 1
-    if inputs is not None and inputs.ndim == 2:
-        rows = inputs.shape[0]
-    if param_shifts is not None:
-        param_shifts = np.asarray(param_shifts, dtype=float)
-        if param_shifts.ndim != 2 or param_shifts.shape[1] != n_param_ops:
-            raise ValueError(
-                f"param_shifts must have shape (rows, {n_param_ops}),"
-                f" got {param_shifts.shape}"
-            )
-        if inputs is not None and inputs.ndim == 2 and param_shifts.shape[0] != rows:
-            raise ValueError("inputs and param_shifts row counts differ")
-        rows = param_shifts.shape[0] if rows == 1 else rows
+    rows = inputs.shape[0] if inputs is not None and inputs.ndim == 2 else 1
 
     n = circuit.num_qubits
     state = np.zeros((1 << n, rows), dtype=complex)
     state[0] = 1.0
     psi = state.reshape((2,) * n + (rows,))
-
-    pos = 0
     for op in circuit.ops:
-        theta = None
-        if op.kind in ROTATION_KINDS:
-            shift = None
-            if op.param_slot is not None and param_shifts is not None:
-                shift = param_shifts[:, pos]
-            theta = _resolve_angle(op, params, inputs, shift)
-            if op.param_slot is not None:
-                pos += 1
+        theta = _resolve_angle(op, params, inputs) if op.kind in ROTATION_KINDS else None
         _apply_kind(psi, op.kind, op.targets, theta)
+    return state
 
+
+def run_deferred_batch(circuit: Circuit, params, inputs=None) -> np.ndarray:
+    """Exact Z expectations for a batch of independent evaluations.
+
+    `inputs` may be one vector (shared by all rows) or a (rows, num_inputs)
+    matrix.  Returns an array of shape (rows, len(readout)).
+    """
+    state = final_state(circuit, params, inputs)
+    n = circuit.num_qubits
     probs = np.ascontiguousarray((state.real**2 + state.imag**2).T)
-    out = np.empty((rows, len(circuit.readout)))
+    out = np.empty((state.shape[1], len(circuit.readout)))
     for j, q in enumerate(circuit.readout):
         out[:, j] = probs @ _z_signs(n, q)
     return out

@@ -9,6 +9,9 @@ matrix U on qubit q lifts to I_(2^(n-1-q)) (x) U (x) I_(2^q).
 The shot sampler runs mid-circuit measurements stochastically on the same
 dense matrices, so it checks the deferred-measurement rewrite of the
 production simulator independently of its kernels.
+
+The parameter-shift jacobian differentiates on the same dense matrices, so it
+checks the production adjoint gradient independently of its backward walk.
 """
 
 import numpy as np
@@ -133,6 +136,47 @@ def sample_shots(circuit: Circuit, params, shots: int, seed: int, inputs=None):
     signs = np.stack([np.where((basis >> q) & 1 == 0, 1.0, -1.0) for q in circuit.readout], axis=1)
     shot_values = probs @ signs
     return shot_values.mean(axis=0), shot_values, outcomes
+
+
+# (shift, coefficient) pairs.  Generators with eigenvalues +-1/2 take the
+# two-term rule; controlled rotations, eigenvalues {0, +-1/2}, the four-term rule.
+_TWO_TERM = ((np.pi / 2, 0.5), (-np.pi / 2, -0.5))
+_C1 = (np.sqrt(2.0) + 1.0) / (4.0 * np.sqrt(2.0))
+_C2 = (np.sqrt(2.0) - 1.0) / (4.0 * np.sqrt(2.0))
+_FOUR_TERM = ((np.pi / 2, _C1), (-np.pi / 2, -_C1), (3 * np.pi / 2, -_C2), (-3 * np.pi / 2, _C2))
+
+
+def shift_rule(kind: str):
+    """(shift, coefficient) pairs of the parameter-shift rule for one rotation kind."""
+    if kind in ("RX", "RY", "RZ", "RZZ"):
+        return _TWO_TERM
+    if kind in ("CRX", "CRY", "CRZ"):
+        return _FOUR_TERM
+    raise ValueError(f"no parameter-shift rule for gate kind {kind!r}")
+
+
+def param_shift_jacobian(circuit: Circuit, params, inputs=None) -> np.ndarray:
+    """d<Z_j>/d theta_p of a measurement-free circuit at one input vector.
+
+    Returns shape (num_params, readouts).  Each parameterised gate occurrence
+    is shifted by inserting a constant rotation of the same kind right after
+    it (R(t + s) = R(s) R(t)), and every shifted circuit is evaluated on the
+    dense-matrix oracle.  Mid-circuit ansatze are passed in deferred form,
+    whose rewrite `sample_shots` checks.
+    """
+    jac = np.zeros((circuit.num_params, len(circuit.readout)))
+    for i, op in enumerate(circuit.ops):
+        if op.param_slot is None:
+            continue
+        for shift, coeff in shift_rule(op.kind):
+            ops = list(circuit.ops)
+            ops.insert(i + 1, GateOp(op.kind, op.targets, angle=shift))
+            shifted = Circuit(
+                circuit.num_qubits, tuple(ops), circuit.num_params, circuit.num_inputs,
+                circuit.readout,
+            )
+            jac[op.param_slot] += coeff * z_expectations_oracle(shifted, params, inputs)
+    return jac
 
 
 _RANDOM_KINDS = (

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from qccnn.autodiff import readout_jacobian_batch
+from qccnn.autodiff import readout_gradient
 from qccnn.capacity import effective_dimension, effective_dimension_from_fims
 from qccnn.circuits import ANSATZ_KEYS, build_ansatz, higher_order_encoding_template
 from qccnn.cli import main as cli_main
@@ -112,21 +112,22 @@ def test_acceptance_02_deferred_vs_trajectory():
 def test_acceptance_03_gradients_all_ansatz_keys():
     rng = np.random.default_rng(102)
     start = time.monotonic()
-    worst_ratio = 0.0  # |ps - fd| / max(1e-4 * magnitude, 1e-7); must stay < 1
+    worst_ratio = 0.0  # |adj - fd| / max(1e-4 * magnitude, 1e-7); must stay < 1
     for key in ANSATZ_KEYS:
         circuit = build_ansatz(key).circuit
+        first_readout = np.eye(1, len(circuit.readout))
         for _ in range(10):
             x = rng.uniform(-1, 1, 4)
             theta = rng.uniform(-math.pi, math.pi, circuit.num_params)
-            ps = readout_jacobian_batch(circuit, theta, x)[0][:, 0]
+            adj = readout_gradient(circuit, theta, x, first_readout)[0]
             fd = finite_difference_gradient(
                 lambda p: run_deferred_batch(circuit, p, x)[0][0], theta
             )
-            tol = np.maximum(1e-4 * np.maximum(np.abs(ps), np.abs(fd)), 1e-7)
-            worst_ratio = max(worst_ratio, float((np.abs(ps - fd) / tol).max()))
+            tol = np.maximum(1e-4 * np.maximum(np.abs(adj), np.abs(fd)), 1e-7)
+            worst_ratio = max(worst_ratio, float((np.abs(adj - fd) / tol).max()))
     elapsed = time.monotonic() - start
     _report(
-        "3 parameter-shift vs finite differences",
+        "3 adjoint vs finite differences",
         worst_ratio < 1.0 and elapsed < 60.0,
         f"worst error at {worst_ratio:.3f} of tolerance across 10 keys x 10 draws"
         f" in {elapsed:.1f}s",

@@ -1,16 +1,16 @@
-"""Parameter-shift gradient tests against finite differences and closed forms."""
+"""Adjoint gradients against the parameter-shift oracle, finite differences and closed forms."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qccnn.autodiff import readout_jacobian_batch, shift_rule_for, weighted_readout_gradient
+from qccnn.autodiff import readout_gradient
 from qccnn.circuits import ANSATZ_KEYS, build_ansatz
 from qccnn.nn import QuantumConvLayer
 from qccnn.sim import Circuit, GateOp, defer_measurements, run_deferred_batch
 
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, param_shift_jacobian, random_circuit, shift_rule
 
 
 def _rx_circuit():
@@ -19,7 +19,9 @@ def _rx_circuit():
 
 def _gradient(circuit, params, readout_index=0, inputs=None):
     """d<Z_j>/d theta for one readout at one input row."""
-    return readout_jacobian_batch(circuit, params, inputs)[0][:, readout_index]
+    weights = np.zeros((1, len(circuit.readout)))
+    weights[0, readout_index] = 1.0
+    return readout_gradient(circuit, params, inputs, weights)[0]
 
 
 def test_rx_gradient_closed_form():
@@ -30,7 +32,7 @@ def test_rx_gradient_closed_form():
     assert abs(_gradient(circuit, [theta])[0] + math.sin(theta)) < 1e-13
 
 
-def test_controlled_rotation_four_term_rule():
+def test_controlled_rotation_closed_form():
     # <Z1> of CRX(t) with control in |+>: (1 + cos t)/2 + 1/2 ... derivative -sin(t)/2
     ops = (GateOp("H", (0,)), GateOp("CRX", (0, 1), param_slot=0))
     circuit = Circuit(2, ops, num_params=1, readout=(1,))
@@ -39,30 +41,59 @@ def test_controlled_rotation_four_term_rule():
     assert abs(got + math.sin(theta) / 2) < 1e-13
 
 
-def test_shift_rule_selection():
-    assert len(shift_rule_for("RX")) == 2
-    assert len(shift_rule_for("RZZ")) == 2
-    assert len(shift_rule_for("CRY")) == 4
+def test_oracle_shift_rule_selection():
+    assert len(shift_rule("RX")) == 2
+    assert len(shift_rule("RZZ")) == 2
+    assert len(shift_rule("CRY")) == 4
     with pytest.raises(ValueError):
-        shift_rule_for("CNOT")
+        shift_rule("CNOT")
 
 
 @pytest.mark.parametrize("key", ANSATZ_KEYS)
 def test_parameter_shift_matches_finite_differences(key):
+    # Checks the parameter-shift oracle, and the adjoint, against central differences.
     ansatz = build_ansatz(key)
     circuit = ansatz.circuit
     rng = np.random.default_rng(41)
     for _ in range(3):
         x = rng.uniform(-1, 1, 4)
         theta = rng.uniform(-math.pi, math.pi, ansatz.num_params)
+        jac = param_shift_jacobian(defer_measurements(circuit), theta, x)
         for readout_index in range(ansatz.num_readouts):
-            ps = _gradient(circuit, theta, readout_index, x)
             fd = finite_difference_gradient(
                 lambda p: run_deferred_batch(circuit, p, x)[0][readout_index], theta
             )
-            err = np.abs(ps - fd)
-            tol = np.maximum(1e-4 * np.maximum(np.abs(ps), np.abs(fd)), 1e-7)
-            assert np.all(err < tol), f"{key}: worst error {err.max():.2e}"
+            for got in (jac[:, readout_index], _gradient(circuit, theta, readout_index, x)):
+                err = np.abs(got - fd)
+                tol = np.maximum(1e-4 * np.maximum(np.abs(got), np.abs(fd)), 1e-7)
+                assert np.all(err < tol), f"{key}: worst error {err.max():.2e}"
+
+
+@pytest.mark.parametrize("key", ANSATZ_KEYS)
+def test_adjoint_matches_parameter_shift_oracle(key):
+    ansatz = build_ansatz(key)
+    rng = np.random.default_rng(50)
+    xs = rng.uniform(-1, 1, (7, 4))
+    theta = rng.uniform(-math.pi, math.pi, ansatz.num_params)
+    weights = rng.normal(size=(7, ansatz.num_readouts))
+    got = readout_gradient(ansatz.circuit, theta, xs, weights)
+    assert got.shape == (7, ansatz.num_params)
+    deferred = defer_measurements(ansatz.circuit)
+    for r in range(7):
+        want = param_shift_jacobian(deferred, theta, xs[r]) @ weights[r]
+        np.testing.assert_allclose(got[r], want, rtol=0, atol=1e-12)
+
+
+def test_adjoint_matches_parameter_shift_oracle_on_random_circuits():
+    # Random circuits draw every gate kind, RZZ included, on every qubit pair order.
+    rng = np.random.default_rng(51)
+    for _ in range(6):
+        circuit = random_circuit(rng, num_qubits=4, depth=20)
+        theta = rng.uniform(-math.pi, math.pi, circuit.num_params)
+        weights = rng.normal(size=(3, 4))
+        got = readout_gradient(circuit, theta, None, weights)
+        want = weights @ param_shift_jacobian(circuit, theta).T
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_gradient_on_undeferred_equals_deferred():
@@ -84,16 +115,35 @@ def test_shared_slot_accumulates_contributions():
     assert abs(got + 2 * math.sin(2 * theta)) < 1e-13
 
 
-def test_jacobian_batch_matches_per_row():
+def test_gradient_batch_matches_per_row():
     ansatz = build_ansatz("mod-b")
     rng = np.random.default_rng(43)
     xs = rng.uniform(-1, 1, (7, 4))
     theta = rng.uniform(-math.pi, math.pi, ansatz.num_params)
-    batch = readout_jacobian_batch(ansatz.circuit, theta, xs)
-    assert batch.shape == (7, 12, 1)
+    weights = rng.normal(size=(7, 1))
+    batch = readout_gradient(ansatz.circuit, theta, xs, weights)
+    assert batch.shape == (7, 12)
     for i, x in enumerate(xs):
-        single = readout_jacobian_batch(ansatz.circuit, theta, x)[0]
+        single = readout_gradient(ansatz.circuit, theta, x, weights[i : i + 1])[0]
         np.testing.assert_allclose(batch[i], single, atol=1e-13)
+
+
+def test_input_free_circuit_gives_one_row_per_weight_row():
+    theta = 0.37
+    got = readout_gradient(_rx_circuit(), [theta], None, np.ones((3, 1)))
+    assert got.shape == (3, 1)
+    np.testing.assert_array_equal(got, np.repeat(got[:1], 3, axis=0))
+    assert abs(got[0, 0] + math.sin(theta)) < 1e-13
+    scaled = readout_gradient(_rx_circuit(), [theta], None, np.array([[2.0], [0.0], [-1.0]]))
+    np.testing.assert_allclose(scaled[:, 0], np.array([2.0, 0.0, -1.0]) * got[0, 0], atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2), (3, 1, 1), (2, 1)])
+def test_weights_shape_mismatch_rejected(shape):
+    ansatz = build_ansatz("select-tanh")
+    xs = np.zeros((3, 4))
+    with pytest.raises(ValueError, match="does not match"):
+        readout_gradient(ansatz.circuit, np.zeros(4), xs, np.ones(shape))
 
 
 def test_backward_linearity_and_weighting():
@@ -103,9 +153,9 @@ def test_backward_linearity_and_weighting():
     theta = rng.uniform(-math.pi, math.pi, 4)
     w1 = rng.normal(size=(5, 1))
     w2 = rng.normal(size=(5, 1))
-    g1 = weighted_readout_gradient(ansatz.circuit, theta, xs, w1)
-    g2 = weighted_readout_gradient(ansatz.circuit, theta, xs, w2)
-    g12 = weighted_readout_gradient(ansatz.circuit, theta, xs, w1 + w2)
+    g1 = readout_gradient(ansatz.circuit, theta, xs, w1)
+    g2 = readout_gradient(ansatz.circuit, theta, xs, w2)
+    g12 = readout_gradient(ansatz.circuit, theta, xs, w1 + w2)
     np.testing.assert_allclose(g12, g1 + g2, atol=1e-12)
 
 

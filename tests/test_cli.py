@@ -128,6 +128,22 @@ def test_ed_with_dataset_patch_inputs(tmp_path):
     assert (out / "ed_results.csv").read_text().count("select-tanh") == 1
 
 
+def test_ed_rerun_replaces_its_own_rows(tmp_path):
+    args = ["ed", "--ansatz", "select-sign,select-tanh", "--theta-samples", "3",
+            "--data-samples", "8", "--out", str(tmp_path / "ed")]
+    table = tmp_path / "ed" / "ed_results.csv"
+    assert main(args + ["--seeds", "0"]) == EXIT_OK
+    first = table.read_text()
+    assert main(args + ["--seeds", "0"]) == EXIT_OK
+    assert table.read_text() == first  # one row per key and seed, in order
+    assert main(args + ["--seeds", "1"]) == EXIT_OK
+    rows = table.read_text().splitlines()
+    assert [r.split(",")[:2] for r in rows[1:]] == [
+        ["select-sign", "0"], ["select-tanh", "0"], ["select-sign", "1"], ["select-tanh", "1"],
+    ]
+    assert table.read_text().startswith(first)
+
+
 def test_ed_deterministic_rows(tmp_path):
     args = ["ed", "--ansatz", "select-tanh", "--theta-samples", "3",
             "--data-samples", "8", "--seeds", "2"]
