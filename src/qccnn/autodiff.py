@@ -22,7 +22,6 @@ from .sim import (
     _check_inputs,
     _check_params,
     _halves,
-    _parity_signs,
     _resolve_angle,
     _z_signs,
     defer_measurements,
@@ -36,39 +35,33 @@ from .sim import (
 def _generator_overlap(lam: np.ndarray, phi: np.ndarray, kind: str, targets: tuple):
     """Per-row Im<lam|P|phi>, P the Pauli generator of one rotation gate.
 
-    `lam` and `phi` are (2,)*n + (rows,) views; P is X, Y or Z on the target
-    (restricted to the control-1 half for controlled kinds), or Z(x)Z for RZZ.
+    `lam` and `phi` are (2,)*n + (rows,) views; P is X, Y or Z on the target,
+    restricted to the control-1 half for controlled kinds.
     """
-    n = phi.ndim - 1
-    if kind == "RZZ":
-        prod = lam.conj() * phi * _parity_signs(n, *targets).reshape((2,) * n + (1,))
-    else:
-        i0, i1 = _halves(n, kind, targets)
-        l0, l1 = lam[i0].conj(), lam[i1].conj()
-        base = _CONTROLLED_BASE.get(kind, kind)
-        if base == "RX":
-            prod = l0 * phi[i1] + l1 * phi[i0]
-        elif base == "RY":
-            prod = 1j * (l1 * phi[i0] - l0 * phi[i1])
-        else:  # RZ
-            prod = l0 * phi[i0] - l1 * phi[i1]
+    i0, i1 = _halves(phi.ndim - 1, kind, targets)
+    l0, l1 = lam[i0].conj(), lam[i1].conj()
+    base = _CONTROLLED_BASE.get(kind, kind)
+    if base == "RX":
+        prod = l0 * phi[i1] + l1 * phi[i0]
+    elif base == "RY":
+        prod = 1j * (l1 * phi[i0] - l0 * phi[i1])
+    else:  # RZ
+        prod = l0 * phi[i0] - l1 * phi[i1]
     return prod.sum(axis=tuple(range(prod.ndim - 1))).imag
 
 
 def readout_gradient(circuit: Circuit, params, inputs, weights) -> np.ndarray:
     """Per-row gradient of sum_j weights[r, j] * <Z_j> with respect to params.
 
-    `inputs` may be omitted (input-free circuit), one vector shared by all
-    rows, or a (rows, num_inputs) matrix; `weights` is (rows, readouts).
-    Returns an array of shape (rows, num_params).
+    `inputs` is a (rows, num_inputs) matrix (an input-free circuit takes
+    (rows, 0)); `weights` is (rows, readouts).  Returns an array of shape
+    (rows, num_params).
     """
     circuit = defer_measurements(circuit)
     params = _check_params(circuit, params)
     inputs = _check_inputs(circuit, inputs)
     weights = np.asarray(weights, dtype=float)
-    rows = weights.shape[0] if weights.ndim else 0
-    if inputs is not None and inputs.ndim == 2:
-        rows = inputs.shape[0]
+    rows = inputs.shape[0]
     if weights.shape != (rows, len(circuit.readout)):
         raise ValueError(
             f"weights shape {weights.shape} does not match"
@@ -77,8 +70,6 @@ def readout_gradient(circuit: Circuit, params, inputs, weights) -> np.ndarray:
     n = circuit.num_qubits
 
     phi = final_state(circuit, params, inputs)
-    if phi.shape[1] != rows:  # one shared row of inputs
-        phi = np.repeat(phi, rows, axis=1)
     signs = np.stack([_z_signs(n, q) for q in circuit.readout], axis=1)
     lam = (signs @ weights.T) * phi
     phi_v = phi.reshape((2,) * n + (rows,))

@@ -1,9 +1,8 @@
 """Empirical Fisher information and effective dimension of ansatz circuits.
 
-The circuit defines a conditional class distribution p(y|x; theta) through a
-probability map on its readouts: single-readout circuits use the two-class
-softmax over (z, -z) by default (a ``linear`` map p(y=1) = (1+z)/2 is also
-available); the four-readout convolution circuit uses a softmax over its
+The circuit defines a conditional class distribution p(y|x; theta) as a
+softmax over its readouts: single-readout circuits use the two-class softmax
+over (z, -z); the four-readout convolution circuit uses a softmax over its
 four outputs.  The Fisher information matrix is estimated empirically from
 the score outer products of samples (x_j, y_j) with y_j drawn from the model
 itself, and the effective dimension aggregates normalized-FIM determinants
@@ -24,28 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import readout_gradient
-from .circuits import Ansatz, build_ansatz
+from .circuits import build_ansatz
 from .data import Dataset, extract_patches
 from .sim import Circuit, defer_measurements, run_deferred_batch
 
-PROB_MAPS = ("softmax", "linear")
-
-_MIN_PROB = 1e-12
 _PSD_TOLERANCE = -1e-10
 
 
 class NumericError(RuntimeError):
     """Raised when a numerical invariant (PSD spectrum, valid kappa) fails."""
-
-
-@dataclass
-class FIMEstimate:
-    """Empirical Fisher information matrix at one parameter draw."""
-
-    matrix: np.ndarray
-    k: int
-    theta: np.ndarray
-    skipped: int = 0
 
 
 @dataclass
@@ -62,7 +48,6 @@ class EDReport:
     data_samples: int
     seed: int
     log_param_volume: float
-    skipped: int = 0
 
     def lines(self) -> list[str]:
         """Structured text record, one ``key: value`` line per field."""
@@ -75,14 +60,13 @@ class EDReport:
             f"theta_samples: {self.theta_samples}",
             f"data_samples: {self.data_samples}",
             f"log_param_volume: {self.log_param_volume!r}",
-            f"skipped: {self.skipped}",
             f"ed: {self.ed!r}",
             f"normalized_ed: {self.normalized_ed!r}",
         ]
 
 
 # ---------------------------------------------------------------------------
-# probability maps and scores
+# class probabilities and scores
 # ---------------------------------------------------------------------------
 
 
@@ -92,35 +76,25 @@ def _softmax(outputs: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def class_probabilities(readouts: np.ndarray, prob_map: str = "softmax") -> np.ndarray:
-    """Class distribution rows from circuit readout rows.
+def class_probabilities(readouts: np.ndarray) -> np.ndarray:
+    """Class distribution rows from (rows, readouts) circuit readouts.
 
-    One readout z: two classes, softmax over (z, -z) or the linear map
-    ((1-z)/2, (1+z)/2).  Four readouts: softmax over all four.
+    One readout z: two classes, softmax over (z, -z).  Four readouts:
+    softmax over all four.
     """
-    readouts = np.atleast_2d(np.asarray(readouts, dtype=float))
-    if prob_map not in PROB_MAPS:
-        raise ValueError(f"unknown probability map {prob_map!r}")
+    readouts = np.asarray(readouts, dtype=float)
     if readouts.shape[1] == 1:
         z = readouts[:, 0]
-        if prob_map == "linear":
-            return np.stack([(1.0 - z) / 2.0, (1.0 + z) / 2.0], axis=1)
         return _softmax(np.stack([z, -z], axis=1))
-    if prob_map == "linear":
-        raise ValueError("linear probability map is defined for single-readout circuits")
     return _softmax(readouts)
 
 
-def _log_prob_weights(probs, ys, prob_map, num_readouts):
+def _log_prob_weights(probs, ys, num_readouts):
     """d log p(y)/d<Z_j> for each row: shape (rows, num_readouts).
 
     probs: (rows, classes); ys: (rows,).
     """
     rows = np.arange(len(ys))
-    if prob_map == "linear":
-        # p(y) = (1 + (-1)^(1-y) z)/2 -> dlogp = sign/(2 p_y) * dz
-        sign = np.where(ys == 1, 1.0, -1.0)
-        return (sign / (2.0 * probs[rows, ys]))[:, None]
     onehot = np.zeros_like(probs)
     onehot[rows, ys] = 1.0
     residual = onehot - probs  # d log p_y / d outputs for a softmax
@@ -130,37 +104,19 @@ def _log_prob_weights(probs, ys, prob_map, num_readouts):
     return residual
 
 
-def _circuit_of(ansatz) -> Circuit:
-    return ansatz.circuit if isinstance(ansatz, Ansatz) else ansatz
+def score_batch(circuit: Circuit, params, xs, ys):
+    """Scores d log p(y|x)/d theta at one theta, one row per sample (x, y).
 
-
-def score_batch(circuit: Circuit, params, xs, ys, prob_map: str = "softmax"):
-    """Scores for many samples at one theta; rows with p(y|x) underflow are
-    dropped.  Returns (scores, n_skipped)."""
-    xs = np.asarray(xs, dtype=float)
+    `xs` is a (rows, num_inputs) matrix.  Returns ``(scores, 0)``: the
+    benchmark harness (``perfbench/``) unpacks a second element, once the
+    count of rows skipped for probability underflow.  No row is skipped:
+    with readouts in [-1, 1] the softmax gives every class at least
+    1/(1 + 3e^2) > 0.04.
+    """
+    z = run_deferred_batch(circuit, params, xs)
     ys = np.asarray(ys, dtype=np.int64)
-    n = len(ys)
-    has_inputs = xs.size > 0
-    z = run_deferred_batch(circuit, params, xs if has_inputs else None)
-    if z.shape[0] == 1 and n > 1:  # input-free circuit: identical rows
-        z = np.repeat(z, n, axis=0)
-    probs = class_probabilities(z, prob_map)
-    keep = probs[np.arange(n), ys] >= _MIN_PROB
-    skipped = int((~keep).sum())
-    weights = _log_prob_weights(probs[keep], ys[keep], prob_map, z.shape[1])
-    scores = readout_gradient(circuit, params, xs[keep] if has_inputs else None, weights)
-    return scores, skipped
-
-
-def empirical_fim(ansatz, params, xs, ys, prob_map: str = "softmax") -> FIMEstimate:
-    """(1/k) sum_j score_j score_j^T over the given samples."""
-    circuit = _circuit_of(ansatz)
-    scores, skipped = score_batch(circuit, params, xs, ys, prob_map)
-    k = scores.shape[0]
-    if k == 0:
-        raise NumericError("every sample was skipped; cannot estimate the FIM")
-    matrix = scores.T @ scores / k
-    return FIMEstimate(matrix, k, np.asarray(params, dtype=float).copy(), skipped)
+    weights = _log_prob_weights(class_probabilities(z), ys, z.shape[1])
+    return readout_gradient(circuit, params, xs, weights), 0
 
 
 def sample_labels(probs: np.ndarray, rng) -> np.ndarray:
@@ -175,13 +131,12 @@ def sample_labels(probs: np.ndarray, rng) -> np.ndarray:
 
 
 def normalized_fim(fims: list) -> list:
-    """Scale FIM samples so the average trace equals the parameter count."""
-    matrices = [f.matrix if isinstance(f, FIMEstimate) else np.asarray(f) for f in fims]
-    d = matrices[0].shape[0]
-    mean_trace = float(np.mean([np.trace(m) for m in matrices]))
+    """Scale FIM matrices so the average trace equals the parameter count."""
+    d = fims[0].shape[0]
+    mean_trace = float(np.mean([np.trace(m) for m in fims]))
     if mean_trace <= 0.0:
-        return [np.zeros_like(m) for m in matrices]
-    return [d * m / mean_trace for m in matrices]
+        return [np.zeros_like(m) for m in fims]
+    return [d * m / mean_trace for m in fims]
 
 
 def _kappa(gamma: float, n: int) -> float:
@@ -231,41 +186,35 @@ def dataset_input_sampler(dataset: Dataset, stride: int = 2):
 
 
 def effective_dimension(
-    ansatz,
+    key: str,
     gamma: float = 1.0,
     n: int = 546,
     theta_samples: int = 100,
     data_samples: int = 100,
     seed: int = 0,
     input_sampler=uniform_input_sampler,
-    prob_map: str = "softmax",
 ) -> EDReport:
-    """Monte-Carlo effective dimension of one ansatz circuit.
+    """Monte-Carlo effective dimension of the ansatz circuit named `key`.
 
     Parameters are drawn uniformly from [-pi, pi]^d; for each draw,
     `data_samples` inputs come from `input_sampler` and labels from the
-    model's own conditional distribution.  Deterministic for a fixed seed.
+    model's own conditional distribution.  Each draw's empirical FIM is
+    (1/k) sum_j score_j score_j^T over its k samples.  Deterministic for a
+    fixed seed.
     """
-    if isinstance(ansatz, str):
-        ansatz = build_ansatz(ansatz)
-    kappa = _kappa(gamma, n)  # validate settings before any compute
-    del kappa
-    circuit = defer_measurements(_circuit_of(ansatz))
+    circuit = defer_measurements(build_ansatz(key).circuit)
+    _kappa(gamma, n)  # validate settings before any compute
     d = circuit.num_params
     rng = np.random.default_rng(seed)
     fims = []
-    skipped = 0
     for _ in range(theta_samples):
         theta = rng.uniform(-math.pi, math.pi, d)
         xs = input_sampler(rng, data_samples)
-        outputs = run_deferred_batch(circuit, theta, xs)
-        probs = class_probabilities(outputs, prob_map)
+        probs = class_probabilities(run_deferred_batch(circuit, theta, xs))
         ys = sample_labels(probs, rng)
-        fim = empirical_fim(circuit, theta, xs, ys, prob_map)
-        fims.append(fim)
-        skipped += fim.skipped
+        scores, _ = score_batch(circuit, theta, xs, ys)
+        fims.append(scores.T @ scores / len(scores))
     ed, normalized = effective_dimension_from_fims(fims, gamma, n)
-    key = ansatz.key if isinstance(ansatz, Ansatz) else "<circuit>"
     return EDReport(
         ansatz_key=key,
         ed=ed,
@@ -277,5 +226,4 @@ def effective_dimension(
         data_samples=data_samples,
         seed=seed,
         log_param_volume=d * math.log(2.0 * math.pi),
-        skipped=skipped,
     )

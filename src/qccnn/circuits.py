@@ -93,7 +93,7 @@ def higher_order_encoding_template() -> list:
     """Encoding fragment with input-slot angles, reusable across patches.
 
     Hadamard on every qubit, RZ(pi*x_n) per qubit, then for every pair i<j
-    the two-qubit phase RZZ(pi*x_i*x_j) written out as CNOT / RZ / CNOT.
+    the two-qubit phase exp(-i*pi*x_i*x_j*Z_i*Z_j/2) as CNOT / RZ / CNOT.
     """
     ops = [GateOp("H", (q,)) for q in range(4)]
     ops += [GateOp("RZ", (q,), input_idx=(q,)) for q in range(4)]

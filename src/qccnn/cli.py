@@ -154,8 +154,8 @@ def _validate_config(cfg: RunConfig):
         raise ConfigError("batch size must be >= 1")
     if cfg.stride < 1:
         raise ConfigError("stride must be >= 1")
-    if cfg.lr <= 0:
-        raise ConfigError("learning rate must be positive")
+    if not (cfg.lr > 0 and np.isfinite(cfg.lr)):
+        raise ConfigError("learning rate must be positive and finite")
     if not cfg.seeds:
         raise ConfigError("at least one seed is required")
     if not 0.0 < cfg.gamma <= 1.0:

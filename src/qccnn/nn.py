@@ -223,6 +223,8 @@ class HybridModel:
             loaded = np.asarray(state["params"][name], dtype=float)
             if loaded.shape != arr.shape:
                 raise ValueError(f"checkpoint shape mismatch for {name!r}")
+            if not np.isfinite(loaded).all():
+                raise ValueError(f"checkpoint holds non-finite values for {name!r}")
             arr[...] = loaded
 
 

@@ -27,8 +27,8 @@ import numpy as np
 MAX_QUBITS = 8
 
 SINGLE_QUBIT_KINDS = frozenset({"H", "X", "RX", "RY", "RZ"})
-TWO_QUBIT_KINDS = frozenset({"RZZ", "CNOT", "CY", "CZ", "CRX", "CRY", "CRZ"})
-ROTATION_KINDS = frozenset({"RX", "RY", "RZ", "RZZ", "CRX", "CRY", "CRZ"})
+TWO_QUBIT_KINDS = frozenset({"CNOT", "CY", "CZ", "CRX", "CRY", "CRZ"})
+ROTATION_KINDS = frozenset({"RX", "RY", "RZ", "CRX", "CRY", "CRZ"})
 GATE_KINDS = SINGLE_QUBIT_KINDS | TWO_QUBIT_KINDS
 
 # Controlled kind -> the single-qubit action it applies when the control is 1.
@@ -39,7 +39,7 @@ _CONTROLLED_FORM = {b: k for k, b in _CONTROLLED_BASE.items() if k in ROTATION_K
 
 # Gates diagonal in the computational basis commute with a Z measurement on
 # every qubit they touch, so they may follow a mid-circuit measurement.
-_Z_DIAGONAL_KINDS = frozenset({"RZ", "RZZ", "CZ", "CRZ"})
+_Z_DIAGONAL_KINDS = frozenset({"RZ", "CZ", "CRZ"})
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -150,15 +150,6 @@ def _z_signs(n: int, q: int) -> np.ndarray:
     return signs
 
 
-@lru_cache(maxsize=None)
-def _parity_signs(n: int, a: int, b: int) -> np.ndarray:
-    # +1 where qubits a and b agree, -1 where they differ.
-    idx = np.arange(1 << n)
-    signs = np.where(((idx >> a) ^ (idx >> b)) & 1 == 0, 1.0, -1.0)
-    signs.setflags(write=False)
-    return signs
-
-
 # ---------------------------------------------------------------------------
 # gate kernels
 # ---------------------------------------------------------------------------
@@ -188,15 +179,11 @@ def _apply_kind(psi: np.ndarray, kind: str, targets: tuple, theta=None):
     """Apply one gate in place to `psi`, a (2,)*n + (rows,) view of the state.
 
     Qubit q lives on axis n-1-q.  `theta` is a scalar or a length-`rows`
-    vector for rotation kinds.  Every kind but RZZ is a 2x2 base action on
-    the two halves split by the target axis; controlled kinds also fix the
-    control axis to 1.
+    vector for rotation kinds.  Every kind is a 2x2 base action on the two
+    halves split by the target axis; controlled kinds also fix the control
+    axis to 1.
     """
     n = psi.ndim - 1
-    if kind == "RZZ":
-        signs = _parity_signs(n, *targets).reshape((2,) * n + (1,))
-        psi *= np.exp(-1j * np.multiply(theta, 0.5) * signs)
-        return
     base = _CONTROLLED_BASE.get(kind, kind)
     i0, i1 = _halves(n, kind, targets)
     # The halves are views: `a` is copied because psi[i0] is written first.
@@ -230,16 +217,14 @@ def _apply_kind(psi: np.ndarray, kind: str, targets: tuple, theta=None):
         psi[i1] *= c + 1j * s
 
 
-def _resolve_angle(op: GateOp, params: np.ndarray, inputs):
-    """Angle for one rotation op: scalar, or per-row vector for 2-D inputs."""
+def _resolve_angle(op: GateOp, params: np.ndarray, inputs: np.ndarray):
+    """Angle for one rotation op: a scalar, or a per-row vector for input angles."""
     if op.param_slot is not None:
         return params[op.param_slot]
     if op.input_idx is not None:
-        if inputs is None:
-            raise ValueError("circuit has input-dependent angles; inputs are required")
-        prod = inputs[..., op.input_idx[0]]
+        prod = inputs[:, op.input_idx[0]]
         for i in op.input_idx[1:]:
-            prod = prod * inputs[..., i]
+            prod = prod * inputs[:, i]
         return np.pi * prod
     return op.angle
 
@@ -253,20 +238,13 @@ def _check_params(circuit: Circuit, params) -> np.ndarray:
     return params
 
 
-def _check_inputs(circuit: Circuit, inputs):
-    if circuit.num_inputs == 0:
-        if inputs is not None and np.size(inputs):
-            raise ValueError("circuit takes no inputs")
-        return None
-    if inputs is None:
-        raise ValueError(f"circuit requires {circuit.num_inputs} inputs")
+def _check_inputs(circuit: Circuit, inputs) -> np.ndarray:
     inputs = np.asarray(inputs, dtype=float)
-    if inputs.shape[-1] != circuit.num_inputs:
+    if inputs.ndim != 2 or inputs.shape[1] != circuit.num_inputs:
         raise ValueError(
-            f"circuit takes {circuit.num_inputs} inputs, got shape {inputs.shape}"
+            f"circuit requires {circuit.num_inputs} inputs per row, as a"
+            f" (rows, {circuit.num_inputs}) matrix; got shape {inputs.shape}"
         )
-    if inputs.ndim not in (1, 2):
-        raise ValueError("inputs must be a vector or a batch of vectors")
     if np.any(np.abs(inputs) > 1.0 + 1e-12):
         raise ValueError("inputs must be normalized to [-1, 1]")
     return inputs
@@ -354,16 +332,16 @@ def _touches_measured(op: GateOp, measured: set) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def final_state(circuit: Circuit, params, inputs=None) -> np.ndarray:
+def final_state(circuit: Circuit, params, inputs) -> np.ndarray:
     """Final state of the deferred circuit, as a (2**n, rows) array.
 
-    `inputs` may be one vector (shared by all rows, so rows is 1) or a
-    (rows, num_inputs) matrix.
+    `inputs` is a (rows, num_inputs) matrix; an input-free circuit takes
+    (rows, 0).
     """
     circuit = defer_measurements(circuit)
     params = _check_params(circuit, params)
     inputs = _check_inputs(circuit, inputs)
-    rows = inputs.shape[0] if inputs is not None and inputs.ndim == 2 else 1
+    rows = inputs.shape[0]
 
     n = circuit.num_qubits
     state = np.zeros((1 << n, rows), dtype=complex)
@@ -375,11 +353,11 @@ def final_state(circuit: Circuit, params, inputs=None) -> np.ndarray:
     return state
 
 
-def run_deferred_batch(circuit: Circuit, params, inputs=None) -> np.ndarray:
+def run_deferred_batch(circuit: Circuit, params, inputs) -> np.ndarray:
     """Exact Z expectations for a batch of independent evaluations.
 
-    `inputs` may be one vector (shared by all rows) or a (rows, num_inputs)
-    matrix.  Returns an array of shape (rows, len(readout)).
+    `inputs` is a (rows, num_inputs) matrix, as for :func:`final_state`.
+    Returns an array of shape (rows, len(readout)).
     """
     state = final_state(circuit, params, inputs)
     n = circuit.num_qubits

@@ -49,11 +49,6 @@ def lift_single(u: np.ndarray, qubit: int, n: int) -> np.ndarray:
 def gate_unitary(kind: str, targets, n: int, theta: float | None = None) -> np.ndarray:
     if kind in ("H", "X", "RX", "RY", "RZ"):
         return lift_single(single_qubit_matrix(kind, theta), targets[0], n)
-    if kind == "RZZ":
-        a, b = targets
-        idx = np.arange(1 << n)
-        agree = ((idx >> a) ^ (idx >> b)) & 1 == 0
-        return np.diag(np.where(agree, np.exp(-1j * theta / 2), np.exp(1j * theta / 2)))
     control, target = targets
     base = {"CNOT": "X", "CY": "Y", "CZ": "Z", "CRX": "RX", "CRY": "RY", "CRZ": "RZ"}[kind]
     u = single_qubit_matrix(base, theta)
@@ -148,7 +143,7 @@ _FOUR_TERM = ((np.pi / 2, _C1), (-np.pi / 2, -_C1), (3 * np.pi / 2, -_C2), (-3 *
 
 def shift_rule(kind: str):
     """(shift, coefficient) pairs of the parameter-shift rule for one rotation kind."""
-    if kind in ("RX", "RY", "RZ", "RZZ"):
+    if kind in ("RX", "RY", "RZ"):
         return _TWO_TERM
     if kind in ("CRX", "CRY", "CRZ"):
         return _FOUR_TERM
@@ -180,7 +175,7 @@ def param_shift_jacobian(circuit: Circuit, params, inputs=None) -> np.ndarray:
 
 
 _RANDOM_KINDS = (
-    "H", "X", "RX", "RY", "RZ", "RZZ", "CNOT", "CY", "CZ", "CRX", "CRY", "CRZ",
+    "H", "X", "RX", "RY", "RZ", "CNOT", "CY", "CZ", "CRX", "CRY", "CRZ",
 )
 
 
@@ -195,7 +190,7 @@ def random_circuit(rng, num_qubits: int = 4, depth: int = 20) -> Circuit:
         else:
             a, b = rng.choice(num_qubits, size=2, replace=False)
             targets = (int(a), int(b))
-        if kind in ("RX", "RY", "RZ", "RZZ", "CRX", "CRY", "CRZ"):
+        if kind in ("RX", "RY", "RZ", "CRX", "CRY", "CRZ"):
             ops.append(GateOp(kind, targets, param_slot=slot))
             slot += 1
         else:

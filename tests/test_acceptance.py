@@ -66,7 +66,7 @@ def test_acceptance_01_simulator_matches_dense_oracle():
     for _ in range(200):
         circuit = random_circuit(rng, num_qubits=4, depth=int(rng.integers(5, 40)))
         params = rng.uniform(-math.pi, math.pi, circuit.num_params)
-        got = run_deferred_batch(circuit, params)[0]
+        got = run_deferred_batch(circuit, params, np.zeros((1, 0)))[0]
         want = z_expectations_oracle(circuit, params)
         worst = max(worst, float(np.abs(got - want).max()))
     elapsed = time.monotonic() - start
@@ -91,7 +91,7 @@ def test_acceptance_02_deferred_vs_trajectory():
     for _ in range(20):
         x = rng.uniform(-1, 1, 4)
         theta = rng.uniform(-math.pi, math.pi, 6)
-        exact = run_deferred_batch(circuit, theta, x)[0][0]
+        exact = run_deferred_batch(circuit, theta, x[None])[0][0]
         estimates, shot_values, _ = sample_shots(circuit, theta, shots, int(rng.integers(2**31)), x)
         stderr = shot_values[:, 0].std(ddof=1) / math.sqrt(shots)
         if abs(estimates[0] - exact) <= 3 * stderr:
@@ -119,9 +119,9 @@ def test_acceptance_03_gradients_all_ansatz_keys():
         for _ in range(10):
             x = rng.uniform(-1, 1, 4)
             theta = rng.uniform(-math.pi, math.pi, circuit.num_params)
-            adj = readout_gradient(circuit, theta, x, first_readout)[0]
+            adj = readout_gradient(circuit, theta, x[None], first_readout)[0]
             fd = finite_difference_gradient(
-                lambda p: run_deferred_batch(circuit, p, x)[0][0], theta
+                lambda p: run_deferred_batch(circuit, p, x[None])[0][0], theta
             )
             tol = np.maximum(1e-4 * np.maximum(np.abs(adj), np.abs(fd)), 1e-7)
             worst_ratio = max(worst_ratio, float((np.abs(adj - fd) / tol).max()))
@@ -147,8 +147,8 @@ def test_acceptance_04_ancilla_variant_identity():
     for _ in range(50):
         x = rng.uniform(-1, 1, 4)
         theta = rng.uniform(-math.pi, math.pi, 4)
-        z_cy = run_deferred_batch(cy, theta, x)[0][0]
-        z_cz = run_deferred_batch(cz, theta, x)[0][0]
+        z_cy = run_deferred_batch(cy, theta, x[None])[0][0]
+        z_cz = run_deferred_batch(cz, theta, x[None])[0][0]
         worst = max(worst, abs(z_cy - z_cz))
     _report("4 ancilla CY/CZ identity", worst < 1e-12, f"max |dZ| = {worst:.2e} over 50 draws")
 
@@ -166,7 +166,7 @@ def test_acceptance_05_encoding_null_polarization():
     worst = 0.0
     for _ in range(100):
         x = rng.uniform(-1, 1, 4)
-        worst = max(worst, float(np.abs(run_deferred_batch(template, [], x)[0]).max()))
+        worst = max(worst, float(np.abs(run_deferred_batch(template, [], x[None])[0]).max()))
     _report("5 encoding null polarization", worst < 1e-12, f"max |Z| = {worst:.2e} over 100 inputs")
 
 

@@ -18,7 +18,9 @@ def _rx_circuit():
 
 
 def _gradient(circuit, params, readout_index=0, inputs=None):
-    """d<Z_j>/d theta for one readout at one input row."""
+    """d<Z_j>/d theta for one readout at one (1, num_inputs) input row."""
+    if inputs is None:
+        inputs = np.zeros((1, 0))
     weights = np.zeros((1, len(circuit.readout)))
     weights[0, readout_index] = 1.0
     return readout_gradient(circuit, params, inputs, weights)[0]
@@ -43,7 +45,6 @@ def test_controlled_rotation_closed_form():
 
 def test_oracle_shift_rule_selection():
     assert len(shift_rule("RX")) == 2
-    assert len(shift_rule("RZZ")) == 2
     assert len(shift_rule("CRY")) == 4
     with pytest.raises(ValueError):
         shift_rule("CNOT")
@@ -61,9 +62,9 @@ def test_parameter_shift_matches_finite_differences(key):
         jac = param_shift_jacobian(defer_measurements(circuit), theta, x)
         for readout_index in range(ansatz.num_readouts):
             fd = finite_difference_gradient(
-                lambda p: run_deferred_batch(circuit, p, x)[0][readout_index], theta
+                lambda p: run_deferred_batch(circuit, p, x[None])[0][readout_index], theta
             )
-            for got in (jac[:, readout_index], _gradient(circuit, theta, readout_index, x)):
+            for got in (jac[:, readout_index], _gradient(circuit, theta, readout_index, x[None])):
                 err = np.abs(got - fd)
                 tol = np.maximum(1e-4 * np.maximum(np.abs(got), np.abs(fd)), 1e-7)
                 assert np.all(err < tol), f"{key}: worst error {err.max():.2e}"
@@ -85,13 +86,13 @@ def test_adjoint_matches_parameter_shift_oracle(key):
 
 
 def test_adjoint_matches_parameter_shift_oracle_on_random_circuits():
-    # Random circuits draw every gate kind, RZZ included, on every qubit pair order.
+    # Random circuits draw every gate kind on every qubit pair order.
     rng = np.random.default_rng(51)
     for _ in range(6):
         circuit = random_circuit(rng, num_qubits=4, depth=20)
         theta = rng.uniform(-math.pi, math.pi, circuit.num_params)
         weights = rng.normal(size=(3, 4))
-        got = readout_gradient(circuit, theta, None, weights)
+        got = readout_gradient(circuit, theta, np.zeros((3, 0)), weights)
         want = weights @ param_shift_jacobian(circuit, theta).T
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -101,8 +102,8 @@ def test_gradient_on_undeferred_equals_deferred():
     rng = np.random.default_rng(42)
     x = rng.uniform(-1, 1, 4)
     theta = rng.uniform(-math.pi, math.pi, 6)
-    direct = _gradient(circuit, theta, 0, x)
-    explicit = _gradient(defer_measurements(circuit), theta, 0, x)
+    direct = _gradient(circuit, theta, 0, x[None])
+    explicit = _gradient(defer_measurements(circuit), theta, 0, x[None])
     np.testing.assert_allclose(direct, explicit, atol=1e-14)
 
 
@@ -124,17 +125,18 @@ def test_gradient_batch_matches_per_row():
     batch = readout_gradient(ansatz.circuit, theta, xs, weights)
     assert batch.shape == (7, 12)
     for i, x in enumerate(xs):
-        single = readout_gradient(ansatz.circuit, theta, x, weights[i : i + 1])[0]
+        single = readout_gradient(ansatz.circuit, theta, x[None], weights[i : i + 1])[0]
         np.testing.assert_allclose(batch[i], single, atol=1e-13)
 
 
 def test_input_free_circuit_gives_one_row_per_weight_row():
     theta = 0.37
-    got = readout_gradient(_rx_circuit(), [theta], None, np.ones((3, 1)))
+    got = readout_gradient(_rx_circuit(), [theta], np.zeros((3, 0)), np.ones((3, 1)))
     assert got.shape == (3, 1)
     np.testing.assert_array_equal(got, np.repeat(got[:1], 3, axis=0))
     assert abs(got[0, 0] + math.sin(theta)) < 1e-13
-    scaled = readout_gradient(_rx_circuit(), [theta], None, np.array([[2.0], [0.0], [-1.0]]))
+    weights = np.array([[2.0], [0.0], [-1.0]])
+    scaled = readout_gradient(_rx_circuit(), [theta], np.zeros((3, 0)), weights)
     np.testing.assert_allclose(scaled[:, 0], np.array([2.0, 0.0, -1.0]) * got[0, 0], atol=1e-15)
 
 
@@ -189,7 +191,7 @@ def test_layer_backward_single_patch_equals_scaled_gradient():
     theta = rng.uniform(-math.pi, math.pi, 6)
     layer = _layer("midcircuit-rx", x, theta)
     grads = layer.backward(_kernel0_upstream([2.5]))
-    expected = 2.5 * _gradient(layer.ansatz.circuit, theta, 0, x[0])
+    expected = 2.5 * _gradient(layer.ansatz.circuit, theta, 0, x)
     np.testing.assert_allclose(grads[0], expected, atol=1e-12)
     np.testing.assert_array_equal(grads[1:], 0.0)
 
@@ -201,7 +203,7 @@ def test_layer_backward_tanh_chain_rule():
     layer = _layer("select-tanh", x, theta)
     raw = run_deferred_batch(layer.ansatz.circuit, theta, x)[0, 0]
     grads = layer.backward(_kernel0_upstream([1.0]))
-    expected = (1 - math.tanh(raw) ** 2) * _gradient(layer.ansatz.circuit, theta, 0, x[0])
+    expected = (1 - math.tanh(raw) ** 2) * _gradient(layer.ansatz.circuit, theta, 0, x)
     np.testing.assert_allclose(grads[0], expected, atol=1e-12)
 
 

@@ -7,13 +7,11 @@ import pytest
 
 from qccnn.capacity import (
     EDReport,
-    FIMEstimate,
     NumericError,
     class_probabilities,
     dataset_input_sampler,
     effective_dimension,
     effective_dimension_from_fims,
-    empirical_fim,
     normalized_fim,
     sample_labels,
     score_batch,
@@ -31,15 +29,22 @@ def _rx_toy():
     return Circuit(1, (GateOp("RX", (0,), param_slot=0),), num_params=1, readout=(0,))
 
 
+def _toy_fisher(theta):
+    """Closed-form Fisher of the toy: softmax over (z, -z) at z = cos(theta).
+
+    d log p_y/dz is 1 - tanh z or -1 - tanh z, so the Fisher in z is
+    1 - tanh^2 z = 1/cosh^2 z, and in theta sin^2(theta)/cosh^2(cos theta).
+    """
+    return math.sin(theta) ** 2 / math.cosh(math.cos(theta)) ** 2
+
+
 # ---------------------------------------------------------------------------
-# probability maps and scores
+# class probabilities and scores
 # ---------------------------------------------------------------------------
 
 
 def test_class_probabilities_single_readout():
-    probs = class_probabilities(np.array([[0.5]]), "linear")
-    np.testing.assert_allclose(probs, [[0.25, 0.75]], atol=1e-15)
-    soft = class_probabilities(np.array([[0.0]]), "softmax")
+    soft = class_probabilities(np.array([[0.0]]))
     np.testing.assert_allclose(soft, [[0.5, 0.5]], atol=1e-15)
 
 
@@ -49,48 +54,62 @@ def test_class_probabilities_four_readouts_sum_to_one():
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(6), atol=1e-12)
 
 
+def test_softmax_class_probability_lower_bound():
+    # Readouts lie in [-1, 1], so no class probability falls below
+    # 1/(1+e^2) ~ 0.119 with one readout or 1/(1+3e^2) ~ 0.043 with four:
+    # score_batch never has an underflowing row to skip.
+    one, four = 1 / (1 + math.e**2), 1 / (1 + 3 * math.e**2)
+    np.testing.assert_allclose(class_probabilities(np.array([[1.0]])).min(), one, rtol=1e-15)
+    worst = class_probabilities(np.array([[-1.0, 1.0, 1.0, 1.0]]))
+    np.testing.assert_allclose(worst[0, 0], four, rtol=1e-15)
+    rng = np.random.default_rng(58)
+    assert class_probabilities(rng.uniform(-1, 1, (1000, 1))).min() >= one
+    assert class_probabilities(rng.uniform(-1, 1, (1000, 4))).min() >= four
+
+
 def test_bernoulli_toy_fisher_is_one():
-    # p(y=1) = (1 + cos theta)/2 has Fisher exactly 1 wherever sin(theta) != 0
+    # The exact Fisher sum_y p(y) s_y^2, divided by its closed form, is one
+    # wherever sin(theta) != 0.
     circuit = _rx_toy()
     for theta in (0.8, 2.1, -1.3):
-        scores, skipped = score_batch(circuit, [theta], np.zeros((2, 0)), [0, 1], "linear")
+        scores, skipped = score_batch(circuit, [theta], np.zeros((2, 0)), [0, 1])
         assert skipped == 0
         s0, s1 = scores
-        p1 = (1 + math.cos(theta)) / 2
-        fisher = (1 - p1) * s0[0] ** 2 + p1 * s1[0] ** 2
-        assert abs(fisher - 1.0) < 1e-10
+        p0, p1 = class_probabilities(np.array([[math.cos(theta)]]))[0]
+        fisher = p0 * s0[0] ** 2 + p1 * s1[0] ** 2
+        assert abs(fisher / _toy_fisher(theta) - 1.0) < 1e-10
 
 
 def test_empirical_fim_toy_converges_to_analytic():
     circuit = _rx_toy()
     rng = np.random.default_rng(52)
     theta = 1.1
-    p1 = (1 + math.cos(theta)) / 2
+    p1 = class_probabilities(np.array([[math.cos(theta)]]))[0, 1]
     ys = (rng.random(500) < p1).astype(int)
     xs = np.zeros((500, 0))
-    fim = empirical_fim(circuit, [theta], xs, ys, prob_map="linear")
-    assert fim.matrix.shape == (1, 1)
-    assert abs(fim.matrix[0, 0] - 1.0) < 0.05
+    scores, _ = score_batch(circuit, [theta], xs, ys)
+    fim = scores.T @ scores / len(scores)
+    assert fim.shape == (1, 1)
+    assert abs(fim[0, 0] / _toy_fisher(theta) - 1.0) < 0.05
 
 
 def test_score_expectation_is_zero():
     # sum_y p(y) dlogp(y)/dtheta = 0
     circuit = _rx_toy()
-    for prob_map in ("softmax", "linear"):
-        theta = 0.9
-        z = math.cos(theta)
-        probs = class_probabilities(np.array([[z]]), prob_map)[0]
-        scores, _ = score_batch(circuit, [theta], np.zeros((2, 0)), [0, 1], prob_map)
-        total = probs[0] * scores[0, 0] + probs[1] * scores[1, 0]
-        assert abs(total) < 1e-8
+    theta = 0.9
+    z = math.cos(theta)
+    probs = class_probabilities(np.array([[z]]))[0]
+    scores, _ = score_batch(circuit, [theta], np.zeros((2, 0)), [0, 1])
+    total = probs[0] * scores[0, 0] + probs[1] * scores[1, 0]
+    assert abs(total) < 1e-8
 
 
 def _log_prob_fd(circuit, theta, x, y):
     """Central-difference score of one sample, sharing no code with score_batch."""
 
     def logp(params):
-        z = run_deferred_batch(circuit, params, x)[0]
-        return math.log(class_probabilities(z[None, :], "softmax")[0, y])
+        z = run_deferred_batch(circuit, params, x[None])[0]
+        return math.log(class_probabilities(z[None, :])[0, y])
 
     return finite_difference_gradient(logp, theta, h=1e-5)
 
@@ -111,27 +130,12 @@ def test_single_sample_fim_is_rank_one_outer_product():
     rng = np.random.default_rng(54)
     x = rng.uniform(-1, 1, (1, 4))
     theta = rng.uniform(-math.pi, math.pi, 4)
-    fim = empirical_fim(ansatz, theta, x, np.array([1]))
+    scores, _ = score_batch(ansatz.circuit, theta, x, np.array([1]))
+    fim = scores.T @ scores / len(scores)
     score = _log_prob_fd(ansatz.circuit, theta, x[0], 1)
-    np.testing.assert_allclose(fim.matrix, np.outer(score, score), atol=1e-8)
-    assert np.linalg.matrix_rank(fim.matrix, tol=1e-10) == 1
-    assert np.trace(fim.matrix) >= 0
-
-
-def test_score_batch_drops_underflowing_rows():
-    # RX(pi x) then RX(theta): at theta = 0 and x = 0, z = 1 so the linear map
-    # gives p(y=0) = 0, below the underflow floor; that row alone is dropped
-    ops = (GateOp("RX", (0,), input_idx=(0,)), GateOp("RX", (0,), param_slot=0))
-    circuit = Circuit(1, ops, num_params=1, num_inputs=1, readout=(0,))
-    xs = np.array([[0.3], [0.0], [-0.6]])
-    ys = np.array([0, 0, 1])
-    scores, skipped = score_batch(circuit, [0.0], xs, ys, "linear")
-    assert skipped == 1
-    kept = [0, 2]
-    want, none_skipped = score_batch(circuit, [0.0], xs[kept], ys[kept], "linear")
-    assert none_skipped == 0
-    np.testing.assert_array_equal(scores, want)
-    assert np.all(scores != 0.0)
+    np.testing.assert_allclose(fim, np.outer(score, score), atol=1e-8)
+    assert np.linalg.matrix_rank(fim, tol=1e-10) == 1
+    assert np.trace(fim) >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -37,12 +37,13 @@ def test_encoding_gate_count_and_order():
 def test_encoding_zero_input_gives_plus_state():
     ops = tuple(higher_order_encoding_template())
     template = Circuit(4, ops, num_inputs=4, readout=(0, 1, 2, 3))
-    z = run_deferred_batch(template, [], np.zeros(4))[0]
+    z = run_deferred_batch(template, [], np.zeros((1, 4)))[0]
     np.testing.assert_allclose(z, np.zeros(4), atol=1e-15)
     # a second Hadamard layer maps |++++> back to |0000> only if every phase is zero
     undo = Circuit(4, ops + tuple(GateOp("H", (q,)) for q in range(4)), num_inputs=4,
                    readout=(0, 1, 2, 3))
-    np.testing.assert_allclose(run_deferred_batch(undo, [], np.zeros(4))[0], np.ones(4), atol=1e-15)
+    z = run_deferred_batch(undo, [], np.zeros((1, 4)))[0]
+    np.testing.assert_allclose(z, np.ones(4), atol=1e-15)
 
 
 def test_encoding_never_polarizes_z():
@@ -52,17 +53,18 @@ def test_encoding_never_polarizes_z():
     rng = np.random.default_rng(31)
     for _ in range(50):
         x = rng.uniform(-1, 1, 4)
-        np.testing.assert_allclose(run_deferred_batch(template, [], x)[0], np.zeros(4), atol=1e-12)
-    z = run_deferred_batch(template, [], np.ones(4))[0]
+        z = run_deferred_batch(template, [], x[None])[0]
+        np.testing.assert_allclose(z, np.zeros(4), atol=1e-12)
+    z = run_deferred_batch(template, [], np.ones((1, 4)))[0]
     np.testing.assert_allclose(z, np.zeros(4), atol=1e-12)
 
 
 def test_encoding_rejects_bad_inputs():
     template = Circuit(4, tuple(higher_order_encoding_template()), num_inputs=4, readout=(0,))
     with pytest.raises(ValueError, match="4 inputs"):
-        run_deferred_batch(template, [], [0.1, 0.2])
+        run_deferred_batch(template, [], [[0.1, 0.2]])
     with pytest.raises(ValueError, match="normalized"):
-        run_deferred_batch(template, [], [0.0, 0.0, 0.0, 1.5])
+        run_deferred_batch(template, [], [[0.0, 0.0, 0.0, 1.5]])
 
 
 def test_entangling_layer_structure():
@@ -77,7 +79,7 @@ def test_entangling_layer_x_flip_propagates_through_ring():
     ops += [GateOp("CNOT", pair) for pair in ((0, 1), (1, 2), (2, 3), (3, 0))]
     circuit = Circuit(4, tuple(ops), num_params=4, readout=(0, 1, 2, 3))
     theta = np.array([math.pi, 0.0, 0.0, 0.0])
-    got = run_deferred_batch(circuit, theta)[0]
+    got = run_deferred_batch(circuit, theta, np.zeros((1, 0)))[0]
     np.testing.assert_allclose(got, z_expectations_oracle(circuit, theta), atol=1e-12)
     # X on q0 then CNOT chain flips q0, q1, q2, q3 in turn; ring closure flips q0 back
     np.testing.assert_allclose(got, [1.0, -1.0, -1.0, -1.0], atol=1e-12)
@@ -116,7 +118,7 @@ def test_outputs_stay_in_range(key):
     for _ in range(5):
         x = rng.uniform(-1, 1, 4)
         theta = rng.uniform(-math.pi, math.pi, ansatz.num_params)
-        values = run_deferred_batch(ansatz.circuit, theta, x)[0]
+        values = run_deferred_batch(ansatz.circuit, theta, x[None])[0]
         assert np.all(np.abs(values) <= 1 + 1e-12)
         post = apply_postprocess(ansatz.postprocess, values)
         assert np.all(np.abs(post) <= 1 + 1e-12)
@@ -124,7 +126,7 @@ def test_outputs_stay_in_range(key):
 
 def test_conv_zero_everything_gives_zero_maps():
     ansatz = build_ansatz("conv")
-    out = run_deferred_batch(ansatz.circuit, np.zeros(4), np.zeros(4))[0]
+    out = run_deferred_batch(ansatz.circuit, np.zeros(4), np.zeros((1, 4)))[0]
     np.testing.assert_allclose(out, np.zeros(4), atol=1e-14)
 
 
@@ -135,8 +137,8 @@ def test_midcircuit_zero_angles_reduce_to_encoding_plus_cnot():
     rng = np.random.default_rng(33)
     for _ in range(5):
         x = rng.uniform(-1, 1, 4)
-        got = run_deferred_batch(ansatz.circuit, np.zeros(6), x)[0]
-        want = run_deferred_batch(reference, [], x)[0]
+        got = run_deferred_batch(ansatz.circuit, np.zeros(6), x[None])[0]
+        want = run_deferred_batch(reference, [], x[None])[0]
         np.testing.assert_allclose(got, want, atol=1e-13)
 
 
@@ -162,13 +164,14 @@ def test_ancilla_cy_equals_cz_everywhere():
     for _ in range(50):
         x = rng.uniform(-1, 1, 4)
         theta = rng.uniform(-math.pi, math.pi, 4)
-        a = run_deferred_batch(cy, theta, x)[0][0]
-        b = run_deferred_batch(cz, theta, x)[0][0]
+        a = run_deferred_batch(cy, theta, x[None])[0][0]
+        b = run_deferred_batch(cz, theta, x[None])[0][0]
         assert abs(a - b) < 1e-12
 
 
 def test_ancilla_zero_case_parity_of_cnot_ring_plus_state():
-    out = run_deferred_batch(build_ansatz("ancilla-cy").circuit, np.zeros(4), np.zeros(4))[0]
+    circuit = build_ansatz("ancilla-cy").circuit
+    out = run_deferred_batch(circuit, np.zeros(4), np.zeros((1, 4)))[0]
     np.testing.assert_allclose(out, [0.0], atol=1e-14)
 
 
@@ -183,7 +186,7 @@ def test_modular_zero_angle_case_matches_oracle():
     circuit = build_ansatz("mod-a").circuit
     rng = np.random.default_rng(35)
     x = rng.uniform(-1, 1, 4)
-    got = run_deferred_batch(circuit, np.zeros(6), x)[0]
+    got = run_deferred_batch(circuit, np.zeros(6), x[None])[0]
     np.testing.assert_allclose(got, z_expectations_oracle(circuit, np.zeros(6), x), atol=1e-12)
 
 

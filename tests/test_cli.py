@@ -243,6 +243,12 @@ MALFORMED_INPUTS = {
     "checkpoint-shape-mismatch": lambda tmp: _eval_argv(
         tmp, lambda s: json.dumps({**s, "params": {**s["params"], "head_bias": [0.0]}})
     ),
+    "checkpoint-nan-param": lambda tmp: _eval_argv(
+        tmp, lambda s: json.dumps({**s, "params": {**s["params"], "head_bias": [float("nan"), 0.0]}})
+    ),
+    "checkpoint-infinite-param": lambda tmp: _eval_argv(
+        tmp, lambda s: json.dumps({**s, "params": {**s["params"], "conv_bias": [float("-inf")] * 4}})
+    ),
     "synthetic-seed-not-int": lambda tmp: _train_argv(tmp, "synthetic:seed=abc"),
     "synthetic-size-below-window": lambda tmp: _train_argv(tmp, "synthetic:size=1"),
     "synthetic-no-train-images": lambda tmp: _train_argv(tmp, "synthetic:train_n=0"),
@@ -276,6 +282,16 @@ def test_non_finite_training_is_numeric_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "at epoch 0" in err and "head_weights" in err
     assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
+def test_non_finite_learning_rate_is_config_error(tmp_path, lr):
+    code = main([
+        "train", "--ansatz", "classical", "--data", SMALL_DATA, f"--lr={lr}",
+        "--epochs", "1", "--seeds", "0", "--out", str(tmp_path / "x"),
+    ])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_file_and_env_precedence(tmp_path, monkeypatch):

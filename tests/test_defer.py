@@ -98,7 +98,7 @@ def test_deferred_equals_outcome_average_small_case():
         GateOp("RX", (1,), angle=t, condition=0),
     )
     circuit = Circuit(2, ops, readout=(1,))
-    z = run_deferred_batch(circuit, [])[0]
+    z = run_deferred_batch(circuit, [], np.zeros((1, 0)))[0]
     np.testing.assert_allclose(z, [(1 + math.cos(t)) / 2], atol=1e-14)
 
 
@@ -110,7 +110,7 @@ def test_deferred_matches_trajectory_sampling(key):
     for _ in range(3):
         x = rng.uniform(-1, 1, 4)
         theta = rng.uniform(-math.pi, math.pi, 6)
-        exact = run_deferred_batch(circuit, theta, x)[0][0]
+        exact = run_deferred_batch(circuit, theta, x[None])[0][0]
         estimates, shot_values, _ = sample_shots(
             circuit, theta, shots=shots, seed=int(rng.integers(2**31)), inputs=x
         )

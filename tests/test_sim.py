@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from qccnn.autodiff import readout_gradient
 from qccnn.sim import ROTATION_KINDS, Circuit, GateOp, MidMeasure, _apply_kind, run_deferred_batch
 
 from oracles import gate_unitary, random_circuit, sample_shots, z_expectations_oracle
@@ -53,38 +54,16 @@ def test_cnot_flips_target_when_control_set():
     np.testing.assert_allclose(amps, [0, 0, 0, 1], atol=1e-15)
 
 
-def test_rzz_matches_composite_on_basis_states():
-    # RZZ(phi) must equal CNOT . RZ(phi) . CNOT as a 4x4 matrix
-    rng = np.random.default_rng(3)
-    for phi in rng.uniform(-2 * math.pi, 2 * math.pi, 5):
-        composite = (
-            gate_unitary("CNOT", (0, 1), 2)
-            @ gate_unitary("RZ", (1,), 2, phi)
-            @ gate_unitary("CNOT", (0, 1), 2)
-        )
-        expected_diag = np.diag(
-            [np.exp(-1j * phi / 2), np.exp(1j * phi / 2), np.exp(1j * phi / 2), np.exp(-1j * phi / 2)]
-        )
-        np.testing.assert_allclose(composite, expected_diag, atol=1e-12)
-        for basis in range(4):
-            amps = np.zeros(4, dtype=complex)
-            amps[basis] = 1.0
-            got = _apply(amps, "RZZ", (0, 1), float(phi))
-            np.testing.assert_allclose(got, composite[:, basis], atol=1e-12)
-
-
 _CONTROLLED = ("CRX", "CRY", "CRZ", "CNOT", "CY", "CZ")
 _GATE_CASES = (
     [pytest.param(k, (1,), 1, id=k) for k in ("RX", "RY", "RZ")]
     + [pytest.param(k, (2, 0), 1, id=k) for k in _CONTROLLED]
     + [pytest.param(k, (1,), 1, id=k) for k in ("H", "X")]
     + [pytest.param(k, (0, 2), 1, id=f"{k}-control-below") for k in _CONTROLLED]
-    + [pytest.param("RZZ", (a, b), 1, id=f"RZZ-{a}-{b}") for a, b in ((2, 0), (0, 2))]
     + [
         pytest.param(k, t, 3, id=f"{k}-3-rows")
         for k, t in (("H", (1,)), ("RX", (0,)), ("RY", (1,)), ("RZ", (2,)),
-                     ("CY", (0, 2)), ("CRX", (2, 0)), ("CRY", (0, 2)), ("CRZ", (1, 0)),
-                     ("RZZ", (0, 2)))
+                     ("CY", (0, 2)), ("CRX", (2, 0)), ("CRY", (0, 2)), ("CRZ", (1, 0)))
     ]
 )
 
@@ -114,7 +93,7 @@ def test_every_gate_matches_dense_matrix(kind, targets, rows):
 
 def test_expectation_z_basis_states():
     def z_after(*ops):
-        return run_deferred_batch(Circuit(1, ops, readout=(0,)), [])[0][0]
+        return run_deferred_batch(Circuit(1, ops, readout=(0,)), [], np.zeros((1, 0)))[0][0]
 
     assert z_after() == 1.0
     assert z_after(GateOp("X", (0,))) == -1.0
@@ -163,6 +142,12 @@ def test_gateop_rejects_bad_arity_and_angle_sources():
         GateOp("H", (0,), angle=0.1)
 
 
+def test_gateop_rejects_rzz():
+    # The encoding writes ZZ phases as CNOT / RZ / CNOT; there is no RZZ kind.
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        GateOp("RZZ", (0, 1), angle=0.1)
+
+
 # ---------------------------------------------------------------------------
 # deterministic execution
 # ---------------------------------------------------------------------------
@@ -170,15 +155,20 @@ def test_gateop_rejects_bad_arity_and_angle_sources():
 
 def test_run_deferred_rx_readout():
     circuit = Circuit(1, (GateOp("RX", (0,), param_slot=0),), num_params=1, readout=(0,))
-    np.testing.assert_allclose(run_deferred_batch(circuit, [0.0])[0], [1.0], atol=1e-15)
-    np.testing.assert_allclose(run_deferred_batch(circuit, [math.pi / 2])[0], [0.0], atol=1e-15)
-    np.testing.assert_allclose(run_deferred_batch(circuit, [1.1])[0], [math.cos(1.1)], atol=1e-14)
+    no_inputs = np.zeros((1, 0))
+    np.testing.assert_allclose(run_deferred_batch(circuit, [0.0], no_inputs)[0], [1.0], atol=1e-15)
+    np.testing.assert_allclose(
+        run_deferred_batch(circuit, [math.pi / 2], no_inputs)[0], [0.0], atol=1e-15
+    )
+    np.testing.assert_allclose(
+        run_deferred_batch(circuit, [1.1], no_inputs)[0], [math.cos(1.1)], atol=1e-14
+    )
 
 
 def test_run_deferred_param_length_checked():
     circuit = Circuit(1, (GateOp("RX", (0,), param_slot=0),), num_params=1, readout=(0,))
     with pytest.raises(ValueError, match="parameters"):
-        run_deferred_batch(circuit, [0.1, 0.2])
+        run_deferred_batch(circuit, [0.1, 0.2], np.zeros((1, 0)))
 
 
 def test_random_circuits_match_dense_oracle():
@@ -186,7 +176,7 @@ def test_random_circuits_match_dense_oracle():
     for _ in range(40):
         circuit = random_circuit(rng, num_qubits=4, depth=int(rng.integers(5, 30)))
         params = rng.uniform(-math.pi, math.pi, circuit.num_params)
-        got = run_deferred_batch(circuit, params)[0]
+        got = run_deferred_batch(circuit, params, np.zeros((1, 0)))[0]
         want = z_expectations_oracle(circuit, params)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -222,8 +212,8 @@ def test_inputs_resolved_like_baked_constants():
             for op in ops
         ]
         baked = Circuit(2, tuple(baked_ops), num_params=1, readout=(0, 1))
-        via_inputs = run_deferred_batch(circuit, theta, x)[0]
-        via_baked = run_deferred_batch(baked, theta)[0]
+        via_inputs = run_deferred_batch(circuit, theta, x[None])[0]
+        via_baked = run_deferred_batch(baked, theta, np.zeros((1, 0)))[0]
         np.testing.assert_allclose(via_inputs, via_baked, atol=1e-14)
         np.testing.assert_allclose(via_inputs, z_expectations_oracle(circuit, theta, x), atol=1e-12)
 
@@ -233,9 +223,22 @@ def test_inputs_outside_range_rejected():
         1, (GateOp("H", (0,)), GateOp("RZ", (0,), input_idx=(0,))), num_inputs=1, readout=(0,)
     )
     with pytest.raises(ValueError, match="normalized"):
-        run_deferred_batch(circuit, [], [1.5])
+        run_deferred_batch(circuit, [], [[1.5]])
     with pytest.raises(ValueError, match="requires"):
-        run_deferred_batch(circuit, [])
+        run_deferred_batch(circuit, [], np.zeros((1, 0)))
+
+
+@pytest.mark.parametrize("inputs", [np.zeros(1), np.zeros(0), np.zeros((1, 1, 1))],
+                         ids=["vector", "empty-vector", "3-d"])
+def test_inputs_not_a_matrix_rejected(inputs):
+    # One input shape: (rows, num_inputs), also for a single row.
+    circuit = Circuit(
+        1, (GateOp("H", (0,)), GateOp("RZ", (0,), input_idx=(0,))), num_inputs=1, readout=(0,)
+    )
+    with pytest.raises(ValueError, match=r"\(rows, 1\) matrix"):
+        run_deferred_batch(circuit, [], inputs)
+    with pytest.raises(ValueError, match=r"\(rows, 1\) matrix"):
+        readout_gradient(circuit, [], inputs, np.ones((1, 1)))
 
 
 def test_batch_rows_match_single_runs():
@@ -251,15 +254,17 @@ def test_batch_rows_match_single_runs():
     xs = rng.uniform(-1, 1, (17, 3))
     batch = run_deferred_batch(circuit, params, xs)
     for i, x in enumerate(xs):
-        np.testing.assert_allclose(batch[i], run_deferred_batch(circuit, params, x)[0], atol=1e-14)
+        np.testing.assert_allclose(
+            batch[i], run_deferred_batch(circuit, params, x[None])[0], atol=1e-14
+        )
 
 
 def test_deterministic_repeat_calls_bit_identical():
     rng = np.random.default_rng(15)
     circuit = random_circuit(rng, num_qubits=4, depth=25)
     params = rng.uniform(-math.pi, math.pi, circuit.num_params)
-    first = run_deferred_batch(circuit, params)[0]
-    second = run_deferred_batch(circuit, params)[0]
+    first = run_deferred_batch(circuit, params, np.zeros((1, 0)))[0]
+    second = run_deferred_batch(circuit, params, np.zeros((1, 0)))[0]
     assert np.array_equal(first, second)
 
 
