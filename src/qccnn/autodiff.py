@@ -1,10 +1,11 @@
 """Exact gradients of circuit readouts by adjoint differentiation.
 
-Jones & Gacon 2020 (arXiv:2009.02823): one forward pass gives the final
-state phi; lambda = O_w phi with O_w = sum_j w[r, j] Z_j, diagonal per row
-r.  Walking back through the gates, each parameterised gate exp(-i theta P/2)
-adds Im<lambda|P|phi> to its slot, and then is undone on both states, down
-to the first parameterised gate.  Circuits are rewritten to deferred form
+Jones & Gacon 2020 (arXiv:2009.02823): the caller's forward pass gives the
+final state phi; lambda = O_w phi with O_w = sum_j w[r, j] Z_j, diagonal per
+row r.  Walking back through the gates, each parameterised gate
+exp(-i theta P/2) adds Im<lambda|P|phi> to its slot, and then is undone on
+both states, down to the first parameterised gate.  The walk simulates
+nothing itself: it overwrites the caller's phi.  Circuits are rewritten to deferred form
 first, so conditioned rotations differentiate as controlled rotations,
 whose generator acts on the control-1 half only.  A parameter slot
 referenced by several gates accumulates the per-occurrence contributions.
@@ -21,13 +22,14 @@ from .sim import (
     _apply_kind,
     _check_inputs,
     _check_params,
+    _first_param_op,
     _halves,
     _resolve_angle,
+    _state_view,
     _z_signs,
     defer_measurements,
-    final_state,
     # Unused here: perfbench wraps qccnn.autodiff:run_deferred_batch and a test
-    # asserts that every wrap target resolves.  The adjoint calls final_state.
+    # asserts that every wrap target resolves.  The adjoint simulates nothing.
     run_deferred_batch,  # noqa: F401
 )
 
@@ -50,11 +52,13 @@ def _generator_overlap(lam: np.ndarray, phi: np.ndarray, kind: str, targets: tup
     return prod.sum(axis=tuple(range(prod.ndim - 1))).imag
 
 
-def readout_gradient(circuit: Circuit, params, inputs, weights) -> np.ndarray:
+def readout_gradient(circuit: Circuit, params, inputs, weights, state) -> np.ndarray:
     """Per-row gradient of sum_j weights[r, j] * <Z_j> with respect to params.
 
     `inputs` is a (rows, num_inputs) matrix (an input-free circuit takes
-    (rows, 0)); `weights` is (rows, readouts).  Returns an array of shape
+    (rows, 0)); `weights` is (rows, readouts).  `state` is the circuit's
+    final state at these params and inputs, as :func:`qccnn.sim.final_state`
+    returns it; the walk back overwrites it.  Returns an array of shape
     (rows, num_params).
     """
     circuit = defer_measurements(circuit)
@@ -69,15 +73,14 @@ def readout_gradient(circuit: Circuit, params, inputs, weights) -> np.ndarray:
         )
     n = circuit.num_qubits
 
-    phi = final_state(circuit, params, inputs)
+    phi_v = _state_view(circuit, state, rows)
     signs = np.stack([_z_signs(n, q) for q in circuit.readout], axis=1)
-    lam = (signs @ weights.T) * phi
-    phi_v = phi.reshape((2,) * n + (rows,))
+    lam = (signs @ weights.T) * state
     lam_v = lam.reshape((2,) * n + (rows,))
 
     grad = np.zeros((rows, circuit.num_params))
     ops = circuit.ops
-    first = min((i for i, op in enumerate(ops) if op.param_slot is not None), default=len(ops))
+    first = _first_param_op(circuit)
     for i in range(len(ops) - 1, first - 1, -1):
         op = ops[i]
         if op.param_slot is not None:

@@ -158,6 +158,11 @@ def _validate_config(cfg: RunConfig):
         raise ConfigError("learning rate must be positive and finite")
     if not cfg.seeds:
         raise ConfigError("at least one seed is required")
+    if len(set(cfg.seeds)) != len(cfg.seeds):
+        raise ConfigError(f"seeds must be distinct, got {list(cfg.seeds)}")
+    stop = cfg.stop_at_train_acc
+    if stop is not None and not 0.0 <= stop <= 1.0:
+        raise ConfigError(f"stop_at_train_acc must lie in [0, 1], got {stop!r}")
     if not 0.0 < cfg.gamma <= 1.0:
         raise ConfigError("gamma must lie in (0, 1]")
     if cfg.n <= 1:

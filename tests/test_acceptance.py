@@ -19,7 +19,7 @@ from qccnn.circuits import ANSATZ_KEYS, build_ansatz, higher_order_encoding_temp
 from qccnn.cli import main as cli_main
 from qccnn.data import SyntheticSpec, generate_synthetic
 from qccnn.nn import fit, make_model
-from qccnn.sim import Circuit, run_deferred_batch
+from qccnn.sim import Circuit, final_state, run_deferred_batch
 
 from oracles import (
     finite_difference_gradient,
@@ -119,7 +119,8 @@ def test_acceptance_03_gradients_all_ansatz_keys():
         for _ in range(10):
             x = rng.uniform(-1, 1, 4)
             theta = rng.uniform(-math.pi, math.pi, circuit.num_params)
-            adj = readout_gradient(circuit, theta, x[None], first_readout)[0]
+            state = final_state(circuit, theta, x[None])
+            adj = readout_gradient(circuit, theta, x[None], first_readout, state)[0]
             fd = finite_difference_gradient(
                 lambda p: run_deferred_batch(circuit, p, x[None])[0][0], theta
             )

@@ -8,7 +8,7 @@ import pytest
 from qccnn.autodiff import readout_gradient
 from qccnn.circuits import ANSATZ_KEYS, build_ansatz
 from qccnn.nn import QuantumConvLayer
-from qccnn.sim import Circuit, GateOp, defer_measurements, run_deferred_batch
+from qccnn.sim import Circuit, GateOp, defer_measurements, final_state, run_deferred_batch
 
 from oracles import finite_difference_gradient, param_shift_jacobian, random_circuit, shift_rule
 
@@ -23,7 +23,8 @@ def _gradient(circuit, params, readout_index=0, inputs=None):
         inputs = np.zeros((1, 0))
     weights = np.zeros((1, len(circuit.readout)))
     weights[0, readout_index] = 1.0
-    return readout_gradient(circuit, params, inputs, weights)[0]
+    state = final_state(circuit, params, inputs)
+    return readout_gradient(circuit, params, inputs, weights, state)[0]
 
 
 def test_rx_gradient_closed_form():
@@ -77,7 +78,8 @@ def test_adjoint_matches_parameter_shift_oracle(key):
     xs = rng.uniform(-1, 1, (7, 4))
     theta = rng.uniform(-math.pi, math.pi, ansatz.num_params)
     weights = rng.normal(size=(7, ansatz.num_readouts))
-    got = readout_gradient(ansatz.circuit, theta, xs, weights)
+    state = final_state(ansatz.circuit, theta, xs)
+    got = readout_gradient(ansatz.circuit, theta, xs, weights, state)
     assert got.shape == (7, ansatz.num_params)
     deferred = defer_measurements(ansatz.circuit)
     for r in range(7):
@@ -92,7 +94,8 @@ def test_adjoint_matches_parameter_shift_oracle_on_random_circuits():
         circuit = random_circuit(rng, num_qubits=4, depth=20)
         theta = rng.uniform(-math.pi, math.pi, circuit.num_params)
         weights = rng.normal(size=(3, 4))
-        got = readout_gradient(circuit, theta, np.zeros((3, 0)), weights)
+        inputs = np.zeros((3, 0))
+        got = readout_gradient(circuit, theta, inputs, weights, final_state(circuit, theta, inputs))
         want = weights @ param_shift_jacobian(circuit, theta).T
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -122,21 +125,28 @@ def test_gradient_batch_matches_per_row():
     xs = rng.uniform(-1, 1, (7, 4))
     theta = rng.uniform(-math.pi, math.pi, ansatz.num_params)
     weights = rng.normal(size=(7, 1))
-    batch = readout_gradient(ansatz.circuit, theta, xs, weights)
+    state = final_state(ansatz.circuit, theta, xs)
+    batch = readout_gradient(ansatz.circuit, theta, xs, weights, state)
     assert batch.shape == (7, 12)
     for i, x in enumerate(xs):
-        single = readout_gradient(ansatz.circuit, theta, x[None], weights[i : i + 1])[0]
+        state = final_state(ansatz.circuit, theta, x[None])
+        single = readout_gradient(ansatz.circuit, theta, x[None], weights[i : i + 1], state)[0]
         np.testing.assert_allclose(batch[i], single, atol=1e-13)
 
 
 def test_input_free_circuit_gives_one_row_per_weight_row():
     theta = 0.37
-    got = readout_gradient(_rx_circuit(), [theta], np.zeros((3, 0)), np.ones((3, 1)))
+    inputs = np.zeros((3, 0))
+    got = readout_gradient(
+        _rx_circuit(), [theta], inputs, np.ones((3, 1)), final_state(_rx_circuit(), [theta], inputs)
+    )
     assert got.shape == (3, 1)
     np.testing.assert_array_equal(got, np.repeat(got[:1], 3, axis=0))
     assert abs(got[0, 0] + math.sin(theta)) < 1e-13
     weights = np.array([[2.0], [0.0], [-1.0]])
-    scaled = readout_gradient(_rx_circuit(), [theta], np.zeros((3, 0)), weights)
+    scaled = readout_gradient(
+        _rx_circuit(), [theta], inputs, weights, final_state(_rx_circuit(), [theta], inputs)
+    )
     np.testing.assert_allclose(scaled[:, 0], np.array([2.0, 0.0, -1.0]) * got[0, 0], atol=1e-15)
 
 
@@ -144,8 +154,18 @@ def test_input_free_circuit_gives_one_row_per_weight_row():
 def test_weights_shape_mismatch_rejected(shape):
     ansatz = build_ansatz("select-tanh")
     xs = np.zeros((3, 4))
+    state = final_state(ansatz.circuit, np.zeros(4), xs)
     with pytest.raises(ValueError, match="does not match"):
-        readout_gradient(ansatz.circuit, np.zeros(4), xs, np.ones(shape))
+        readout_gradient(ansatz.circuit, np.zeros(4), xs, np.ones(shape), state)
+
+
+def test_state_of_wrong_shape_or_layout_rejected():
+    ansatz = build_ansatz("select-tanh")
+    xs = np.zeros((3, 4))
+    state = final_state(ansatz.circuit, np.zeros(4), xs)
+    for bad in (state[:, :2].copy(), state.T.copy().T, state.real.copy()):
+        with pytest.raises(ValueError, match="state must be"):
+            readout_gradient(ansatz.circuit, np.zeros(4), xs, np.ones((3, 1)), bad)
 
 
 def test_backward_linearity_and_weighting():
@@ -155,9 +175,10 @@ def test_backward_linearity_and_weighting():
     theta = rng.uniform(-math.pi, math.pi, 4)
     w1 = rng.normal(size=(5, 1))
     w2 = rng.normal(size=(5, 1))
-    g1 = readout_gradient(ansatz.circuit, theta, xs, w1)
-    g2 = readout_gradient(ansatz.circuit, theta, xs, w2)
-    g12 = readout_gradient(ansatz.circuit, theta, xs, w1 + w2)
+    g1, g2, g12 = (
+        readout_gradient(ansatz.circuit, theta, xs, w, final_state(ansatz.circuit, theta, xs))
+        for w in (w1, w2, w1 + w2)
+    )
     np.testing.assert_allclose(g12, g1 + g2, atol=1e-12)
 
 

@@ -229,6 +229,18 @@ def test_effective_dimension_deterministic_and_bounded():
     assert report.log_param_volume == pytest.approx(4 * math.log(2 * math.pi))
 
 
+@pytest.mark.parametrize("key, ed", [
+    ("conv", "3.639842737483769"),
+    ("mod-c", "19.547948962538875"),
+    ("ancilla-cz", "2.324110916208036"),
+])
+def test_effective_dimension_values_are_pinned(key, ed):
+    # Values from simulating each θ draw three times (labels, scores, adjoint);
+    # one simulation per draw must reproduce them to the last bit.
+    report = effective_dimension(key, theta_samples=5, data_samples=50, seed=2)
+    assert repr(report.ed) == ed
+
+
 def test_effective_dimension_seed_changes_estimate():
     a = effective_dimension("select-tanh", theta_samples=10, data_samples=20, seed=0)
     b = effective_dimension("select-tanh", theta_samples=10, data_samples=20, seed=1)

@@ -294,6 +294,27 @@ def test_non_finite_learning_rate_is_config_error(tmp_path, lr):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ed"])
+def test_duplicate_seeds_are_config_error(tmp_path, command):
+    # A repeated seed would train or score the same run twice under one key.
+    front = ["--ansatz", "classical", "--data", SMALL_DATA, "--epochs", "1"]
+    if command == "ed":
+        front = ["--ansatz", "select-tanh", "--theta-samples", "1", "--data-samples", "2"]
+    code = main([command, *front, "--seeds", "0,0", "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("stop", ["nan", "inf", "-0.1", "1.5"])
+def test_stop_at_train_acc_outside_unit_interval_is_config_error(tmp_path, stop):
+    code = main([
+        "train", "--ansatz", "classical", "--data", SMALL_DATA, f"--stop-at-train-acc={stop}",
+        "--epochs", "1", "--seeds", "0", "--out", str(tmp_path / "x"),
+    ])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_file_and_env_precedence(tmp_path, monkeypatch):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("epochs = 7\nbatch-size = 4  # comment\n")

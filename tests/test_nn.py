@@ -18,7 +18,10 @@ from qccnn.nn import (
     make_model,
     softmax_cross_entropy,
 )
-from qccnn.circuits import build_ansatz
+from qccnn import sim
+from qccnn.autodiff import readout_gradient
+from qccnn.circuits import ANSATZ_KEYS, build_ansatz, postprocess_derivative
+from qccnn.sim import final_state, run_deferred_batch
 
 from oracles import finite_difference_gradient
 
@@ -59,6 +62,62 @@ def test_quantum_conv_rejects_small_image():
     layer = QuantumConvLayer(build_ansatz("conv"), stride=2, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="smaller"):
         layer.forward(np.zeros((1, 1, 1)))
+
+
+def _layer_after_forward(key, seed):
+    rng = np.random.default_rng(seed)
+    layer = QuantumConvLayer(build_ansatz(key), stride=2, rng=rng)
+    layer.forward(rng.uniform(0.0, 1.0, (2, 4, 4)))
+    return layer, rng
+
+
+@pytest.mark.parametrize("key", ANSATZ_KEYS)
+def test_shared_encoding_forward_and_backward_are_exact(key):
+    # Encoding once and evolving a copy per kernel runs the same ops in the same
+    # order as simulating each kernel alone, so the results are equal, not close.
+    layer, rng = _layer_after_forward(key, 60)
+    patches, raw, _ = layer._cache
+    for k in range(layer.num_kernels):
+        want = run_deferred_batch(layer.circuit, layer.params[k], patches)
+        np.testing.assert_array_equal(raw[k], want)
+    upstream = rng.normal(size=(2, 4, 2, 2))
+    grads = layer.backward(upstream)
+    np.testing.assert_array_equal(layer.backward(upstream), grads)  # the cache is not consumed
+    flat = upstream.reshape(2, 4, -1).transpose(0, 2, 1).reshape(-1, 4)
+    per_kernel = flat.reshape(len(patches), layer.num_kernels, -1).transpose(1, 0, 2)
+    for k in range(layer.num_kernels):
+        if layer.ansatz.postprocess == "sign":
+            np.testing.assert_array_equal(grads[k], 0.0)
+            continue
+        w = per_kernel[k] * postprocess_derivative(layer.ansatz.postprocess, raw[k])
+        state = final_state(layer.circuit, layer.params[k], patches)
+        want = readout_gradient(layer.circuit, layer.params[k], patches, w, state).sum(axis=0)
+        np.testing.assert_array_equal(grads[k], want)
+
+
+@pytest.mark.parametrize("key", ["conv", "ancilla-cz", "mod-c", "select-tanh"])
+def test_layer_encodes_once_per_forward_and_never_in_backward(key, monkeypatch):
+    counts = {"sim": 0, "walk": 0}
+
+    def counting(name, apply):
+        def wrapped(*args):
+            counts[name] += 1
+            return apply(*args)
+        return wrapped
+
+    apply = sim._apply_kind
+    monkeypatch.setattr(sim, "_apply_kind", counting("sim", apply))
+    monkeypatch.setattr("qccnn.autodiff._apply_kind", counting("walk", apply))
+    layer, rng = _layer_after_forward(key, 61)
+    prefix = sim._first_param_op(layer.circuit)
+    suffix = len(layer.circuit.ops) - prefix
+    kernels = layer.num_kernels
+    assert counts == {"sim": prefix + kernels * suffix, "walk": 0}
+    counts.update(sim=0)
+    layer.backward(rng.normal(size=(2, 4, 2, 2)))
+    # The backward evolves each kernel from the cached encoding, and its
+    # adjoint walk undoes every op after the first parameterised one on two states.
+    assert counts == {"sim": kernels * suffix, "walk": kernels * 2 * (suffix - 1)}
 
 
 # ---------------------------------------------------------------------------

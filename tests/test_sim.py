@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from qccnn.autodiff import readout_gradient
-from qccnn.sim import ROTATION_KINDS, Circuit, GateOp, MidMeasure, _apply_kind, run_deferred_batch
+from qccnn.sim import (
+    ROTATION_KINDS,
+    Circuit,
+    GateOp,
+    MidMeasure,
+    _apply_kind,
+    final_state,
+    run_deferred_batch,
+)
 
 from oracles import gate_unitary, random_circuit, sample_shots, z_expectations_oracle
 
@@ -237,8 +245,9 @@ def test_inputs_not_a_matrix_rejected(inputs):
     )
     with pytest.raises(ValueError, match=r"\(rows, 1\) matrix"):
         run_deferred_batch(circuit, [], inputs)
+    state = final_state(circuit, [], np.zeros((1, 1)))
     with pytest.raises(ValueError, match=r"\(rows, 1\) matrix"):
-        readout_gradient(circuit, [], inputs, np.ones((1, 1)))
+        readout_gradient(circuit, [], inputs, np.ones((1, 1)), state)
 
 
 def test_batch_rows_match_single_runs():
