@@ -55,6 +55,7 @@ def _generator_overlap(lam: np.ndarray, phi: np.ndarray, kind: str, targets: tup
 def readout_gradient(circuit: Circuit, params, inputs, weights, state) -> np.ndarray:
     """Per-row gradient of sum_j weights[r, j] * <Z_j> with respect to params.
 
+    `params` is a (num_params,) vector or a (rows, num_params) matrix;
     `inputs` is a (rows, num_inputs) matrix (an input-free circuit takes
     (rows, 0)); `weights` is (rows, readouts).  `state` is the circuit's
     final state at these params and inputs, as :func:`qccnn.sim.final_state`
@@ -62,8 +63,8 @@ def readout_gradient(circuit: Circuit, params, inputs, weights, state) -> np.nda
     (rows, num_params).
     """
     circuit = defer_measurements(circuit)
-    params = _check_params(circuit, params)
     inputs = _check_inputs(circuit, inputs)
+    params = _check_params(circuit, params, inputs.shape[0])
     weights = np.asarray(weights, dtype=float)
     rows = inputs.shape[0]
     if weights.shape != (rows, len(circuit.readout)):

@@ -9,6 +9,7 @@ environment (``QCCNN_<NAME>``) < command line.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -160,6 +161,8 @@ def _validate_config(cfg: RunConfig):
         raise ConfigError("at least one seed is required")
     if len(set(cfg.seeds)) != len(cfg.seeds):
         raise ConfigError(f"seeds must be distinct, got {list(cfg.seeds)}")
+    if min(cfg.seeds) < 0:
+        raise ConfigError(f"seeds must be non-negative, got {list(cfg.seeds)}")
     stop = cfg.stop_at_train_acc
     if stop is not None and not 0.0 <= stop <= 1.0:
         raise ConfigError(f"stop_at_train_acc must lie in [0, 1], got {stop!r}")
@@ -486,6 +489,7 @@ def render_curves_svg(series) -> str:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process; parse_args returns a fresh Namespace
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qccnn",

@@ -8,7 +8,10 @@ qubit ``q`` is axis ``n-1-q``.
 
 A :class:`Circuit` is an immutable template.  Rotation angles are resolved at
 execution time from one of three sources: a trainable parameter slot, a
-product of circuit inputs (scaled by pi), or a baked-in constant.
+product of circuit inputs (scaled by pi), or a baked-in constant.  The
+parameters are a (num_params,) vector shared by every row of a batch, or a
+(rows, num_params) matrix that gives each row its own; one code path serves
+both.
 Mid-circuit measurements and classically conditioned gates always execute
 exactly: :func:`defer_measurements` rewrites each conditioned rotation to a
 controlled rotation on the measured qubit.
@@ -225,9 +228,13 @@ def _apply_kind(psi: np.ndarray, kind: str, targets: tuple, theta=None):
 
 
 def _resolve_angle(op: GateOp, params: np.ndarray, inputs: np.ndarray):
-    """Angle for one rotation op: a scalar, or a per-row vector for input angles."""
+    """Angle for one rotation op: a scalar, or a per-row vector.
+
+    Input angles are per row; a parameter angle is per row when `params` is
+    a (rows, num_params) matrix.
+    """
     if op.param_slot is not None:
-        return params[op.param_slot]
+        return params[..., op.param_slot]
     if op.input_idx is not None:
         prod = inputs[:, op.input_idx[0]]
         for i in op.input_idx[1:]:
@@ -236,11 +243,13 @@ def _resolve_angle(op: GateOp, params: np.ndarray, inputs: np.ndarray):
     return op.angle
 
 
-def _check_params(circuit: Circuit, params) -> np.ndarray:
+def _check_params(circuit: Circuit, params, rows: int) -> np.ndarray:
+    """`params` as a (num_params,) vector shared by all rows or a (rows, num_params) matrix."""
     params = np.asarray(params, dtype=float)
-    if params.shape != (circuit.num_params,):
+    if params.shape not in ((circuit.num_params,), (rows, circuit.num_params)):
         raise ValueError(
-            f"circuit takes {circuit.num_params} parameters, got shape {params.shape}"
+            f"circuit takes {circuit.num_params} parameters, as a vector or a"
+            f" ({rows}, {circuit.num_params}) matrix; got shape {params.shape}"
         )
     return params
 
@@ -382,12 +391,13 @@ def encode(circuit: Circuit, inputs) -> np.ndarray:
 def evolve(circuit: Circuit, params, inputs, state: np.ndarray) -> np.ndarray:
     """Run the deferred circuit's ops from its first parameterised one, in place.
 
+    `params` is a (num_params,) vector or a (rows, num_params) matrix.
     `state` holds :func:`encode` of the same `inputs`, or a copy of it; it
     is overwritten with the final state and returned.
     """
     circuit = defer_measurements(circuit)
-    params = _check_params(circuit, params)
     inputs = _check_inputs(circuit, inputs)
+    params = _check_params(circuit, params, inputs.shape[0])
     psi = _state_view(circuit, state, inputs.shape[0])
     _apply_ops(psi, circuit.ops[_first_param_op(circuit) :], params, inputs)
     return state
@@ -397,7 +407,8 @@ def final_state(circuit: Circuit, params, inputs) -> np.ndarray:
     """Final state of the deferred circuit, as a (2**n, rows) array.
 
     `inputs` is a (rows, num_inputs) matrix; an input-free circuit takes
-    (rows, 0).
+    (rows, 0).  `params` is a (num_params,) vector or a (rows, num_params)
+    matrix.
     """
     return evolve(circuit, params, inputs, encode(circuit, inputs))
 

@@ -134,6 +134,47 @@ def test_gradient_batch_matches_per_row():
         np.testing.assert_allclose(batch[i], single, atol=1e-13)
 
 
+@pytest.mark.parametrize("key", ANSATZ_KEYS)
+def test_per_row_params_equal_stacked_vector_calls(key):
+    # A (rows, P) matrix runs blocks of rows with different θ in one batch,
+    # as effective_dimension does; it must reproduce one call per block with
+    # a (P,) vector bit for bit.  The gates are elementwise, but BLAS and
+    # numpy's reductions can round a row differently with the row count of
+    # the call (a 1-row call does), so the block sizes are fixed here.
+    circuit = build_ansatz(key).circuit
+    rng = np.random.default_rng(47)
+    sizes = (2, 3, 5)
+    bounds = np.cumsum((0,) + sizes)
+    xs = rng.uniform(-1, 1, (bounds[-1], circuit.num_inputs))
+    thetas = rng.uniform(-math.pi, math.pi, (len(sizes), circuit.num_params))
+    weights = rng.normal(size=(bounds[-1], len(circuit.readout)))
+    per_row = np.repeat(thetas, sizes, axis=0)
+    state = final_state(circuit, per_row, xs)
+    blocks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    block_states = [final_state(circuit, t, xs[b]) for t, b in zip(thetas, blocks)]
+    np.testing.assert_array_equal(state, np.hstack(block_states))
+    grad = readout_gradient(circuit, per_row, xs, weights, state)
+    block_grads = [
+        readout_gradient(circuit, t, xs[b], weights[b], s)
+        for t, b, s in zip(thetas, blocks, block_states)
+    ]
+    np.testing.assert_array_equal(grad, np.vstack(block_grads))
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (5, 4), (1, 4, 4), (4, 4, 1)])
+def test_params_of_wrong_shape_rejected(shape):
+    # select-tanh takes P = 4 parameters; the batch below has 4 rows, so a
+    # per-row matrix must be (4, 4): not the wrong P, not another row count,
+    # not 3-D.
+    circuit = build_ansatz("select-tanh").circuit
+    xs = np.zeros((4, 4))
+    state = final_state(circuit, np.zeros((4, 4)), xs)
+    with pytest.raises(ValueError, match="parameters"):
+        final_state(circuit, np.zeros(shape), xs)
+    with pytest.raises(ValueError, match="parameters"):
+        readout_gradient(circuit, np.zeros(shape), xs, np.ones((4, 1)), state)
+
+
 def test_input_free_circuit_gives_one_row_per_weight_row():
     theta = 0.37
     inputs = np.zeros((3, 0))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qccnn import capacity, sim
 from qccnn.capacity import (
     EDReport,
     NumericError,
@@ -19,7 +20,7 @@ from qccnn.capacity import (
 )
 from qccnn.circuits import build_ansatz
 from qccnn.data import SyntheticSpec, generate_synthetic
-from qccnn.sim import Circuit, GateOp, run_deferred_batch
+from qccnn.sim import Circuit, GateOp, encode, run_deferred_batch
 
 from oracles import finite_difference_gradient
 
@@ -229,16 +230,68 @@ def test_effective_dimension_deterministic_and_bounded():
     assert report.log_param_volume == pytest.approx(4 * math.log(2 * math.pi))
 
 
-@pytest.mark.parametrize("key, ed", [
-    ("conv", "3.639842737483769"),
-    ("mod-c", "19.547948962538875"),
-    ("ancilla-cz", "2.324110916208036"),
-])
+_PINNED_ED = {
+    "conv": "3.639842737483769",
+    "mod-c": "19.547948962538875",
+    "ancilla-cz": "2.324110916208036",
+}
+
+
+@pytest.mark.parametrize("key, ed", list(_PINNED_ED.items()))
 def test_effective_dimension_values_are_pinned(key, ed):
-    # Values from simulating each θ draw three times (labels, scores, adjoint);
-    # one simulation per draw must reproduce them to the last bit.
+    # Values from simulating each θ draw on its own, three times (labels,
+    # scores, adjoint); one batched simulation of all 5 draws must reproduce
+    # them to the last bit.
     report = effective_dimension(key, theta_samples=5, data_samples=50, seed=2)
     assert repr(report.ed) == ed
+
+
+def _count_encodes(monkeypatch) -> list:
+    """Record the row count of every sim.encode call, one simulation each."""
+    calls = []
+
+    def counting_encode(circuit, inputs):
+        calls.append(len(inputs))
+        return encode(circuit, inputs)
+
+    monkeypatch.setattr(sim, "encode", counting_encode)
+    return calls
+
+
+@pytest.mark.parametrize("batch_rows, batches", [(10, [50] * 5), (50, [50] * 5),
+                                                 (100, [100, 100, 50])])
+@pytest.mark.parametrize("key", sorted(_PINNED_ED))
+def test_effective_dimension_batch_boundaries_keep_pinned_values(
+    monkeypatch, key, batch_rows, batches
+):
+    # At 50 inputs per draw: 10 and 50 rows give one draw per batch (a bound
+    # below one draw still takes a whole draw); 100 gives batches of 2, 2, 1.
+    monkeypatch.setattr(capacity, "_BATCH_ROWS", batch_rows)
+    calls = _count_encodes(monkeypatch)
+    report = effective_dimension(key, theta_samples=5, data_samples=50, seed=2)
+    assert calls == batches
+    assert repr(report.ed) == _PINNED_ED[key]
+
+
+@pytest.mark.parametrize("theta_samples, data_samples", [(45, 100), (3, 3000), (1, 7)])
+def test_effective_dimension_simulates_once_per_batch(monkeypatch, theta_samples, data_samples):
+    # Each batch encodes once: ceil(draws / draws per batch) simulations, with
+    # at least one draw per batch even when a draw exceeds the row bound.
+    calls = _count_encodes(monkeypatch)
+    effective_dimension("conv", theta_samples=theta_samples, data_samples=data_samples, seed=0)
+    per_batch = max(1, capacity._BATCH_ROWS // data_samples)
+    assert len(calls) == math.ceil(theta_samples / per_batch)
+    assert sum(calls) == theta_samples * data_samples
+    assert max(calls) <= max(capacity._BATCH_ROWS, data_samples)
+
+
+def test_sample_labels_inverse_cdf_boundaries():
+    # Class j is drawn for u in [cum_{j-1}, cum_j): a u exactly on a
+    # cumulative boundary belongs to the next class.  These cumulative sums
+    # are exact in binary.
+    probs = np.array([[0.25, 0.5, 0.25]] * 6)
+    u = np.array([0.0, 0.25, np.nextafter(0.75, 0.0), 0.75, np.nextafter(1.0, 0.0), 0.5])
+    np.testing.assert_array_equal(sample_labels(probs, u), [0, 1, 1, 2, 2, 1])
 
 
 def test_effective_dimension_seed_changes_estimate():

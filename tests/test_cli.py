@@ -2,16 +2,20 @@
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qccnn import cli
 from qccnn.cli import (
+    ED_TABLE_KEYS,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_NUMERIC,
     EXIT_OK,
+    RunConfig,
     build_config,
     main,
     read_config_file,
@@ -303,6 +307,63 @@ def test_duplicate_seeds_are_config_error(tmp_path, command):
     code = main([command, *front, "--seeds", "0,0", "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
     assert not (tmp_path / "x").exists()
+
+
+NEGATIVE_SEEDS = {
+    "train": (["train", "--ansatz", "classical", "--data", SMALL_DATA, "--epochs", "1",
+               "--seeds", "-1"], {}),
+    "eval": (["eval", "CHECKPOINT", "--data", SMALL_DATA, "--seeds", "-1"], {}),
+    # A valid seed first: nothing may be written before the bad one is seen.
+    "ed": (["ed", "--ansatz", "select-tanh", "--theta-samples", "1", "--data-samples", "2",
+            "--seeds", "0,-3"], {}),
+    "ed-env": (["ed", "--ansatz", "select-tanh", "--theta-samples", "1",
+                "--data-samples", "2"], {"QCCNN_SEEDS": "-2"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_SEEDS))
+def test_negative_seed_is_config_error(tmp_path, capsys, monkeypatch, case):
+    # numpy's default_rng takes no negative seed; the CLI says so before any work.
+    argv, env = NEGATIVE_SEEDS[case]
+    if case == "eval":
+        checkpoint = str(_train(tmp_path, "run") / "checkpoint_seed0.json")
+        argv = [checkpoint if arg == "CHECKPOINT" else arg for arg in argv]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "non-negative" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "x").exists()
+
+
+def test_parser_reuse_leaks_no_option_between_calls(tmp_path, monkeypatch):
+    # One process, three commands: each call sees its own options over the
+    # defaults, whatever the previous call set.
+    configs = []
+
+    def recording_build_config(args):
+        configs.append(build_config(args))
+        return configs[-1]
+
+    monkeypatch.setattr(cli, "build_config", recording_build_config)
+    run, ed = tmp_path / "run", tmp_path / "ed"
+    assert main([
+        "train", "--ansatz", "mod-a", "--data", SMALL_DATA, "--epochs", "1",
+        "--batch-size", "4", "--stride", "3", "--seeds", "0", "--out", str(run),
+    ]) == EXIT_OK
+    assert main([
+        "ed", "--theta-samples", "1", "--data-samples", "2", "--seeds", "0", "--out", str(ed),
+    ]) == EXIT_OK
+    assert main(["eval", str(run / "checkpoint_seed0.json"), "--data", SMALL_DATA]) == EXIT_OK
+    rows = (ed / "ed_results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == list(ED_TABLE_KEYS)
+    defaults = RunConfig()
+    assert configs[1] == replace(
+        defaults, theta_samples=1, data_samples=2, seeds=(0,), out=str(ed)
+    )
+    assert configs[2] == replace(defaults, data=SMALL_DATA)
 
 
 @pytest.mark.parametrize("stop", ["nan", "inf", "-0.1", "1.5"])
