@@ -1,10 +1,12 @@
 """Hybrid model: 2x2 convolution front end (quantum or classical), dense head.
 
 The quantum front end slides four parallel kernels over the image, one
-circuit evaluation per 2x2 patch per kernel; the conv-without-pooling
-variant uses a single kernel whose four readouts form the four feature maps,
-so every configuration feeds the dense head 4 x H' x W' features.  Training
-uses softmax cross-entropy and Adam.
+circuit evaluation per 2x2 patch per kernel: the patch encoding is
+simulated once per batch, and each kernel then acts on it as one
+2**n x 2**n matrix.  The conv-without-pooling variant uses a single kernel
+whose four readouts form the four feature maps, so every configuration
+feeds the dense head 4 x H' x W' features.  Training uses softmax
+cross-entropy and Adam.
 """
 
 from __future__ import annotations
@@ -14,17 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import readout_gradient
+from .autodiff import summed_readout_gradient
 from .circuits import Ansatz, apply_postprocess, build_ansatz, postprocess_derivative
 from .data import Dataset, extract_patches, patch_grid
 from .sim import (
     defer_measurements,
     encode,
-    evolve,
     readouts,
     # Unused here: perfbench wraps qccnn.nn:run_deferred_batch and a test
     # asserts that every wrap target resolves.  The layer encodes once per batch.
     run_deferred_batch,  # noqa: F401
+    unitary,
 )
 
 NUM_FEATURE_MAPS = 4
@@ -34,10 +36,14 @@ KERNEL_SIZE = 2
 class QuantumConvLayer:
     """Quantum convolution (optionally pooling) with 2x2 patch circuits.
 
-    The kernels share one circuit and differ only in parameters, so a
-    forward encodes the patch batch once and evolves a copy of that state
-    per kernel.  It caches the encoded state, not the kernels' final states,
-    and the backward evolves each kernel again from it.
+    The kernels share one circuit and differ only in parameters, and no
+    input angle follows the first parameterised gate, so each kernel acts
+    on the encoded patches as one 2**n x 2**n matrix (:func:`unitary`).  A
+    forward encodes the patch batch once and applies each kernel's matrix
+    to it in one matrix product.  It caches the encoded state and the
+    kernels' matrices, not their final states; the backward recomputes each
+    final state from them and walks back on the 2**n columns of the
+    row-summed matrix (:func:`summed_readout_gradient`), not on every row.
     """
 
     def __init__(self, ansatz: Ansatz, stride: int = 2, rng=None):
@@ -62,14 +68,14 @@ class QuantumConvLayer:
             [extract_patches(img, KERNEL_SIZE, self.stride) for img in images]
         )
         encoded = encode(self.circuit, patches)
-        # One buffer for every kernel: a fresh copy each would map and unmap
-        # state-sized blocks and keep the gate temporaries from being reused.
+        unitaries = [unitary(self.circuit, p) for p in self.params]
+        # One buffer for every kernel: a fresh product each would map and
+        # unmap state-sized blocks.
         state = np.empty_like(encoded)
         raw = np.empty((self.num_kernels, patches.shape[0], self.ansatz.num_readouts))
-        for k in range(self.num_kernels):
-            np.copyto(state, encoded)
-            raw[k] = readouts(self.circuit, evolve(self.circuit, self.params[k], patches, state))
-        self._cache = (patches, raw, encoded)
+        for k, u in enumerate(unitaries):
+            raw[k] = readouts(self.circuit, np.matmul(u, encoded, out=state))
+        self._cache = (unitaries, raw, encoded)
         values = apply_postprocess(self.ansatz.postprocess, raw)
         # (kernels, rows, readouts) -> (batch, kernels*readouts, h_out, w_out)
         maps = values.transpose(1, 0, 2).reshape(batch, h_out * w_out, NUM_FEATURE_MAPS)
@@ -83,7 +89,7 @@ class QuantumConvLayer:
         """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        patches, raw, encoded = self._cache
+        unitaries, raw, encoded = self._cache
         batch = upstream.shape[0]
         flat = upstream.reshape(batch, NUM_FEATURE_MAPS, -1).transpose(0, 2, 1)
         flat = flat.reshape(-1, NUM_FEATURE_MAPS)  # (rows, kernels*readouts)
@@ -98,13 +104,12 @@ class QuantumConvLayer:
         if self.ansatz.postprocess == "sign":
             return grads
         state = np.empty_like(encoded)
-        for k in range(self.num_kernels):
+        for k, u in enumerate(unitaries):
             w = per_kernel[k] * postprocess_derivative(self.ansatz.postprocess, raw[k])
             if not np.any(w):
                 continue
-            np.copyto(state, encoded)
-            evolve(self.circuit, self.params[k], patches, state)
-            grads[k] = readout_gradient(self.circuit, self.params[k], patches, w, state).sum(axis=0)
+            np.matmul(u, encoded, out=state)
+            grads[k] = summed_readout_gradient(self.circuit, self.params[k], w, state)
         return grads
 
 

@@ -20,10 +20,13 @@ The rewritten circuit runs for a batch of independent rows at once, split at
 its first parameterised op.  :func:`encode` simulates the parameter-free
 prefix (for the ansatz circuits, the patch encoding), which depends on the
 inputs only, so circuits that differ only in their parameters share it.
-:func:`evolve` runs the remaining ops in place on that state or a copy of
-it.  :func:`final_state` is one followed by the other, :func:`readouts` reads
-the readout Z expectations off a final state, and :func:`run_deferred_batch`
-composes the two.
+:func:`final_state` runs the prefix and then the rest of the ops row by row.
+When no input angle follows the first parameterised op, as in every ansatz,
+that rest is one matrix for every row: :func:`unitary` builds it by running
+the same ops on the 2**n identity columns, and a caller with many rows
+applies it as one matrix product.  :func:`readouts` reads the readout Z
+expectations off a final state, and :func:`run_deferred_batch` composes it
+with :func:`final_state`.
 """
 
 from __future__ import annotations
@@ -388,13 +391,15 @@ def encode(circuit: Circuit, inputs) -> np.ndarray:
     return state
 
 
-def evolve(circuit: Circuit, params, inputs, state: np.ndarray) -> np.ndarray:
-    """Run the deferred circuit's ops from its first parameterised one, in place.
+def final_state(circuit: Circuit, params, inputs) -> np.ndarray:
+    """Final state of the deferred circuit, as a (2**n, rows) array.
 
-    `params` is a (num_params,) vector or a (rows, num_params) matrix.
-    `state` holds :func:`encode` of the same `inputs`, or a copy of it; it
-    is overwritten with the final state and returned.
+    :func:`encode` followed by the ops from the first parameterised one,
+    row by row.  `inputs` is a (rows, num_inputs) matrix; an input-free
+    circuit takes (rows, 0).  `params` is a (num_params,) vector or a
+    (rows, num_params) matrix.
     """
+    state = encode(circuit, inputs)
     circuit = defer_measurements(circuit)
     inputs = _check_inputs(circuit, inputs)
     params = _check_params(circuit, params, inputs.shape[0])
@@ -403,14 +408,39 @@ def evolve(circuit: Circuit, params, inputs, state: np.ndarray) -> np.ndarray:
     return state
 
 
-def final_state(circuit: Circuit, params, inputs) -> np.ndarray:
-    """Final state of the deferred circuit, as a (2**n, rows) array.
+def _shared_suffix(circuit: Circuit, params) -> tuple:
+    """The deferred circuit's ops from its first parameterised one, and `params`.
 
-    `inputs` is a (rows, num_inputs) matrix; an input-free circuit takes
-    (rows, 0).  `params` is a (num_params,) vector or a (rows, num_params)
-    matrix.
+    Raises ValueError unless these ops act alike on every row: `params` must
+    be a (num_params,) vector, and no op of the suffix may take an input
+    angle.
     """
-    return evolve(circuit, params, inputs, encode(circuit, inputs))
+    circuit = defer_measurements(circuit)
+    params = np.asarray(params, dtype=float)
+    if params.shape != (circuit.num_params,):
+        raise ValueError(
+            f"expected a ({circuit.num_params},) parameter vector, got shape {params.shape}"
+        )
+    suffix = circuit.ops[_first_param_op(circuit) :]
+    if any(op.input_idx is not None for op in suffix):
+        raise ValueError("an input angle follows the first parameterised op")
+    return suffix, params
+
+
+def unitary(circuit: Circuit, params) -> np.ndarray:
+    """The deferred circuit's ops from its first parameterised one, as one (2**n, 2**n) matrix.
+
+    The ops run on the 2**n identity columns through the same gate path as
+    :func:`final_state`, so ``unitary(c, p) @ encode(c, x)`` is the final
+    state of every row of `x`.  `params` is a (num_params,) vector; a
+    circuit with an input angle after its first parameterised op is
+    rejected with ValueError.
+    """
+    suffix, params = _shared_suffix(circuit, params)
+    dim = 1 << circuit.num_qubits
+    u = np.eye(dim, dtype=complex)
+    _apply_ops(_state_view(circuit, u, dim), suffix, params, None)
+    return u
 
 
 def readouts(circuit: Circuit, state: np.ndarray) -> np.ndarray:

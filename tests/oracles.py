@@ -79,16 +79,21 @@ def circuit_unitary(circuit: Circuit, params, inputs=None) -> np.ndarray:
     return u
 
 
-def z_expectations_oracle(circuit: Circuit, params, inputs=None) -> np.ndarray:
-    """Readout Z expectations via the dense-matrix statevector."""
+def _z_expectations(circuit: Circuit, psi: np.ndarray) -> np.ndarray:
     dim = 1 << circuit.num_qubits
-    psi = circuit_unitary(circuit, params, inputs) @ np.eye(dim, 1, dtype=complex)[:, 0]
     probs = np.abs(psi) ** 2
     out = []
     for q in circuit.readout:
         signs = np.where((np.arange(dim) >> q) & 1 == 0, 1.0, -1.0)
         out.append(float(probs @ signs))
     return np.asarray(out)
+
+
+def z_expectations_oracle(circuit: Circuit, params, inputs=None) -> np.ndarray:
+    """Readout Z expectations via the dense-matrix statevector."""
+    dim = 1 << circuit.num_qubits
+    psi = circuit_unitary(circuit, params, inputs) @ np.eye(dim, 1, dtype=complex)[:, 0]
+    return _z_expectations(circuit, psi)
 
 
 def sample_shots(circuit: Circuit, params, shots: int, seed: int, inputs=None):
@@ -155,22 +160,32 @@ def param_shift_jacobian(circuit: Circuit, params, inputs=None) -> np.ndarray:
 
     Returns shape (num_params, readouts).  Each parameterised gate occurrence
     is shifted by inserting a constant rotation of the same kind right after
-    it (R(t + s) = R(s) R(t)), and every shifted circuit is evaluated on the
-    dense-matrix oracle.  Mid-circuit ansatze are passed in deferred form,
-    whose rewrite `sample_shots` checks.
+    it (R(t + s) = R(s) R(t)), and every shifted circuit is evaluated on
+    dense matrices: the state after the occurrence, the shift gate, then the
+    product of the later gates.  Mid-circuit ansatze are passed in deferred
+    form, whose rewrite `sample_shots` checks.
     """
+    params = np.asarray(params, dtype=float)
+    n = circuit.num_qubits
+    mats = []
+    for op in circuit.ops:
+        assert isinstance(op, GateOp) and op.condition is None
+        mats.append(op_unitary(op, n, params, inputs))
+    # later[i]: the product of the gates after op i.
+    later = [None] * len(mats)
+    u = np.eye(1 << n, dtype=complex)
+    for i in range(len(mats) - 1, -1, -1):
+        later[i] = u
+        u = u @ mats[i]
     jac = np.zeros((circuit.num_params, len(circuit.readout)))
+    psi = np.eye(1 << n, 1, dtype=complex)[:, 0]
     for i, op in enumerate(circuit.ops):
+        psi = mats[i] @ psi
         if op.param_slot is None:
             continue
         for shift, coeff in shift_rule(op.kind):
-            ops = list(circuit.ops)
-            ops.insert(i + 1, GateOp(op.kind, op.targets, angle=shift))
-            shifted = Circuit(
-                circuit.num_qubits, tuple(ops), circuit.num_params, circuit.num_inputs,
-                circuit.readout,
-            )
-            jac[op.param_slot] += coeff * z_expectations_oracle(shifted, params, inputs)
+            shifted = later[i] @ (gate_unitary(op.kind, op.targets, n, shift) @ psi)
+            jac[op.param_slot] += coeff * _z_expectations(circuit, shifted)
     return jac
 
 
@@ -196,6 +211,16 @@ def random_circuit(rng, num_qubits: int = 4, depth: int = 20) -> Circuit:
         else:
             ops.append(GateOp(kind, targets))
     return Circuit(num_qubits, tuple(ops), num_params=slot, readout=tuple(range(num_qubits)))
+
+
+def encoded_random_circuit(rng, num_qubits: int = 4, depth: int = 20) -> Circuit:
+    """`random_circuit` behind an input encoding: H and RZ(pi x_q) per qubit, RZ(pi x_0 x_1)."""
+    body = random_circuit(rng, num_qubits, depth)
+    encoding = [GateOp("H", (q,)) for q in range(num_qubits)]
+    encoding += [GateOp("RZ", (q,), input_idx=(q,)) for q in range(num_qubits)]
+    encoding.append(GateOp("RZ", (1,), input_idx=(0, 1)))
+    return Circuit(num_qubits, tuple(encoding) + body.ops, body.num_params, num_qubits,
+                   body.readout)
 
 
 def finite_difference_gradient(f, params, h: float = 1e-4) -> np.ndarray:

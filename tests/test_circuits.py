@@ -13,9 +13,11 @@ from qccnn.circuits import (
     higher_order_encoding_template,
     postprocess_derivative,
 )
-from qccnn.sim import Circuit, GateOp, run_deferred_batch
+from qccnn.autodiff import readout_gradient
+from qccnn.capacity import uniform_input_sampler
+from qccnn.sim import Circuit, GateOp, defer_measurements, final_state, run_deferred_batch
 
-from oracles import z_expectations_oracle
+from oracles import param_shift_jacobian, z_expectations_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +200,60 @@ def test_qubit_select_reads_q2():
 def test_registry_rejects_unknown_key():
     with pytest.raises(ValueError, match="unknown ansatz"):
         build_ansatz("select-relu")
+
+
+# ---------------------------------------------------------------------------
+# rank audit: the readout jacobian's rank and its dead parameters
+# ---------------------------------------------------------------------------
+
+# key -> (rank of d<readouts>/d theta over inputs, parameters whose gradient
+# is zero at every input and theta).  The rank is a property of the circuit
+# structure: e.g. the ancilla frame reads <Z0 Z1 Z2 Z3> after the entangling
+# layer, which its CNOT ring maps back to Z0 Z2, so only RX(theta0) and
+# RX(theta2) act on the readout.
+_RANKS = {
+    "conv": (4, ()),
+    "midcircuit-rx": (6, ()),
+    "midcircuit-ry": (6, ()),
+    "ancilla-cy": (2, (1, 3)),
+    "ancilla-cz": (2, (1, 3)),
+    "mod-a": (4, (0, 4)),
+    "mod-b": (11, (10,)),
+    "mod-c": (26, (7, 19, 31, 34)),
+    "select-sign": (3, (3,)),
+    "select-tanh": (3, (3,)),
+}
+
+
+def _readout_jacobian(circuit, theta, xs, num_readouts):
+    """(rows * readouts, params) jacobian of every readout at every input row."""
+    blocks = []
+    for j in range(num_readouts):
+        weights = np.zeros((len(xs), num_readouts))
+        weights[:, j] = 1.0
+        blocks.append(readout_gradient(circuit, theta, xs, weights, final_state(circuit, theta, xs)))
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("key", ANSATZ_KEYS)
+def test_readout_jacobian_rank_and_dead_parameters(key):
+    assert set(_RANKS) == set(ANSATZ_KEYS)
+    rank, dead = _RANKS[key]
+    ansatz = build_ansatz(key)
+    rng = np.random.default_rng(70)
+    for _ in range(3):
+        theta = rng.uniform(-math.pi, math.pi, ansatz.num_params)
+        xs = uniform_input_sampler(rng, 32)
+        jac = _readout_jacobian(ansatz.circuit, theta, xs, ansatz.num_readouts)
+        singular = np.linalg.svd(jac, compute_uv=False)
+        assert int((singular > 1e-8 * singular[0]).sum()) == rank
+        scale = np.abs(jac).max()
+        assert tuple(np.flatnonzero(np.abs(jac).max(axis=0) < 1e-12 * scale)) == dead
+        # A few rows against the dense parameter-shift jacobian.
+        deferred = defer_measurements(ansatz.circuit)
+        for r in (0, 17):
+            want = param_shift_jacobian(deferred, theta, xs[r])
+            np.testing.assert_allclose(jac[r :: len(xs)], want.T, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qccnn.data import Dataset, generate_synthetic, SyntheticSpec
+from qccnn.data import Dataset, extract_patches, generate_synthetic, SyntheticSpec
 from qccnn.nn import (
     AdamState,
     ClassicalConvLayer,
@@ -19,11 +19,9 @@ from qccnn.nn import (
     softmax_cross_entropy,
 )
 from qccnn import sim
-from qccnn.autodiff import readout_gradient
-from qccnn.circuits import ANSATZ_KEYS, build_ansatz, postprocess_derivative
-from qccnn.sim import final_state, run_deferred_batch
+from qccnn.circuits import ANSATZ_KEYS, apply_postprocess, build_ansatz, postprocess_derivative
 
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, param_shift_jacobian, z_expectations_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -64,60 +62,77 @@ def test_quantum_conv_rejects_small_image():
         layer.forward(np.zeros((1, 1, 1)))
 
 
-def _layer_after_forward(key, seed):
-    rng = np.random.default_rng(seed)
-    layer = QuantumConvLayer(build_ansatz(key), stride=2, rng=rng)
-    layer.forward(rng.uniform(0.0, 1.0, (2, 4, 4)))
-    return layer, rng
-
-
 @pytest.mark.parametrize("key", ANSATZ_KEYS)
 def test_shared_encoding_forward_and_backward_are_exact(key):
-    # Encoding once and evolving a copy per kernel runs the same ops in the same
-    # order as simulating each kernel alone, so the results are equal, not close.
-    layer, rng = _layer_after_forward(key, 60)
-    patches, raw, _ = layer._cache
-    for k in range(layer.num_kernels):
-        want = run_deferred_batch(layer.circuit, layer.params[k], patches)
-        np.testing.assert_array_equal(raw[k], want)
-    upstream = rng.normal(size=(2, 4, 2, 2))
+    # Each kernel acts on the shared encoding as one matrix, which rounds
+    # differently from a gate-by-gate simulation, so the layer is checked
+    # against the dense-matrix readouts and parameter-shift jacobian of every
+    # patch and kernel.  Two 2x4 images give two patches each.
+    rng = np.random.default_rng(60)
+    images = rng.uniform(-1.0, 1.0, (2, 2, 4))
+    layer = QuantumConvLayer(build_ansatz(key), stride=2, rng=rng)
+    maps = layer.forward(images)
+    upstream = rng.normal(size=maps.shape)
     grads = layer.backward(upstream)
     np.testing.assert_array_equal(layer.backward(upstream), grads)  # the cache is not consumed
-    flat = upstream.reshape(2, 4, -1).transpose(0, 2, 1).reshape(-1, 4)
-    per_kernel = flat.reshape(len(patches), layer.num_kernels, -1).transpose(1, 0, 2)
-    for k in range(layer.num_kernels):
-        if layer.ansatz.postprocess == "sign":
-            np.testing.assert_array_equal(grads[k], 0.0)
-            continue
-        w = per_kernel[k] * postprocess_derivative(layer.ansatz.postprocess, raw[k])
-        state = final_state(layer.circuit, layer.params[k], patches)
-        want = readout_gradient(layer.circuit, layer.params[k], patches, w, state).sum(axis=0)
-        np.testing.assert_array_equal(grads[k], want)
+    post = layer.ansatz.postprocess
+    readouts = layer.ansatz.num_readouts
+    want_grads = np.zeros_like(grads)
+    for b, image in enumerate(images):
+        for p, patch in enumerate(extract_patches(image, 2, 2)):
+            for k in range(layer.num_kernels):
+                raw = z_expectations_oracle(layer.circuit, layer.params[k], patch)
+                feats = slice(k * readouts, (k + 1) * readouts)
+                np.testing.assert_allclose(
+                    maps[b, feats, 0, p], apply_postprocess(post, raw), atol=1e-12
+                )
+                w = upstream[b, feats, 0, p] * postprocess_derivative(post, raw)
+                jac = param_shift_jacobian(layer.circuit, layer.params[k], patch)
+                want_grads[k] += jac @ w
+    np.testing.assert_allclose(grads, want_grads, atol=1e-12)
+    if post == "sign":
+        np.testing.assert_array_equal(grads, 0.0)
 
 
-@pytest.mark.parametrize("key", ["conv", "ancilla-cz", "mod-c", "select-tanh"])
-def test_layer_encodes_once_per_forward_and_never_in_backward(key, monkeypatch):
-    counts = {"sim": 0, "walk": 0}
+def _count_columns(monkeypatch) -> dict:
+    """Record the column count of every gate the simulator and the adjoint walk apply."""
+    columns = {"sim": [], "walk": []}
 
     def counting(name, apply):
-        def wrapped(*args):
-            counts[name] += 1
-            return apply(*args)
+        def wrapped(psi, *args):
+            columns[name].append(psi.shape[-1])
+            return apply(psi, *args)
         return wrapped
 
     apply = sim._apply_kind
     monkeypatch.setattr(sim, "_apply_kind", counting("sim", apply))
     monkeypatch.setattr("qccnn.autodiff._apply_kind", counting("walk", apply))
-    layer, rng = _layer_after_forward(key, 61)
-    prefix = sim._first_param_op(layer.circuit)
-    suffix = len(layer.circuit.ops) - prefix
+    return columns
+
+
+@pytest.mark.parametrize("key", ["conv", "ancilla-cz", "mod-c", "select-tanh"])
+def test_layer_encodes_once_per_forward_and_never_in_backward(key, monkeypatch):
+    columns = _count_columns(monkeypatch)
+    circuit = sim.defer_measurements(build_ansatz(key).circuit)
+    prefix = sim._first_param_op(circuit)
+    suffix = len(circuit.ops) - prefix
+    rng = np.random.default_rng(61)
+    layer = QuantumConvLayer(build_ansatz(key), stride=2, rng=rng)
+    dim = 1 << circuit.num_qubits
     kernels = layer.num_kernels
-    assert counts == {"sim": prefix + kernels * suffix, "walk": 0}
-    counts.update(sim=0)
-    layer.backward(rng.normal(size=(2, 4, 2, 2)))
-    # The backward evolves each kernel from the cached encoding, and its
-    # adjoint walk undoes every op after the first parameterised one on two states.
-    assert counts == {"sim": kernels * suffix, "walk": kernels * 2 * (suffix - 1)}
+    for images in (1, 3):
+        layer.forward(rng.uniform(-1.0, 1.0, (images, 4, 4)))
+        rows = images * 4
+        # The encoding runs once on the patch rows; each kernel's remaining
+        # ops run once, on the 2**n identity columns of its matrix.
+        assert columns["sim"] == [rows] * prefix + [dim] * (kernels * suffix)
+        assert columns["walk"] == []
+        columns["sim"].clear()
+        layer.backward(rng.normal(size=(images, 4, 2, 2)))
+        # The backward simulates nothing, and its walk undoes every op after
+        # the first parameterised one on the two (2**n, 2**n) matrices.
+        assert columns == {"sim": [], "walk": [dim] * (kernels * 2 * (suffix - 1))}
+        columns["walk"].clear()
 
 
 # ---------------------------------------------------------------------------

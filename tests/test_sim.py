@@ -7,17 +7,26 @@ import numpy as np
 import pytest
 
 from qccnn.autodiff import readout_gradient
+from qccnn.circuits import ANSATZ_KEYS, build_ansatz
 from qccnn.sim import (
     ROTATION_KINDS,
     Circuit,
     GateOp,
     MidMeasure,
     _apply_kind,
+    encode,
     final_state,
     run_deferred_batch,
+    unitary,
 )
 
-from oracles import gate_unitary, random_circuit, sample_shots, z_expectations_oracle
+from oracles import (
+    encoded_random_circuit,
+    gate_unitary,
+    random_circuit,
+    sample_shots,
+    z_expectations_oracle,
+)
 
 SQRT2_INV = 1 / math.sqrt(2)
 
@@ -275,6 +284,51 @@ def test_deterministic_repeat_calls_bit_identical():
     first = run_deferred_batch(circuit, params, np.zeros((1, 0)))[0]
     second = run_deferred_batch(circuit, params, np.zeros((1, 0)))[0]
     assert np.array_equal(first, second)
+
+
+# ---------------------------------------------------------------------------
+# the parameterised suffix as one matrix
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", ANSATZ_KEYS)
+def test_unitary_times_encoding_is_final_state_for_ansatz(key):
+    rng = np.random.default_rng(16)
+    circuit = build_ansatz(key).circuit
+    params = rng.uniform(-math.pi, math.pi, circuit.num_params)
+    xs = rng.uniform(-1, 1, (9, 4))
+    u = unitary(circuit, params)
+    dim = 1 << circuit.num_qubits
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(dim), atol=1e-12)
+    np.testing.assert_allclose(u @ encode(circuit, xs), final_state(circuit, params, xs),
+                               atol=1e-12)
+
+
+def test_unitary_times_encoding_is_final_state_for_random_circuits():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        circuit = encoded_random_circuit(rng, num_qubits=int(rng.integers(2, 6)),
+                                         depth=int(rng.integers(5, 30)))
+        params = rng.uniform(-math.pi, math.pi, circuit.num_params)
+        xs = rng.uniform(-1, 1, (5, circuit.num_inputs))
+        got = unitary(circuit, params) @ encode(circuit, xs)
+        np.testing.assert_allclose(got, final_state(circuit, params, xs), atol=1e-12)
+
+
+def test_unitary_rejects_per_row_params():
+    circuit = build_ansatz("mod-a").circuit
+    with pytest.raises(ValueError, match=r"\(6,\) parameter vector"):
+        unitary(circuit, np.zeros((3, 6)))
+    with pytest.raises(ValueError, match=r"\(6,\) parameter vector"):
+        unitary(circuit, np.zeros(5))
+
+
+def test_unitary_rejects_input_angle_after_first_parameter():
+    ops = (GateOp("H", (0,)), GateOp("RX", (0,), param_slot=0),
+           GateOp("RZ", (0,), input_idx=(0,)))
+    circuit = Circuit(1, ops, num_params=1, num_inputs=1, readout=(0,))
+    with pytest.raises(ValueError, match="input angle follows"):
+        unitary(circuit, [0.3])
 
 
 # ---------------------------------------------------------------------------
