@@ -12,10 +12,13 @@ contributions.
 
 One walk serves two entry points.  :func:`readout_gradient` walks every
 row and overwrites the caller's phi; it simulates nothing itself.
-:func:`summed_readout_gradient` serves rows that share parameters and every
-op after the encoding, and need only the gradient summed over rows: that is
-Im tr(P M) with M = sum_r phi_r lambda_r^dagger, so it walks the 2**n
-columns of the pair (M, I) instead of the rows.
+:func:`summed_readout_gradient` serves the kernels of a layer: circuits that
+share every op after the encoding, differ only in their parameters, and
+need only the gradient summed over rows.  For one kernel that is
+Im tr(P M) with M = sum_r phi_r lambda_r^dagger, so the walk runs on the
+2**n columns of the pair (M, I) instead of on the rows; the kernels' pairs
+sit side by side as kernels x 2**n columns with per-column parameters, and
+one walk serves them all.
 """
 
 from __future__ import annotations
@@ -115,30 +118,46 @@ def readout_gradient(circuit: Circuit, params, inputs, weights, state) -> np.nda
     return grad
 
 
-def summed_readout_gradient(circuit: Circuit, params, weights, state) -> np.ndarray:
-    """Gradient of sum_r sum_j weights[r, j] * <Z_j>_r with respect to shared params.
+def summed_readout_gradient(circuit: Circuit, params, weights, unitaries, encoded) -> np.ndarray:
+    """Per kernel k, the gradient of sum_r sum_j weights[k, r, j] * <Z_j> at params[k].
 
-    `params` is a (num_params,) vector, `weights` is (rows, readouts) and
-    `state` the (2**n, rows) final state, which is left unchanged.  The
-    rows share every op from the first parameterised one, so the gradient
-    is Im tr(P M) for M = sum_r phi_r lambda_r^dagger, a (2**n, 2**n)
-    matrix: the walk runs on the pair (M, I), whose column c contributes
-    Im<I_c|P|M_c>, at a cost that does not depend on the row count.  A
-    circuit with an input angle after its first parameterised op is
-    rejected with ValueError.  Returns an array of shape (num_params,).
+    `params` is a (kernels, num_params) matrix, `weights` is (kernels, rows,
+    readouts), `unitaries` the (kernels, 2**n, 2**n) matrices
+    :func:`qccnn.sim.unitary` returns for `params`, and `encoded` the
+    (2**n, rows) state :func:`qccnn.sim.encode` returns; neither is
+    changed.  Kernel k's rows share every op from the first parameterised
+    one, so its gradient is Im tr(P M_k) for M_k = sum_r phi_r lambda_r^dagger
+    with phi = U_k @ encoded, a (2**n, 2**n) matrix.  The kernels' final
+    states are formed one at a time in one buffer; their M_k stand side by
+    side against copies of I, and one walk on these kernels x 2**n columns,
+    each with its kernel's parameters, gives every column's Im<I_c|P|M_c>.
+    Its cost does not depend on the row count.  A circuit with an input
+    angle after its first parameterised op is rejected with ValueError.
+    Returns an array of shape (kernels, num_params).
     """
     circuit = defer_measurements(circuit)
-    ops, params = _shared_suffix(circuit, params)
+    ops, column_params, ident = _shared_suffix(circuit, params)
+    dim, cols = ident.shape
+    kernels = cols // dim
     weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 2 or weights.shape[1] != len(circuit.readout):
+    if weights.ndim != 3 or weights.shape[::2] != (kernels, len(circuit.readout)):
         raise ValueError(
             f"weights shape {weights.shape} does not match"
-            f" (rows, readouts = {len(circuit.readout)})"
+            f" (kernels = {kernels}, rows, readouts = {len(circuit.readout)})"
         )
-    _state_view(circuit, state, weights.shape[0])
-    dim = 1 << circuit.num_qubits
-    m = state @ _lambda(circuit, weights, state).conj().T
-    ident = np.eye(dim, dtype=complex)
-    grad = np.zeros((dim, circuit.num_params))
-    _walk(ops, params, None, _state_view(circuit, m, dim), _state_view(circuit, ident, dim), grad)
-    return grad.sum(axis=0)
+    if np.shape(unitaries) != (kernels, dim, dim):
+        raise ValueError(
+            f"unitaries shape {np.shape(unitaries)} does not match {(kernels, dim, dim)}"
+        )
+    _state_view(circuit, encoded, weights.shape[1])
+    # One final state at a time, so the peak does not grow with the kernels.
+    state = np.empty_like(encoded)
+    m = np.empty_like(ident)
+    for k in range(kernels):
+        np.matmul(unitaries[k], encoded, out=state)
+        np.matmul(state, _lambda(circuit, weights[k], state).conj().T,
+                  out=m[:, k * dim : (k + 1) * dim])
+    grad = np.zeros((cols, circuit.num_params))
+    phi, lam = _state_view(circuit, m, cols), _state_view(circuit, ident, cols)
+    _walk(ops, column_params, None, phi, lam, grad)
+    return grad.reshape(kernels, dim, circuit.num_params).sum(axis=1)

@@ -145,8 +145,12 @@ def score_batch(circuit: Circuit, params, xs, ys):
 
 
 def sample_labels(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One class per probability row: the first whose cumulative probability exceeds u."""
-    return (u[:, None] >= np.cumsum(probs, axis=1)).sum(axis=1)
+    """One class per probability row: the first whose cumulative probability exceeds u.
+
+    The last class takes every u past the other boundaries, also when the
+    row's cumulative sum rounds below 1.
+    """
+    return (u[:, None] >= np.cumsum(probs, axis=1)[:, :-1]).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

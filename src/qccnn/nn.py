@@ -3,9 +3,11 @@
 The quantum front end slides four parallel kernels over the image, one
 circuit evaluation per 2x2 patch per kernel: the patch encoding is
 simulated once per batch, and each kernel then acts on it as one
-2**n x 2**n matrix.  The conv-without-pooling variant uses a single kernel
-whose four readouts form the four feature maps, so every configuration
-feeds the dense head 4 x H' x W' features.  Training uses softmax
+2**n x 2**n matrix.  The kernels' matrices are built together, and their
+backward is one walk, each on kernels x 2**n columns.  The
+conv-without-pooling variant uses a single kernel whose four readouts form
+the four feature maps, so every configuration feeds the dense head
+4 x H' x W' features.  Training uses softmax
 cross-entropy and Adam.
 """
 
@@ -38,12 +40,14 @@ class QuantumConvLayer:
 
     The kernels share one circuit and differ only in parameters, and no
     input angle follows the first parameterised gate, so each kernel acts
-    on the encoded patches as one 2**n x 2**n matrix (:func:`unitary`).  A
-    forward encodes the patch batch once and applies each kernel's matrix
-    to it in one matrix product.  It caches the encoded state and the
-    kernels' matrices, not their final states; the backward recomputes each
-    final state from them and walks back on the 2**n columns of the
-    row-summed matrix (:func:`summed_readout_gradient`), not on every row.
+    on the encoded patches as one 2**n x 2**n matrix.  A forward encodes
+    the patch batch once, builds every kernel's matrix in one pass of the
+    gates over kernels x 2**n columns (:func:`unitary`), and applies each
+    matrix to the encoding in one matrix product.  It caches the encoded
+    state and the matrices, not the final states; the backward recomputes
+    each final state from them and makes one walk back over the kernels'
+    row-summed matrices, kernels x 2**n columns in all
+    (:func:`summed_readout_gradient`), not over every row.
     """
 
     def __init__(self, ansatz: Ansatz, stride: int = 2, rng=None):
@@ -68,7 +72,7 @@ class QuantumConvLayer:
             [extract_patches(img, KERNEL_SIZE, self.stride) for img in images]
         )
         encoded = encode(self.circuit, patches)
-        unitaries = [unitary(self.circuit, p) for p in self.params]
+        unitaries = unitary(self.circuit, self.params)
         # One buffer for every kernel: a fresh product each would map and
         # unmap state-sized blocks.
         state = np.empty_like(encoded)
@@ -100,17 +104,10 @@ class QuantumConvLayer:
                 f"upstream shape {upstream.shape} does not match cached"
                 f" forward shape {raw.shape}"
             )
-        grads = np.zeros(self.params.shape)
         if self.ansatz.postprocess == "sign":
-            return grads
-        state = np.empty_like(encoded)
-        for k, u in enumerate(unitaries):
-            w = per_kernel[k] * postprocess_derivative(self.ansatz.postprocess, raw[k])
-            if not np.any(w):
-                continue
-            np.matmul(u, encoded, out=state)
-            grads[k] = summed_readout_gradient(self.circuit, self.params[k], w, state)
-        return grads
+            return np.zeros(self.params.shape)
+        weights = per_kernel * postprocess_derivative(self.ansatz.postprocess, raw)
+        return summed_readout_gradient(self.circuit, self.params, weights, unitaries, encoded)
 
 
 class ClassicalConvLayer:

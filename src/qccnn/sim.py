@@ -24,9 +24,11 @@ inputs only, so circuits that differ only in their parameters share it.
 When no input angle follows the first parameterised op, as in every ansatz,
 that rest is one matrix for every row: :func:`unitary` builds it by running
 the same ops on the 2**n identity columns, and a caller with many rows
-applies it as one matrix product.  :func:`readouts` reads the readout Z
-expectations off a final state, and :func:`run_deferred_batch` composes it
-with :func:`final_state`.
+applies it as one matrix product.  Circuits that differ only in their
+parameters (the kernels of a layer) build their matrices together, as
+kernels x 2**n columns with per-column parameters.  :func:`readouts` reads
+the readout Z expectations off a final state, and
+:func:`run_deferred_batch` composes it with :func:`final_state`.
 """
 
 from __future__ import annotations
@@ -409,38 +411,46 @@ def final_state(circuit: Circuit, params, inputs) -> np.ndarray:
 
 
 def _shared_suffix(circuit: Circuit, params) -> tuple:
-    """The deferred circuit's ops from its first parameterised one, and `params`.
+    """The deferred circuit's ops from its first parameterised one, on every kernel at once.
 
-    Raises ValueError unless these ops act alike on every row: `params` must
-    be a (num_params,) vector, and no op of the suffix may take an input
-    angle.
+    `params` is a (kernels, num_params) matrix, one parameter vector per
+    kernel.  Returns the ops, the (kernels * 2**n, num_params) parameters
+    of the columns and a (2**n, kernels * 2**n) array of kernels copies of
+    the 2**n identity columns: column k * 2**n + c is identity column c
+    with kernel k's parameters.  Raises ValueError unless the ops act alike
+    on every row: `params` must be such a matrix, and no op may take an
+    input angle.
     """
     circuit = defer_measurements(circuit)
     params = np.asarray(params, dtype=float)
-    if params.shape != (circuit.num_params,):
+    if params.ndim != 2 or params.shape[1] != circuit.num_params:
         raise ValueError(
-            f"expected a ({circuit.num_params},) parameter vector, got shape {params.shape}"
+            f"expected a (kernels, {circuit.num_params}) parameter matrix, got shape"
+            f" {params.shape}"
         )
     suffix = circuit.ops[_first_param_op(circuit) :]
     if any(op.input_idx is not None for op in suffix):
         raise ValueError("an input angle follows the first parameterised op")
-    return suffix, params
+    dim = 1 << circuit.num_qubits
+    identity = np.tile(np.eye(dim, dtype=complex), len(params))
+    return suffix, np.repeat(params, dim, axis=0), identity
 
 
 def unitary(circuit: Circuit, params) -> np.ndarray:
-    """The deferred circuit's ops from its first parameterised one, as one (2**n, 2**n) matrix.
+    """The deferred circuit's ops from its first parameterised one, as one matrix per kernel.
 
-    The ops run on the 2**n identity columns through the same gate path as
-    :func:`final_state`, so ``unitary(c, p) @ encode(c, x)`` is the final
-    state of every row of `x`.  `params` is a (num_params,) vector; a
-    circuit with an input angle after its first parameterised op is
-    rejected with ValueError.
+    `params` is a (kernels, num_params) matrix.  The ops run once, through
+    the same gate path as :func:`final_state`, on kernels copies of the
+    2**n identity columns, each column with its kernel's parameters.  The
+    result is a (kernels, 2**n, 2**n) array, and
+    ``unitary(c, p)[k] @ encode(c, x)`` is the final state of every row of
+    `x` at ``p[k]``.  A circuit with an input angle after its first
+    parameterised op is rejected with ValueError.
     """
-    suffix, params = _shared_suffix(circuit, params)
-    dim = 1 << circuit.num_qubits
-    u = np.eye(dim, dtype=complex)
-    _apply_ops(_state_view(circuit, u, dim), suffix, params, None)
-    return u
+    suffix, column_params, u = _shared_suffix(circuit, params)
+    dim, cols = u.shape
+    _apply_ops(_state_view(circuit, u, cols), suffix, column_params, None)
+    return u.reshape(dim, cols // dim, dim).transpose(1, 0, 2)
 
 
 def readouts(circuit: Circuit, state: np.ndarray) -> np.ndarray:

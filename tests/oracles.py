@@ -189,6 +189,12 @@ def param_shift_jacobian(circuit: Circuit, params, inputs=None) -> np.ndarray:
     return jac
 
 
+def jacobian_rank(jac: np.ndarray, rtol: float = 1e-8) -> int:
+    """Numerical rank of a jacobian: its singular values above rtol times the largest."""
+    singular = np.linalg.svd(jac, compute_uv=False)
+    return int((singular > rtol * singular[0]).sum())
+
+
 _RANDOM_KINDS = (
     "H", "X", "RX", "RY", "RZ", "CNOT", "CY", "CZ", "CRX", "CRY", "CRZ",
 )

@@ -6,6 +6,7 @@ The full reference-comparison table (criterion 7) is printed regardless of
 outcome.
 """
 
+import functools
 import json
 import math
 import time
@@ -14,15 +15,21 @@ import numpy as np
 import pytest
 
 from qccnn.autodiff import readout_gradient
-from qccnn.capacity import effective_dimension, effective_dimension_from_fims
+from qccnn.capacity import (
+    effective_dimension,
+    effective_dimension_from_fims,
+    uniform_input_sampler,
+)
 from qccnn.circuits import ANSATZ_KEYS, build_ansatz, higher_order_encoding_template
 from qccnn.cli import main as cli_main
 from qccnn.data import SyntheticSpec, generate_synthetic
 from qccnn.nn import fit, make_model
-from qccnn.sim import Circuit, final_state, run_deferred_batch
+from qccnn.sim import Circuit, defer_measurements, final_state, run_deferred_batch
 
 from oracles import (
     finite_difference_gradient,
+    jacobian_rank,
+    param_shift_jacobian,
     random_circuit,
     sample_shots,
     z_expectations_oracle,
@@ -223,6 +230,23 @@ def _print_ed_table(ed_table):
         print(f"  {key:15s} {mean:.3f} +- {std:.3f}{target_text}")
 
 
+@functools.lru_cache(maxsize=None)
+def _rank_of_d(key: str) -> str:
+    """rank/d of the readout jacobian over 32 inputs at one theta, from the dense oracle.
+
+    The Fisher information of the key's model has at most this rank.  It is
+    printed next to the ED as context and checked nowhere here.
+    """
+    ansatz = build_ansatz(key)
+    circuit = defer_measurements(ansatz.circuit)
+    rng = np.random.default_rng(70)
+    theta = rng.uniform(-math.pi, math.pi, ansatz.num_params)
+    jac = np.concatenate(
+        [param_shift_jacobian(circuit, theta, x).T for x in uniform_input_sampler(rng, 32)]
+    )
+    return f"{jacobian_rank(jac)}/{ansatz.num_params}"
+
+
 @pytest.mark.parametrize("key", ["conv", "midcircuit-rx", "midcircuit-ry",
                                  "ancilla-cy", "ancilla-cz", "select-sign"])
 def test_acceptance_07_ed_reproduction_band(ed_table, key):
@@ -231,7 +255,8 @@ def test_acceptance_07_ed_reproduction_band(ed_table, key):
     _report(
         f"7 ED band {key}",
         abs(mean - target) <= ED_TOLERANCE,
-        f"measured {mean:.3f}, target {target:.3f} +- {ED_TOLERANCE}",
+        f"measured {mean:.3f} (readout-jacobian rank/d {_rank_of_d(key)}),"
+        f" target {target:.3f} +- {ED_TOLERANCE}",
     )
 
 
@@ -244,7 +269,12 @@ def test_acceptance_07_ed_family_ordering(ed_table):
     _report(
         "7 ED ordering mid-circuit > ancilla > qubit-select",
         mid > anc_hi and anc_lo > select,
-        f"mid >= {mid:.3f}, ancilla in [{anc_lo:.3f}, {anc_hi:.3f}], select = {select:.3f}",
+        f"mid >= {mid:.3f}, ancilla in [{anc_lo:.3f}, {anc_hi:.3f}], select = {select:.3f};"
+        " readout-jacobian rank/d "
+        + ", ".join(
+            f"{k} {_rank_of_d(k)}"
+            for k in ("midcircuit-rx", "midcircuit-ry", "ancilla-cy", "ancilla-cz", "select-sign")
+        ),
     )
 
 
@@ -253,7 +283,9 @@ def test_acceptance_07_ed_modular_ordering(ed_table):
     _report(
         "7 ED ordering mod-b < mod-c < mod-a",
         b < c < a,
-        f"mod-a {a:.3f}, mod-b {b:.3f}, mod-c {c:.3f} (reconstructed blocks)",
+        f"mod-a {a:.3f}, mod-b {b:.3f}, mod-c {c:.3f} (reconstructed blocks);"
+        f" readout-jacobian rank/d mod-a {_rank_of_d('mod-a')}, mod-b {_rank_of_d('mod-b')},"
+        f" mod-c {_rank_of_d('mod-c')}",
     )
 
 

@@ -8,7 +8,15 @@ import pytest
 from qccnn.autodiff import readout_gradient, summed_readout_gradient
 from qccnn.circuits import ANSATZ_KEYS, build_ansatz
 from qccnn.nn import QuantumConvLayer
-from qccnn.sim import Circuit, GateOp, defer_measurements, final_state, run_deferred_batch
+from qccnn.sim import (
+    Circuit,
+    GateOp,
+    defer_measurements,
+    encode,
+    final_state,
+    run_deferred_batch,
+    unitary,
+)
 
 from oracles import (
     encoded_random_circuit,
@@ -215,23 +223,30 @@ def test_state_of_wrong_shape_or_layout_rejected():
             readout_gradient(ansatz.circuit, np.zeros(4), xs, np.ones((3, 1)), bad)
 
 
-def _summed_and_per_row(circuit, theta, xs, weights):
-    state = final_state(circuit, theta, xs)
-    before = state.copy()
-    summed = summed_readout_gradient(circuit, theta, weights, state)
-    np.testing.assert_array_equal(state, before)  # the state is read, not overwritten
-    return summed, readout_gradient(circuit, theta, xs, weights, state).sum(axis=0)
+def _summed_and_per_row(circuit, params, xs, weights):
+    """The kernel-batched summed gradient, and each kernel's per-row gradient summed over rows."""
+    encoded, u = encode(circuit, xs), unitary(circuit, params)
+    before = (encoded.copy(), u.copy())
+    summed = summed_readout_gradient(circuit, params, weights, u, encoded)
+    # The encoding and the matrices are read, not overwritten.
+    np.testing.assert_array_equal(encoded, before[0])
+    np.testing.assert_array_equal(u, before[1])
+    per_row = [
+        readout_gradient(circuit, theta, xs, w, final_state(circuit, theta, xs)).sum(axis=0)
+        for theta, w in zip(params, weights)
+    ]
+    return summed, np.array(per_row)
 
 
 @pytest.mark.parametrize("key", ANSATZ_KEYS)
 def test_summed_gradient_equals_per_row_sum_for_ansatz(key):
     rng = np.random.default_rng(50)
     ansatz = build_ansatz(key)
-    theta = rng.uniform(-math.pi, math.pi, ansatz.num_params)
+    params = rng.uniform(-math.pi, math.pi, (4, ansatz.num_params))
     xs = rng.uniform(-1, 1, (40, 4))
-    weights = rng.normal(size=(40, ansatz.num_readouts))
-    summed, per_row = _summed_and_per_row(ansatz.circuit, theta, xs, weights)
-    assert summed.shape == (ansatz.num_params,)
+    weights = rng.normal(size=(4, 40, ansatz.num_readouts))
+    summed, per_row = _summed_and_per_row(ansatz.circuit, params, xs, weights)
+    assert summed.shape == (4, ansatz.num_params)
     np.testing.assert_allclose(summed, per_row, atol=1e-12)
 
 
@@ -240,37 +255,43 @@ def test_summed_gradient_equals_per_row_sum_for_random_circuits():
     for _ in range(20):
         circuit = encoded_random_circuit(rng, num_qubits=int(rng.integers(2, 6)),
                                          depth=int(rng.integers(5, 30)))
-        theta = rng.uniform(-math.pi, math.pi, circuit.num_params)
+        params = rng.uniform(-math.pi, math.pi, (4, circuit.num_params))
         xs = rng.uniform(-1, 1, (int(rng.integers(1, 50)), circuit.num_inputs))
-        weights = rng.normal(size=(len(xs), len(circuit.readout)))
-        summed, per_row = _summed_and_per_row(circuit, theta, xs, weights)
+        weights = rng.normal(size=(4, len(xs), len(circuit.readout)))
+        summed, per_row = _summed_and_per_row(circuit, params, xs, weights)
         np.testing.assert_allclose(summed, per_row, atol=1e-12)
 
 
 def test_summed_gradient_rejects_what_rows_do_not_share():
     circuit = build_ansatz("select-tanh").circuit
-    xs = np.zeros((3, 4))
-    state = final_state(circuit, np.zeros(4), xs)
-    with pytest.raises(ValueError, match="parameter vector"):
-        summed_readout_gradient(circuit, np.zeros((3, 4)), np.ones((3, 1)), state)
+    encoded = encode(circuit, np.zeros((3, 4)))
+    u = unitary(circuit, np.zeros((2, 4)))
+    for bad in (np.zeros(4), np.zeros((2, 5)), np.zeros((2, 1, 4))):
+        with pytest.raises(ValueError, match="parameter matrix"):
+            summed_readout_gradient(circuit, bad, np.ones((2, 3, 1)), u, encoded)
     ops = (GateOp("H", (0,)), GateOp("RX", (0,), param_slot=0),
            GateOp("RZ", (0,), input_idx=(0,)))
     late_input = Circuit(1, ops, num_params=1, num_inputs=1, readout=(0,))
-    late_state = final_state(late_input, [0.3], np.zeros((2, 1)))
+    late_encoded = encode(late_input, np.zeros((2, 1)))
     with pytest.raises(ValueError, match="input angle follows"):
-        summed_readout_gradient(late_input, [0.3], np.ones((2, 1)), late_state)
+        summed_readout_gradient(late_input, [[0.3]], np.ones((1, 2, 1)), np.eye(2)[None],
+                                late_encoded)
 
 
 def test_summed_gradient_rejects_bad_weights_or_state():
     circuit = build_ansatz("select-tanh").circuit
-    xs = np.zeros((3, 4))
-    state = final_state(circuit, np.zeros(4), xs)
-    for shape in [(3,), (3, 2), (3, 1, 1)]:
-        with pytest.raises(ValueError, match="does not match"):
-            summed_readout_gradient(circuit, np.zeros(4), np.ones(shape), state)
-    for bad in (state[:, :2].copy(), state.T.copy().T, state.real.copy()):
+    params = np.zeros((2, 4))
+    encoded = encode(circuit, np.zeros((3, 4)))
+    u = unitary(circuit, params)
+    for shape in [(3, 1), (1, 3, 1), (2, 3, 2), (2, 3, 1, 1)]:
+        with pytest.raises(ValueError, match="weights shape"):
+            summed_readout_gradient(circuit, params, np.ones(shape), u, encoded)
+    for bad in (u[:1], u[:, :8]):
+        with pytest.raises(ValueError, match="unitaries shape"):
+            summed_readout_gradient(circuit, params, np.ones((2, 3, 1)), bad, encoded)
+    for bad in (encoded[:, :2].copy(), encoded.T.copy().T, encoded.real.copy()):
         with pytest.raises(ValueError, match="state must be"):
-            summed_readout_gradient(circuit, np.zeros(4), np.ones((3, 1)), bad)
+            summed_readout_gradient(circuit, params, np.ones((2, 3, 1)), u, bad)
 
 
 def test_backward_linearity_and_weighting():

@@ -294,6 +294,15 @@ def test_sample_labels_inverse_cdf_boundaries():
     np.testing.assert_array_equal(sample_labels(probs, u), [0, 1, 1, 2, 2, 1])
 
 
+def test_sample_labels_stay_in_range_when_the_cumulative_sum_rounds_below_one():
+    # A softmax row of four classes whose cumulative sum ends at 1 - 2**-52.
+    probs = np.array([[0.16831774394215032, 0.10257800337931564,
+                       0.3204219868268881, 0.40868226585164585]])
+    assert np.cumsum(probs)[-1] < 1.0
+    u = np.array([np.nextafter(1.0, 0.0)])
+    np.testing.assert_array_equal(sample_labels(probs, u), [3])
+
+
 def test_effective_dimension_seed_changes_estimate():
     a = effective_dimension("select-tanh", theta_samples=10, data_samples=20, seed=0)
     b = effective_dimension("select-tanh", theta_samples=10, data_samples=20, seed=1)

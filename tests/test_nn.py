@@ -123,15 +123,16 @@ def test_layer_encodes_once_per_forward_and_never_in_backward(key, monkeypatch):
     for images in (1, 3):
         layer.forward(rng.uniform(-1.0, 1.0, (images, 4, 4)))
         rows = images * 4
-        # The encoding runs once on the patch rows; each kernel's remaining
-        # ops run once, on the 2**n identity columns of its matrix.
-        assert columns["sim"] == [rows] * prefix + [dim] * (kernels * suffix)
+        # The encoding runs once on the patch rows; the remaining ops run
+        # once, on the 2**n identity columns of every kernel's matrix at once.
+        assert columns["sim"] == [rows] * prefix + [kernels * dim] * suffix
         assert columns["walk"] == []
         columns["sim"].clear()
         layer.backward(rng.normal(size=(images, 4, 2, 2)))
-        # The backward simulates nothing, and its walk undoes every op after
-        # the first parameterised one on the two (2**n, 2**n) matrices.
-        assert columns == {"sim": [], "walk": [dim] * (kernels * 2 * (suffix - 1))}
+        # The backward simulates nothing, and one walk undoes every op after
+        # the first parameterised one on the two (2**n, kernels * 2**n)
+        # matrices that hold every kernel's pair.
+        assert columns == {"sim": [], "walk": [kernels * dim] * (2 * (suffix - 1))}
         columns["walk"].clear()
 
 

@@ -291,17 +291,24 @@ def test_deterministic_repeat_calls_bit_identical():
 # ---------------------------------------------------------------------------
 
 
+def _check_kernel_unitaries(circuit, params, xs):
+    """Kernel k's matrix times the encoding is the final state at params[k]."""
+    u = unitary(circuit, params)
+    dim = 1 << circuit.num_qubits
+    assert u.shape == (len(params), dim, dim)
+    encoded = encode(circuit, xs)
+    for k, theta in enumerate(params):
+        np.testing.assert_allclose(u[k].conj().T @ u[k], np.eye(dim), atol=1e-12)
+        np.testing.assert_allclose(u[k] @ encoded, final_state(circuit, theta, xs), atol=1e-12)
+
+
 @pytest.mark.parametrize("key", ANSATZ_KEYS)
 def test_unitary_times_encoding_is_final_state_for_ansatz(key):
     rng = np.random.default_rng(16)
     circuit = build_ansatz(key).circuit
-    params = rng.uniform(-math.pi, math.pi, circuit.num_params)
-    xs = rng.uniform(-1, 1, (9, 4))
-    u = unitary(circuit, params)
-    dim = 1 << circuit.num_qubits
-    np.testing.assert_allclose(u.conj().T @ u, np.eye(dim), atol=1e-12)
-    np.testing.assert_allclose(u @ encode(circuit, xs), final_state(circuit, params, xs),
-                               atol=1e-12)
+    for kernels in (1, 4):
+        params = rng.uniform(-math.pi, math.pi, (kernels, circuit.num_params))
+        _check_kernel_unitaries(circuit, params, rng.uniform(-1, 1, (9, 4)))
 
 
 def test_unitary_times_encoding_is_final_state_for_random_circuits():
@@ -309,18 +316,15 @@ def test_unitary_times_encoding_is_final_state_for_random_circuits():
     for _ in range(20):
         circuit = encoded_random_circuit(rng, num_qubits=int(rng.integers(2, 6)),
                                          depth=int(rng.integers(5, 30)))
-        params = rng.uniform(-math.pi, math.pi, circuit.num_params)
-        xs = rng.uniform(-1, 1, (5, circuit.num_inputs))
-        got = unitary(circuit, params) @ encode(circuit, xs)
-        np.testing.assert_allclose(got, final_state(circuit, params, xs), atol=1e-12)
+        params = rng.uniform(-math.pi, math.pi, (int(rng.integers(1, 5)), circuit.num_params))
+        _check_kernel_unitaries(circuit, params, rng.uniform(-1, 1, (5, circuit.num_inputs)))
 
 
-def test_unitary_rejects_per_row_params():
+def test_unitary_rejects_params_that_are_not_a_kernel_matrix():
     circuit = build_ansatz("mod-a").circuit
-    with pytest.raises(ValueError, match=r"\(6,\) parameter vector"):
-        unitary(circuit, np.zeros((3, 6)))
-    with pytest.raises(ValueError, match=r"\(6,\) parameter vector"):
-        unitary(circuit, np.zeros(5))
+    for shape in [(6,), (4, 5), (4, 1, 6)]:
+        with pytest.raises(ValueError, match=r"\(kernels, 6\) parameter matrix"):
+            unitary(circuit, np.zeros(shape))
 
 
 def test_unitary_rejects_input_angle_after_first_parameter():
@@ -328,7 +332,7 @@ def test_unitary_rejects_input_angle_after_first_parameter():
            GateOp("RZ", (0,), input_idx=(0,)))
     circuit = Circuit(1, ops, num_params=1, num_inputs=1, readout=(0,))
     with pytest.raises(ValueError, match="input angle follows"):
-        unitary(circuit, [0.3])
+        unitary(circuit, [[0.3]])
 
 
 # ---------------------------------------------------------------------------
