@@ -379,7 +379,7 @@ def cmd_curves(run_dirs, out_csv: str | None, out_svg: str | None) -> int:
         label = run_path.name
         epochs = sorted({e for rec in per_seed.values() for e in rec})
         stats = {}
-        for idx, metric in enumerate(("train_acc", "train_loss", "val_acc", "val_loss")):
+        for idx, metric in ((0, "train_acc"), (2, "val_acc")):  # read_metrics_csv value index
             rows = []
             for e in epochs:
                 vals = [rec[e][idx] for rec in per_seed.values() if e in rec]

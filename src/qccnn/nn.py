@@ -9,6 +9,12 @@ conv-without-pooling variant uses a single kernel whose four readouts form
 the four feature maps, so every configuration feeds the dense head
 4 x H' x W' features.  Training uses softmax
 cross-entropy and Adam.
+
+Both fronts share one interface: ``parameters()`` returns the live arrays by
+checkpoint group (``kernels``, or ``filters`` and ``conv_bias``), which
+training updates in place; ``backward(upstream)`` returns the gradients of
+the last forward under the same names; ``meta`` holds the checkpoint's
+``front`` (ansatz key or ``classical``) and ``relu``.
 """
 
 from __future__ import annotations
@@ -58,56 +64,45 @@ class QuantumConvLayer:
         # One kernel when the circuit itself emits all four maps.
         self.num_kernels = 1 if ansatz.num_readouts == NUM_FEATURE_MAPS else NUM_FEATURE_MAPS
         self.params = rng.uniform(-math.pi, math.pi, (self.num_kernels, ansatz.num_params))
+        self.meta = {"front": ansatz.key, "relu": False}
         self._cache = None
 
-    @property
-    def num_params(self) -> int:
-        return self.params.size
+    def parameters(self) -> dict[str, np.ndarray]:
+        return {"kernels": self.params}
 
     def forward(self, images: np.ndarray) -> np.ndarray:
-        batch, h, w = images.shape
-        h_out, w_out = patch_grid(h, w, KERNEL_SIZE, self.stride)
         self._cache = None  # free the last encoded state before encoding this batch
-        patches = np.concatenate(
-            [extract_patches(img, KERNEL_SIZE, self.stride) for img in images]
-        )
-        encoded = encode(self.circuit, patches)
+        patches, maps_shape = _patch_features(images, self.stride)
+        encoded = encode(self.circuit, patches.reshape(-1, KERNEL_SIZE * KERNEL_SIZE))
         unitaries = unitary(self.circuit, self.params)
         # One buffer for every kernel: a fresh product each would map and
         # unmap state-sized blocks.
         state = np.empty_like(encoded)
-        raw = np.empty((self.num_kernels, patches.shape[0], self.ansatz.num_readouts))
+        raw = np.empty((self.num_kernels, encoded.shape[1], self.ansatz.num_readouts))
         for k, u in enumerate(unitaries):
             raw[k] = readouts(self.circuit, np.matmul(u, encoded, out=state))
-        self._cache = (unitaries, raw, encoded)
+        self._cache = (maps_shape, unitaries, raw, encoded)
         values = apply_postprocess(self.ansatz.postprocess, raw)
-        # (kernels, rows, readouts) -> (batch, kernels*readouts, h_out, w_out)
-        maps = values.transpose(1, 0, 2).reshape(batch, h_out * w_out, NUM_FEATURE_MAPS)
-        return maps.transpose(0, 2, 1).reshape(batch, NUM_FEATURE_MAPS, h_out, w_out)
+        # (kernels, rows, readouts) -> (batch, rows, kernels*readouts) features
+        features = values.transpose(1, 0, 2).reshape(patches.shape)
+        return features.transpose(0, 2, 1).reshape(maps_shape)
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
+    def backward(self, upstream: np.ndarray) -> dict[str, np.ndarray]:
         """Kernel parameter gradients given dLoss/d(feature maps).
 
         Sign has zero derivative almost everywhere, so its kernels receive
         zero gradients; other postprocesses chain through their derivative.
         """
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        unitaries, raw, encoded = self._cache
-        batch = upstream.shape[0]
-        flat = upstream.reshape(batch, NUM_FEATURE_MAPS, -1).transpose(0, 2, 1)
-        flat = flat.reshape(-1, NUM_FEATURE_MAPS)  # (rows, kernels*readouts)
-        per_kernel = flat.reshape(flat.shape[0], self.num_kernels, self.ansatz.num_readouts)
-        per_kernel = per_kernel.transpose(1, 0, 2)  # (kernels, rows, readouts), like raw
-        if per_kernel.shape != raw.shape:
-            raise ValueError(
-                f"upstream shape {upstream.shape} does not match cached"
-                f" forward shape {raw.shape}"
-            )
-        if self.ansatz.postprocess == "sign":
-            return np.zeros(self.params.shape)
-        weights = per_kernel * postprocess_derivative(self.ansatz.postprocess, raw)
-        return summed_readout_gradient(self.circuit, self.params, weights, unitaries, encoded)
+        d_features = _feature_rows(upstream, self._cache)
+        _, unitaries, raw, encoded = self._cache
+        post = self.ansatz.postprocess
+        if post == "sign":
+            return {"kernels": np.zeros(self.params.shape)}
+        # (batch, rows, kernels*readouts) -> (kernels, rows, readouts), like raw
+        d_raw = d_features.reshape(raw.shape[1], self.num_kernels, -1).transpose(1, 0, 2)
+        weights = d_raw * postprocess_derivative(post, raw)
+        grad = summed_readout_gradient(self.circuit, self.params, weights, unitaries, encoded)
+        return {"kernels": grad}
 
 
 class ClassicalConvLayer:
@@ -120,31 +115,51 @@ class ClassicalConvLayer:
         self.bias = np.zeros(NUM_FEATURE_MAPS)
         self.stride = stride
         self.relu = relu
+        self.meta = {"front": "classical", "relu": bool(relu)}
         self._cache = None
 
-    @property
-    def num_params(self) -> int:
-        return self.filters.size + self.bias.size
+    def parameters(self) -> dict[str, np.ndarray]:
+        return {"filters": self.filters, "conv_bias": self.bias}
 
     def forward(self, images: np.ndarray) -> np.ndarray:
-        batch, h, w = images.shape
-        h_out, w_out = patch_grid(h, w, KERNEL_SIZE, self.stride)
-        patches = np.stack(
-            [extract_patches(img, KERNEL_SIZE, self.stride) for img in images]
-        )  # (batch, rows, 4)
+        patches, maps_shape = _patch_features(images, self.stride)
         pre = patches @ self.filters.reshape(NUM_FEATURE_MAPS, -1).T + self.bias
         out = np.maximum(pre, 0.0) if self.relu else pre
-        self._cache = (patches, pre)
-        return out.transpose(0, 2, 1).reshape(batch, NUM_FEATURE_MAPS, h_out, w_out)
+        self._cache = (maps_shape, patches, pre)
+        return out.transpose(0, 2, 1).reshape(maps_shape)
 
-    def backward(self, upstream: np.ndarray):
-        patches, pre = self._cache
-        batch = upstream.shape[0]
-        d_out = upstream.reshape(batch, NUM_FEATURE_MAPS, -1).transpose(0, 2, 1)
+    def backward(self, upstream: np.ndarray) -> dict[str, np.ndarray]:
+        # d_out stays a strided view: a contiguous copy would change how
+        # einsum and sum group their additions.
+        d_out = _feature_rows(upstream, self._cache)
+        _, patches, pre = self._cache
         if self.relu:
             d_out = d_out * (pre > 0)
         d_filters = np.einsum("brf,brp->fp", d_out, patches)
-        return d_filters.reshape(self.filters.shape), d_out.sum(axis=(0, 1))
+        return {"filters": d_filters.reshape(self.filters.shape),
+                "conv_bias": d_out.sum(axis=(0, 1))}
+
+
+def _patch_features(images: np.ndarray, stride: int):
+    """Each image's 2x2 patches as (batch, rows, 4) features, and the shape
+    (batch, 4, h_out, w_out) that ``features.transpose(0, 2, 1)`` takes as maps."""
+    batch, h, w = images.shape
+    h_out, w_out = patch_grid(h, w, KERNEL_SIZE, stride)
+    patches = np.stack([extract_patches(img, KERNEL_SIZE, stride) for img in images])
+    return patches, (batch, NUM_FEATURE_MAPS, h_out, w_out)
+
+
+def _feature_rows(upstream: np.ndarray, cache) -> np.ndarray:
+    """dLoss/d(maps), as maps or flat per image, as a (batch, rows, 4) view;
+    `cache` is the front's forward cache (None, or led by the maps shape)."""
+    if cache is None:
+        raise RuntimeError("backward called before forward")
+    maps_shape = cache[0]
+    if upstream.shape[:1] != maps_shape[:1] or upstream.size != math.prod(maps_shape):
+        raise ValueError(
+            f"upstream shape {upstream.shape} does not match forward maps shape {maps_shape}"
+        )
+    return upstream.reshape(maps_shape[0], NUM_FEATURE_MAPS, -1).transpose(0, 2, 1)
 
 
 class DenseLayer:
@@ -183,7 +198,12 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 
 class HybridModel:
-    """Convolution front end + dense head over flattened feature maps."""
+    """Convolution front end + dense head over flattened feature maps.
+
+    The front is any object with ``stride``, ``forward`` and the interface in
+    the module docstring.  Gradients and parameters list ``head_weights`` and
+    ``head_bias``, then the front's groups; the checkpoint spreads its ``meta``.
+    """
 
     def __init__(self, front, image_shape: tuple[int, int], rng=None):
         self.front = front
@@ -199,45 +219,23 @@ class HybridModel:
         """Mean loss, accuracy, and gradients for one batch."""
         logits = self.forward(images)
         losses, d_logits = softmax_cross_entropy(logits, labels)
-        batch = len(losses)
         accuracy = float((logits.argmax(axis=1) == labels).mean())
-        d_logits /= batch
+        d_logits /= len(losses)
         d_weights, d_bias, d_features = self.head.backward(d_logits)
-        maps_shape = (batch, NUM_FEATURE_MAPS, *self._map_shape())
-        grads = {"head_weights": d_weights, "head_bias": d_bias}
-        upstream = d_features.reshape(maps_shape)
-        if isinstance(self.front, QuantumConvLayer):
-            grads["kernels"] = self.front.backward(upstream)
-        else:
-            d_filters, d_fbias = self.front.backward(upstream)
-            grads["filters"] = d_filters
-            grads["conv_bias"] = d_fbias
+        grads = {"head_weights": d_weights, "head_bias": d_bias, **self.front.backward(d_features)}
         return float(losses.mean()), accuracy, grads
 
     def parameters(self) -> dict[str, np.ndarray]:
-        params = {"head_weights": self.head.weights, "head_bias": self.head.bias}
-        if isinstance(self.front, QuantumConvLayer):
-            params["kernels"] = self.front.params
-        else:
-            params["filters"] = self.front.filters
-            params["conv_bias"] = self.front.bias
-        return params
-
-    def _map_shape(self) -> tuple[int, int]:
-        return patch_grid(*self.image_shape, KERNEL_SIZE, self.front.stride)
+        return {"head_weights": self.head.weights, "head_bias": self.head.bias,
+                **self.front.parameters()}
 
     def state_dict(self) -> dict:
-        front = self.front
-        meta = {
-            "front": front.ansatz.key if isinstance(front, QuantumConvLayer) else "classical",
-            "stride": front.stride,
-            "image_shape": list(self.image_shape),
-            "relu": bool(getattr(front, "relu", False)),
-        }
         return {
             "format": "qccnn-checkpoint",
             "version": 1,
-            **meta,
+            **self.front.meta,
+            "stride": self.front.stride,
+            "image_shape": list(self.image_shape),
             "params": {name: arr.tolist() for name, arr in self.parameters().items()},
         }
 

@@ -7,7 +7,7 @@ import pytest
 
 from qccnn.autodiff import readout_gradient, summed_readout_gradient
 from qccnn.circuits import ANSATZ_KEYS, build_ansatz
-from qccnn.nn import QuantumConvLayer
+from qccnn.nn import ClassicalConvLayer, QuantumConvLayer
 from qccnn.sim import (
     Circuit,
     GateOp,
@@ -328,7 +328,7 @@ def test_layer_backward_zero_upstream_gives_zero():
     xs = rng.uniform(-1, 1, (4, 4))
     theta = rng.uniform(-math.pi, math.pi, 4)
     layer = _layer("select-tanh", xs, theta)
-    grads = layer.backward(np.zeros((4, 4, 1, 1)))
+    grads = layer.backward(np.zeros((4, 4, 1, 1)))["kernels"]
     np.testing.assert_array_equal(grads, np.zeros((4, 4)))
 
 
@@ -337,7 +337,7 @@ def test_layer_backward_single_patch_equals_scaled_gradient():
     x = rng.uniform(-1, 1, (1, 4))
     theta = rng.uniform(-math.pi, math.pi, 6)
     layer = _layer("midcircuit-rx", x, theta)
-    grads = layer.backward(_kernel0_upstream([2.5]))
+    grads = layer.backward(_kernel0_upstream([2.5]))["kernels"]
     expected = 2.5 * _gradient(layer.ansatz.circuit, theta, 0, x)
     np.testing.assert_allclose(grads[0], expected, atol=1e-12)
     np.testing.assert_array_equal(grads[1:], 0.0)
@@ -349,7 +349,7 @@ def test_layer_backward_tanh_chain_rule():
     theta = rng.uniform(-math.pi, math.pi, 4)
     layer = _layer("select-tanh", x, theta)
     raw = run_deferred_batch(layer.ansatz.circuit, theta, x)[0, 0]
-    grads = layer.backward(_kernel0_upstream([1.0]))
+    grads = layer.backward(_kernel0_upstream([1.0]))["kernels"]
     expected = (1 - math.tanh(raw) ** 2) * _gradient(layer.ansatz.circuit, theta, 0, x)
     np.testing.assert_allclose(grads[0], expected, atol=1e-12)
 
@@ -359,14 +359,16 @@ def test_layer_backward_sign_gradient_is_zero():
     xs = rng.uniform(-1, 1, (3, 4))
     theta = rng.uniform(-math.pi, math.pi, 4)
     layer = _layer("select-sign", xs, theta)
-    grads = layer.backward(rng.normal(size=(3, 4, 1, 1)))
+    grads = layer.backward(rng.normal(size=(3, 4, 1, 1)))["kernels"]
     np.testing.assert_array_equal(grads, np.zeros((4, 4)))
 
 
-def test_layer_backward_shape_mismatch_rejected():
+@pytest.mark.parametrize("front", ["select-tanh", "classical"])
+def test_layer_backward_shape_mismatch_rejected(front):
+    layer = ClassicalConvLayer() if front == "classical" else QuantumConvLayer(build_ansatz(front))
+    with pytest.raises(RuntimeError, match="before forward"):
+        layer.backward(np.zeros((3, 4, 1, 1)))
     rng = np.random.default_rng(49)
-    xs = rng.uniform(-1, 1, (3, 4))
-    theta = rng.uniform(-math.pi, math.pi, 4)
-    layer = _layer("select-tanh", xs, theta)
+    layer.forward(rng.uniform(-1, 1, (3, 2, 2)))
     with pytest.raises(ValueError, match="does not match"):
-        layer.backward(np.zeros((2, 4, 1, 1)))
+        layer.backward(np.zeros((1, 4, 1, 1)))  # would broadcast over the batch axis
