@@ -1,20 +1,21 @@
-"""Builders for the data encoding, convolution baseline and pooling circuits.
+"""The ansatz table: each circuit variant's builder and classical postprocess.
 
 Every builder returns an input-parameterized :class:`~qccnn.sim.Circuit`
 template over 4 patch inputs; the encoding angles are resolved per patch at
-execution time.  Families:
+execution time.  `_ANSATZE` maps each key to a builder, the one value that
+builder takes, and a postprocess kind (identity unless named below):
 
 * ``conv`` - encoding + basic entangling layer, all four qubits read out.
 * ``midcircuit-rx`` / ``midcircuit-ry`` - three mid-circuit measurements
-  conditioning rotation cascades, one readout.
+  conditioning rotation cascades about the given axis, one readout.
 * ``ancilla-cy`` / ``ancilla-cz`` - Hadamard / controlled gates / Hadamard
   parity readout on a fifth qubit.
 * ``mod-a`` / ``mod-b`` / ``mod-c`` - modular two-qubit blocks halving the
   register twice (4 -> 2 -> 1 qubits).  The block internals follow common
   two-qubit pooling constructions; they are one concrete reconstruction, not
   a canonical definition (see README).
-* ``select-sign`` / ``select-tanh`` - read a single fixed qubit and apply a
-  classical activation to the expectation.
+* ``select-sign`` / ``select-tanh`` - the ``conv`` circuit read on q2 only,
+  with a sign or tanh activation on the expectation.
 """
 
 from __future__ import annotations
@@ -26,19 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from .sim import Circuit, GateOp, MidMeasure
-
-ANSATZ_KEYS = (
-    "conv",
-    "midcircuit-rx",
-    "midcircuit-ry",
-    "ancilla-cy",
-    "ancilla-cz",
-    "mod-a",
-    "mod-b",
-    "mod-c",
-    "select-sign",
-    "select-tanh",
-)
 
 
 @dataclass(frozen=True)
@@ -58,30 +46,29 @@ class Ansatz:
         return len(self.circuit.readout)
 
 
+# kind -> (activation, derivative), both pointwise on circuit readouts in
+# [-1, 1].  Sign is flat almost everywhere, so its derivative is zero.
+_POSTPROCESS = {
+    "identity": (lambda values: values, np.ones_like),
+    "sign": (np.sign, np.zeros_like),
+    "tanh": (np.tanh, lambda values: 1.0 - np.tanh(values) ** 2),
+}
+
+
+def _postprocess(kind: str):
+    if kind not in _POSTPROCESS:
+        raise ValueError(f"unknown postprocess {kind!r}")
+    return _POSTPROCESS[kind]
+
+
 def apply_postprocess(kind: str, values):
     """Classical activation on circuit readouts; maps [-1, 1] into [-1, 1]."""
-    if kind == "identity":
-        return values
-    if kind == "sign":
-        return np.sign(values)
-    if kind == "tanh":
-        return np.tanh(values)
-    raise ValueError(f"unknown postprocess {kind!r}")
+    return _postprocess(kind)[0](values)
 
 
 def postprocess_derivative(kind: str, values):
-    """Pointwise derivative of :func:`apply_postprocess` at `values`.
-
-    Sign is flat almost everywhere, so its derivative is identically zero.
-    """
-    values = np.asarray(values, dtype=float)
-    if kind == "identity":
-        return np.ones_like(values)
-    if kind == "sign":
-        return np.zeros_like(values)
-    if kind == "tanh":
-        return 1.0 - np.tanh(values) ** 2
-    raise ValueError(f"unknown postprocess {kind!r}")
+    """Pointwise derivative of :func:`apply_postprocess` at `values`."""
+    return _postprocess(kind)[1](np.asarray(values, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -116,21 +103,19 @@ def basic_entangling_layer(param_base: int = 0) -> list:
 # ---------------------------------------------------------------------------
 
 
-def build_conv_no_pool() -> Circuit:
-    """Quantum convolution baseline: 4 qubits, 4 parameters, 4 readouts."""
+def build_conv(readout: tuple[int, ...]) -> Circuit:
+    """Encoding + entangling layer: 4 qubits, 4 parameters, read on `readout`."""
     ops = higher_order_encoding_template() + basic_entangling_layer(0)
-    return Circuit(4, tuple(ops), num_params=4, num_inputs=4, readout=(0, 1, 2, 3))
+    return Circuit(4, tuple(ops), num_params=4, num_inputs=4, readout=readout)
 
 
 def build_midcircuit_pooling(axis: str) -> Circuit:
     """Mid-circuit measurement pooling: 4 qubits, 6 parameters, readout q3.
 
-    q0 is measured and, on outcome 1, rotations hit q1/q2/q3; then q1 is
-    measured conditioning rotations on q2/q3; after a CNOT(q2, q3), q2 is
+    q0 is measured and, on outcome 1, `axis` rotations hit q1/q2/q3; then q1
+    is measured conditioning rotations on q2/q3; after a CNOT(q2, q3), q2 is
     measured conditioning a final rotation on q3.
     """
-    if axis not in ("RX", "RY"):
-        raise ValueError(f"axis must be RX or RY, got {axis!r}")
     ops = higher_order_encoding_template()
     ops.append(MidMeasure(0, 0))
     ops += [GateOp(axis, (q,), param_slot=q - 1, condition=0) for q in (1, 2, 3)]
@@ -145,12 +130,10 @@ def build_midcircuit_pooling(axis: str) -> Circuit:
 def build_ancilla_pooling(gate: str) -> Circuit:
     """Ancilla pooling: 5 qubits, 4 parameters, parity readout on the ancilla.
 
-    The ancilla (q4) is framed by Hadamards around one controlled gate from
+    The ancilla (q4) is framed by Hadamards around one controlled `gate` from
     each data qubit.  CY and CZ variants are observationally identical: both
     reduce the readout to the four-qubit parity <ZZZZ>.
     """
-    if gate not in ("CY", "CZ"):
-        raise ValueError(f"gate must be CY or CZ, got {gate!r}")
     ops = [GateOp("H", (4,))]
     ops += higher_order_encoding_template()
     ops += basic_entangling_layer(0)
@@ -160,17 +143,13 @@ def build_ancilla_pooling(gate: str) -> Circuit:
 
 
 def _pool_primitive(a: int, b: int, base: int):
-    # Two-parameter pooling of qubit a into qubit b.
+    """Two-parameter pooling of qubit a into qubit b; the whole mod-a block."""
     ops = [
         GateOp("CRZ", (a, b), param_slot=base),
         GateOp("X", (a,)),
         GateOp("CRX", (a, b), param_slot=base + 1),
     ]
     return ops, base + 2
-
-
-def _block_mod_a(a: int, b: int, base: int):
-    return _pool_primitive(a, b, base)
 
 
 def _block_mod_b(a: int, b: int, base: int):
@@ -200,19 +179,15 @@ def _block_mod_c(a: int, b: int, base: int):
     return ops + tail, base
 
 
-_MOD_BLOCKS = {"a": _block_mod_a, "b": _block_mod_b, "c": _block_mod_c}
-
-
-def build_modular_pooling(variant: str) -> Circuit:
+def build_modular_pooling(block) -> Circuit:
     """Modular pooling: three two-qubit blocks reduce 4 -> 2 -> 1 qubits.
 
-    Blocks act on (q0,q1) and (q2,q3), each keeping the higher-indexed
-    qubit, then on (q1,q3); readout is q3.  Discarded qubits are simply
-    never used again.  Parameters: mod-a 6, mod-b 12, mod-c 36.
+    `block(a, b, base)` pools qubit a into b with parameters from slot
+    `base` on and returns (ops, next free slot).  Blocks act on (q0,q1) and
+    (q2,q3), each keeping the higher-indexed qubit, then on (q1,q3); readout
+    is q3.  Discarded qubits are simply never used again.  Parameters:
+    mod-a 6, mod-b 12, mod-c 36.
     """
-    block = _MOD_BLOCKS.get(variant)
-    if block is None:
-        raise ValueError(f"variant must be one of {sorted(_MOD_BLOCKS)}, got {variant!r}")
     ops = higher_order_encoding_template()
     base = 0
     for a, b in ((0, 1), (2, 3), (1, 3)):
@@ -221,33 +196,30 @@ def build_modular_pooling(variant: str) -> Circuit:
     return Circuit(4, tuple(ops), num_params=base, num_inputs=4, readout=(3,))
 
 
-def build_qubit_select(post: str):
-    """Qubit-selection pooling: read q2 only, activate classically.
+# ---------------------------------------------------------------------------
+# the table
+# ---------------------------------------------------------------------------
 
-    Returns the circuit (4 qubits, 4 parameters) and the postprocess kind.
-    """
-    if post not in ("sign", "tanh"):
-        raise ValueError(f"post must be sign or tanh, got {post!r}")
-    ops = higher_order_encoding_template() + basic_entangling_layer(0)
-    return Circuit(4, tuple(ops), num_params=4, num_inputs=4, readout=(2,)), post
+# key -> (builder, its argument, postprocess kind)
+_ANSATZE = {
+    "conv": (build_conv, (0, 1, 2, 3), "identity"),
+    "midcircuit-rx": (build_midcircuit_pooling, "RX", "identity"),
+    "midcircuit-ry": (build_midcircuit_pooling, "RY", "identity"),
+    "ancilla-cy": (build_ancilla_pooling, "CY", "identity"),
+    "ancilla-cz": (build_ancilla_pooling, "CZ", "identity"),
+    "mod-a": (build_modular_pooling, _pool_primitive, "identity"),
+    "mod-b": (build_modular_pooling, _block_mod_b, "identity"),
+    "mod-c": (build_modular_pooling, _block_mod_c, "identity"),
+    "select-sign": (build_conv, (2,), "sign"),
+    "select-tanh": (build_conv, (2,), "tanh"),
+}
+ANSATZ_KEYS = tuple(_ANSATZE)
 
 
 @lru_cache(maxsize=None)
 def build_ansatz(key: str) -> Ansatz:
     """Look up an ansatz by its registry key (see `ANSATZ_KEYS`)."""
-    if key not in ANSATZ_KEYS:
+    if key not in _ANSATZE:
         raise ValueError(f"unknown ansatz key {key!r}; known keys: {', '.join(ANSATZ_KEYS)}")
-    if key == "conv":
-        return Ansatz(key, build_conv_no_pool())
-    if key.startswith("midcircuit-"):
-        axis = key.removeprefix("midcircuit-").upper()
-        return Ansatz(key, build_midcircuit_pooling(axis))
-    if key.startswith("ancilla-"):
-        gate = key.removeprefix("ancilla-").upper()
-        return Ansatz(key, build_ancilla_pooling(gate))
-    if key.startswith("mod-"):
-        variant = key.removeprefix("mod-")
-        return Ansatz(key, build_modular_pooling(variant))
-    post = key.removeprefix("select-")
-    circuit, post = build_qubit_select(post)
-    return Ansatz(key, circuit, postprocess=post)
+    builder, arg, postprocess = _ANSATZE[key]
+    return Ansatz(key, builder(arg), postprocess)

@@ -101,8 +101,12 @@ def read_config_file(path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"no such config file: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path} as UTF-8 text: {exc}") from None
     values = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -179,6 +183,15 @@ def _validate_config(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
+def _make_out_dir(out: str) -> Path:
+    path = Path(out)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a path under a regular file, for example
+        raise ConfigError(f"cannot make output directory {path}: {exc}") from None
+    return path
+
+
 def _atomic_write(path: Path, text: str):
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
@@ -244,8 +257,7 @@ def cmd_train(cfg: RunConfig) -> int:
         raise ConfigError(
             f"unknown ansatz {cfg.ansatz!r}; choose from {', '.join(known_fronts)}"
         )
-    out_dir = Path(cfg.out or f"runs/{cfg.ansatz}")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(cfg.out or f"runs/{cfg.ansatz}")
     train, val = load_dataset(cfg.data)
     per_seed: dict[int, FitResult] = {}
     for seed in cfg.seeds:
@@ -291,9 +303,27 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _is_int(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _check_checkpoint_meta(state: dict):
+    """Reject model metadata that `make_model` would misread or fail on."""
+    shape, stride, relu = state["image_shape"], state["stride"], state["relu"]
+    if not (isinstance(shape, list) and len(shape) == 2 and all(_is_int(v, 2) for v in shape)):
+        raise ValueError(f"'image_shape' must be two integers >= 2, got {shape!r}")
+    if not _is_int(stride, 1):
+        raise ValueError(f"'stride' must be a positive integer, got {stride!r}")
+    if not isinstance(relu, bool):
+        raise ValueError(f"'relu' must be a boolean, got {relu!r}")
+    if relu and state["front"] != "classical":
+        raise ValueError(f"'relu' must be false for the quantum front {state['front']!r}")
+
+
 def cmd_eval(cfg: RunConfig, checkpoint: str) -> int:
     try:
         state = json.loads(Path(checkpoint).read_text())
+        _check_checkpoint_meta(state)
         model = make_model(
             state["front"], tuple(state["image_shape"]), state["stride"], 0, state["relu"]
         )
@@ -331,8 +361,7 @@ def cmd_ed(cfg: RunConfig) -> int:
     for key in keys:
         if key not in ANSATZ_KEYS:
             raise ConfigError(f"unknown ansatz {key!r}; choose from {', '.join(ANSATZ_KEYS)}")
-    out_dir = Path(cfg.out or "runs/ed")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(cfg.out or "runs/ed")
     table_path = out_dir / "ed_results.csv"
     # Rows are keyed by their settings, the first six columns, so a rerun
     # replaces its own rows in place and keeps every other row.

@@ -200,7 +200,7 @@ def load_dataset(source) -> tuple[Dataset, Dataset]:
     ``.zip`` archive path, or a directory holding either ``train.csv`` +
     ``val.csv`` or IDX files named ``{split}-images.idx`` /
     ``{split}-labels.idx``.  Both splits must hold at least one image of at
-    least 2x2 pixels, the patch window.
+    least 2x2 pixels, the patch window, and their images must share one shape.
     """
     source = str(source)
     if source == "synthetic" or source.startswith("synthetic:"):
@@ -213,6 +213,11 @@ def load_dataset(source) -> tuple[Dataset, Dataset]:
             raise DataError(f"{source}: {split.split} split has no images")
         if h < 2 or w < 2:
             raise DataError(f"{source}: {split.split} images are {h}x{w}, smaller than 2x2")
+    train, val = splits
+    if train.image_shape != val.image_shape:
+        raise DataError(
+            f"{source}: train images are {train.image_shape}, val images are {val.image_shape}"
+        )
     return splits
 
 

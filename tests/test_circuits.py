@@ -1,5 +1,6 @@
 """Circuit builder tests: gate counts, parameter counts, family behavior."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -202,6 +203,30 @@ def test_registry_rejects_unknown_key():
         build_ansatz("select-relu")
 
 
+# key -> sha256 of f"{repr(circuit)}|{postprocess}": any edit to a circuit's
+# ops, counts, readout or postprocess, or to the key order, changes this table.
+ANSATZ_PINS = {
+    "conv": "5fae17e49d7b475fe511b1520075dd5d1fdf0e5ad4101a66c66368f7473a5a85",
+    "midcircuit-rx": "4bd09c9d11d98775559454b85d7d0801c31d2c1eaf6faccfb8e6b8147a8b5904",
+    "midcircuit-ry": "5435e8fb5731696347a420d54451a72252703672667be37561dc576080f65808",
+    "ancilla-cy": "c51a513db8a7b32f7af966161b39734772eef2dae7363ed10b063b25cb13935d",
+    "ancilla-cz": "414b34a807bd7ac677cebf2411a2c6dc52858ff6e7fbdba67a03c11e544060f6",
+    "mod-a": "c450b61daf93ce5bf936ccd72fc78010612b791a1071440f539dc3377cf1d41f",
+    "mod-b": "24066bf0e3cf74d3bdaf48198cf0b97b10b5ba25af81c4ce717ebf7933ad8a2f",
+    "mod-c": "60e9ce08f408bbd6d1416e40c651b2f60830f1aa9d2134ae744cf32eb11a6368",
+    "select-sign": "c08c595781e68d099796f7a28ae12e63d4eaf9ae519a12d46501801954fa7050",
+    "select-tanh": "3986c3f3d746f8d95b132b3a20c351d9ddeabb525f5a7b193e12f70cb1737dfd",
+}
+
+
+@pytest.mark.parametrize("key", ANSATZ_KEYS)
+def test_ansatz_matches_its_pin(key):
+    assert tuple(ANSATZ_PINS) == ANSATZ_KEYS
+    ansatz = build_ansatz(key)
+    text = f"{ansatz.circuit!r}|{ansatz.postprocess}"
+    assert hashlib.sha256(text.encode()).hexdigest() == ANSATZ_PINS[key]
+
+
 # ---------------------------------------------------------------------------
 # rank audit: the readout jacobian's rank and its dead parameters
 # ---------------------------------------------------------------------------
@@ -280,3 +305,9 @@ def test_postprocess_derivatives():
     np.testing.assert_allclose(
         postprocess_derivative("tanh", values), 1 - np.tanh(values) ** 2
     )
+
+
+@pytest.mark.parametrize("fn", [apply_postprocess, postprocess_derivative])
+def test_unknown_postprocess_rejected(fn):
+    with pytest.raises(ValueError, match="unknown postprocess"):
+        fn("relu", np.zeros(2))

@@ -190,9 +190,9 @@ def test_eval_checkpoint(tmp_path, capsys):
     assert "val: accuracy=" in printed
 
 
-def _eval_argv(tmp_path, edit):
+def _eval_argv(tmp_path, edit, *train_args):
     """eval on a copy of a fresh checkpoint whose text is `edit(state)`."""
-    state = json.loads((_train(tmp_path, "run") / "checkpoint_seed0.json").read_text())
+    state = json.loads((_train(tmp_path, "run", *train_args) / "checkpoint_seed0.json").read_text())
     bad = tmp_path / "bad.json"
     bad.write_text(edit(state))
     return ["eval", str(bad), "--data", SMALL_DATA]
@@ -214,14 +214,15 @@ def _ed_inputs_argv(tmp_path, data):
     return ["ed", "--ansatz", "select-tanh", "--ed-inputs", data, "--out", str(tmp_path / "ed")]
 
 
-def _empty_val_archive(tmp_path):
-    path = tmp_path / "empty_val.npz"
+def _archive_argv(tmp_path, val_n, val_size):
+    """train on an archive of four 8x8 train images and `val_n` val images."""
+    path = tmp_path / "archive.npz"
     np.savez(
         path,
         train_images=np.zeros((4, 8, 8), dtype=np.uint8),
         train_labels=np.array([0, 1, 0, 1], dtype=np.uint8),
-        val_images=np.zeros((0, 8, 8), dtype=np.uint8),
-        val_labels=np.zeros(0, dtype=np.uint8),
+        val_images=np.zeros((val_n, val_size, val_size), dtype=np.uint8),
+        val_labels=(np.arange(val_n) % 2).astype(np.uint8),
     )
     return _train_argv(tmp_path, str(path))
 
@@ -253,11 +254,27 @@ MALFORMED_INPUTS = {
     "checkpoint-infinite-param": lambda tmp: _eval_argv(
         tmp, lambda s: json.dumps({**s, "params": {**s["params"], "conv_bias": [float("-inf")] * 4}})
     ),
+    "checkpoint-image-shape-one-dim": lambda tmp: _eval_argv(
+        tmp, lambda s: json.dumps({**s, "image_shape": [8]})
+    ),
+    "checkpoint-image-shape-below-window": lambda tmp: _eval_argv(
+        tmp, lambda s: json.dumps({**s, "image_shape": [1, 8]})
+    ),
+    "checkpoint-stride-true": lambda tmp: _eval_argv(
+        tmp, lambda s: json.dumps({**s, "stride": True})
+    ),
+    "checkpoint-relu-not-bool": lambda tmp: _eval_argv(
+        tmp, lambda s: json.dumps({**s, "relu": "yes"})
+    ),
+    "checkpoint-relu-on-quantum-front": lambda tmp: _eval_argv(
+        tmp, lambda s: json.dumps({**s, "relu": True}), "--ansatz", "select-tanh"
+    ),
     "synthetic-seed-not-int": lambda tmp: _train_argv(tmp, "synthetic:seed=abc"),
     "synthetic-size-below-window": lambda tmp: _train_argv(tmp, "synthetic:size=1"),
     "synthetic-no-train-images": lambda tmp: _train_argv(tmp, "synthetic:train_n=0"),
     "synthetic-negative-val-n": lambda tmp: _train_argv(tmp, "synthetic:val_n=-3"),
-    "archive-empty-val-split": _empty_val_archive,
+    "archive-empty-val-split": lambda tmp: _archive_argv(tmp, 0, 8),
+    "archive-split-shapes-differ": lambda tmp: _archive_argv(tmp, 2, 6),
     "ed-inputs-size-below-window": lambda tmp: _ed_inputs_argv(tmp, "synthetic:size=1"),
     "ed-inputs-no-train-images": lambda tmp: _ed_inputs_argv(tmp, "synthetic:train_n=0"),
     "eval-image-size-mismatch": _eval_other_size_argv,
@@ -266,13 +283,62 @@ MALFORMED_INPUTS = {
 }
 
 
+# What the message must name, where the exit code alone would not show it.
+MALFORMED_MESSAGES = {
+    "checkpoint-image-shape-one-dim": "'image_shape'",
+    "checkpoint-image-shape-below-window": "'image_shape'",
+    "checkpoint-stride-true": "'stride'",
+    "checkpoint-relu-not-bool": "'relu'",
+    "checkpoint-relu-on-quantum-front": "'relu'",
+    "archive-split-shapes-differ": "train images are (8, 8), val images are (6, 6)",
+    "metrics-short-row": "metrics.csv:2: ",  # path and line number of the bad row
+    "metrics-non-numeric": "metrics.csv:2: ",
+}
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_is_data_error(tmp_path, capsys, case):
     assert main(MALFORMED_INPUTS[case](tmp_path)) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error: ")
-    if case.startswith("metrics-"):
-        assert "metrics.csv:2: " in err  # path and line number of the bad row
+    assert MALFORMED_MESSAGES.get(case, "") in err
+    assert "Traceback" not in err
+
+
+def _regular_file(tmp_path):
+    path = tmp_path / "file"
+    path.write_text("")
+    return path
+
+
+def _non_utf8_config_argv(tmp_path):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes(b"epochs = 1  # caf\xe9\n")
+    return ["train", "--ansatz", "classical", "--data", SMALL_DATA, "--config", str(config),
+            "--out", str(tmp_path / "x")]
+
+
+CONFIG_ERRORS = {
+    "config-not-utf8": _non_utf8_config_argv,
+    "train-out-under-file": lambda tmp: [
+        "train", "--ansatz", "classical", "--data", SMALL_DATA, "--epochs", "1",
+        "--out", str(_regular_file(tmp) / "run"),
+    ],
+    "ed-out-under-file": lambda tmp: [
+        "ed", "--ansatz", "select-tanh", "--theta-samples", "1", "--data-samples", "2",
+        "--out", str(_regular_file(tmp) / "ed"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_unreadable_config_or_out_is_config_error(tmp_path, capsys, case):
+    assert main(CONFIG_ERRORS[case](tmp_path)) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "x").exists()
 
 
 def test_non_finite_training_is_numeric_failure(tmp_path, capsys):
