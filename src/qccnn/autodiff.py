@@ -30,7 +30,6 @@ from .sim import (
     ROTATION_KINDS,
     Circuit,
     _apply_kind,
-    _check_inputs,
     _check_params,
     _first_param_op,
     _halves,
@@ -69,13 +68,14 @@ def _lambda(circuit: Circuit, weights: np.ndarray, state: np.ndarray) -> np.ndar
     return (signs @ weights.T) * state
 
 
-def _walk(ops, params, inputs, phi: np.ndarray, lam: np.ndarray, grad: np.ndarray):
+def _walk(ops, params, phi: np.ndarray, lam: np.ndarray, grad: np.ndarray):
     """Walk back from the last of `ops` to the first, which is parameterised.
 
-    `phi` and `lam` are (2,)*n + (cols,) views, overwritten.  Each
-    parameterised op adds the per-column Im<lam|P|phi> to its slot of the
-    (cols, num_params) `grad`, and then every op but the first is undone on
-    both states.
+    No op takes an input angle: ``Circuit`` rejects one after the first
+    parameterised op.  `phi` and `lam` are (2,)*n + (cols,) views,
+    overwritten.  Each parameterised op adds the per-column Im<lam|P|phi>
+    to its slot of the (cols, num_params) `grad`, and then every op but the
+    first is undone on both states.
     """
     for i in range(len(ops) - 1, -1, -1):
         op = ops[i]
@@ -86,35 +86,34 @@ def _walk(ops, params, inputs, phi: np.ndarray, lam: np.ndarray, grad: np.ndarra
         # Rotations are undone at -theta; the fixed gates are their own inverses.
         theta = None
         if op.kind in ROTATION_KINDS:
-            theta = np.negative(_resolve_angle(op, params, inputs))
+            theta = np.negative(_resolve_angle(op, params, None))
         _apply_kind(phi, op.kind, op.targets, theta)
         _apply_kind(lam, op.kind, op.targets, theta)
 
 
-def readout_gradient(circuit: Circuit, params, inputs, weights, state) -> np.ndarray:
+def readout_gradient(circuit: Circuit, params, weights, state) -> np.ndarray:
     """Per-row gradient of sum_j weights[r, j] * <Z_j> with respect to params.
 
-    `params` is a (num_params,) vector or a (rows, num_params) matrix;
-    `inputs` is a (rows, num_inputs) matrix (an input-free circuit takes
-    (rows, 0)); `weights` is (rows, readouts).  `state` is the circuit's
-    final state at these params and inputs, as :func:`qccnn.sim.final_state`
-    returns it; the walk back overwrites it.  Returns an array of shape
+    `state` is the circuit's (2**n, rows) final state at `params`, as
+    :func:`qccnn.sim.final_state` returns it; the walk back overwrites it.
+    The ops it walks take no input angle, so it needs no inputs.
+    `params` is a (num_params,) vector or a (rows, num_params) matrix, and
+    `weights` is (rows, readouts).  Returns an array of shape
     (rows, num_params).
     """
     circuit = defer_measurements(circuit)
-    inputs = _check_inputs(circuit, inputs)
-    params = _check_params(circuit, params, inputs.shape[0])
+    rows = state.shape[-1]
+    phi = _state_view(circuit, state, rows)
+    params = _check_params(circuit, params, rows)
     weights = np.asarray(weights, dtype=float)
-    rows = inputs.shape[0]
     if weights.shape != (rows, len(circuit.readout)):
         raise ValueError(
             f"weights shape {weights.shape} does not match"
             f" (rows, readouts) = {(rows, len(circuit.readout))}"
         )
-    phi = _state_view(circuit, state, rows)
     lam = _lambda(circuit, weights, state).reshape(phi.shape)
     grad = np.zeros((rows, circuit.num_params))
-    _walk(circuit.ops[_first_param_op(circuit) :], params, inputs, phi, lam, grad)
+    _walk(circuit.ops[_first_param_op(circuit) :], params, phi, lam, grad)
     return grad
 
 
@@ -131,9 +130,8 @@ def summed_readout_gradient(circuit: Circuit, params, weights, unitaries, encode
     states are formed one at a time in one buffer; their M_k stand side by
     side against copies of I, and one walk on these kernels x 2**n columns,
     each with its kernel's parameters, gives every column's Im<I_c|P|M_c>.
-    Its cost does not depend on the row count.  A circuit with an input
-    angle after its first parameterised op is rejected with ValueError.
-    Returns an array of shape (kernels, num_params).
+    Its cost does not depend on the row count.  Returns an array of shape
+    (kernels, num_params).
     """
     circuit = defer_measurements(circuit)
     ops, column_params, ident = _shared_suffix(circuit, params)
@@ -159,5 +157,5 @@ def summed_readout_gradient(circuit: Circuit, params, weights, unitaries, encode
                   out=m[:, k * dim : (k + 1) * dim])
     grad = np.zeros((cols, circuit.num_params))
     phi, lam = _state_view(circuit, m, cols), _state_view(circuit, ident, cols)
-    _walk(ops, column_params, None, phi, lam, grad)
+    _walk(ops, column_params, phi, lam, grad)
     return grad.reshape(kernels, dim, circuit.num_params).sum(axis=1)

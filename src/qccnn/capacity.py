@@ -120,13 +120,13 @@ def _log_prob_weights(probs, ys, num_readouts):
     return residual
 
 
-def _scores(circuit: Circuit, params, xs, ys, state, probs) -> np.ndarray:
-    """Score rows from the final state and class probabilities at (params, xs).
+def _scores(circuit: Circuit, params, ys, state, probs) -> np.ndarray:
+    """Score rows from the final state and class probabilities at `params`.
 
     The adjoint walk overwrites `state`.
     """
     weights = _log_prob_weights(probs, ys, len(circuit.readout))
-    return readout_gradient(circuit, params, xs, weights, state)
+    return readout_gradient(circuit, params, weights, state)
 
 
 def score_batch(circuit: Circuit, params, xs, ys):
@@ -141,7 +141,7 @@ def score_batch(circuit: Circuit, params, xs, ys):
     state = final_state(circuit, params, xs)
     probs = class_probabilities(readouts(circuit, state))
     ys = np.asarray(ys, dtype=np.int64)
-    return _scores(circuit, params, xs, ys, state, probs), 0
+    return _scores(circuit, params, ys, state, probs), 0
 
 
 def sample_labels(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -255,7 +255,7 @@ def effective_dimension(
         u = np.concatenate([v for _, _, v in batch])
         state = final_state(circuit, theta, xs)
         probs = class_probabilities(readouts(circuit, state))
-        scores = _scores(circuit, theta, xs, sample_labels(probs, u), state, probs)
+        scores = _scores(circuit, theta, sample_labels(probs, u), state, probs)
         fims += [b.T @ b / k for b in np.split(scores, len(batch))]
     ed, normalized = effective_dimension_from_fims(fims, gamma, n)
     return EDReport(

@@ -195,7 +195,11 @@ def _make_out_dir(out: str) -> Path:
 def _atomic_write(path: Path, text: str):
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:  # `path` is a directory, for example
+        tmp.unlink()
+        raise
 
 
 def _fmt(value: float) -> str:
@@ -424,13 +428,15 @@ def cmd_curves(run_dirs, out_csv: str | None, out_svg: str | None) -> int:
                 lines.append(
                     f"{label},{metric},{e},{_fmt(mean)},{_fmt(std)},{_fmt(lo)},{_fmt(hi)}"
                 )
-    csv_path = Path(out_csv or "curves.csv")
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
-    print(f"wrote {csv_path}")
+    outputs = [(Path(out_csv or "curves.csv"), "\n".join(lines) + "\n")]
     if out_svg:
-        svg_path = Path(out_svg)
-        _atomic_write(svg_path, render_curves_svg(series))
-        print(f"wrote {svg_path}")
+        outputs.append((Path(out_svg), render_curves_svg(series)))
+    for path, text in outputs:
+        try:
+            _atomic_write(path, text)
+        except OSError as exc:  # a path under a regular file, or a directory
+            raise ConfigError(f"cannot write {path}: {exc}") from None
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -525,16 +531,20 @@ def _make_parser() -> argparse.ArgumentParser:
         description="Hybrid quantum-classical CNN lab: train, evaluate, analyze.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # No prefix abbreviations: `ed --data 5` must not mean `--data-samples 5`.
+    strict = {"allow_abbrev": False}
 
-    def add_common(p):
+    def add_common(p, data: bool, stride: bool):
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--data", help="'synthetic', an .npz archive, or a dataset directory")
-        p.add_argument("--stride", type=int, help="convolution stride (default 2)")
+        if data:
+            p.add_argument("--data", help="'synthetic', an .npz archive, or a dataset directory")
+        if stride:
+            p.add_argument("--stride", type=int, help="convolution stride (default 2)")
         p.add_argument("--seeds", help="comma-separated seeds (default 0,1,2)")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", help="output directory (eval writes none)")
 
-    p_train = sub.add_parser("train", help="multi-seed training campaign")
-    add_common(p_train)
+    p_train = sub.add_parser("train", help="multi-seed training campaign", **strict)
+    add_common(p_train, data=True, stride=True)
     p_train.add_argument("--ansatz", help="ansatz key or 'classical'")
     p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--batch-size", dest="batch_size", type=int)
@@ -544,12 +554,12 @@ def _make_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--classical-relu", dest="classical_relu", action="store_const",
                          const=True, help="ReLU after the classical conv layer")
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    add_common(p_eval)
+    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset", **strict)
+    add_common(p_eval, data=True, stride=False)
     p_eval.add_argument("checkpoint", help="checkpoint_seedN.json path")
 
-    p_ed = sub.add_parser("ed", help="effective-dimension table")
-    add_common(p_ed)
+    p_ed = sub.add_parser("ed", help="effective-dimension table", **strict)
+    add_common(p_ed, data=False, stride=True)
     p_ed.add_argument("--ansatz", help="comma-separated ansatz keys (default: table set)")
     p_ed.add_argument("--gamma", type=float)
     p_ed.add_argument("--n", type=int)
@@ -558,7 +568,9 @@ def _make_parser() -> argparse.ArgumentParser:
     p_ed.add_argument("--ed-inputs", dest="ed_inputs",
                       help="'uniform' or a dataset source to draw patches from")
 
-    p_curves = sub.add_parser("curves", help="combine run metrics into CSV/SVG curves")
+    p_curves = sub.add_parser(
+        "curves", help="combine run metrics into CSV/SVG curves", **strict
+    )
     p_curves.add_argument("run_dirs", nargs="+", help="train output directories")
     p_curves.add_argument("--out", help="combined CSV path (default curves.csv)")
     p_curves.add_argument("--svg", help="optional SVG chart path")

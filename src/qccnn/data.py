@@ -54,6 +54,11 @@ class Dataset:
         return self.images.shape[1], self.images.shape[2]
 
 
+# Largest synthetic request, in bytes of images; the 28x28 stand-in for the
+# real dataset (546 + 78 images) takes 3.9 MB.
+_SYNTHETIC_MAX_BYTES = 1 << 30
+
+
 @dataclass
 class SyntheticSpec:
     """Recipe for the desk-scale two-blob dataset."""
@@ -237,6 +242,12 @@ def _synthetic_spec(source: str) -> SyntheticSpec:
     for key, least in (("train_n", 1), ("val_n", 1), ("size", 2)):
         if getattr(spec, key) < least:
             raise DataError(f"synthetic option {key!r} must be >= {least}, got {getattr(spec, key)}")
+    image_bytes = (spec.train_n + spec.val_n) * spec.size**2 * 8  # float64 pixels
+    if image_bytes > _SYNTHETIC_MAX_BYTES:
+        raise DataError(
+            f"synthetic images would take {image_bytes / 2**30:.1f} GiB,"
+            f" more than the {_SYNTHETIC_MAX_BYTES / 2**30:.0f} GiB limit"
+        )
     return spec
 
 

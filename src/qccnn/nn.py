@@ -45,15 +45,16 @@ class QuantumConvLayer:
     """Quantum convolution (optionally pooling) with 2x2 patch circuits.
 
     The kernels share one circuit and differ only in parameters, and no
-    input angle follows the first parameterised gate, so each kernel acts
-    on the encoded patches as one 2**n x 2**n matrix.  A forward encodes
-    the patch batch once, builds every kernel's matrix in one pass of the
-    gates over kernels x 2**n columns (:func:`unitary`), and applies each
-    matrix to the encoding in one matrix product.  It caches the encoded
-    state and the matrices, not the final states; the backward recomputes
-    each final state from them and makes one walk back over the kernels'
-    row-summed matrices, kernels x 2**n columns in all
-    (:func:`summed_readout_gradient`), not over every row.
+    input angle follows the first parameterised gate (``Circuit`` rejects
+    one when it is built), so each kernel acts on the encoded patches as
+    one 2**n x 2**n matrix.  A forward encodes the patch batch once, builds
+    every kernel's matrix in one pass of the gates over kernels x 2**n
+    columns (:func:`unitary`), and applies each matrix to the encoding in
+    one matrix product.  It caches the encoded state and the matrices, not
+    the final states; the backward recomputes each final state from them
+    and makes one walk back over the kernels' row-summed matrices,
+    kernels x 2**n columns in all (:func:`summed_readout_gradient`), not
+    over every row.
     """
 
     def __init__(self, ansatz: Ansatz, stride: int = 2, rng=None):

@@ -14,17 +14,19 @@ parameters are a (num_params,) vector shared by every row of a batch, or a
 both.
 Mid-circuit measurements and classically conditioned gates always execute
 exactly: :func:`defer_measurements` rewrites each conditioned rotation to a
-controlled rotation on the measured qubit.
+controlled rotation on the measured qubit.  :class:`Circuit` checks every
+rule that makes this rewrite exact when it is built, so the rewrite itself
+rejects nothing.
 
 The rewritten circuit runs for a batch of independent rows at once, split at
 its first parameterised op.  :func:`encode` simulates the parameter-free
 prefix (for the ansatz circuits, the patch encoding), which depends on the
 inputs only, so circuits that differ only in their parameters share it.
 :func:`final_state` runs the prefix and then the rest of the ops row by row.
-When no input angle follows the first parameterised op, as in every ansatz,
-that rest is one matrix for every row: :func:`unitary` builds it by running
-the same ops on the 2**n identity columns, and a caller with many rows
-applies it as one matrix product.  Circuits that differ only in their
+No input angle follows the first parameterised op (:class:`Circuit` rejects
+one), so that rest is one matrix for every row: :func:`unitary` builds it by
+running the same ops on the 2**n identity columns, and a caller with many
+rows applies it as one matrix product.  Circuits that differ only in their
 parameters (the kernels of a layer) build their matrices together, as
 kernels x 2**n columns with per-column parameters.  :func:`readouts` reads
 the readout Z expectations off a final state, and
@@ -34,7 +36,7 @@ the readout Z expectations off a final state, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -106,7 +108,12 @@ class Circuit:
     """Ordered gate program with trainable parameter and input slots.
 
     `readout` lists the qubits whose Pauli-Z expectations
-    :func:`run_deferred_batch` returns, in order.
+    :func:`run_deferred_batch` returns, in order.  Construction checks the
+    template rules, so every circuit can be deferred and splits into an
+    encoding and a parameterised body: a qubit is measured at most once and
+    is then only the control of a gate or the target of a Z-diagonal one; a
+    conditioned gate is an RX, RY or RZ on a qubit not yet measured; and no
+    input angle follows the first parameterised op.
     """
 
     num_qubits: int
@@ -119,13 +126,16 @@ class Circuit:
         if not 1 <= self.num_qubits <= MAX_QUBITS:
             raise ValueError(f"num_qubits must be 1..{MAX_QUBITS}, got {self.num_qubits}")
         seen_slots = set()
-        seen_bits = set()
+        qubit_of_bit: dict[int, int] = {}
+        measured = qubit_of_bit.values()  # a live view: the qubits measured so far
         for op in self.ops:
             if isinstance(op, MidMeasure):
                 self._check_qubit(op.qubit)
-                if op.classical_bit in seen_bits:
+                if op.classical_bit in qubit_of_bit:
                     raise ValueError(f"classical bit {op.classical_bit} assigned twice")
-                seen_bits.add(op.classical_bit)
+                if op.qubit in measured:
+                    raise ValueError(f"qubit {op.qubit} measured twice; not supported")
+                qubit_of_bit[op.classical_bit] = op.qubit
                 continue
             if not isinstance(op, GateOp):
                 raise ValueError(f"unsupported op {op!r}")
@@ -139,8 +149,24 @@ class Circuit:
                 for i in op.input_idx:
                     if not 0 <= i < self.num_inputs:
                         raise ValueError(f"input index {i} out of range")
-            if op.condition is not None and op.condition not in seen_bits:
+                if seen_slots:
+                    raise ValueError("an input angle follows the first parameterised op")
+            target = op.targets[-1]  # the control of a controlled kind comes first
+            if op.condition is None:
+                if target in measured and op.kind not in _Z_DIAGONAL_KINDS:
+                    raise ValueError(
+                        f"{op.kind} on {op.targets} reuses a measured qubit; outside the"
+                        " deferred-measurement-valid class"
+                    )
+                continue
+            if op.condition not in qubit_of_bit:
                 raise ValueError(f"condition on classical bit {op.condition} before it is assigned")
+            if op.kind not in _CONTROLLED_FORM:
+                raise ValueError(f"conditioned {op.kind} cannot be deferred; only RX/RY/RZ can")
+            if target == qubit_of_bit[op.condition]:
+                raise ValueError(f"conditioned gate targets its own measured qubit {target}")
+            if target in measured:
+                raise ValueError(f"conditioned gate targets already-measured qubit {target}")
         if seen_slots != set(range(self.num_params)):
             missing = sorted(set(range(self.num_params)) - seen_slots)
             raise ValueError(f"parameter slots never referenced: {missing}")
@@ -282,70 +308,24 @@ def defer_measurements(circuit: Circuit) -> Circuit:
     Each gate conditioned on a recorded bit becomes the corresponding
     controlled gate with the measured qubit as quantum control.  Final
     readout expectations equal the outcome-averaged conditional expectations
-    of the original circuit.  Circuits without measurements are returned
-    unchanged.
+    of the original circuit.  :class:`Circuit` has checked that every
+    measurement can be deferred, so the rewrite rejects nothing.  Circuits
+    without measurements are returned unchanged.
     """
     if not any(isinstance(op, MidMeasure) for op in circuit.ops):
-        if any(op.condition is not None for op in circuit.ops):
-            raise ValueError("conditioned gate without any mid-circuit measurement")
         return circuit
-
     qubit_of_bit: dict[int, int] = {}
-    measured: set[int] = set()
-    new_ops = []
+    ops = []
     for op in circuit.ops:
         if isinstance(op, MidMeasure):
-            if op.qubit in measured:
-                raise ValueError(f"qubit {op.qubit} measured twice; not supported")
             qubit_of_bit[op.classical_bit] = op.qubit
-            measured.add(op.qubit)
-            continue
-        if op.condition is not None:
+        elif op.condition is None:
+            ops.append(op)
+        else:
             control = qubit_of_bit[op.condition]
-            new_kind = _CONTROLLED_FORM.get(op.kind)
-            if new_kind is None:
-                raise ValueError(
-                    f"conditioned {op.kind} cannot be deferred; only RX/RY/RZ can"
-                )
-            target = op.targets[0]
-            if target == control:
-                raise ValueError(f"conditioned gate targets its own measured qubit {target}")
-            if target in measured:
-                raise ValueError(
-                    f"conditioned gate targets already-measured qubit {target}"
-                )
-            new_ops.append(
-                GateOp(
-                    new_kind,
-                    (control, target),
-                    param_slot=op.param_slot,
-                    input_idx=op.input_idx,
-                    angle=op.angle,
-                )
-            )
-            continue
-        if measured and _touches_measured(op, measured):
-            raise ValueError(
-                f"{op.kind} on {op.targets} reuses a measured qubit; outside the"
-                " deferred-measurement-valid class"
-            )
-        new_ops.append(op)
-    return Circuit(
-        circuit.num_qubits,
-        tuple(new_ops),
-        circuit.num_params,
-        circuit.num_inputs,
-        circuit.readout,
-    )
-
-
-def _touches_measured(op: GateOp, measured: set) -> bool:
-    """True if `op` acts non-diagonally on an already-measured qubit."""
-    if op.kind in _Z_DIAGONAL_KINDS:
-        return False
-    if op.kind in _CONTROLLED_BASE:
-        return op.targets[1] in measured  # control-only use commutes
-    return op.targets[0] in measured
+            ops.append(replace(op, kind=_CONTROLLED_FORM[op.kind],
+                               targets=(control, *op.targets), condition=None))
+    return replace(circuit, ops=tuple(ops))
 
 
 # ---------------------------------------------------------------------------
@@ -397,16 +377,16 @@ def final_state(circuit: Circuit, params, inputs) -> np.ndarray:
     """Final state of the deferred circuit, as a (2**n, rows) array.
 
     :func:`encode` followed by the ops from the first parameterised one,
-    row by row.  `inputs` is a (rows, num_inputs) matrix; an input-free
-    circuit takes (rows, 0).  `params` is a (num_params,) vector or a
-    (rows, num_params) matrix.
+    which take no input, row by row.  `inputs` is a (rows, num_inputs)
+    matrix; an input-free circuit takes (rows, 0).  `params` is a
+    (num_params,) vector or a (rows, num_params) matrix.
     """
     state = encode(circuit, inputs)
     circuit = defer_measurements(circuit)
-    inputs = _check_inputs(circuit, inputs)
-    params = _check_params(circuit, params, inputs.shape[0])
-    psi = _state_view(circuit, state, inputs.shape[0])
-    _apply_ops(psi, circuit.ops[_first_param_op(circuit) :], params, inputs)
+    rows = state.shape[1]
+    params = _check_params(circuit, params, rows)
+    psi = _state_view(circuit, state, rows)
+    _apply_ops(psi, circuit.ops[_first_param_op(circuit) :], params, None)
     return state
 
 
@@ -417,9 +397,8 @@ def _shared_suffix(circuit: Circuit, params) -> tuple:
     kernel.  Returns the ops, the (kernels * 2**n, num_params) parameters
     of the columns and a (2**n, kernels * 2**n) array of kernels copies of
     the 2**n identity columns: column k * 2**n + c is identity column c
-    with kernel k's parameters.  Raises ValueError unless the ops act alike
-    on every row: `params` must be such a matrix, and no op may take an
-    input angle.
+    with kernel k's parameters.  Raises ValueError unless `params` is such
+    a matrix.
     """
     circuit = defer_measurements(circuit)
     params = np.asarray(params, dtype=float)
@@ -429,8 +408,6 @@ def _shared_suffix(circuit: Circuit, params) -> tuple:
             f" {params.shape}"
         )
     suffix = circuit.ops[_first_param_op(circuit) :]
-    if any(op.input_idx is not None for op in suffix):
-        raise ValueError("an input angle follows the first parameterised op")
     dim = 1 << circuit.num_qubits
     identity = np.tile(np.eye(dim, dtype=complex), len(params))
     return suffix, np.repeat(params, dim, axis=0), identity
@@ -444,8 +421,7 @@ def unitary(circuit: Circuit, params) -> np.ndarray:
     2**n identity columns, each column with its kernel's parameters.  The
     result is a (kernels, 2**n, 2**n) array, and
     ``unitary(c, p)[k] @ encode(c, x)`` is the final state of every row of
-    `x` at ``p[k]``.  A circuit with an input angle after its first
-    parameterised op is rejected with ValueError.
+    `x` at ``p[k]``.
     """
     suffix, column_params, u = _shared_suffix(circuit, params)
     dim, cols = u.shape

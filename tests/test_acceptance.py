@@ -127,7 +127,7 @@ def test_acceptance_03_gradients_all_ansatz_keys():
             x = rng.uniform(-1, 1, 4)
             theta = rng.uniform(-math.pi, math.pi, circuit.num_params)
             state = final_state(circuit, theta, x[None])
-            adj = readout_gradient(circuit, theta, x[None], first_readout, state)[0]
+            adj = readout_gradient(circuit, theta, first_readout, state)[0]
             fd = finite_difference_gradient(
                 lambda p: run_deferred_batch(circuit, p, x[None])[0][0], theta
             )

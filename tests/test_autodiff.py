@@ -38,7 +38,7 @@ def _gradient(circuit, params, readout_index=0, inputs=None):
     weights = np.zeros((1, len(circuit.readout)))
     weights[0, readout_index] = 1.0
     state = final_state(circuit, params, inputs)
-    return readout_gradient(circuit, params, inputs, weights, state)[0]
+    return readout_gradient(circuit, params, weights, state)[0]
 
 
 def test_rx_gradient_closed_form():
@@ -93,7 +93,7 @@ def test_adjoint_matches_parameter_shift_oracle(key):
     theta = rng.uniform(-math.pi, math.pi, ansatz.num_params)
     weights = rng.normal(size=(7, ansatz.num_readouts))
     state = final_state(ansatz.circuit, theta, xs)
-    got = readout_gradient(ansatz.circuit, theta, xs, weights, state)
+    got = readout_gradient(ansatz.circuit, theta, weights, state)
     assert got.shape == (7, ansatz.num_params)
     deferred = defer_measurements(ansatz.circuit)
     for r in range(7):
@@ -109,7 +109,7 @@ def test_adjoint_matches_parameter_shift_oracle_on_random_circuits():
         theta = rng.uniform(-math.pi, math.pi, circuit.num_params)
         weights = rng.normal(size=(3, 4))
         inputs = np.zeros((3, 0))
-        got = readout_gradient(circuit, theta, inputs, weights, final_state(circuit, theta, inputs))
+        got = readout_gradient(circuit, theta, weights, final_state(circuit, theta, inputs))
         want = weights @ param_shift_jacobian(circuit, theta).T
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -140,11 +140,11 @@ def test_gradient_batch_matches_per_row():
     theta = rng.uniform(-math.pi, math.pi, ansatz.num_params)
     weights = rng.normal(size=(7, 1))
     state = final_state(ansatz.circuit, theta, xs)
-    batch = readout_gradient(ansatz.circuit, theta, xs, weights, state)
+    batch = readout_gradient(ansatz.circuit, theta, weights, state)
     assert batch.shape == (7, 12)
     for i, x in enumerate(xs):
         state = final_state(ansatz.circuit, theta, x[None])
-        single = readout_gradient(ansatz.circuit, theta, x[None], weights[i : i + 1], state)[0]
+        single = readout_gradient(ansatz.circuit, theta, weights[i : i + 1], state)[0]
         np.testing.assert_allclose(batch[i], single, atol=1e-13)
 
 
@@ -167,9 +167,9 @@ def test_per_row_params_equal_stacked_vector_calls(key):
     blocks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     block_states = [final_state(circuit, t, xs[b]) for t, b in zip(thetas, blocks)]
     np.testing.assert_array_equal(state, np.hstack(block_states))
-    grad = readout_gradient(circuit, per_row, xs, weights, state)
+    grad = readout_gradient(circuit, per_row, weights, state)
     block_grads = [
-        readout_gradient(circuit, t, xs[b], weights[b], s)
+        readout_gradient(circuit, t, weights[b], s)
         for t, b, s in zip(thetas, blocks, block_states)
     ]
     np.testing.assert_array_equal(grad, np.vstack(block_grads))
@@ -186,21 +186,21 @@ def test_params_of_wrong_shape_rejected(shape):
     with pytest.raises(ValueError, match="parameters"):
         final_state(circuit, np.zeros(shape), xs)
     with pytest.raises(ValueError, match="parameters"):
-        readout_gradient(circuit, np.zeros(shape), xs, np.ones((4, 1)), state)
+        readout_gradient(circuit, np.zeros(shape), np.ones((4, 1)), state)
 
 
 def test_input_free_circuit_gives_one_row_per_weight_row():
     theta = 0.37
     inputs = np.zeros((3, 0))
     got = readout_gradient(
-        _rx_circuit(), [theta], inputs, np.ones((3, 1)), final_state(_rx_circuit(), [theta], inputs)
+        _rx_circuit(), [theta], np.ones((3, 1)), final_state(_rx_circuit(), [theta], inputs)
     )
     assert got.shape == (3, 1)
     np.testing.assert_array_equal(got, np.repeat(got[:1], 3, axis=0))
     assert abs(got[0, 0] + math.sin(theta)) < 1e-13
     weights = np.array([[2.0], [0.0], [-1.0]])
     scaled = readout_gradient(
-        _rx_circuit(), [theta], inputs, weights, final_state(_rx_circuit(), [theta], inputs)
+        _rx_circuit(), [theta], weights, final_state(_rx_circuit(), [theta], inputs)
     )
     np.testing.assert_allclose(scaled[:, 0], np.array([2.0, 0.0, -1.0]) * got[0, 0], atol=1e-15)
 
@@ -211,16 +211,19 @@ def test_weights_shape_mismatch_rejected(shape):
     xs = np.zeros((3, 4))
     state = final_state(ansatz.circuit, np.zeros(4), xs)
     with pytest.raises(ValueError, match="does not match"):
-        readout_gradient(ansatz.circuit, np.zeros(4), xs, np.ones(shape), state)
+        readout_gradient(ansatz.circuit, np.zeros(4), np.ones(shape), state)
 
 
 def test_state_of_wrong_shape_or_layout_rejected():
     ansatz = build_ansatz("select-tanh")
     xs = np.zeros((3, 4))
     state = final_state(ansatz.circuit, np.zeros(4), xs)
-    for bad in (state[:, :2].copy(), state.T.copy().T, state.real.copy()):
+    for bad in (state[:8].copy(), state.T.copy().T, state.real.copy()):
         with pytest.raises(ValueError, match="state must be"):
-            readout_gradient(ansatz.circuit, np.zeros(4), xs, np.ones((3, 1)), bad)
+            readout_gradient(ansatz.circuit, np.zeros(4), np.ones((3, 1)), bad)
+    # The rows are the state's columns: two of them do not fit three weight rows.
+    with pytest.raises(ValueError, match="does not match"):
+        readout_gradient(ansatz.circuit, np.zeros(4), np.ones((3, 1)), state[:, :2].copy())
 
 
 def _summed_and_per_row(circuit, params, xs, weights):
@@ -232,7 +235,7 @@ def _summed_and_per_row(circuit, params, xs, weights):
     np.testing.assert_array_equal(encoded, before[0])
     np.testing.assert_array_equal(u, before[1])
     per_row = [
-        readout_gradient(circuit, theta, xs, w, final_state(circuit, theta, xs)).sum(axis=0)
+        readout_gradient(circuit, theta, w, final_state(circuit, theta, xs)).sum(axis=0)
         for theta, w in zip(params, weights)
     ]
     return summed, np.array(per_row)
@@ -269,13 +272,12 @@ def test_summed_gradient_rejects_what_rows_do_not_share():
     for bad in (np.zeros(4), np.zeros((2, 5)), np.zeros((2, 1, 4))):
         with pytest.raises(ValueError, match="parameter matrix"):
             summed_readout_gradient(circuit, bad, np.ones((2, 3, 1)), u, encoded)
+    # Rows share the ops from the first parameterised one: no input angle
+    # may follow it, which the template checks when it is built.
     ops = (GateOp("H", (0,)), GateOp("RX", (0,), param_slot=0),
            GateOp("RZ", (0,), input_idx=(0,)))
-    late_input = Circuit(1, ops, num_params=1, num_inputs=1, readout=(0,))
-    late_encoded = encode(late_input, np.zeros((2, 1)))
     with pytest.raises(ValueError, match="input angle follows"):
-        summed_readout_gradient(late_input, [[0.3]], np.ones((1, 2, 1)), np.eye(2)[None],
-                                late_encoded)
+        Circuit(1, ops, num_params=1, num_inputs=1, readout=(0,))
 
 
 def test_summed_gradient_rejects_bad_weights_or_state():
@@ -302,7 +304,7 @@ def test_backward_linearity_and_weighting():
     w1 = rng.normal(size=(5, 1))
     w2 = rng.normal(size=(5, 1))
     g1, g2, g12 = (
-        readout_gradient(ansatz.circuit, theta, xs, w, final_state(ansatz.circuit, theta, xs))
+        readout_gradient(ansatz.circuit, theta, w, final_state(ansatz.circuit, theta, xs))
         for w in (w1, w2, w1 + w2)
     )
     np.testing.assert_allclose(g12, g1 + g2, atol=1e-12)

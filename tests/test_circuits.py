@@ -256,7 +256,7 @@ def _readout_jacobian(circuit, theta, xs, num_readouts):
     for j in range(num_readouts):
         weights = np.zeros((len(xs), num_readouts))
         weights[:, j] = 1.0
-        blocks.append(readout_gradient(circuit, theta, xs, weights, final_state(circuit, theta, xs)))
+        blocks.append(readout_gradient(circuit, theta, weights, final_state(circuit, theta, xs)))
     return np.concatenate(blocks)
 
 

@@ -273,6 +273,9 @@ MALFORMED_INPUTS = {
     "synthetic-size-below-window": lambda tmp: _train_argv(tmp, "synthetic:size=1"),
     "synthetic-no-train-images": lambda tmp: _train_argv(tmp, "synthetic:train_n=0"),
     "synthetic-negative-val-n": lambda tmp: _train_argv(tmp, "synthetic:val_n=-3"),
+    # 74.5 GiB and 47.7 GiB of images: refused before anything is allocated.
+    "synthetic-size-too-large": lambda tmp: _train_argv(tmp, "synthetic:size=100000"),
+    "synthetic-train-n-too-large": lambda tmp: _train_argv(tmp, "synthetic:train_n=100000000"),
     "archive-empty-val-split": lambda tmp: _archive_argv(tmp, 0, 8),
     "archive-split-shapes-differ": lambda tmp: _archive_argv(tmp, 2, 6),
     "ed-inputs-size-below-window": lambda tmp: _ed_inputs_argv(tmp, "synthetic:size=1"),
@@ -293,6 +296,8 @@ MALFORMED_MESSAGES = {
     "archive-split-shapes-differ": "train images are (8, 8), val images are (6, 6)",
     "metrics-short-row": "metrics.csv:2: ",  # path and line number of the bad row
     "metrics-non-numeric": "metrics.csv:2: ",
+    "synthetic-size-too-large": "GiB limit",
+    "synthetic-train-n-too-large": "GiB limit",
 }
 
 
@@ -338,6 +343,49 @@ def test_unreadable_config_or_out_is_config_error(tmp_path, capsys, case):
     assert captured.err.startswith("configuration error: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+    assert not (tmp_path / "x").exists()
+
+
+def _curves_run(tmp_path):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "metrics.csv").write_text(
+        "epoch,seed,train_acc,train_loss,val_acc,val_loss\n0,0,0.5,0.7,0.5,0.7\n"
+    )
+    return ["curves", str(run)]
+
+
+UNWRITABLE_CURVES = {
+    "out-under-file": lambda tmp: ["--out", str(_regular_file(tmp) / "c.csv")],
+    "out-is-directory": lambda tmp: ["--out", str(tmp / "run")],
+    "svg-under-file": lambda tmp: [
+        "--out", str(tmp / "c.csv"), "--svg", str(_regular_file(tmp) / "c.svg"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_CURVES))
+def test_unwritable_curves_output_is_config_error(tmp_path, capsys, case):
+    argv = _curves_run(tmp_path) + UNWRITABLE_CURVES[case](tmp_path)
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write ")
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "checkpoint_seed0.json", "--data", SMALL_DATA, "--stride", "7"],
+    # `--data` is also a prefix of `--data-samples`, which must not take it.
+    ["ed", "--ansatz", "select-tanh", "--theta-samples", "1", "--data", "2"],
+], ids=["eval-stride", "ed-data"])
+def test_flags_a_command_never_reads_are_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[-2]}" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "x").exists()
 
 
@@ -397,7 +445,9 @@ def test_negative_seed_is_config_error(tmp_path, capsys, monkeypatch, case):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     capsys.readouterr()
-    assert main([*argv, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    if case != "eval":  # eval writes no file
+        argv = [*argv, "--out", str(tmp_path / "x")]
+    assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "non-negative" in captured.err
     assert captured.out == ""

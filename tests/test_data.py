@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qccnn.data import (
+    _SYNTHETIC_MAX_BYTES,
     DataError,
     Dataset,
     SyntheticSpec,
@@ -200,6 +201,12 @@ def test_synthetic_two_pixel_threshold_separates_noiseless():
         # compare the two blob centers
         predicted = (ds.images[:, 6, 6] > ds.images[:, 2, 2]).astype(int)
         assert np.array_equal(predicted, ds.labels)
+
+
+def test_synthetic_limit_leaves_room_for_the_real_image_size():
+    # The 28x28 stand-in for the real dataset is far inside the image-size limit.
+    train, val = load_dataset("synthetic:size=28,train_n=546,val_n=78")
+    assert (train.images.nbytes + val.images.nbytes) * 100 < _SYNTHETIC_MAX_BYTES
 
 
 def test_synthetic_values_clipped():

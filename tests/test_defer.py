@@ -1,4 +1,8 @@
-"""Deferred-measurement rewrite: structure, validity class, equivalence."""
+"""Deferred-measurement rewrite: structure, validity class, equivalence.
+
+The validity class is checked when a Circuit is built, so each circuit
+outside it fails at construction and the rewrite itself rejects nothing.
+"""
 
 import math
 
@@ -53,7 +57,7 @@ def test_rewrite_rejects_reuse_of_measured_qubit():
         GateOp("H", (0,)),  # non-diagonal gate on a measured qubit
     )
     with pytest.raises(ValueError, match="deferred-measurement-valid"):
-        defer_measurements(Circuit(2, ops, readout=(1,)))
+        Circuit(2, ops, readout=(1,))
 
 
 def test_rewrite_rejects_conditioned_non_rotation():
@@ -63,7 +67,7 @@ def test_rewrite_rejects_conditioned_non_rotation():
         GateOp("X", (1,), condition=0),
     )
     with pytest.raises(ValueError, match="only RX/RY/RZ"):
-        defer_measurements(Circuit(2, ops, readout=(1,)))
+        Circuit(2, ops, readout=(1,))
 
 
 def test_rewrite_rejects_conditioned_target_on_measured_qubit():
@@ -75,7 +79,23 @@ def test_rewrite_rejects_conditioned_target_on_measured_qubit():
         GateOp("RX", (1,), angle=0.3, condition=0),
     )
     with pytest.raises(ValueError, match="already-measured"):
-        defer_measurements(Circuit(2, ops, readout=(0,)))
+        Circuit(2, ops, readout=(0,))
+
+
+def test_circuit_rejects_conditioned_gate_on_its_own_measured_qubit():
+    ops = (
+        GateOp("H", (0,)),
+        MidMeasure(0, 0),
+        GateOp("RY", (0,), angle=0.4, condition=0),
+    )
+    with pytest.raises(ValueError, match="its own measured qubit 0"):
+        Circuit(2, ops, readout=(1,))
+
+
+def test_circuit_rejects_qubit_measured_twice():
+    ops = (GateOp("H", (0,)), MidMeasure(0, 0), MidMeasure(0, 1))
+    with pytest.raises(ValueError, match="qubit 0 measured twice"):
+        Circuit(1, ops, readout=(0,))
 
 
 def test_rewrite_allows_control_only_reuse():

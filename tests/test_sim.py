@@ -6,7 +6,6 @@ import zlib
 import numpy as np
 import pytest
 
-from qccnn.autodiff import readout_gradient
 from qccnn.circuits import ANSATZ_KEYS, build_ansatz
 from qccnn.sim import (
     ROTATION_KINDS,
@@ -254,9 +253,6 @@ def test_inputs_not_a_matrix_rejected(inputs):
     )
     with pytest.raises(ValueError, match=r"\(rows, 1\) matrix"):
         run_deferred_batch(circuit, [], inputs)
-    state = final_state(circuit, [], np.zeros((1, 1)))
-    with pytest.raises(ValueError, match=r"\(rows, 1\) matrix"):
-        readout_gradient(circuit, [], inputs, np.ones((1, 1)), state)
 
 
 def test_batch_rows_match_single_runs():
@@ -328,11 +324,12 @@ def test_unitary_rejects_params_that_are_not_a_kernel_matrix():
 
 
 def test_unitary_rejects_input_angle_after_first_parameter():
+    # The template rejects such a circuit when it is built, so no unitary
+    # ever depends on the inputs.
     ops = (GateOp("H", (0,)), GateOp("RX", (0,), param_slot=0),
            GateOp("RZ", (0,), input_idx=(0,)))
-    circuit = Circuit(1, ops, num_params=1, num_inputs=1, readout=(0,))
     with pytest.raises(ValueError, match="input angle follows"):
-        unitary(circuit, [[0.3]])
+        Circuit(1, ops, num_params=1, num_inputs=1, readout=(0,))
 
 
 # ---------------------------------------------------------------------------
