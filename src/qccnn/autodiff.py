@@ -4,10 +4,11 @@ Jones & Gacon 2020 (arXiv:2009.02823): the caller's forward pass gives the
 final state phi; lambda = O_w phi with O_w = sum_j w[r, j] Z_j, diagonal per
 row r.  Walking back through the gates, each parameterised gate
 exp(-i theta P/2) adds Im<lambda|P|phi> to its slot, and then is undone on
-both states, down to the first parameterised gate.  Circuits are rewritten
-to deferred form first, so conditioned rotations differentiate as
-controlled rotations, whose generator acts on the control-1 half only.  A
-parameter slot referenced by several gates accumulates the per-occurrence
+both states, down to the first parameterised gate.  The walk runs over
+the parameterised ops of ``circuit.split``, which holds the circuit's
+deferred form, so conditioned rotations differentiate as controlled
+rotations, whose generator acts on the control-1 half only.  A parameter
+slot referenced by several gates accumulates the per-occurrence
 contributions.
 
 One walk serves two entry points.  :func:`readout_gradient` walks every
@@ -31,13 +32,11 @@ from .sim import (
     Circuit,
     _apply_kind,
     _check_params,
-    _first_param_op,
     _halves,
+    _kernel_columns,
     _resolve_angle,
-    _shared_suffix,
     _state_view,
     _z_signs,
-    defer_measurements,
     # Unused here: perfbench wraps qccnn.autodiff:run_deferred_batch and a test
     # asserts that every wrap target resolves.  The adjoint simulates nothing.
     run_deferred_batch,  # noqa: F401
@@ -101,7 +100,6 @@ def readout_gradient(circuit: Circuit, params, weights, state) -> np.ndarray:
     `weights` is (rows, readouts).  Returns an array of shape
     (rows, num_params).
     """
-    circuit = defer_measurements(circuit)
     rows = state.shape[-1]
     phi = _state_view(circuit, state, rows)
     params = _check_params(circuit, params, rows)
@@ -113,7 +111,7 @@ def readout_gradient(circuit: Circuit, params, weights, state) -> np.ndarray:
         )
     lam = _lambda(circuit, weights, state).reshape(phi.shape)
     grad = np.zeros((rows, circuit.num_params))
-    _walk(circuit.ops[_first_param_op(circuit) :], params, phi, lam, grad)
+    _walk(circuit.split[1], params, phi, lam, grad)
     return grad
 
 
@@ -133,8 +131,7 @@ def summed_readout_gradient(circuit: Circuit, params, weights, unitaries, encode
     Its cost does not depend on the row count.  Returns an array of shape
     (kernels, num_params).
     """
-    circuit = defer_measurements(circuit)
-    ops, column_params, ident = _shared_suffix(circuit, params)
+    column_params, ident = _kernel_columns(circuit, params)
     dim, cols = ident.shape
     kernels = cols // dim
     weights = np.asarray(weights, dtype=float)
@@ -157,5 +154,5 @@ def summed_readout_gradient(circuit: Circuit, params, weights, unitaries, encode
                   out=m[:, k * dim : (k + 1) * dim])
     grad = np.zeros((cols, circuit.num_params))
     phi, lam = _state_view(circuit, m, cols), _state_view(circuit, ident, cols)
-    _walk(ops, column_params, phi, lam, grad)
+    _walk(circuit.split[1], column_params, phi, lam, grad)
     return grad.reshape(kernels, dim, circuit.num_params).sum(axis=1)

@@ -31,7 +31,6 @@ from .circuits import build_ansatz
 from .data import Dataset, extract_patches
 from .sim import (
     Circuit,
-    defer_measurements,
     final_state,
     readouts,
     # Unused here: perfbench wraps qccnn.capacity:run_deferred_batch and a test
@@ -238,7 +237,7 @@ def effective_dimension(
     input counts BLAS rounds a row differently inside a larger call, which
     moves the result in its last digits.
     """
-    circuit = defer_measurements(build_ansatz(key).circuit)
+    circuit = build_ansatz(key).circuit
     _kappa(gamma, n)  # validate settings before any compute
     d, k = circuit.num_params, data_samples
     rng = np.random.default_rng(seed)

@@ -96,17 +96,21 @@ def _coerce(name: str, value, target_type):
         raise ConfigError(f"{name}: expected {target_type.__name__}, got {value!r}") from None
 
 
+def _read_utf8(path: Path, error: type[Exception]) -> str:
+    """The text of `path`; a file that cannot be read as UTF-8 raises `error` naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path} as UTF-8 text: {exc}") from None
+
+
 def read_config_file(path) -> dict:
     """Parse a ``key = value`` config file; ``#`` starts a comment."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"no such config file: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path} as UTF-8 text: {exc}") from None
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_read_utf8(path, ConfigError).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -193,13 +197,15 @@ def _make_out_dir(out: str) -> Path:
 
 
 def _atomic_write(path: Path, text: str):
+    """Write `text` to `path` through a ``.tmp`` sibling; an OSError becomes a ConfigError."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
     try:
+        tmp.write_text(text)
         os.replace(tmp, path)
-    except OSError:  # `path` is a directory, for example
-        tmp.unlink()
-        raise
+    except OSError as exc:  # `path` is a directory, or under a regular file
+        if tmp.is_file():
+            tmp.unlink()
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def _fmt(value: float) -> str:
@@ -230,21 +236,21 @@ def read_metrics_csv(path: Path) -> dict[str, dict[int, list]]:
     if not path.is_file():
         raise DataError(f"missing metrics file: {path}")
     per_seed: dict[str, dict[int, list]] = {}
-    with path.open() as f:
-        header = f.readline().strip().split(",")
-        if header != ["epoch", "seed", "train_acc", "train_loss", "val_acc", "val_loss"]:
-            raise DataError(f"{path}: unexpected metrics header {header}")
-        for lineno, line in enumerate(f, 2):
-            cells = line.strip().split(",")
-            if len(cells) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
-            epoch, seed, *values = cells
-            if seed == "agg":
-                continue
-            try:
-                per_seed.setdefault(seed, {})[int(epoch)] = [float(v) for v in values]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric cell in {line.strip()!r}") from None
+    first, *lines = _read_utf8(path, DataError).splitlines() or [""]
+    header = first.strip().split(",")
+    if header != ["epoch", "seed", "train_acc", "train_loss", "val_acc", "val_loss"]:
+        raise DataError(f"{path}: unexpected metrics header {header}")
+    for lineno, line in enumerate(lines, 2):
+        cells = line.strip().split(",")
+        if len(cells) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
+        epoch, seed, *values = cells
+        if seed == "agg":
+            continue
+        try:
+            per_seed.setdefault(seed, {})[int(epoch)] = [float(v) for v in values]
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric cell in {line.strip()!r}") from None
     return per_seed
 
 
@@ -371,7 +377,7 @@ def cmd_ed(cfg: RunConfig) -> int:
     # replaces its own rows in place and keeps every other row.
     table = {}
     if table_path.exists():
-        for line in table_path.read_text().splitlines()[1:]:
+        for line in _read_utf8(table_path, DataError).splitlines()[1:]:
             table[tuple(line.split(",")[:6])] = line
     sampler = _ed_sampler(cfg)
     summary = {}
@@ -431,11 +437,11 @@ def cmd_curves(run_dirs, out_csv: str | None, out_svg: str | None) -> int:
     outputs = [(Path(out_csv or "curves.csv"), "\n".join(lines) + "\n")]
     if out_svg:
         outputs.append((Path(out_svg), render_curves_svg(series)))
+    for path, _ in outputs:  # every path is checked before any is written
+        if path.is_dir() or not path.parent.is_dir():
+            raise ConfigError(f"cannot write {path}: not a file in an existing directory")
     for path, text in outputs:
-        try:
-            _atomic_write(path, text)
-        except OSError as exc:  # a path under a regular file, or a directory
-            raise ConfigError(f"cannot write {path}: {exc}") from None
+        _atomic_write(path, text)
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -58,6 +58,9 @@ class Dataset:
 # real dataset (546 + 78 images) takes 3.9 MB.
 _SYNTHETIC_MAX_BYTES = 1 << 30
 
+# Half-width of the uniform pixel noise added to every synthetic image.
+_SYNTHETIC_NOISE = 0.1
+
 
 @dataclass
 class SyntheticSpec:
@@ -67,7 +70,6 @@ class SyntheticSpec:
     train_n: int = 200
     val_n: int = 50
     size: int = 8
-    noise: float = 0.1
 
 
 def normalize_pixels(pixels) -> np.ndarray:
@@ -285,10 +287,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
         for i, label in enumerate(labels):
             cr, ccol = centers[int(label)]
             blob = np.exp(-((rr - cr) ** 2 + (cc - ccol) ** 2) / (2.0 * 1.2**2))
-            img = -0.85 + 1.7 * blob
-            if spec.noise:
-                img = img + rng.uniform(-spec.noise, spec.noise, (size, size))
-            images[i] = np.clip(img, -1.0, 1.0)
+            noise = rng.uniform(-_SYNTHETIC_NOISE, _SYNTHETIC_NOISE, (size, size))
+            images[i] = np.clip(-0.85 + 1.7 * blob + noise, -1.0, 1.0)
         return Dataset(images, labels, split)
 
     return make("train", spec.train_n), make("val", spec.val_n)

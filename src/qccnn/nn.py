@@ -3,12 +3,13 @@
 The quantum front end slides four parallel kernels over the image, one
 circuit evaluation per 2x2 patch per kernel: the patch encoding is
 simulated once per batch, and each kernel then acts on it as one
-2**n x 2**n matrix.  The kernels' matrices are built together, and their
-backward is one walk, each on kernels x 2**n columns.  The
-conv-without-pooling variant uses a single kernel whose four readouts form
-the four feature maps, so every configuration feeds the dense head
-4 x H' x W' features.  Training uses softmax
-cross-entropy and Adam.
+2**n x 2**n matrix (``Circuit.split`` defers the circuit once and splits
+it into that encoding and the kernel's body).  The kernels' matrices are
+built together, and their backward is one walk, each on kernels x 2**n
+columns.  The conv-without-pooling variant uses a single kernel whose four
+readouts form the four feature maps, so every configuration feeds the
+dense head 4 x H' x W' features.  Training uses softmax cross-entropy and
+Adam.
 
 Both fronts share one interface: ``parameters()`` returns the live arrays by
 checkpoint group (``kernels``, or ``filters`` and ``conv_bias``), which
@@ -28,7 +29,6 @@ from .autodiff import summed_readout_gradient
 from .circuits import Ansatz, apply_postprocess, build_ansatz, postprocess_derivative
 from .data import Dataset, extract_patches, patch_grid
 from .sim import (
-    defer_measurements,
     encode,
     readouts,
     # Unused here: perfbench wraps qccnn.nn:run_deferred_batch and a test
@@ -44,8 +44,8 @@ KERNEL_SIZE = 2
 class QuantumConvLayer:
     """Quantum convolution (optionally pooling) with 2x2 patch circuits.
 
-    The kernels share one circuit and differ only in parameters, and no
-    input angle follows the first parameterised gate (``Circuit`` rejects
+    The kernels share one circuit, held as built, and differ only in
+    parameters, and no input angle follows the first parameterised gate (``Circuit`` rejects
     one when it is built), so each kernel acts on the encoded patches as
     one 2**n x 2**n matrix.  A forward encodes the patch batch once, builds
     every kernel's matrix in one pass of the gates over kernels x 2**n
@@ -61,7 +61,7 @@ class QuantumConvLayer:
         rng = rng or np.random.default_rng(0)
         self.ansatz = ansatz
         self.stride = stride
-        self.circuit = defer_measurements(ansatz.circuit)
+        self.circuit = ansatz.circuit
         # One kernel when the circuit itself emits all four maps.
         self.num_kernels = 1 if ansatz.num_readouts == NUM_FEATURE_MAPS else NUM_FEATURE_MAPS
         self.params = rng.uniform(-math.pi, math.pi, (self.num_kernels, ansatz.num_params))

@@ -18,26 +18,28 @@ controlled rotation on the measured qubit.  :class:`Circuit` checks every
 rule that makes this rewrite exact when it is built, so the rewrite itself
 rejects nothing.
 
-The rewritten circuit runs for a batch of independent rows at once, split at
-its first parameterised op.  :func:`encode` simulates the parameter-free
-prefix (for the ansatz circuits, the patch encoding), which depends on the
-inputs only, so circuits that differ only in their parameters share it.
-:func:`final_state` runs the prefix and then the rest of the ops row by row.
-No input angle follows the first parameterised op (:class:`Circuit` rejects
-one), so that rest is one matrix for every row: :func:`unitary` builds it by
-running the same ops on the 2**n identity columns, and a caller with many
-rows applies it as one matrix product.  Circuits that differ only in their
-parameters (the kernels of a layer) build their matrices together, as
-kernels x 2**n columns with per-column parameters.  :func:`readouts` reads
-the readout Z expectations off a final state, and
-:func:`run_deferred_batch` composes it with :func:`final_state`.
+:attr:`Circuit.split` owns the deferral and the split: it defers the circuit
+once and splits the result at its first parameterised op, and every
+function here and in :mod:`qccnn.autodiff` reads it.  :func:`encode`
+simulates the parameter-free prefix (for the ansatz circuits, the patch
+encoding), which depends on the inputs only, so circuits that differ only
+in their parameters share it.  :func:`final_state` runs the prefix and then
+the rest of the ops row by row.  No input angle follows the first
+parameterised op (:class:`Circuit` rejects one), so that rest is one matrix
+for every row: :func:`unitary` builds it by running the same ops on the
+2**n identity columns, and a caller with many rows applies it as one matrix
+product.  Circuits that differ only in their parameters (the kernels of a
+layer) build their matrices together, as kernels x 2**n columns with
+per-column parameters.  :func:`readouts` reads the readout Z expectations
+off a final state, and :func:`run_deferred_batch` composes it with
+:func:`final_state`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -176,6 +178,16 @@ class Circuit:
     def _check_qubit(self, q: int):
         if not 0 <= q < self.num_qubits:
             raise ValueError(f"qubit {q} out of range for {self.num_qubits}-qubit circuit")
+
+    @cached_property
+    def split(self) -> tuple[tuple, tuple]:
+        """The deferred ops before the first parameterised op, and the ops from it on.
+
+        Cached in the instance ``__dict__``, which ``repr``, ``==`` and the hash ignore.
+        """
+        ops = defer_measurements(self).ops
+        first = next((i for i, op in enumerate(ops) if op.param_slot is not None), len(ops))
+        return ops[:first], ops[first:]
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +345,6 @@ def defer_measurements(circuit: Circuit) -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-def _first_param_op(circuit: Circuit) -> int:
-    """Index of the first parameterised op: the ops before it use no parameter."""
-    return next(
-        (i for i, op in enumerate(circuit.ops) if op.param_slot is not None), len(circuit.ops)
-    )
-
-
 def _state_view(circuit: Circuit, state: np.ndarray, rows: int) -> np.ndarray:
     """The (2,)*n + (rows,) view of a (2**n, rows) state; writing to it writes the state."""
     shape = (1 << circuit.num_qubits, rows)
@@ -358,63 +363,52 @@ def _apply_ops(psi: np.ndarray, ops, params, inputs):
 
 
 def encode(circuit: Circuit, inputs) -> np.ndarray:
-    """State after the deferred circuit's parameter-free prefix, as a (2**n, rows) array.
+    """State after the parameter-free prefix of ``circuit.split``, as a (2**n, rows) array.
 
-    The prefix is every op before the first parameterised one.  `inputs` is
-    a (rows, num_inputs) matrix; an input-free circuit takes (rows, 0).
+    `inputs` is a (rows, num_inputs) matrix; an input-free circuit takes
+    (rows, 0).
     """
-    circuit = defer_measurements(circuit)
     inputs = _check_inputs(circuit, inputs)
     rows = inputs.shape[0]
     state = np.zeros((1 << circuit.num_qubits, rows), dtype=complex)
     state[0] = 1.0
-    psi = _state_view(circuit, state, rows)
-    _apply_ops(psi, circuit.ops[: _first_param_op(circuit)], None, inputs)
+    _apply_ops(_state_view(circuit, state, rows), circuit.split[0], None, inputs)
     return state
 
 
 def final_state(circuit: Circuit, params, inputs) -> np.ndarray:
     """Final state of the deferred circuit, as a (2**n, rows) array.
 
-    :func:`encode` followed by the ops from the first parameterised one,
+    :func:`encode` followed by the parameterised ops of ``circuit.split``,
     which take no input, row by row.  `inputs` is a (rows, num_inputs)
     matrix; an input-free circuit takes (rows, 0).  `params` is a
     (num_params,) vector or a (rows, num_params) matrix.
     """
     state = encode(circuit, inputs)
-    circuit = defer_measurements(circuit)
     rows = state.shape[1]
     params = _check_params(circuit, params, rows)
-    psi = _state_view(circuit, state, rows)
-    _apply_ops(psi, circuit.ops[_first_param_op(circuit) :], params, None)
+    _apply_ops(_state_view(circuit, state, rows), circuit.split[1], params, None)
     return state
 
 
-def _shared_suffix(circuit: Circuit, params) -> tuple:
-    """The deferred circuit's ops from its first parameterised one, on every kernel at once.
+def _kernel_columns(circuit: Circuit, params) -> tuple:
+    """The (kernels * 2**n, num_params) column parameters and (2**n, kernels * 2**n) columns.
 
-    `params` is a (kernels, num_params) matrix, one parameter vector per
-    kernel.  Returns the ops, the (kernels * 2**n, num_params) parameters
-    of the columns and a (2**n, kernels * 2**n) array of kernels copies of
-    the 2**n identity columns: column k * 2**n + c is identity column c
-    with kernel k's parameters.  Raises ValueError unless `params` is such
-    a matrix.
+    Column k * 2**n + c is identity column c with kernel k's parameters.
+    Raises ValueError unless `params` is a (kernels, num_params) matrix.
     """
-    circuit = defer_measurements(circuit)
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != circuit.num_params:
         raise ValueError(
             f"expected a (kernels, {circuit.num_params}) parameter matrix, got shape"
             f" {params.shape}"
         )
-    suffix = circuit.ops[_first_param_op(circuit) :]
     dim = 1 << circuit.num_qubits
-    identity = np.tile(np.eye(dim, dtype=complex), len(params))
-    return suffix, np.repeat(params, dim, axis=0), identity
+    return np.repeat(params, dim, axis=0), np.tile(np.eye(dim, dtype=complex), len(params))
 
 
 def unitary(circuit: Circuit, params) -> np.ndarray:
-    """The deferred circuit's ops from its first parameterised one, as one matrix per kernel.
+    """The parameterised ops of ``circuit.split``, as one matrix per kernel.
 
     `params` is a (kernels, num_params) matrix.  The ops run once, through
     the same gate path as :func:`final_state`, on kernels copies of the
@@ -423,9 +417,9 @@ def unitary(circuit: Circuit, params) -> np.ndarray:
     ``unitary(c, p)[k] @ encode(c, x)`` is the final state of every row of
     `x` at ``p[k]``.
     """
-    suffix, column_params, u = _shared_suffix(circuit, params)
+    column_params, u = _kernel_columns(circuit, params)
     dim, cols = u.shape
-    _apply_ops(_state_view(circuit, u, cols), suffix, column_params, None)
+    _apply_ops(_state_view(circuit, u, cols), circuit.split[1], column_params, None)
     return u.reshape(dim, cols // dim, dim).transpose(1, 0, 2)
 
 

@@ -202,7 +202,7 @@ def _curves_argv(tmp_path, row):
     run = tmp_path / "run"
     run.mkdir()
     header = "epoch,seed,train_acc,train_loss,val_acc,val_loss"
-    (run / "metrics.csv").write_text(f"{header}\n{row}\n")
+    (run / "metrics.csv").write_bytes(f"{header}\n{row}\n".encode("latin-1"))
     return ["curves", str(run), "--out", str(tmp_path / "c.csv")]
 
 
@@ -212,6 +212,15 @@ def _train_argv(tmp_path, data):
 
 def _ed_inputs_argv(tmp_path, data):
     return ["ed", "--ansatz", "select-tanh", "--ed-inputs", data, "--out", str(tmp_path / "ed")]
+
+
+def _ed_prior_table_argv(tmp_path, make_table):
+    """A small ed run into a directory whose ed_results.csv is made by `make_table(path)`."""
+    out = tmp_path / "ed"
+    out.mkdir()
+    make_table(out / "ed_results.csv")
+    return ["ed", "--ansatz", "select-tanh", "--theta-samples", "1", "--data-samples", "2",
+            "--out", str(out)]
 
 
 def _archive_argv(tmp_path, val_n, val_size):
@@ -283,6 +292,11 @@ MALFORMED_INPUTS = {
     "eval-image-size-mismatch": _eval_other_size_argv,
     "metrics-short-row": lambda tmp: _curves_argv(tmp, "0,0,abc"),
     "metrics-non-numeric": lambda tmp: _curves_argv(tmp, "0,0,abc,0.5,0.5,0.7"),
+    "metrics-not-utf8": lambda tmp: _curves_argv(tmp, "0,0,caf\xe9,0.5,0.5,0.7"),
+    "ed-results-not-utf8": lambda tmp: _ed_prior_table_argv(
+        tmp, lambda path: path.write_bytes(b"ansatz,seed\ncaf\xe9,0\n")
+    ),
+    "ed-results-is-directory": lambda tmp: _ed_prior_table_argv(tmp, Path.mkdir),
 }
 
 
@@ -296,6 +310,9 @@ MALFORMED_MESSAGES = {
     "archive-split-shapes-differ": "train images are (8, 8), val images are (6, 6)",
     "metrics-short-row": "metrics.csv:2: ",  # path and line number of the bad row
     "metrics-non-numeric": "metrics.csv:2: ",
+    "metrics-not-utf8": "metrics.csv as UTF-8 text",
+    "ed-results-not-utf8": "ed_results.csv as UTF-8 text",
+    "ed-results-is-directory": "ed_results.csv as UTF-8 text",
     "synthetic-size-too-large": "GiB limit",
     "synthetic-train-n-too-large": "GiB limit",
 }
@@ -368,8 +385,38 @@ UNWRITABLE_CURVES = {
 def test_unwritable_curves_output_is_config_error(tmp_path, capsys, case):
     argv = _curves_run(tmp_path) + UNWRITABLE_CURVES[case](tmp_path)
     assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: cannot write ")
+    assert "Traceback" not in captured.err
+    # Every path is checked before any is written: no output, not even the CSV.
+    assert captured.out == ""
+    assert not (tmp_path / "c.csv").exists()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+# Each case: a small run whose output directory already holds a directory
+# where the run writes the named file.
+SMALL_RUNS = {
+    "train": ["train", "--ansatz", "classical", "--data", SMALL_DATA, "--epochs", "1",
+              "--seeds", "0"],
+    "ed": ["ed", "--ansatz", "select-tanh", "--theta-samples", "1", "--data-samples", "2",
+           "--seeds", "0"],
+}
+UNWRITABLE_RUN_OUTPUTS = {
+    "train-checkpoint": ("train", "checkpoint_seed0.json"),
+    "train-metrics": ("train", "metrics.csv"),
+    "train-summary": ("train", "summary.json"),
+    "ed-summary": ("ed", "ed_summary.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_RUN_OUTPUTS))
+def test_unwritable_run_output_is_config_error(tmp_path, capsys, case):
+    command, name = UNWRITABLE_RUN_OUTPUTS[case]
+    (tmp_path / name).mkdir()
+    assert main([*SMALL_RUNS[command], "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: cannot write ")
+    assert err.startswith(f"configuration error: cannot write {tmp_path / name}: ")
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("*.tmp"))
 

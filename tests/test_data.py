@@ -7,6 +7,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from qccnn import data
 from qccnn.data import (
     _SYNTHETIC_MAX_BYTES,
     DataError,
@@ -195,8 +196,9 @@ def test_synthetic_label_balance():
         assert abs(counts[0] - counts[1]) <= 1
 
 
-def test_synthetic_two_pixel_threshold_separates_noiseless():
-    train, val = generate_synthetic(SyntheticSpec(noise=0.0))
+def test_synthetic_two_pixel_threshold_separates_noiseless(monkeypatch):
+    monkeypatch.setattr(data, "_SYNTHETIC_NOISE", 0.0)
+    train, val = generate_synthetic(SyntheticSpec())
     for ds in (train, val):
         # compare the two blob centers
         predicted = (ds.images[:, 6, 6] > ds.images[:, 2, 2]).astype(int)
@@ -209,8 +211,9 @@ def test_synthetic_limit_leaves_room_for_the_real_image_size():
     assert (train.images.nbytes + val.images.nbytes) * 100 < _SYNTHETIC_MAX_BYTES
 
 
-def test_synthetic_values_clipped():
-    train, _ = generate_synthetic(SyntheticSpec(noise=0.5))
+def test_synthetic_values_clipped(monkeypatch):
+    monkeypatch.setattr(data, "_SYNTHETIC_NOISE", 0.5)
+    train, _ = generate_synthetic(SyntheticSpec())
     assert np.all(np.abs(train.images) <= 1.0)
 
 

@@ -1,6 +1,7 @@
 """Hybrid model tests: layers vs oracles, loss, Adam, end-to-end training."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qccnn.nn import (
     softmax_cross_entropy,
 )
 from qccnn import sim
+from qccnn.autodiff import readout_gradient
 from qccnn.circuits import ANSATZ_KEYS, apply_postprocess, build_ansatz, postprocess_derivative
 
 from oracles import finite_difference_gradient, param_shift_jacobian, z_expectations_oracle
@@ -71,6 +73,7 @@ def test_shared_encoding_forward_and_backward_are_exact(key):
     rng = np.random.default_rng(60)
     images = rng.uniform(-1.0, 1.0, (2, 2, 4))
     layer = QuantumConvLayer(build_ansatz(key), stride=2, rng=rng)
+    circuit = sim.defer_measurements(layer.circuit)  # the dense oracles take no measurement
     maps = layer.forward(images)
     upstream = rng.normal(size=maps.shape)
     grads = layer.backward(upstream)["kernels"]
@@ -81,13 +84,13 @@ def test_shared_encoding_forward_and_backward_are_exact(key):
     for b, image in enumerate(images):
         for p, patch in enumerate(extract_patches(image, 2, 2)):
             for k in range(layer.num_kernels):
-                raw = z_expectations_oracle(layer.circuit, layer.params[k], patch)
+                raw = z_expectations_oracle(circuit, layer.params[k], patch)
                 feats = slice(k * readouts, (k + 1) * readouts)
                 np.testing.assert_allclose(
                     maps[b, feats, 0, p], apply_postprocess(post, raw), atol=1e-12
                 )
                 w = upstream[b, feats, 0, p] * postprocess_derivative(post, raw)
-                jac = param_shift_jacobian(layer.circuit, layer.params[k], patch)
+                jac = param_shift_jacobian(circuit, layer.params[k], patch)
                 want_grads[k] += jac @ w
     np.testing.assert_allclose(grads, want_grads, atol=1e-12)
     if post == "sign":
@@ -113,9 +116,8 @@ def _count_columns(monkeypatch) -> dict:
 @pytest.mark.parametrize("key", ["conv", "ancilla-cz", "mod-c", "select-tanh"])
 def test_layer_encodes_once_per_forward_and_never_in_backward(key, monkeypatch):
     columns = _count_columns(monkeypatch)
-    circuit = sim.defer_measurements(build_ansatz(key).circuit)
-    prefix = sim._first_param_op(circuit)
-    suffix = len(circuit.ops) - prefix
+    circuit = build_ansatz(key).circuit
+    prefix, suffix = map(len, circuit.split)
     rng = np.random.default_rng(61)
     layer = QuantumConvLayer(build_ansatz(key), stride=2, rng=rng)
     dim = 1 << circuit.num_qubits
@@ -134,6 +136,27 @@ def test_layer_encodes_once_per_forward_and_never_in_backward(key, monkeypatch):
         # matrices that hold every kernel's pair.
         assert columns == {"sim": [], "walk": [kernels * dim] * (2 * (suffix - 1))}
         columns["walk"].clear()
+
+
+@pytest.mark.parametrize("key", ["midcircuit-rx", "mod-c"])
+def test_circuit_defers_once_across_layer_and_readout_gradient(key, monkeypatch):
+    calls = []
+    defer = sim.defer_measurements
+    monkeypatch.setattr(sim, "defer_measurements", lambda c: calls.append(c) or defer(c))
+    built = build_ansatz(key)
+    circuit = replace(built.circuit)  # a fresh instance: no split read yet
+    rng = np.random.default_rng(62)
+    layer = QuantumConvLayer(replace(built, circuit=circuit), stride=2, rng=rng)
+    for _ in range(2):
+        maps = layer.forward(rng.uniform(-1.0, 1.0, (2, 4, 4)))
+    layer.backward(rng.normal(size=maps.shape))
+    inputs = rng.uniform(-1.0, 1.0, (3, circuit.num_inputs))
+    state = sim.final_state(circuit, layer.params[0], inputs)
+    readout_gradient(circuit, layer.params[0], np.ones((3, len(circuit.readout))), state)
+    assert len(calls) <= 1
+    # The cached split changes neither equality, the hash nor the repr.
+    assert circuit == built.circuit and hash(circuit) == hash(built.circuit)
+    assert repr(circuit) == repr(built.circuit)
 
 
 # ---------------------------------------------------------------------------
