@@ -77,7 +77,7 @@ def _parse_seeds(text) -> tuple:
     try:
         return tuple(int(s) for s in str(text).split(","))
     except ValueError:
-        raise ConfigError(f"seeds must be comma-separated integers, got {text!r}") from None
+        raise ConfigError(f"seeds: expected comma-separated integers, got {text!r}") from None
 
 
 def _coerce(name: str, value, target_type):
@@ -121,36 +121,25 @@ def read_config_file(path) -> dict:
     return values
 
 
-def _env_overrides(field_names) -> dict:
-    values = {}
-    for name in field_names:
-        raw = os.environ.get(ENV_PREFIX + name.upper())
-        if raw is not None:
-            values[name] = raw
-    return values
+def _cast(name: str, value):
+    """`value` of option `name`, from a flag, a config line or a variable alike."""
+    if name == "seeds":  # this and stop_at_train_acc (default None) need more than type(default)
+        return _parse_seeds(value)
+    caster = float if name == "stop_at_train_acc" else type(getattr(RunConfig, name))
+    return _coerce(name, value, caster)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, environment and explicit CLI flags."""
-    defaults = RunConfig()
-    merged = asdict(defaults)
-    field_types = {
-        "ansatz": str, "data": str, "epochs": int, "batch_size": int, "lr": float,
-        "stride": int, "seeds": _parse_seeds, "out": str, "stop_at_train_acc": float,
-        "classical_relu": bool, "gamma": float, "n": int, "theta_samples": int,
-        "data_samples": int, "ed_inputs": str,
-    }
-    layers = []
-    if getattr(args, "config", None):
-        layers.append(read_config_file(args.config))
-    layers.append(_env_overrides(field_types))
-    layers.append({k: v for k, v in vars(args).items() if k in field_types and v is not None})
+    merged = asdict(RunConfig())
+    layers = [read_config_file(args.config)] if getattr(args, "config", None) else []
+    layers.append({k: v for k in merged if (v := os.getenv(ENV_PREFIX + k.upper())) is not None})
+    layers.append({k: v for k, v in vars(args).items() if k in merged and v is not None})
     for layer in layers:
         for key, value in layer.items():
-            if key not in field_types:
+            if key not in merged:
                 raise ConfigError(f"unknown option {key!r}")
-            caster = field_types[key]
-            merged[key] = caster(value) if caster is _parse_seeds else _coerce(key, value, caster)
+            merged[key] = _cast(key, value)
     cfg = RunConfig(**merged)
     _validate_config(cfg)
     return cfg
@@ -194,6 +183,13 @@ def _make_out_dir(out: str) -> Path:
     except OSError as exc:  # a path under a regular file, for example
         raise ConfigError(f"cannot make output directory {path}: {exc}") from None
     return path
+
+
+def _check_writable(paths):
+    """Raise ConfigError before any write if a path is not a file in an existing directory."""
+    for path in paths:
+        if path.is_dir() or not path.parent.is_dir():
+            raise ConfigError(f"cannot write {path}: not a file in an existing directory")
 
 
 def _atomic_write(path: Path, text: str):
@@ -269,6 +265,8 @@ def cmd_train(cfg: RunConfig) -> int:
         )
     out_dir = _make_out_dir(cfg.out or f"runs/{cfg.ansatz}")
     train, val = load_dataset(cfg.data)
+    checkpoints = {seed: out_dir / f"checkpoint_seed{seed}.json" for seed in cfg.seeds}
+    _check_writable([*checkpoints.values(), out_dir / "metrics.csv", out_dir / "summary.json"])
     per_seed: dict[int, FitResult] = {}
     for seed in cfg.seeds:
         model = make_model(cfg.ansatz, train.image_shape, cfg.stride, seed, cfg.classical_relu)
@@ -278,10 +276,7 @@ def cmd_train(cfg: RunConfig) -> int:
             stop_at_train_acc=cfg.stop_at_train_acc,
         )
         per_seed[seed] = result
-        _atomic_write(
-            out_dir / f"checkpoint_seed{seed}.json",
-            json.dumps(model.state_dict(), sort_keys=True) + "\n",
-        )
+        _atomic_write(checkpoints[seed], json.dumps(model.state_dict(), sort_keys=True) + "\n")
         print(
             f"[{cfg.ansatz} seed {seed}] epochs={result.epochs_run}"
             f" max_train_acc={result.max_train_acc:.4f} max_val_acc={result.max_val_acc:.4f}"
@@ -371,6 +366,8 @@ def cmd_ed(cfg: RunConfig) -> int:
     for key in keys:
         if key not in ANSATZ_KEYS:
             raise ConfigError(f"unknown ansatz {key!r}; choose from {', '.join(ANSATZ_KEYS)}")
+    if len(set(keys)) != len(keys):  # a repeated key would score the same rows twice
+        raise ConfigError(f"ansatz keys must be distinct, got {keys}")
     out_dir = _make_out_dir(cfg.out or "runs/ed")
     table_path = out_dir / "ed_results.csv"
     # Rows are keyed by their settings, the first six columns, so a rerun
@@ -380,6 +377,7 @@ def cmd_ed(cfg: RunConfig) -> int:
         for line in _read_utf8(table_path, DataError).splitlines()[1:]:
             table[tuple(line.split(",")[:6])] = line
     sampler = _ed_sampler(cfg)
+    _check_writable([table_path, out_dir / "ed_summary.json"])
     summary = {}
     for key in keys:
         values = []
@@ -437,9 +435,7 @@ def cmd_curves(run_dirs, out_csv: str | None, out_svg: str | None) -> int:
     outputs = [(Path(out_csv or "curves.csv"), "\n".join(lines) + "\n")]
     if out_svg:
         outputs.append((Path(out_svg), render_curves_svg(series)))
-    for path, _ in outputs:  # every path is checked before any is written
-        if path.is_dir() or not path.parent.is_dir():
-            raise ConfigError(f"cannot write {path}: not a file in an existing directory")
+    _check_writable([path for path, _ in outputs])
     for path, text in outputs:
         _atomic_write(path, text)
         print(f"wrote {path}")
@@ -530,6 +526,30 @@ def render_curves_svg(series) -> str:
 # ---------------------------------------------------------------------------
 
 
+# Each command's help and the RunConfig fields it takes as flags (`batch_size` is
+# `--batch-size`); eval writes no file but keeps `--out`, which perfbench passes.
+_COMMANDS = {
+    "train": ("multi-seed training campaign", (
+        "config", "data", "stride", "seeds", "out", "ansatz", "epochs", "batch_size", "lr",
+        "stop_at_train_acc", "classical_relu")),
+    "eval": ("evaluate a checkpoint on a dataset", ("config", "data", "seeds", "out")),
+    "ed": ("effective-dimension table", (
+        "config", "stride", "seeds", "out", "ansatz", "gamma", "n", "theta_samples",
+        "data_samples", "ed_inputs")),
+}
+_OPTION_HELP = {
+    "config": "key = value config file",
+    "data": "'synthetic', an .npz archive, or a dataset directory",
+    "stride": "convolution stride (default 2)",
+    "seeds": "comma-separated seeds (default 0,1,2)",
+    "out": "output directory (eval writes none)",
+    "ansatz": "train: ansatz key or 'classical'; ed: comma-separated keys (default: table set)",
+    "stop_at_train_acc": "stop once epoch train accuracy reaches this value",
+    "classical_relu": "ReLU after the classical conv layer",
+    "ed_inputs": "'uniform' or a dataset source to draw patches from",
+}
+
+
 @functools.cache  # built once per process; parse_args returns a fresh Namespace
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -538,45 +558,17 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # No prefix abbreviations: `ed --data 5` must not mean `--data-samples 5`.
-    strict = {"allow_abbrev": False}
+    # Flags keep their text: build_config casts them as it casts config lines.
+    for command, (help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        if command == "eval":
+            p.add_argument("checkpoint", help="checkpoint_seedN.json path")
+        for name in names:
+            switch = {"action": "store_const", "const": True} if name == "classical_relu" else {}
+            p.add_argument("--" + name.replace("_", "-"), help=_OPTION_HELP.get(name), **switch)
 
-    def add_common(p, data: bool, stride: bool):
-        p.add_argument("--config", help="key = value config file")
-        if data:
-            p.add_argument("--data", help="'synthetic', an .npz archive, or a dataset directory")
-        if stride:
-            p.add_argument("--stride", type=int, help="convolution stride (default 2)")
-        p.add_argument("--seeds", help="comma-separated seeds (default 0,1,2)")
-        p.add_argument("--out", help="output directory (eval writes none)")
-
-    p_train = sub.add_parser("train", help="multi-seed training campaign", **strict)
-    add_common(p_train, data=True, stride=True)
-    p_train.add_argument("--ansatz", help="ansatz key or 'classical'")
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--batch-size", dest="batch_size", type=int)
-    p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--stop-at-train-acc", dest="stop_at_train_acc", type=float,
-                         help="stop once epoch train accuracy reaches this value")
-    p_train.add_argument("--classical-relu", dest="classical_relu", action="store_const",
-                         const=True, help="ReLU after the classical conv layer")
-
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset", **strict)
-    add_common(p_eval, data=True, stride=False)
-    p_eval.add_argument("checkpoint", help="checkpoint_seedN.json path")
-
-    p_ed = sub.add_parser("ed", help="effective-dimension table", **strict)
-    add_common(p_ed, data=False, stride=True)
-    p_ed.add_argument("--ansatz", help="comma-separated ansatz keys (default: table set)")
-    p_ed.add_argument("--gamma", type=float)
-    p_ed.add_argument("--n", type=int)
-    p_ed.add_argument("--theta-samples", dest="theta_samples", type=int)
-    p_ed.add_argument("--data-samples", dest="data_samples", type=int)
-    p_ed.add_argument("--ed-inputs", dest="ed_inputs",
-                      help="'uniform' or a dataset source to draw patches from")
-
-    p_curves = sub.add_parser(
-        "curves", help="combine run metrics into CSV/SVG curves", **strict
-    )
+    p_curves = sub.add_parser("curves", help="combine run metrics into CSV/SVG curves",
+                              allow_abbrev=False)
     p_curves.add_argument("run_dirs", nargs="+", help="train output directories")
     p_curves.add_argument("--out", help="combined CSV path (default curves.csv)")
     p_curves.add_argument("--svg", help="optional SVG chart path")

@@ -1,8 +1,10 @@
 """Command line driver tests: schemas, determinism, exit codes, artifacts."""
 
+import argparse
 import json
 import os
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -415,9 +417,12 @@ def test_unwritable_run_output_is_config_error(tmp_path, capsys, case):
     command, name = UNWRITABLE_RUN_OUTPUTS[case]
     (tmp_path / name).mkdir()
     assert main([*SMALL_RUNS[command], "--out", str(tmp_path)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: cannot write {tmp_path / name}: ")
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"configuration error: cannot write {tmp_path / name}: ")
+    assert "Traceback" not in captured.err
+    # Every output path is checked before the first seed or key is computed.
+    assert captured.out == ""
+    assert not (tmp_path / "checkpoint_seed0.json").is_file()
     assert not list(tmp_path.rglob("*.tmp"))
 
 
@@ -467,6 +472,17 @@ def test_duplicate_seeds_are_config_error(tmp_path, command):
         front = ["--ansatz", "select-tanh", "--theta-samples", "1", "--data-samples", "2"]
     code = main([command, *front, "--seeds", "0,0", "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
+    assert not (tmp_path / "x").exists()
+
+
+def test_duplicate_ed_keys_are_config_error(tmp_path, capsys):
+    # A repeated key would score the same rows twice, the second replacing the first.
+    code = main(["ed", "--ansatz", "select-tanh,select-tanh", "--theta-samples", "1",
+                 "--data-samples", "2", "--seeds", "0", "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ansatz keys must be distinct")
+    assert captured.out == ""
     assert not (tmp_path / "x").exists()
 
 
@@ -545,8 +561,6 @@ def test_config_file_and_env_precedence(tmp_path, monkeypatch):
     parsed = read_config_file(cfg_file)
     assert parsed == {"epochs": "7", "batch_size": "4"}
 
-    import argparse
-
     args = argparse.Namespace(config=str(cfg_file), epochs=None, batch_size=2)
     monkeypatch.setenv("QCCNN_LR", "0.01")
     cfg = build_config(args)
@@ -563,3 +577,90 @@ def test_config_rejects_unknown_key(tmp_path):
         "--data", SMALL_DATA, "--out", str(tmp_path / "x"),
     ])
     assert code == EXIT_CONFIG
+
+
+# Each RunConfig field: (text from any source, the value it resolves to, a
+# wrong-typed text, or None where every text is a valid value).
+CASTS = {
+    "ansatz": ("mod-c", "mod-c", None),
+    "data": (SMALL_DATA, SMALL_DATA, None),
+    "epochs": ("3", 3, "abc"),
+    "batch_size": ("4", 4, "1.5"),
+    "lr": ("0.01", 0.01, "fast"),
+    "stride": ("1", 1, "two"),
+    "seeds": ("3,1", (3, 1), "0;1"),
+    "out": ("runs/x", "runs/x", None),
+    "stop_at_train_acc": ("0.9", 0.9, "high"),
+    "classical_relu": ("yes", True, "maybe"),
+    "gamma": ("0.5", 0.5, "half"),
+    "n": ("100", 100, "1e2"),
+    "theta_samples": ("7", 7, "x"),
+    "data_samples": ("9", 9, "many"),
+    "ed_inputs": (SMALL_DATA, SMALL_DATA, None),
+}
+
+
+def test_cast_table_covers_every_field():
+    assert set(CASTS) == {f.name for f in fields(RunConfig)}
+
+
+def _option_sources(tmp_path, name, text):
+    """(source, argv, environment) giving option `name` the text `text`, one per source."""
+    command = "train" if name in cli._COMMANDS["train"][1] else "ed"
+    config = tmp_path / f"{name}.cfg"
+    config.write_text(f"{name} = {text}\n")
+    sources = [("config", [command, "--config", str(config)], {}),
+               ("env", [command], {"QCCNN_" + name.upper(): text})]
+    flag = "--" + name.replace("_", "-")
+    if name == "classical_relu":  # a switch: the flag takes no text and is always true
+        return sources + [("flag", [command, flag], {})] if text == "yes" else sources
+    return sources + [("flag", [command, flag, text], {})]
+
+
+@pytest.mark.parametrize("name", sorted(CASTS))
+def test_every_source_casts_an_option_alike(tmp_path, capsys, monkeypatch, name):
+    # A config line, a QCCNN_ variable and a flag go through one cast: the
+    # same value, or the same configuration error for a wrong-typed text.
+    monkeypatch.chdir(tmp_path)
+    text, value, wrong = CASTS[name]
+    for source, argv, env in _option_sources(tmp_path, name, text):
+        with monkeypatch.context() as patch:
+            for var, raw in env.items():
+                patch.setenv(var, raw)
+            cfg = build_config(cli._make_parser().parse_args(argv))
+        assert getattr(cfg, name) == value, source
+    if wrong is None:
+        return
+    errors = {}
+    for source, argv, env in _option_sources(tmp_path, name, wrong):
+        with monkeypatch.context() as patch:
+            for var, raw in env.items():
+                patch.setenv(var, raw)
+            assert main(argv) == EXIT_CONFIG, source
+        errors[source] = capsys.readouterr().err
+    assert len(set(errors.values())) == 1, errors
+    err = errors["config"]
+    assert err.startswith(f"configuration error: {name}: expected ")
+    assert err.endswith(f"got {wrong!r}\n")
+    assert "Traceback" not in err
+
+
+def _readme_flags() -> dict[str, set[str]]:
+    """Each command's flags as README's "Flags per command" list gives them."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Flags per command", 1)[1].split("\n\n", 1)[0]
+    return {
+        item.split("`")[1].split()[0]: set(re.findall(r"--[a-z-]+", item))
+        for item in block.split("\n- ")[1:]
+    }
+
+
+def test_readme_lists_the_flags_each_command_takes():
+    (commands,) = [a for a in cli._make_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    taken = {
+        command: {flag for action in p._actions for flag in action.option_strings}
+        for command, p in commands.choices.items()
+    }
+    documented = {command: {"-h", "--help", *flags} for command, flags in _readme_flags().items()}
+    assert taken == documented
