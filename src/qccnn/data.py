@@ -16,6 +16,7 @@ trips exactly on integers.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 import zipfile
 from dataclasses import dataclass
@@ -70,6 +71,14 @@ class SyntheticSpec:
     train_n: int = 200
     val_n: int = 50
     size: int = 8
+
+
+def read_utf8(path: Path, error: type[Exception]) -> str:
+    """The text of `path`; a file that cannot be read as UTF-8 raises `error` naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path} as UTF-8 text: {exc}") from None
 
 
 def normalize_pixels(pixels) -> np.ndarray:
@@ -157,7 +166,7 @@ def _read_idx(path: Path, magic: int, n_dims: int) -> np.ndarray:
     if got != magic:
         raise DataError(f"{path}: bad IDX magic 0x{got:08x}, expected 0x{magic:08x}")
     dims = struct.unpack(f">{n_dims}I", raw[4:header])
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # exact: np.prod wraps around in int64
     if len(raw) != header + count:
         raise DataError(f"{path}: payload size {len(raw) - header}, expected {count}")
     return np.frombuffer(raw, dtype=np.uint8, offset=header).reshape(dims)
@@ -176,24 +185,27 @@ def load_csv(path, split: str = "train") -> Dataset:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        n_pixels = len(header) - 1
-        side = int(round(n_pixels**0.5))
-        if header[0] != "label" or side * side != n_pixels:
-            raise DataError(f"{path}: header must be label,p0,...,p(k*k-1)")
-        rows = list(reader)
+    rows = list(csv.reader(read_utf8(path, DataError).splitlines()))
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header, *rows = rows
+    n_pixels = len(header) - 1
+    if header[:1] != ["label"] or n_pixels < 1 or math.isqrt(n_pixels) ** 2 != n_pixels:
+        raise DataError(f"{path}: header must be label,p0,...,p(k*k-1)")
+    side = math.isqrt(n_pixels)
     if not rows:
         raise DataError(f"{path}: no data rows")
+    for lineno, row in enumerate(rows, 2):
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
     try:
         table = np.array(rows, dtype=np.int64)
+        in_range = table.min() >= 0 and table[:, 1:].max() <= 255
+    except OverflowError:  # a cell beyond int64 is out of range too
+        in_range = False
     except ValueError as exc:
         raise DataError(f"{path}: non-numeric cell: {exc}") from exc
-    if np.any(table < 0) or np.any(table[:, 1:] > 255):
+    if not in_range:
         raise DataError(f"{path}: pixel values outside 0..255")
     labels = _validate_labels(table[:, 0], str(path), len(table))
     images = table[:, 1:].reshape(-1, side, side).astype(np.uint8)
@@ -241,7 +253,7 @@ def _synthetic_spec(source: str) -> SyntheticSpec:
                 raise DataError(
                     f"synthetic option {key!r} must be an integer, got {value!r}"
                 ) from None
-    for key, least in (("train_n", 1), ("val_n", 1), ("size", 2)):
+    for key, least in (("seed", 0), ("train_n", 1), ("val_n", 1), ("size", 2)):
         if getattr(spec, key) < least:
             raise DataError(f"synthetic option {key!r} must be >= {least}, got {getattr(spec, key)}")
     image_bytes = (spec.train_n + spec.val_n) * spec.size**2 * 8  # float64 pixels

@@ -2,8 +2,8 @@
 
 import argparse
 import json
-import os
 import re
+import struct
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -78,24 +78,6 @@ def test_train_quantum_ansatz_same_schema(tmp_path):
     assert code == EXIT_OK
     header = (out / "metrics.csv").read_text().splitlines()[0]
     assert header == "epoch,seed,train_acc,train_loss,val_acc,val_loss"
-
-
-def test_invalid_ansatz_is_config_error(tmp_path):
-    code = main(["train", "--ansatz", "bogus", "--data", SMALL_DATA, "--out", str(tmp_path / "x")])
-    assert code == EXIT_CONFIG
-
-
-def test_unreadable_dataset_is_data_error(tmp_path):
-    code = main([
-        "train", "--ansatz", "classical", "--data", str(tmp_path / "none.npz"),
-        "--out", str(tmp_path / "x"),
-    ])
-    assert code == EXIT_DATA
-
-
-def test_invalid_gamma_rejected(tmp_path):
-    code = main(["ed", "--ansatz", "select-tanh", "--gamma", "0", "--out", str(tmp_path / "ed")])
-    assert code == EXIT_CONFIG
 
 
 def test_ed_outputs_rows_and_summary(tmp_path):
@@ -177,13 +159,6 @@ def test_curves_csv_and_svg(tmp_path):
     assert "polyline" in svg and "polygon" in svg
 
 
-def test_curves_missing_metrics_is_data_error(tmp_path):
-    missing = tmp_path / "nothing"
-    missing.mkdir()
-    code = main(["curves", str(missing), "--out", str(tmp_path / "c.csv")])
-    assert code == EXIT_DATA
-
-
 def test_eval_checkpoint(tmp_path, capsys):
     out = _train(tmp_path, "run")
     code = main(["eval", str(out / "checkpoint_seed0.json"), "--data", SMALL_DATA])
@@ -248,273 +223,272 @@ def _eval_other_size_argv(tmp_path):
     return ["eval", str(out / "checkpoint_seed0.json"), "--data", SMALL_DATA]
 
 
-MALFORMED_INPUTS = {
-    "checkpoint-not-json": lambda tmp: _eval_argv(tmp, lambda s: "{not json"),
-    "checkpoint-missing-front": lambda tmp: _eval_argv(
-        tmp, lambda s: json.dumps({k: v for k, v in s.items() if k != "front"})
-    ),
-    "checkpoint-wrong-version": lambda tmp: _eval_argv(
-        tmp, lambda s: json.dumps({**s, "version": 2})
-    ),
-    "checkpoint-shape-mismatch": lambda tmp: _eval_argv(
-        tmp, lambda s: json.dumps({**s, "params": {**s["params"], "head_bias": [0.0]}})
-    ),
-    "checkpoint-nan-param": lambda tmp: _eval_argv(
-        tmp, lambda s: json.dumps({**s, "params": {**s["params"], "head_bias": [float("nan"), 0.0]}})
-    ),
-    "checkpoint-infinite-param": lambda tmp: _eval_argv(
-        tmp, lambda s: json.dumps({**s, "params": {**s["params"], "conv_bias": [float("-inf")] * 4}})
-    ),
-    "checkpoint-image-shape-one-dim": lambda tmp: _eval_argv(
-        tmp, lambda s: json.dumps({**s, "image_shape": [8]})
-    ),
-    "checkpoint-image-shape-below-window": lambda tmp: _eval_argv(
-        tmp, lambda s: json.dumps({**s, "image_shape": [1, 8]})
-    ),
-    "checkpoint-stride-true": lambda tmp: _eval_argv(
-        tmp, lambda s: json.dumps({**s, "stride": True})
-    ),
-    "checkpoint-relu-not-bool": lambda tmp: _eval_argv(
-        tmp, lambda s: json.dumps({**s, "relu": "yes"})
-    ),
-    "checkpoint-relu-on-quantum-front": lambda tmp: _eval_argv(
-        tmp, lambda s: json.dumps({**s, "relu": True}), "--ansatz", "select-tanh"
-    ),
-    "synthetic-seed-not-int": lambda tmp: _train_argv(tmp, "synthetic:seed=abc"),
-    "synthetic-size-below-window": lambda tmp: _train_argv(tmp, "synthetic:size=1"),
-    "synthetic-no-train-images": lambda tmp: _train_argv(tmp, "synthetic:train_n=0"),
-    "synthetic-negative-val-n": lambda tmp: _train_argv(tmp, "synthetic:val_n=-3"),
-    # 74.5 GiB and 47.7 GiB of images: refused before anything is allocated.
-    "synthetic-size-too-large": lambda tmp: _train_argv(tmp, "synthetic:size=100000"),
-    "synthetic-train-n-too-large": lambda tmp: _train_argv(tmp, "synthetic:train_n=100000000"),
-    "archive-empty-val-split": lambda tmp: _archive_argv(tmp, 0, 8),
-    "archive-split-shapes-differ": lambda tmp: _archive_argv(tmp, 2, 6),
-    "ed-inputs-size-below-window": lambda tmp: _ed_inputs_argv(tmp, "synthetic:size=1"),
-    "ed-inputs-no-train-images": lambda tmp: _ed_inputs_argv(tmp, "synthetic:train_n=0"),
-    "eval-image-size-mismatch": _eval_other_size_argv,
-    "metrics-short-row": lambda tmp: _curves_argv(tmp, "0,0,abc"),
-    "metrics-non-numeric": lambda tmp: _curves_argv(tmp, "0,0,abc,0.5,0.5,0.7"),
-    "metrics-not-utf8": lambda tmp: _curves_argv(tmp, "0,0,caf\xe9,0.5,0.5,0.7"),
-    "ed-results-not-utf8": lambda tmp: _ed_prior_table_argv(
-        tmp, lambda path: path.write_bytes(b"ansatz,seed\ncaf\xe9,0\n")
-    ),
-    "ed-results-is-directory": lambda tmp: _ed_prior_table_argv(tmp, Path.mkdir),
-}
-
-
-# What the message must name, where the exit code alone would not show it.
-MALFORMED_MESSAGES = {
-    "checkpoint-image-shape-one-dim": "'image_shape'",
-    "checkpoint-image-shape-below-window": "'image_shape'",
-    "checkpoint-stride-true": "'stride'",
-    "checkpoint-relu-not-bool": "'relu'",
-    "checkpoint-relu-on-quantum-front": "'relu'",
-    "archive-split-shapes-differ": "train images are (8, 8), val images are (6, 6)",
-    "metrics-short-row": "metrics.csv:2: ",  # path and line number of the bad row
-    "metrics-non-numeric": "metrics.csv:2: ",
-    "metrics-not-utf8": "metrics.csv as UTF-8 text",
-    "ed-results-not-utf8": "ed_results.csv as UTF-8 text",
-    "ed-results-is-directory": "ed_results.csv as UTF-8 text",
-    "synthetic-size-too-large": "GiB limit",
-    "synthetic-train-n-too-large": "GiB limit",
-}
-
-
-@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
-def test_malformed_input_is_data_error(tmp_path, capsys, case):
-    assert main(MALFORMED_INPUTS[case](tmp_path)) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith("data error: ")
-    assert MALFORMED_MESSAGES.get(case, "") in err
-    assert "Traceback" not in err
-
-
-def _regular_file(tmp_path):
-    path = tmp_path / "file"
-    path.write_text("")
+def _file(path, data=b""):
+    path.write_bytes(data)
     return path
 
 
-def _non_utf8_config_argv(tmp_path):
-    config = tmp_path / "latin1.cfg"
-    config.write_bytes(b"epochs = 1  # caf\xe9\n")
-    return ["train", "--ansatz", "classical", "--data", SMALL_DATA, "--config", str(config),
-            "--out", str(tmp_path / "x")]
-
-
-CONFIG_ERRORS = {
-    "config-not-utf8": _non_utf8_config_argv,
-    "train-out-under-file": lambda tmp: [
-        "train", "--ansatz", "classical", "--data", SMALL_DATA, "--epochs", "1",
-        "--out", str(_regular_file(tmp) / "run"),
-    ],
-    "ed-out-under-file": lambda tmp: [
-        "ed", "--ansatz", "select-tanh", "--theta-samples", "1", "--data-samples", "2",
-        "--out", str(_regular_file(tmp) / "ed"),
-    ],
-}
-
-
-@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
-def test_unreadable_config_or_out_is_config_error(tmp_path, capsys, case):
-    assert main(CONFIG_ERRORS[case](tmp_path)) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.err.startswith("configuration error: ")
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
-    assert not (tmp_path / "x").exists()
+def _made(path):
+    path.mkdir()
+    return path
 
 
 def _curves_run(tmp_path):
-    run = tmp_path / "run"
-    run.mkdir()
+    run = _made(tmp_path / "run")
     (run / "metrics.csv").write_text(
         "epoch,seed,train_acc,train_loss,val_acc,val_loss\n0,0,0.5,0.7,0.5,0.7\n"
     )
     return ["curves", str(run)]
 
 
-UNWRITABLE_CURVES = {
-    "out-under-file": lambda tmp: ["--out", str(_regular_file(tmp) / "c.csv")],
-    "out-is-directory": lambda tmp: ["--out", str(tmp / "run")],
-    "svg-under-file": lambda tmp: [
-        "--out", str(tmp / "c.csv"), "--svg", str(_regular_file(tmp) / "c.svg"),
-    ],
-}
+def _blocked_argv(tmp_path, argv, name):
+    """`argv` writing into tmp_path, where a directory stands in for output file `name`."""
+    _made(tmp_path / name)
+    return [*argv, "--out", str(tmp_path)]
 
 
-@pytest.mark.parametrize("case", sorted(UNWRITABLE_CURVES))
-def test_unwritable_curves_output_is_config_error(tmp_path, capsys, case):
-    argv = _curves_run(tmp_path) + UNWRITABLE_CURVES[case](tmp_path)
-    assert main(argv) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.err.startswith("configuration error: cannot write ")
-    assert "Traceback" not in captured.err
-    # Every path is checked before any is written: no output, not even the CSV.
-    assert captured.out == ""
-    assert not (tmp_path / "c.csv").exists()
-    assert not list(tmp_path.rglob("*.tmp"))
+def _csv_argv(tmp_path, text):
+    """train on a directory whose train.csv is `text` (bytes)."""
+    _file(_made(tmp_path / "csv") / "train.csv", text)
+    return _train_argv(tmp_path, str(tmp_path / "csv"))
 
 
-# Each case: a small run whose output directory already holds a directory
-# where the run writes the named file.
-SMALL_RUNS = {
-    "train": ["train", "--ansatz", "classical", "--data", SMALL_DATA, "--epochs", "1",
-              "--seeds", "0"],
-    "ed": ["ed", "--ansatz", "select-tanh", "--theta-samples", "1", "--data-samples", "2",
-           "--seeds", "0"],
-}
-UNWRITABLE_RUN_OUTPUTS = {
-    "train-checkpoint": ("train", "checkpoint_seed0.json"),
-    "train-metrics": ("train", "metrics.csv"),
-    "train-summary": ("train", "summary.json"),
-    "ed-summary": ("ed", "ed_summary.json"),
-}
+def _idx_argv(tmp_path, *dims):
+    """train on a directory whose train-images.idx declares `dims` and holds no pixels."""
+    _file(_made(tmp_path / "idx") / "train-images.idx", struct.pack(">4I", 0x803, *dims))
+    return _train_argv(tmp_path, str(tmp_path / "idx"))
 
 
-@pytest.mark.parametrize("case", sorted(UNWRITABLE_RUN_OUTPUTS))
-def test_unwritable_run_output_is_config_error(tmp_path, capsys, case):
-    command, name = UNWRITABLE_RUN_OUTPUTS[case]
-    (tmp_path / name).mkdir()
-    assert main([*SMALL_RUNS[command], "--out", str(tmp_path)]) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"configuration error: cannot write {tmp_path / name}: ")
-    assert "Traceback" not in captured.err
-    # Every output path is checked before the first seed or key is computed.
-    assert captured.out == ""
-    assert not (tmp_path / "checkpoint_seed0.json").is_file()
-    assert not list(tmp_path.rglob("*.tmp"))
+def _checkpoint(**changes):
+    """An `_eval_argv` edit: the checkpoint with `changes` over its fields."""
+    return lambda state: json.dumps({**state, **changes})
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", "checkpoint_seed0.json", "--data", SMALL_DATA, "--stride", "7"],
-    # `--data` is also a prefix of `--data-samples`, which must not take it.
-    ["ed", "--ansatz", "select-tanh", "--theta-samples", "1", "--data", "2"],
-], ids=["eval-stride", "ed-data"])
-def test_flags_a_command_never_reads_are_rejected(tmp_path, capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"unrecognized arguments: {argv[-2]}" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "x").exists()
+def _params(**changes):
+    """An `_eval_argv` edit: the checkpoint with `changes` over its parameter arrays."""
+    return lambda state: json.dumps({**state, "params": {**state["params"], **changes}})
 
 
-def test_non_finite_training_is_numeric_failure(tmp_path, capsys):
-    out = tmp_path / "run"
-    with np.errstate(all="ignore"):
-        code = main([
-            "train", "--ansatz", "classical", "--data", SMALL_DATA, "--lr", "1e308",
-            "--epochs", "3", "--seeds", "0", "--out", str(out),
-        ])
-    assert code == EXIT_NUMERIC
-    err = capsys.readouterr().err
-    assert "at epoch 0" in err and "head_weights" in err
-    assert not (out / "metrics.csv").exists()
+TRAIN = ["train", "--ansatz", "classical", "--data", SMALL_DATA]
+CSV_HEADER = b"label,p0,p1,p2,p3\n"  # 2x2 images
+SMALL_ED = ["ed", "--ansatz", "select-tanh", "--theta-samples", "1", "--data-samples", "2"]
 
-
-@pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
-def test_non_finite_learning_rate_is_config_error(tmp_path, lr):
-    code = main([
-        "train", "--ansatz", "classical", "--data", SMALL_DATA, f"--lr={lr}",
-        "--epochs", "1", "--seeds", "0", "--out", str(tmp_path / "x"),
-    ])
-    assert code == EXIT_CONFIG
-    assert not (tmp_path / "x").exists()
-
-
-@pytest.mark.parametrize("command", ["train", "ed"])
-def test_duplicate_seeds_are_config_error(tmp_path, command):
-    # A repeated seed would train or score the same run twice under one key.
-    front = ["--ansatz", "classical", "--data", SMALL_DATA, "--epochs", "1"]
-    if command == "ed":
-        front = ["--ansatz", "select-tanh", "--theta-samples", "1", "--data-samples", "2"]
-    code = main([command, *front, "--seeds", "0,0", "--out", str(tmp_path / "x")])
-    assert code == EXIT_CONFIG
-    assert not (tmp_path / "x").exists()
-
-
-def test_duplicate_ed_keys_are_config_error(tmp_path, capsys):
-    # A repeated key would score the same rows twice, the second replacing the first.
-    code = main(["ed", "--ansatz", "select-tanh,select-tanh", "--theta-samples", "1",
-                 "--data-samples", "2", "--seeds", "0", "--out", str(tmp_path / "x")])
-    assert code == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.err.startswith("configuration error: ansatz keys must be distinct")
-    assert captured.out == ""
-    assert not (tmp_path / "x").exists()
-
-
-NEGATIVE_SEEDS = {
-    "train": (["train", "--ansatz", "classical", "--data", SMALL_DATA, "--epochs", "1",
-               "--seeds", "-1"], {}),
-    "eval": (["eval", "CHECKPOINT", "--data", SMALL_DATA, "--seeds", "-1"], {}),
-    # A valid seed first: nothing may be written before the bad one is seen.
-    "ed": (["ed", "--ansatz", "select-tanh", "--theta-samples", "1", "--data-samples", "2",
-            "--seeds", "0,-3"], {}),
-    "ed-env": (["ed", "--ansatz", "select-tanh", "--theta-samples", "1",
-                "--data-samples", "2"], {"QCCNN_SEEDS": "-2"}),
-}
-
-
-@pytest.mark.parametrize("case", sorted(NEGATIVE_SEEDS))
-def test_negative_seed_is_config_error(tmp_path, capsys, monkeypatch, case):
+# One row per documented failure: (case, argv builder, environment, exit
+# code, *stderr fragments). A fragment may name `{tmp}`, the case's tmp_path.
+FAILURES = [
+    # 2: configuration errors, checked before any directory is made
+    ("invalid-ansatz", lambda tmp: ["train", "--ansatz", "bogus", "--data", SMALL_DATA,
+                                    "--out", str(tmp / "x")], {}, EXIT_CONFIG,
+     "unknown ansatz 'bogus'"),
+    ("invalid-gamma", lambda tmp: ["ed", "--ansatz", "select-tanh", "--gamma", "0",
+                                   "--out", str(tmp / "ed")], {}, EXIT_CONFIG,
+     "gamma must lie in (0, 1]"),
+    *[(f"lr={lr}", lambda tmp, lr=lr: [*TRAIN, f"--lr={lr}", "--epochs", "1", "--seeds", "0",
+                                       "--out", str(tmp / "x")], {}, EXIT_CONFIG,
+       "learning rate must be positive and finite") for lr in ("nan", "inf", "-inf")],
+    *[(f"stop-at-train-acc={stop}", lambda tmp, stop=stop: [
+        *TRAIN, f"--stop-at-train-acc={stop}", "--epochs", "1", "--seeds", "0",
+        "--out", str(tmp / "x")], {}, EXIT_CONFIG, "stop_at_train_acc must lie in [0, 1]")
+      for stop in ("nan", "inf", "-0.1", "1.5")],
+    # A repeated seed or key would train or score the same run twice under one key.
+    ("duplicate-seeds-train", lambda tmp: [*TRAIN, "--epochs", "1", "--seeds", "0,0",
+                                           "--out", str(tmp / "x")], {}, EXIT_CONFIG,
+     "seeds must be distinct"),
+    ("duplicate-seeds-ed", lambda tmp: [*SMALL_ED, "--seeds", "0,0", "--out", str(tmp / "x")],
+     {}, EXIT_CONFIG, "seeds must be distinct"),
+    ("duplicate-ed-keys", lambda tmp: ["ed", "--ansatz", "select-tanh,select-tanh",
+                                       "--theta-samples", "1", "--data-samples", "2",
+                                       "--seeds", "0", "--out", str(tmp / "x")], {},
+     EXIT_CONFIG, "configuration error: ansatz keys must be distinct"),
     # numpy's default_rng takes no negative seed; the CLI says so before any work.
-    argv, env = NEGATIVE_SEEDS[case]
-    if case == "eval":
-        checkpoint = str(_train(tmp_path, "run") / "checkpoint_seed0.json")
-        argv = [checkpoint if arg == "CHECKPOINT" else arg for arg in argv]
+    ("negative-seed-train", lambda tmp: [*TRAIN, "--epochs", "1", "--seeds", "-1",
+                                         "--out", str(tmp / "x")], {}, EXIT_CONFIG,
+     "non-negative"),
+    ("negative-seed-eval", lambda tmp: ["eval", str(_train(tmp, "run") / "checkpoint_seed0.json"),
+                                        "--data", SMALL_DATA, "--seeds", "-1"], {},
+     EXIT_CONFIG, "non-negative"),
+    # A valid seed first: nothing may be written before the bad one is seen.
+    ("negative-seed-ed", lambda tmp: [*SMALL_ED, "--seeds", "0,-3", "--out", str(tmp / "x")],
+     {}, EXIT_CONFIG, "non-negative"),
+    ("negative-seed-ed-env", lambda tmp: [*SMALL_ED, "--out", str(tmp / "x")],
+     {"QCCNN_SEEDS": "-2"}, EXIT_CONFIG, "non-negative"),
+    ("config-missing", lambda tmp: [*TRAIN, "--config", str(tmp / "none.cfg"),
+                                    "--out", str(tmp / "x")], {}, EXIT_CONFIG,
+     "no such config file"),
+    ("config-not-utf8", lambda tmp: [*TRAIN, "--config", str(_file(
+        tmp / "latin1.cfg", b"epochs = 1  # caf\xe9\n")), "--out", str(tmp / "x")], {},
+     EXIT_CONFIG, "latin1.cfg as UTF-8 text"),
+    ("config-unknown-key", lambda tmp: [
+        "train", "--config", str(_file(tmp / "bad.cfg", b"optimizer = sgd\n")),
+        "--ansatz", "classical", "--data", SMALL_DATA, "--out", str(tmp / "x")], {},
+     EXIT_CONFIG, "unknown option 'optimizer'"),
+    ("train-out-under-file", lambda tmp: [*TRAIN, "--epochs", "1",
+                                          "--out", str(_file(tmp / "file") / "run")], {},
+     EXIT_CONFIG, "cannot make output directory"),
+    ("ed-out-under-file", lambda tmp: [*SMALL_ED, "--out", str(_file(tmp / "file") / "ed")],
+     {}, EXIT_CONFIG, "cannot make output directory"),
+    # Every output path is checked before any is written, and before the
+    # first seed or key is computed.
+    *[(f"unwritable-{command}-{name}", lambda tmp, argv=argv, name=name: _blocked_argv(
+        tmp, argv, name), {}, EXIT_CONFIG, f"configuration error: cannot write {{tmp}}/{name}: ")
+      for command, argv, names in [
+          ("train", [*TRAIN, "--epochs", "1", "--seeds", "0"],
+           ("checkpoint_seed0.json", "metrics.csv", "summary.json")),
+          ("ed", [*SMALL_ED, "--seeds", "0"], ("ed_summary.json",))]
+      for name in names],
+    ("curves-out-under-file", lambda tmp: [*_curves_run(tmp), "--out",
+                                           str(_file(tmp / "file") / "c.csv")], {},
+     EXIT_CONFIG, "configuration error: cannot write "),
+    ("curves-out-is-directory", lambda tmp: [*_curves_run(tmp), "--out", str(tmp / "run")],
+     {}, EXIT_CONFIG, "configuration error: cannot write "),
+    ("curves-svg-under-file", lambda tmp: [*_curves_run(tmp), "--out", str(tmp / "c.csv"),
+                                           "--svg", str(_file(tmp / "file") / "c.svg")], {},
+     EXIT_CONFIG, "configuration error: cannot write "),
+    # 2: argparse's usage errors
+    ("unknown-command", lambda tmp: ["bogus"], {}, EXIT_CONFIG, "invalid choice: 'bogus'"),
+    ("unread-flag-eval-stride", lambda tmp: [
+        "eval", "checkpoint_seed0.json", "--data", SMALL_DATA, "--stride", "7",
+        "--out", str(tmp / "x")], {}, EXIT_CONFIG, "unrecognized arguments: --stride"),
+    # `--data` is also a prefix of `--data-samples`, which must not take it.
+    ("unread-flag-ed-data", lambda tmp: [
+        "ed", "--ansatz", "select-tanh", "--theta-samples", "1", "--data", "2",
+        "--out", str(tmp / "x")], {}, EXIT_CONFIG, "unrecognized arguments: --data"),
+    # 3: data errors
+    ("unreadable-dataset", lambda tmp: _train_argv(tmp, str(tmp / "none.npz")), {}, EXIT_DATA,
+     "no such archive"),
+    ("checkpoint-not-json", lambda tmp: _eval_argv(tmp, lambda s: "{not json"), {}, EXIT_DATA,
+     "JSONDecodeError"),
+    ("checkpoint-missing-front", lambda tmp: _eval_argv(
+        tmp, lambda s: json.dumps({k: v for k, v in s.items() if k != "front"})), {},
+     EXIT_DATA, "KeyError('front')"),
+    ("checkpoint-wrong-version", lambda tmp: _eval_argv(tmp, _checkpoint(version=2)), {},
+     EXIT_DATA, "not a version-1 checkpoint"),
+    ("checkpoint-shape-mismatch", lambda tmp: _eval_argv(tmp, _params(head_bias=[0.0])), {},
+     EXIT_DATA, "shape mismatch for 'head_bias'"),
+    ("checkpoint-nan-param", lambda tmp: _eval_argv(
+        tmp, _params(head_bias=[float("nan"), 0.0])), {}, EXIT_DATA,
+     "non-finite values for 'head_bias'"),
+    ("checkpoint-infinite-param", lambda tmp: _eval_argv(
+        tmp, _params(conv_bias=[float("-inf")] * 4)), {}, EXIT_DATA,
+     "non-finite values for 'conv_bias'"),
+    ("checkpoint-image-shape-one-dim", lambda tmp: _eval_argv(
+        tmp, _checkpoint(image_shape=[8])), {}, EXIT_DATA, "'image_shape'"),
+    ("checkpoint-image-shape-below-window", lambda tmp: _eval_argv(
+        tmp, _checkpoint(image_shape=[1, 8])), {}, EXIT_DATA, "'image_shape'"),
+    ("checkpoint-stride-true", lambda tmp: _eval_argv(tmp, _checkpoint(stride=True)), {},
+     EXIT_DATA, "'stride'"),
+    ("checkpoint-relu-not-bool", lambda tmp: _eval_argv(tmp, _checkpoint(relu="yes")), {},
+     EXIT_DATA, "'relu'"),
+    ("checkpoint-relu-on-quantum-front", lambda tmp: _eval_argv(
+        tmp, _checkpoint(relu=True), "--ansatz", "select-tanh"), {}, EXIT_DATA, "'relu'"),
+    ("eval-image-size-mismatch", _eval_other_size_argv, {}, EXIT_DATA,
+     "takes images of shape (12, 12)"),
+    ("synthetic-seed-not-int", lambda tmp: _train_argv(tmp, "synthetic:seed=abc"), {},
+     EXIT_DATA, "synthetic option 'seed' must be an integer"),
+    ("synthetic-negative-seed", lambda tmp: _train_argv(tmp, "synthetic:seed=-1"), {},
+     EXIT_DATA, "synthetic option 'seed' must be >= 0, got -1"),
+    ("synthetic-size-below-window", lambda tmp: _train_argv(tmp, "synthetic:size=1"), {},
+     EXIT_DATA, "synthetic option 'size' must be >= 2"),
+    ("synthetic-no-train-images", lambda tmp: _train_argv(tmp, "synthetic:train_n=0"), {},
+     EXIT_DATA, "synthetic option 'train_n' must be >= 1"),
+    ("synthetic-negative-val-n", lambda tmp: _train_argv(tmp, "synthetic:val_n=-3"), {},
+     EXIT_DATA, "synthetic option 'val_n' must be >= 1"),
+    # 18626.5 GiB and 47.7 GiB of images: refused before anything is allocated.
+    ("synthetic-size-too-large", lambda tmp: _train_argv(tmp, "synthetic:size=100000"), {},
+     EXIT_DATA, "GiB limit"),
+    ("synthetic-train-n-too-large", lambda tmp: _train_argv(
+        tmp, "synthetic:train_n=100000000"), {}, EXIT_DATA, "GiB limit"),
+    ("ed-inputs-size-below-window", lambda tmp: _ed_inputs_argv(tmp, "synthetic:size=1"), {},
+     EXIT_DATA, "synthetic option 'size' must be >= 2"),
+    ("ed-inputs-no-train-images", lambda tmp: _ed_inputs_argv(tmp, "synthetic:train_n=0"),
+     {}, EXIT_DATA, "synthetic option 'train_n' must be >= 1"),
+    ("ed-inputs-negative-seed", lambda tmp: _ed_inputs_argv(tmp, "synthetic:seed=-1"), {},
+     EXIT_DATA, "synthetic option 'seed' must be >= 0, got -1"),
+    ("archive-empty-val-split", lambda tmp: _archive_argv(tmp, 0, 8), {}, EXIT_DATA,
+     "val split has no images"),
+    ("archive-split-shapes-differ", lambda tmp: _archive_argv(tmp, 2, 6), {}, EXIT_DATA,
+     "train images are (8, 8), val images are (6, 6)"),
+    ("csv-header-without-pixels", lambda tmp: _csv_argv(tmp, b"label\n0\n"), {}, EXIT_DATA,
+     "train.csv: header must be label,p0,"),
+    ("csv-blank-first-line", lambda tmp: _csv_argv(tmp, b"\n" + CSV_HEADER + b"0,1,2,3,4\n"),
+     {}, EXIT_DATA, "train.csv: header must be label,p0,"),
+    ("csv-short-row", lambda tmp: _csv_argv(tmp, CSV_HEADER + b"0,1,2,3\n"), {},
+     EXIT_DATA, "train.csv:2: expected 5 cells, got 4"),
+    ("csv-long-row", lambda tmp: _csv_argv(tmp, CSV_HEADER + b"0,1,2,3,4,5\n"), {},
+     EXIT_DATA, "train.csv:2: expected 5 cells, got 6"),
+    ("csv-not-utf8", lambda tmp: _csv_argv(tmp, CSV_HEADER + b"0,1,2,3,4\n\xff\n"), {},
+     EXIT_DATA, "train.csv as UTF-8 text"),
+    ("csv-pixel-overflow", lambda tmp: _csv_argv(
+        tmp, CSV_HEADER + b"0,1,2,3,99999999999999999999999\n"), {}, EXIT_DATA,
+     "train.csv: pixel values outside 0..255"),
+    # (2^22)^3 = 2^66 pixels, which an int64 product wraps around to 0.
+    ("idx-dims-overflow", lambda tmp: _idx_argv(tmp, 2**22, 2**22, 2**22), {}, EXIT_DATA,
+     "payload size 0, expected 73786976294838206464"),
+    ("metrics-short-row", lambda tmp: _curves_argv(tmp, "0,0,abc"), {}, EXIT_DATA,
+     "metrics.csv:2: expected 6 cells, got 3"),
+    ("metrics-non-numeric", lambda tmp: _curves_argv(tmp, "0,0,abc,0.5,0.5,0.7"), {},
+     EXIT_DATA, "metrics.csv:2: non-numeric cell"),
+    ("metrics-not-utf8", lambda tmp: _curves_argv(tmp, "0,0,caf\xe9,0.5,0.5,0.7"), {},
+     EXIT_DATA, "metrics.csv as UTF-8 text"),
+    ("curves-missing-metrics", lambda tmp: ["curves", str(_made(tmp / "nothing")),
+                                            "--out", str(tmp / "c.csv")], {}, EXIT_DATA,
+     "missing metrics file"),
+    ("ed-results-not-utf8", lambda tmp: _ed_prior_table_argv(
+        tmp, lambda path: path.write_bytes(b"ansatz,seed\ncaf\xe9,0\n")), {}, EXIT_DATA,
+     "ed_results.csv as UTF-8 text"),
+    ("ed-results-is-directory", lambda tmp: _ed_prior_table_argv(tmp, Path.mkdir), {},
+     EXIT_DATA, "ed_results.csv as UTF-8 text"),
+    # 4: numeric failures
+    ("non-finite-training", lambda tmp: [*TRAIN, "--lr", "1e308", "--epochs", "3",
+                                         "--seeds", "0", "--out", str(tmp / "run")], {},
+     EXIT_NUMERIC, "at epoch 0", "head_weights"),
+    ("ed-kappa-at-most-one", lambda tmp: [*SMALL_ED, "--n", "2", "--out", str(tmp / "ed")],
+     {}, EXIT_NUMERIC, "<= 1; effective dimension undefined"),
+]
+
+CLASS_PREFIX = {
+    EXIT_CONFIG: ("configuration error: ", "usage: "),
+    EXIT_DATA: "data error: ",
+    EXIT_NUMERIC: "numeric failure: ",
+}
+
+
+def _run(capsys, argv):
+    """`main(argv)` as (exit code, stdout, stderr); argparse's SystemExit gives the code too."""
+    capsys.readouterr()  # drop what building the case printed
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def _tree(root, with_dirs):
+    """Each path under `root`: a file's bytes, or None for a directory."""
+    return {p: None if p.is_dir() else p.read_bytes() for p in root.rglob("*")
+            if with_dirs or not p.is_dir()}
+
+
+@pytest.mark.parametrize("row", FAILURES, ids=[row[0] for row in FAILURES])
+def test_every_failure_exits_with_its_class(tmp_path, capsys, monkeypatch, row):
+    _, build, env, code, *fragments = row
+    monkeypatch.chdir(tmp_path)  # a relative output path would land here too
+    argv = build(tmp_path)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    capsys.readouterr()
-    if case != "eval":  # eval writes no file
-        argv = [*argv, "--out", str(tmp_path / "x")]
-    assert main(argv) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert "non-negative" in captured.err
-    assert captured.out == ""
-    assert not (tmp_path / "x").exists()
+    # A configuration error makes no directory; the others may make --out.
+    with_dirs = code == EXIT_CONFIG
+    before = _tree(tmp_path, with_dirs)
+    with np.errstate(all="ignore"):  # the non-finite training row overflows on purpose
+        got, out, err = _run(capsys, argv)
+    assert got == code, err
+    assert err.startswith(CLASS_PREFIX[code]), err
+    for fragment in fragments:
+        assert fragment.format(tmp=tmp_path) in err, err
+    assert "Traceback" not in err
+    assert out == ""
+    # No file is written, and no .tmp file is left behind.
+    assert _tree(tmp_path, with_dirs) == before
 
 
 def test_parser_reuse_leaks_no_option_between_calls(tmp_path, monkeypatch):
@@ -545,16 +519,6 @@ def test_parser_reuse_leaks_no_option_between_calls(tmp_path, monkeypatch):
     assert configs[2] == replace(defaults, data=SMALL_DATA)
 
 
-@pytest.mark.parametrize("stop", ["nan", "inf", "-0.1", "1.5"])
-def test_stop_at_train_acc_outside_unit_interval_is_config_error(tmp_path, stop):
-    code = main([
-        "train", "--ansatz", "classical", "--data", SMALL_DATA, f"--stop-at-train-acc={stop}",
-        "--epochs", "1", "--seeds", "0", "--out", str(tmp_path / "x"),
-    ])
-    assert code == EXIT_CONFIG
-    assert not (tmp_path / "x").exists()
-
-
 def test_config_file_and_env_precedence(tmp_path, monkeypatch):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("epochs = 7\nbatch-size = 4  # comment\n")
@@ -567,16 +531,6 @@ def test_config_file_and_env_precedence(tmp_path, monkeypatch):
     assert cfg.epochs == 7  # config file beats default
     assert cfg.batch_size == 2  # CLI beats config file
     assert cfg.lr == 0.01  # environment beats default
-
-
-def test_config_rejects_unknown_key(tmp_path):
-    cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("optimizer = sgd\n")
-    code = main([
-        "train", "--config", str(cfg_file), "--ansatz", "classical",
-        "--data", SMALL_DATA, "--out", str(tmp_path / "x"),
-    ])
-    assert code == EXIT_CONFIG
 
 
 # Each RunConfig field: (text from any source, the value it resolves to, a
