@@ -469,8 +469,7 @@ def _tree(root, with_dirs):
             if with_dirs or not p.is_dir()}
 
 
-@pytest.mark.parametrize("row", FAILURES, ids=[row[0] for row in FAILURES])
-def test_every_failure_exits_with_its_class(tmp_path, capsys, monkeypatch, row):
+def _assert_exits_with_its_class(tmp_path, capsys, monkeypatch, row):
     _, build, env, code, *fragments = row
     monkeypatch.chdir(tmp_path)  # a relative output path would land here too
     argv = build(tmp_path)
@@ -489,6 +488,23 @@ def test_every_failure_exits_with_its_class(tmp_path, capsys, monkeypatch, row):
     assert out == ""
     # No file is written, and no .tmp file is left behind.
     assert _tree(tmp_path, with_dirs) == before
+
+
+def _failures(data):
+    rows = [row for row in FAILURES if (row[3] == EXIT_DATA) == data]
+    return pytest.mark.parametrize("row", rows, ids=[row[0] for row in rows])
+
+
+# The FAILURES contract, run in two halves: malformed input (exit 3), and bad
+# options, unwritable outputs and numeric failures (exits 2 and 4).
+@_failures(data=True)
+def test_malformed_input_is_data_error(tmp_path, capsys, monkeypatch, row):
+    _assert_exits_with_its_class(tmp_path, capsys, monkeypatch, row)
+
+
+@_failures(data=False)
+def test_config_or_numeric_failure_exits_with_its_class(tmp_path, capsys, monkeypatch, row):
+    _assert_exits_with_its_class(tmp_path, capsys, monkeypatch, row)
 
 
 def test_parser_reuse_leaks_no_option_between_calls(tmp_path, monkeypatch):
