@@ -93,11 +93,11 @@ def _walk(ops, params, phi: np.ndarray, lam: np.ndarray, grad: np.ndarray):
 def readout_gradient(circuit: Circuit, params, weights, state) -> np.ndarray:
     """Per-row gradient of sum_j weights[r, j] * <Z_j> with respect to params.
 
-    `state` is the circuit's (2**n, rows) final state at `params`, as
-    :func:`qccnn.sim.final_state` returns it; the walk back overwrites it.
-    The ops it walks take no input angle, so it needs no inputs.
-    `params` is a (num_params,) vector or a (rows, num_params) matrix, and
-    `weights` is (rows, readouts).  Returns an array of shape
+    `params` is a (rows, num_params) matrix and `state` the circuit's
+    (2**n, rows) final state, row r at ``params[r]``: the encoding of the
+    rows times their :func:`qccnn.sim.unitary` matrices.  The walk back
+    overwrites it.  The ops it walks take no input angle, so it needs no
+    inputs.  `weights` is (rows, readouts).  Returns an array of shape
     (rows, num_params).
     """
     rows = state.shape[-1]

@@ -318,25 +318,25 @@ def _check_checkpoint_meta(state: dict):
 
 
 def cmd_eval(cfg: RunConfig, checkpoint: str) -> int:
+    train, val = load_dataset(cfg.data)
+    splits = (("train", train), ("val", val))
     try:
         state = json.loads(Path(checkpoint).read_text())
         _check_checkpoint_meta(state)
-        model = make_model(
-            state["front"], tuple(state["image_shape"]), state["stride"], 0, state["relu"]
-        )
+        # Compared before the model is built: its head is sized by the shape.
+        shape = tuple(state["image_shape"])
+        for name, dataset in splits:
+            if dataset.image_shape != shape:
+                raise DataError(
+                    f"checkpoint {checkpoint} takes images of shape {shape};"
+                    f" the {name} split of {cfg.data} has {dataset.image_shape}"
+                )
+        model = make_model(state["front"], shape, state["stride"], 0, state["relu"])
         model.load_state_dict(state)
     except OSError as exc:
         raise DataError(f"cannot read checkpoint: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:  # parse error, missing key, bad record
         raise DataError(f"malformed checkpoint {checkpoint}: {exc!r}") from exc
-    train, val = load_dataset(cfg.data)
-    splits = (("train", train), ("val", val))
-    for name, dataset in splits:
-        if dataset.image_shape != model.image_shape:
-            raise DataError(
-                f"checkpoint {checkpoint} takes images of shape {model.image_shape};"
-                f" the {name} split of {cfg.data} has {dataset.image_shape}"
-            )
     for name, dataset in splits:
         acc, loss = evaluate(model, dataset)
         print(f"{name}: accuracy={acc:.4f} loss={loss:.6f} n={len(dataset)}")

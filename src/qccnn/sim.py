@@ -9,9 +9,8 @@ qubit ``q`` is axis ``n-1-q``.
 A :class:`Circuit` is an immutable template.  Rotation angles are resolved at
 execution time from one of three sources: a trainable parameter slot, a
 product of circuit inputs (scaled by pi), or a baked-in constant.  The
-parameters are a (num_params,) vector shared by every row of a batch, or a
-(rows, num_params) matrix that gives each row its own; one code path serves
-both.
+parameters are a matrix with one row per state column, so every column
+carries its own.
 Mid-circuit measurements and classically conditioned gates always execute
 exactly: :func:`defer_measurements` rewrites each conditioned rotation to a
 controlled rotation on the measured qubit.  :class:`Circuit` checks every
@@ -23,16 +22,15 @@ once and splits the result at its first parameterised op, and every
 function here and in :mod:`qccnn.autodiff` reads it.  :func:`encode`
 simulates the parameter-free prefix (for the ansatz circuits, the patch
 encoding), which depends on the inputs only, so circuits that differ only
-in their parameters share it.  :func:`final_state` runs the prefix and then
-the rest of the ops row by row.  No input angle follows the first
-parameterised op (:class:`Circuit` rejects one), so that rest is one matrix
-for every row: :func:`unitary` builds it by running the same ops on the
-2**n identity columns, and a caller with many rows applies it as one matrix
-product.  Circuits that differ only in their parameters (the kernels of a
-layer) build their matrices together, as kernels x 2**n columns with
-per-column parameters.  :func:`readouts` reads the readout Z expectations
-off a final state, and :func:`run_deferred_batch` composes it with
-:func:`final_state`.
+in their parameters share it.  No input angle follows the first
+parameterised op (:class:`Circuit` rejects one), so the rest of the ops is
+one matrix for every row: :func:`unitary` builds it by running them on the
+2**n identity columns, and a caller applies it to the encoding as one
+matrix product.  Circuits that differ only in their parameters (the
+kernels of a layer, the parameter draws of an effective dimension) build
+their matrices together, as kernels x 2**n columns with per-column
+parameters.  :func:`readouts` reads the readout Z expectations off a final
+state.
 """
 
 from __future__ import annotations
@@ -110,7 +108,7 @@ class Circuit:
     """Ordered gate program with trainable parameter and input slots.
 
     `readout` lists the qubits whose Pauli-Z expectations
-    :func:`run_deferred_batch` returns, in order.  Construction checks the
+    :func:`readouts` returns, in order.  Construction checks the
     template rules, so every circuit can be deferred and splits into an
     encoding and a parameterised body: a qubit is measured at most once and
     is then only the control of a gate or the target of a Z-diagonal one; a
@@ -271,13 +269,12 @@ def _apply_kind(psi: np.ndarray, kind: str, targets: tuple, theta=None):
 
 
 def _resolve_angle(op: GateOp, params: np.ndarray, inputs: np.ndarray):
-    """Angle for one rotation op: a scalar, or a per-row vector.
+    """Angle for one rotation op: a per-row vector, or a scalar constant.
 
-    Input angles are per row; a parameter angle is per row when `params` is
-    a (rows, num_params) matrix.
+    `params` is a (rows, num_params) and `inputs` a (rows, num_inputs) matrix.
     """
     if op.param_slot is not None:
-        return params[..., op.param_slot]
+        return params[:, op.param_slot]
     if op.input_idx is not None:
         prod = inputs[:, op.input_idx[0]]
         for i in op.input_idx[1:]:
@@ -287,12 +284,12 @@ def _resolve_angle(op: GateOp, params: np.ndarray, inputs: np.ndarray):
 
 
 def _check_params(circuit: Circuit, params, rows: int) -> np.ndarray:
-    """`params` as a (num_params,) vector shared by all rows or a (rows, num_params) matrix."""
+    """`params` as a (rows, num_params) matrix, one parameter row per state row."""
     params = np.asarray(params, dtype=float)
-    if params.shape not in ((circuit.num_params,), (rows, circuit.num_params)):
+    if params.shape != (rows, circuit.num_params):
         raise ValueError(
-            f"circuit takes {circuit.num_params} parameters, as a vector or a"
-            f" ({rows}, {circuit.num_params}) matrix; got shape {params.shape}"
+            f"circuit takes {circuit.num_params} parameters per row, as a"
+            f" ({rows}, {circuit.num_params}) parameter matrix; got shape {params.shape}"
         )
     return params
 
@@ -376,21 +373,6 @@ def encode(circuit: Circuit, inputs) -> np.ndarray:
     return state
 
 
-def final_state(circuit: Circuit, params, inputs) -> np.ndarray:
-    """Final state of the deferred circuit, as a (2**n, rows) array.
-
-    :func:`encode` followed by the parameterised ops of ``circuit.split``,
-    which take no input, row by row.  `inputs` is a (rows, num_inputs)
-    matrix; an input-free circuit takes (rows, 0).  `params` is a
-    (num_params,) vector or a (rows, num_params) matrix.
-    """
-    state = encode(circuit, inputs)
-    rows = state.shape[1]
-    params = _check_params(circuit, params, rows)
-    _apply_ops(_state_view(circuit, state, rows), circuit.split[1], params, None)
-    return state
-
-
 def _kernel_columns(circuit: Circuit, params) -> tuple:
     """The (kernels * 2**n, num_params) column parameters and (2**n, kernels * 2**n) columns.
 
@@ -400,8 +382,8 @@ def _kernel_columns(circuit: Circuit, params) -> tuple:
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != circuit.num_params:
         raise ValueError(
-            f"expected a (kernels, {circuit.num_params}) parameter matrix, got shape"
-            f" {params.shape}"
+            f"circuit takes {circuit.num_params} parameters per kernel, as a"
+            f" (kernels, {circuit.num_params}) parameter matrix; got shape {params.shape}"
         )
     dim = 1 << circuit.num_qubits
     return np.repeat(params, dim, axis=0), np.tile(np.eye(dim, dtype=complex), len(params))
@@ -411,7 +393,7 @@ def unitary(circuit: Circuit, params) -> np.ndarray:
     """The parameterised ops of ``circuit.split``, as one matrix per kernel.
 
     `params` is a (kernels, num_params) matrix.  The ops run once, through
-    the same gate path as :func:`final_state`, on kernels copies of the
+    the same gate path as :func:`encode`, on kernels copies of the
     2**n identity columns, each column with its kernel's parameters.  The
     result is a (kernels, 2**n, 2**n) array, and
     ``unitary(c, p)[k] @ encode(c, x)`` is the final state of every row of
@@ -436,9 +418,9 @@ def readouts(circuit: Circuit, state: np.ndarray) -> np.ndarray:
 
 
 def run_deferred_batch(circuit: Circuit, params, inputs) -> np.ndarray:
-    """Exact Z expectations for a batch of independent evaluations.
+    """Z expectations of the readout qubits at one (num_params,) parameter vector.
 
-    `inputs` is a (rows, num_inputs) matrix, as for :func:`final_state`.
-    Returns an array of shape (rows, len(readout)).
+    `inputs` is a (rows, num_inputs) matrix; returns (rows, len(readout)).
+    The benchmark harness (``perfbench/``) wraps this name.
     """
-    return readouts(circuit, final_state(circuit, params, inputs))
+    return readouts(circuit, unitary(circuit, [params])[0] @ encode(circuit, inputs))

@@ -24,7 +24,7 @@ from qccnn.circuits import ANSATZ_KEYS, build_ansatz, higher_order_encoding_temp
 from qccnn.cli import main as cli_main
 from qccnn.data import SyntheticSpec, generate_synthetic
 from qccnn.nn import fit, make_model
-from qccnn.sim import Circuit, defer_measurements, final_state, run_deferred_batch
+from qccnn.sim import Circuit, defer_measurements, encode, run_deferred_batch, unitary
 
 from oracles import (
     finite_difference_gradient,
@@ -126,8 +126,8 @@ def test_acceptance_03_gradients_all_ansatz_keys():
         for _ in range(10):
             x = rng.uniform(-1, 1, 4)
             theta = rng.uniform(-math.pi, math.pi, circuit.num_params)
-            state = final_state(circuit, theta, x[None])
-            adj = readout_gradient(circuit, theta, first_readout, state)[0]
+            state = unitary(circuit, [theta])[0] @ encode(circuit, x[None])
+            adj = readout_gradient(circuit, theta[None], first_readout, state)[0]
             fd = finite_difference_gradient(
                 lambda p: run_deferred_batch(circuit, p, x[None])[0][0], theta
             )

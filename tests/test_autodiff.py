@@ -13,7 +13,6 @@ from qccnn.sim import (
     GateOp,
     defer_measurements,
     encode,
-    final_state,
     run_deferred_batch,
     unitary,
 )
@@ -31,14 +30,24 @@ def _rx_circuit():
     return Circuit(1, (GateOp("RX", (0,), param_slot=0),), num_params=1, readout=(0,))
 
 
+def _final_state(circuit, theta, xs):
+    """The final state of every row of `xs` at one θ."""
+    return unitary(circuit, [theta])[0] @ encode(circuit, xs)
+
+
+def _adjoint(circuit, theta, weights, xs):
+    """readout_gradient at one θ, given to every row of `xs`."""
+    params = np.tile(theta, (len(xs), 1))
+    return readout_gradient(circuit, params, weights, _final_state(circuit, theta, xs))
+
+
 def _gradient(circuit, params, readout_index=0, inputs=None):
     """d<Z_j>/d theta for one readout at one (1, num_inputs) input row."""
     if inputs is None:
         inputs = np.zeros((1, 0))
     weights = np.zeros((1, len(circuit.readout)))
     weights[0, readout_index] = 1.0
-    state = final_state(circuit, params, inputs)
-    return readout_gradient(circuit, params, weights, state)[0]
+    return _adjoint(circuit, params, weights, inputs)[0]
 
 
 def test_rx_gradient_closed_form():
@@ -92,8 +101,7 @@ def test_adjoint_matches_parameter_shift_oracle(key):
     xs = rng.uniform(-1, 1, (7, 4))
     theta = rng.uniform(-math.pi, math.pi, ansatz.num_params)
     weights = rng.normal(size=(7, ansatz.num_readouts))
-    state = final_state(ansatz.circuit, theta, xs)
-    got = readout_gradient(ansatz.circuit, theta, weights, state)
+    got = _adjoint(ansatz.circuit, theta, weights, xs)
     assert got.shape == (7, ansatz.num_params)
     deferred = defer_measurements(ansatz.circuit)
     for r in range(7):
@@ -109,7 +117,7 @@ def test_adjoint_matches_parameter_shift_oracle_on_random_circuits():
         theta = rng.uniform(-math.pi, math.pi, circuit.num_params)
         weights = rng.normal(size=(3, 4))
         inputs = np.zeros((3, 0))
-        got = readout_gradient(circuit, theta, weights, final_state(circuit, theta, inputs))
+        got = _adjoint(circuit, theta, weights, inputs)
         want = weights @ param_shift_jacobian(circuit, theta).T
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -139,22 +147,21 @@ def test_gradient_batch_matches_per_row():
     xs = rng.uniform(-1, 1, (7, 4))
     theta = rng.uniform(-math.pi, math.pi, ansatz.num_params)
     weights = rng.normal(size=(7, 1))
-    state = final_state(ansatz.circuit, theta, xs)
-    batch = readout_gradient(ansatz.circuit, theta, weights, state)
+    batch = _adjoint(ansatz.circuit, theta, weights, xs)
     assert batch.shape == (7, 12)
     for i, x in enumerate(xs):
-        state = final_state(ansatz.circuit, theta, x[None])
-        single = readout_gradient(ansatz.circuit, theta, weights[i : i + 1], state)[0]
+        single = _adjoint(ansatz.circuit, theta, weights[i : i + 1], x[None])[0]
         np.testing.assert_allclose(batch[i], single, atol=1e-13)
 
 
 @pytest.mark.parametrize("key", ANSATZ_KEYS)
 def test_per_row_params_equal_stacked_vector_calls(key):
-    # A (rows, P) matrix runs blocks of rows with different θ in one batch,
-    # as effective_dimension does; it must reproduce one call per block with
-    # a (P,) vector bit for bit.  The gates are elementwise, but BLAS and
-    # numpy's reductions can round a row differently with the row count of
-    # the call (a 1-row call does), so the block sizes are fixed here.
+    # Per-row parameters let one call walk blocks of rows at different θ, as
+    # effective_dimension does; it must reproduce one call per block, at
+    # that block's θ on each of its rows, bit for bit.  The gates are
+    # elementwise, but BLAS and numpy's reductions can round a row
+    # differently with the row count of the call (a 1-row call does), so
+    # the block sizes are fixed here.
     circuit = build_ansatz(key).circuit
     rng = np.random.default_rng(47)
     sizes = (2, 3, 5)
@@ -162,46 +169,33 @@ def test_per_row_params_equal_stacked_vector_calls(key):
     xs = rng.uniform(-1, 1, (bounds[-1], circuit.num_inputs))
     thetas = rng.uniform(-math.pi, math.pi, (len(sizes), circuit.num_params))
     weights = rng.normal(size=(bounds[-1], len(circuit.readout)))
-    per_row = np.repeat(thetas, sizes, axis=0)
-    state = final_state(circuit, per_row, xs)
     blocks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    block_states = [final_state(circuit, t, xs[b]) for t, b in zip(thetas, blocks)]
-    np.testing.assert_array_equal(state, np.hstack(block_states))
-    grad = readout_gradient(circuit, per_row, weights, state)
-    block_grads = [
-        readout_gradient(circuit, t, weights[b], s)
-        for t, b, s in zip(thetas, blocks, block_states)
-    ]
+    grad = readout_gradient(circuit, np.repeat(thetas, sizes, axis=0), weights, np.hstack(
+        [_final_state(circuit, t, xs[b]) for t, b in zip(thetas, blocks)]))
+    block_grads = [_adjoint(circuit, t, weights[b], xs[b]) for t, b in zip(thetas, blocks)]
     np.testing.assert_array_equal(grad, np.vstack(block_grads))
 
 
-@pytest.mark.parametrize("shape", [(4, 5), (5, 4), (1, 4, 4), (4, 4, 1)])
+@pytest.mark.parametrize("shape", [(4, 5), (5, 4), (1, 4, 4), (4, 4, 1), (4,)])
 def test_params_of_wrong_shape_rejected(shape):
-    # select-tanh takes P = 4 parameters; the batch below has 4 rows, so a
-    # per-row matrix must be (4, 4): not the wrong P, not another row count,
-    # not 3-D.
+    # select-tanh takes P = 4 parameters; the batch below has 4 rows, so the
+    # parameters must be a (4, 4) matrix: not the wrong P, not another row
+    # count, not 3-D, and not one (P,) vector for every row.
     circuit = build_ansatz("select-tanh").circuit
-    xs = np.zeros((4, 4))
-    state = final_state(circuit, np.zeros((4, 4)), xs)
-    with pytest.raises(ValueError, match="parameters"):
-        final_state(circuit, np.zeros(shape), xs)
-    with pytest.raises(ValueError, match="parameters"):
+    state = _final_state(circuit, np.zeros(4), np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="parameter matrix"):
         readout_gradient(circuit, np.zeros(shape), np.ones((4, 1)), state)
 
 
 def test_input_free_circuit_gives_one_row_per_weight_row():
     theta = 0.37
     inputs = np.zeros((3, 0))
-    got = readout_gradient(
-        _rx_circuit(), [theta], np.ones((3, 1)), final_state(_rx_circuit(), [theta], inputs)
-    )
+    got = _adjoint(_rx_circuit(), [theta], np.ones((3, 1)), inputs)
     assert got.shape == (3, 1)
     np.testing.assert_array_equal(got, np.repeat(got[:1], 3, axis=0))
     assert abs(got[0, 0] + math.sin(theta)) < 1e-13
     weights = np.array([[2.0], [0.0], [-1.0]])
-    scaled = readout_gradient(
-        _rx_circuit(), [theta], weights, final_state(_rx_circuit(), [theta], inputs)
-    )
+    scaled = _adjoint(_rx_circuit(), [theta], weights, inputs)
     np.testing.assert_allclose(scaled[:, 0], np.array([2.0, 0.0, -1.0]) * got[0, 0], atol=1e-15)
 
 
@@ -209,21 +203,21 @@ def test_input_free_circuit_gives_one_row_per_weight_row():
 def test_weights_shape_mismatch_rejected(shape):
     ansatz = build_ansatz("select-tanh")
     xs = np.zeros((3, 4))
-    state = final_state(ansatz.circuit, np.zeros(4), xs)
+    state = _final_state(ansatz.circuit, np.zeros(4), xs)
     with pytest.raises(ValueError, match="does not match"):
-        readout_gradient(ansatz.circuit, np.zeros(4), np.ones(shape), state)
+        readout_gradient(ansatz.circuit, np.zeros((3, 4)), np.ones(shape), state)
 
 
 def test_state_of_wrong_shape_or_layout_rejected():
     ansatz = build_ansatz("select-tanh")
     xs = np.zeros((3, 4))
-    state = final_state(ansatz.circuit, np.zeros(4), xs)
+    state = _final_state(ansatz.circuit, np.zeros(4), xs)
     for bad in (state[:8].copy(), state.T.copy().T, state.real.copy()):
         with pytest.raises(ValueError, match="state must be"):
-            readout_gradient(ansatz.circuit, np.zeros(4), np.ones((3, 1)), bad)
+            readout_gradient(ansatz.circuit, np.zeros((3, 4)), np.ones((3, 1)), bad)
     # The rows are the state's columns: two of them do not fit three weight rows.
     with pytest.raises(ValueError, match="does not match"):
-        readout_gradient(ansatz.circuit, np.zeros(4), np.ones((3, 1)), state[:, :2].copy())
+        readout_gradient(ansatz.circuit, np.zeros((2, 4)), np.ones((3, 1)), state[:, :2].copy())
 
 
 def _summed_and_per_row(circuit, params, xs, weights):
@@ -234,10 +228,7 @@ def _summed_and_per_row(circuit, params, xs, weights):
     # The encoding and the matrices are read, not overwritten.
     np.testing.assert_array_equal(encoded, before[0])
     np.testing.assert_array_equal(u, before[1])
-    per_row = [
-        readout_gradient(circuit, theta, w, final_state(circuit, theta, xs)).sum(axis=0)
-        for theta, w in zip(params, weights)
-    ]
+    per_row = [_adjoint(circuit, theta, w, xs).sum(axis=0) for theta, w in zip(params, weights)]
     return summed, np.array(per_row)
 
 
@@ -303,10 +294,7 @@ def test_backward_linearity_and_weighting():
     theta = rng.uniform(-math.pi, math.pi, 4)
     w1 = rng.normal(size=(5, 1))
     w2 = rng.normal(size=(5, 1))
-    g1, g2, g12 = (
-        readout_gradient(ansatz.circuit, theta, w, final_state(ansatz.circuit, theta, xs))
-        for w in (w1, w2, w1 + w2)
-    )
+    g1, g2, g12 = (_adjoint(ansatz.circuit, theta, w, xs) for w in (w1, w2, w1 + w2))
     np.testing.assert_allclose(g12, g1 + g2, atol=1e-12)
 
 

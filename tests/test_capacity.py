@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qccnn import capacity, sim
+from qccnn import capacity
 from qccnn.capacity import (
     EDReport,
     NumericError,
@@ -20,9 +20,9 @@ from qccnn.capacity import (
 )
 from qccnn.circuits import build_ansatz
 from qccnn.data import SyntheticSpec, generate_synthetic
-from qccnn.sim import Circuit, GateOp, encode, run_deferred_batch
+from qccnn.sim import Circuit, GateOp, defer_measurements, encode, readouts, run_deferred_batch
 
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, z_expectations_oracle
 
 
 def _rx_toy():
@@ -103,6 +103,22 @@ def test_score_expectation_is_zero():
     scores, _ = score_batch(circuit, [theta], np.zeros((2, 0)), [0, 1])
     total = probs[0] * scores[0, 0] + probs[1] * scores[1, 0]
     assert abs(total) < 1e-8
+
+
+@pytest.mark.parametrize("key", ["conv", "midcircuit-rx", "ancilla-cz", "mod-c"])
+def test_forward_matches_dense_oracle_per_draw(key):
+    # Three draws of 4 rows each, every draw at its own θ: each row's readouts
+    # off the batched forward equal the dense-matrix oracle at its draw's θ.
+    circuit = build_ansatz(key).circuit
+    rng = np.random.default_rng(59)
+    thetas = rng.uniform(-math.pi, math.pi, (3, circuit.num_params))
+    xs = rng.uniform(-1, 1, (12, 4))
+    state, probs = capacity._forward(circuit, thetas, xs)
+    got = readouts(circuit, state)
+    deferred = defer_measurements(circuit)
+    want = [z_expectations_oracle(deferred, thetas[r // 4], x) for r, x in enumerate(xs)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(probs, class_probabilities(np.array(want)), rtol=0, atol=1e-12)
 
 
 def _log_prob_fd(circuit, theta, x, y):
@@ -231,30 +247,29 @@ def test_effective_dimension_deterministic_and_bounded():
 
 
 _PINNED_ED = {
-    "conv": "3.639842737483769",
-    "mod-c": "19.547948962538875",
-    "ancilla-cz": "2.324110916208036",
+    "conv": "3.63984273748377",
+    "mod-c": "19.54794896253888",
+    "ancilla-cz": "2.3241109162080362",
 }
 
 
-@pytest.mark.parametrize("key, ed", list(_PINNED_ED.items()))
+@pytest.mark.parametrize("key, ed", list(_PINNED_ED.items()), ids=list(_PINNED_ED))
 def test_effective_dimension_values_are_pinned(key, ed):
-    # Values from simulating each θ draw on its own, three times (labels,
-    # scores, adjoint); one batched simulation of all 5 draws must reproduce
-    # them to the last bit.
+    # Values from simulating one θ draw per batch (_BATCH_ROWS = 10); one
+    # batched simulation of all 5 draws must reproduce them to the last bit.
     report = effective_dimension(key, theta_samples=5, data_samples=50, seed=2)
     assert repr(report.ed) == ed
 
 
 def _count_encodes(monkeypatch) -> list:
-    """Record the row count of every sim.encode call, one simulation each."""
+    """Record the row count of every encode call the ED makes, one simulation each."""
     calls = []
 
     def counting_encode(circuit, inputs):
         calls.append(len(inputs))
         return encode(circuit, inputs)
 
-    monkeypatch.setattr(sim, "encode", counting_encode)
+    monkeypatch.setattr(capacity, "encode", counting_encode)
     return calls
 
 

@@ -16,7 +16,14 @@ from qccnn.circuits import (
 )
 from qccnn.autodiff import readout_gradient
 from qccnn.capacity import uniform_input_sampler
-from qccnn.sim import Circuit, GateOp, defer_measurements, final_state, run_deferred_batch
+from qccnn.sim import (
+    Circuit,
+    GateOp,
+    defer_measurements,
+    encode,
+    run_deferred_batch,
+    unitary,
+)
 
 from oracles import jacobian_rank, param_shift_jacobian, z_expectations_oracle
 
@@ -253,10 +260,12 @@ _RANKS = {
 def _readout_jacobian(circuit, theta, xs, num_readouts):
     """(rows * readouts, params) jacobian of every readout at every input row."""
     blocks = []
+    params = np.tile(theta, (len(xs), 1))
     for j in range(num_readouts):
         weights = np.zeros((len(xs), num_readouts))
         weights[:, j] = 1.0
-        blocks.append(readout_gradient(circuit, theta, weights, final_state(circuit, theta, xs)))
+        state = unitary(circuit, [theta])[0] @ encode(circuit, xs)
+        blocks.append(readout_gradient(circuit, params, weights, state))
     return np.concatenate(blocks)
 
 

@@ -383,6 +383,10 @@ FAILURES = [
         tmp, _checkpoint(relu=True), "--ansatz", "select-tanh"), {}, EXIT_DATA, "'relu'"),
     ("eval-image-size-mismatch", _eval_other_size_argv, {}, EXIT_DATA,
      "takes images of shape (12, 12)"),
+    # Refused before the model is built: a head for these images would take 16 TB.
+    ("eval-image-shape-huge", lambda tmp: _eval_argv(
+        tmp, _checkpoint(image_shape=[1000000, 1000000])), {}, EXIT_DATA,
+     "takes images of shape (1000000, 1000000)"),
     ("synthetic-seed-not-int", lambda tmp: _train_argv(tmp, "synthetic:seed=abc"), {},
      EXIT_DATA, "synthetic option 'seed' must be an integer"),
     ("synthetic-negative-seed", lambda tmp: _train_argv(tmp, "synthetic:seed=-1"), {},

@@ -151,8 +151,9 @@ def test_circuit_defers_once_across_layer_and_readout_gradient(key, monkeypatch)
         maps = layer.forward(rng.uniform(-1.0, 1.0, (2, 4, 4)))
     layer.backward(rng.normal(size=maps.shape))
     inputs = rng.uniform(-1.0, 1.0, (3, circuit.num_inputs))
-    state = sim.final_state(circuit, layer.params[0], inputs)
-    readout_gradient(circuit, layer.params[0], np.ones((3, len(circuit.readout))), state)
+    state = sim.unitary(circuit, layer.params[:1])[0] @ sim.encode(circuit, inputs)
+    params = np.repeat(layer.params[:1], 3, axis=0)
+    readout_gradient(circuit, params, np.ones((3, len(circuit.readout))), state)
     assert len(calls) <= 1
     # The cached split changes neither equality, the hash nor the repr.
     assert circuit == built.circuit and hash(circuit) == hash(built.circuit)

@@ -13,13 +13,14 @@ from qccnn.sim import (
     GateOp,
     MidMeasure,
     _apply_kind,
+    defer_measurements,
     encode,
-    final_state,
     run_deferred_batch,
     unitary,
 )
 
 from oracles import (
+    circuit_unitary,
     encoded_random_circuit,
     gate_unitary,
     random_circuit,
@@ -288,14 +289,16 @@ def test_deterministic_repeat_calls_bit_identical():
 
 
 def _check_kernel_unitaries(circuit, params, xs):
-    """Kernel k's matrix times the encoding is the final state at params[k]."""
+    """Kernel k's matrix times the encoding is the dense oracle's final state at params[k]."""
     u = unitary(circuit, params)
     dim = 1 << circuit.num_qubits
     assert u.shape == (len(params), dim, dim)
     encoded = encode(circuit, xs)
+    deferred = defer_measurements(circuit)
     for k, theta in enumerate(params):
         np.testing.assert_allclose(u[k].conj().T @ u[k], np.eye(dim), atol=1e-12)
-        np.testing.assert_allclose(u[k] @ encoded, final_state(circuit, theta, xs), atol=1e-12)
+        want = np.stack([circuit_unitary(deferred, theta, x)[:, 0] for x in xs], axis=1)
+        np.testing.assert_allclose(u[k] @ encoded, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("key", ANSATZ_KEYS)
