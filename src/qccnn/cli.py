@@ -26,7 +26,7 @@ from .capacity import (
     uniform_input_sampler,
 )
 from .circuits import ANSATZ_KEYS
-from .data import DataError, load_dataset, read_utf8
+from .data import DataError, load_dataset
 from .nn import FitResult, evaluate, fit, make_model
 
 ENV_PREFIX = "QCCNN_"
@@ -96,13 +96,21 @@ def _coerce(name: str, value, target_type):
         raise ConfigError(f"{name}: expected {target_type.__name__}, got {value!r}") from None
 
 
+def _read_utf8(path: Path, error: type[Exception]) -> str:
+    """The text of `path`; a file that cannot be read as UTF-8 raises `error` naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path} as UTF-8 text: {exc}") from None
+
+
 def read_config_file(path) -> dict:
     """Parse a ``key = value`` config file; ``#`` starts a comment."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"no such config file: {path}")
     values = {}
-    for lineno, raw in enumerate(read_utf8(path, ConfigError).splitlines(), 1):
+    for lineno, raw in enumerate(_read_utf8(path, ConfigError).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -224,7 +232,7 @@ def read_metrics_csv(path: Path) -> dict[str, dict[int, list]]:
     if not path.is_file():
         raise DataError(f"missing metrics file: {path}")
     per_seed: dict[str, dict[int, list]] = {}
-    first, *lines = read_utf8(path, DataError).splitlines() or [""]
+    first, *lines = _read_utf8(path, DataError).splitlines() or [""]
     header = first.strip().split(",")
     if header != ["epoch", "seed", "train_acc", "train_loss", "val_acc", "val_loss"]:
         raise DataError(f"{path}: unexpected metrics header {header}")
@@ -366,7 +374,7 @@ def cmd_ed(cfg: RunConfig) -> int:
     # replaces its own rows in place and keeps every other row.
     table = {}
     if table_path.exists():
-        for line in read_utf8(table_path, DataError).splitlines()[1:]:
+        for line in _read_utf8(table_path, DataError).splitlines()[1:]:
             table[tuple(line.split(",")[:6])] = line
     sampler = _ed_sampler(cfg)
     _check_writable([table_path, out_dir / "ed_summary.json"])

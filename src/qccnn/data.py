@@ -1,13 +1,11 @@
 """Dataset ingestion, normalization, patch extraction and synthetic data.
 
-Supported input formats:
+Supported sources:
 
 * ZIP archive of binary array records (``.npz``): keys ``train_images``,
   ``train_labels``, ``val_images``, ``val_labels``; images are uint8
   ``(N, H, W)``, labels uint8 binary.
-* IDX pairs: images with big-endian magic ``0x00000803``, labels with
-  ``0x00000801``.
-* CSV with header ``label,p0,...,p{H*W-1}`` for a square image.
+* ``synthetic`` two-blob images, generated from a seed.
 
 Pixels p in [0, 255] map to 2*(p/255) - 1 in [-1, 1]; the mapping round
 trips exactly on integers.
@@ -15,9 +13,6 @@ trips exactly on integers.
 
 from __future__ import annotations
 
-import csv
-import math
-import struct
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,14 +68,6 @@ class SyntheticSpec:
     size: int = 8
 
 
-def read_utf8(path: Path, error: type[Exception]) -> str:
-    """The text of `path`; a file that cannot be read as UTF-8 raises `error` naming it."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {path} as UTF-8 text: {exc}") from None
-
-
 def normalize_pixels(pixels) -> np.ndarray:
     """uint8 pixel values to floats in [-1, 1]."""
     return 2.0 * (np.asarray(pixels, dtype=float) / 255.0) - 1.0
@@ -93,15 +80,14 @@ def normalize_pixels(pixels) -> np.ndarray:
 _ARCHIVE_KEYS = ("train_images", "train_labels", "val_images", "val_labels")
 
 
-def _read_archive_member(zf: zipfile.ZipFile, key: str) -> np.ndarray:
-    names = set(zf.namelist())
+def _read_archive_member(zf: zipfile.ZipFile, names: set[str], key: str) -> np.ndarray:
     member = key + ".npy" if key + ".npy" in names else key
     if member not in names:
         raise DataError(f"archive is missing record {key!r}")
     with zf.open(member) as f:
         if f.read(6) != b"\x93NUMPY":
             raise DataError(f"record {key!r}: bad magic bytes, not an array record")
-    with zf.open(member) as f:
+        f.seek(0)
         try:
             return np.lib.format.read_array(f, allow_pickle=False)
         except Exception as exc:
@@ -141,7 +127,8 @@ def load_array_archive(path) -> tuple[Dataset, Dataset]:
     except zipfile.BadZipFile as exc:
         raise DataError(f"{path} is not a ZIP archive: {exc}") from exc
     with zf:
-        records = {key: _read_archive_member(zf, key) for key in _ARCHIVE_KEYS}
+        names = set(zf.namelist())
+        records = {key: _read_archive_member(zf, names, key) for key in _ARCHIVE_KEYS}
     datasets = []
     for split in ("train", "val"):
         images = _validate_images(records[f"{split}_images"], f"{split}_images")
@@ -150,82 +137,21 @@ def load_array_archive(path) -> tuple[Dataset, Dataset]:
     return datasets[0], datasets[1]
 
 
-_IDX_IMAGES_MAGIC = 0x00000803
-_IDX_LABELS_MAGIC = 0x00000801
-
-
-def _read_idx(path: Path, magic: int, n_dims: int) -> np.ndarray:
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    header = 4 + 4 * n_dims
-    if len(raw) < header:
-        raise DataError(f"{path}: truncated IDX header")
-    got = struct.unpack(">I", raw[:4])[0]
-    if got != magic:
-        raise DataError(f"{path}: bad IDX magic 0x{got:08x}, expected 0x{magic:08x}")
-    dims = struct.unpack(f">{n_dims}I", raw[4:header])
-    count = math.prod(dims)  # exact: np.prod wraps around in int64
-    if len(raw) != header + count:
-        raise DataError(f"{path}: payload size {len(raw) - header}, expected {count}")
-    return np.frombuffer(raw, dtype=np.uint8, offset=header).reshape(dims)
-
-
-def load_idx_pair(images_path, labels_path, split: str = "train") -> Dataset:
-    """Load one split from an IDX image/label file pair."""
-    images = _read_idx(Path(images_path), _IDX_IMAGES_MAGIC, 3)
-    labels = _read_idx(Path(labels_path), _IDX_LABELS_MAGIC, 1)
-    labels = _validate_labels(labels, str(labels_path), len(images))
-    return Dataset(normalize_pixels(images), labels, split)
-
-
-def load_csv(path, split: str = "train") -> Dataset:
-    """Load one split from a CSV of rows ``label,p0,...,p{H*W-1}``."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"no such file: {path}")
-    rows = list(csv.reader(read_utf8(path, DataError).splitlines()))
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header, *rows = rows
-    n_pixels = len(header) - 1
-    if header[:1] != ["label"] or n_pixels < 1 or math.isqrt(n_pixels) ** 2 != n_pixels:
-        raise DataError(f"{path}: header must be label,p0,...,p(k*k-1)")
-    side = math.isqrt(n_pixels)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    for lineno, row in enumerate(rows, 2):
-        if len(row) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-    try:
-        table = np.array(rows, dtype=np.int64)
-        in_range = table.min() >= 0 and table[:, 1:].max() <= 255
-    except OverflowError:  # a cell beyond int64 is out of range too
-        in_range = False
-    except ValueError as exc:
-        raise DataError(f"{path}: non-numeric cell: {exc}") from exc
-    if not in_range:
-        raise DataError(f"{path}: pixel values outside 0..255")
-    labels = _validate_labels(table[:, 0], str(path), len(table))
-    images = table[:, 1:].reshape(-1, side, side).astype(np.uint8)
-    return Dataset(normalize_pixels(images), labels, split)
-
-
 def load_dataset(source) -> tuple[Dataset, Dataset]:
     """Resolve a data source string to (train, val) datasets.
 
-    Accepts ``synthetic`` (optionally ``synthetic:seed=N``), a ``.npz``/
-    ``.zip`` archive path, or a directory holding either ``train.csv`` +
-    ``val.csv`` or IDX files named ``{split}-images.idx`` /
-    ``{split}-labels.idx``.  Both splits must hold at least one image of at
+    Accepts ``synthetic`` (optionally ``synthetic:seed=N,...``) or a
+    ``.npz``/``.zip`` archive path; anything else, a directory included, is
+    an unrecognized source.  Both splits must hold at least one image of at
     least 2x2 pixels, the patch window, and their images must share one shape.
     """
     source = str(source)
     if source == "synthetic" or source.startswith("synthetic:"):
         splits = generate_synthetic(_synthetic_spec(source))
+    elif Path(source).suffix in (".npz", ".zip"):
+        splits = load_array_archive(source)
     else:
-        splits = _load_path(Path(source))
+        raise DataError(f"unrecognized data source {source!r}")
     for split in splits:
         h, w = split.image_shape
         if len(split) == 0:
@@ -263,21 +189,6 @@ def _synthetic_spec(source: str) -> SyntheticSpec:
             f" more than the {_SYNTHETIC_MAX_BYTES / 2**30:.0f} GiB limit"
         )
     return spec
-
-
-def _load_path(path: Path) -> tuple[Dataset, Dataset]:
-    if path.suffix in (".npz", ".zip"):
-        return load_array_archive(path)
-    if path.is_dir():
-        if (path / "train.csv").is_file():
-            return load_csv(path / "train.csv", "train"), load_csv(path / "val.csv", "val")
-        if (path / "train-images.idx").is_file():
-            return (
-                load_idx_pair(path / "train-images.idx", path / "train-labels.idx", "train"),
-                load_idx_pair(path / "val-images.idx", path / "val-labels.idx", "val"),
-            )
-        raise DataError(f"{path}: no recognized dataset files in directory")
-    raise DataError(f"unrecognized data source {str(path)!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import argparse
 import json
 import re
-import struct
+import zipfile
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -213,6 +213,23 @@ def _archive_argv(tmp_path, val_n, val_size):
     return _train_argv(tmp_path, str(path))
 
 
+def _csv_directory_argv(tmp_path):
+    """train on a directory of well-formed train.csv and val.csv files of 2x2 images."""
+    table = b"label,p0,p1,p2,p3\n0,0,0,255,255\n1,255,255,0,0\n"
+    folder = _made(tmp_path / "csv")
+    _file(folder / "train.csv", table)
+    _file(folder / "val.csv", table)
+    return _train_argv(tmp_path, str(folder))
+
+
+def _bad_record_archive_argv(tmp_path):
+    """train on an archive whose train_images.npy record is not an array record."""
+    path = tmp_path / "archive.npz"
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("train_images.npy", b"label,p0\n0,0\n")
+    return _train_argv(tmp_path, str(path))
+
+
 def _eval_other_size_argv(tmp_path):
     """eval of a 12x12 checkpoint on 8x8 data."""
     out = tmp_path / "run12"
@@ -247,18 +264,6 @@ def _blocked_argv(tmp_path, argv, name):
     return [*argv, "--out", str(tmp_path)]
 
 
-def _csv_argv(tmp_path, text):
-    """train on a directory whose train.csv is `text` (bytes)."""
-    _file(_made(tmp_path / "csv") / "train.csv", text)
-    return _train_argv(tmp_path, str(tmp_path / "csv"))
-
-
-def _idx_argv(tmp_path, *dims):
-    """train on a directory whose train-images.idx declares `dims` and holds no pixels."""
-    _file(_made(tmp_path / "idx") / "train-images.idx", struct.pack(">4I", 0x803, *dims))
-    return _train_argv(tmp_path, str(tmp_path / "idx"))
-
-
 def _checkpoint(**changes):
     """An `_eval_argv` edit: the checkpoint with `changes` over its fields."""
     return lambda state: json.dumps({**state, **changes})
@@ -270,7 +275,6 @@ def _params(**changes):
 
 
 TRAIN = ["train", "--ansatz", "classical", "--data", SMALL_DATA]
-CSV_HEADER = b"label,p0,p1,p2,p3\n"  # 2x2 images
 SMALL_ED = ["ed", "--ansatz", "select-tanh", "--theta-samples", "1", "--data-samples", "2"]
 
 # One row per documented failure: (case, argv builder, environment, exit
@@ -412,22 +416,11 @@ FAILURES = [
      "val split has no images"),
     ("archive-split-shapes-differ", lambda tmp: _archive_argv(tmp, 2, 6), {}, EXIT_DATA,
      "train images are (8, 8), val images are (6, 6)"),
-    ("csv-header-without-pixels", lambda tmp: _csv_argv(tmp, b"label\n0\n"), {}, EXIT_DATA,
-     "train.csv: header must be label,p0,"),
-    ("csv-blank-first-line", lambda tmp: _csv_argv(tmp, b"\n" + CSV_HEADER + b"0,1,2,3,4\n"),
-     {}, EXIT_DATA, "train.csv: header must be label,p0,"),
-    ("csv-short-row", lambda tmp: _csv_argv(tmp, CSV_HEADER + b"0,1,2,3\n"), {},
-     EXIT_DATA, "train.csv:2: expected 5 cells, got 4"),
-    ("csv-long-row", lambda tmp: _csv_argv(tmp, CSV_HEADER + b"0,1,2,3,4,5\n"), {},
-     EXIT_DATA, "train.csv:2: expected 5 cells, got 6"),
-    ("csv-not-utf8", lambda tmp: _csv_argv(tmp, CSV_HEADER + b"0,1,2,3,4\n\xff\n"), {},
-     EXIT_DATA, "train.csv as UTF-8 text"),
-    ("csv-pixel-overflow", lambda tmp: _csv_argv(
-        tmp, CSV_HEADER + b"0,1,2,3,99999999999999999999999\n"), {}, EXIT_DATA,
-     "train.csv: pixel values outside 0..255"),
-    # (2^22)^3 = 2^66 pixels, which an int64 product wraps around to 0.
-    ("idx-dims-overflow", lambda tmp: _idx_argv(tmp, 2**22, 2**22, 2**22), {}, EXIT_DATA,
-     "payload size 0, expected 73786976294838206464"),
+    # Only archives and synthetic data are read: a directory is no source.
+    ("data-directory", _csv_directory_argv, {}, EXIT_DATA, "unrecognized data source"),
+    ("archive-not-zip", lambda tmp: _train_argv(tmp, str(_file(tmp / "x.npz", b"not a zip"))),
+     {}, EXIT_DATA, "is not a ZIP archive"),
+    ("archive-record-not-array", _bad_record_archive_argv, {}, EXIT_DATA, "bad magic bytes"),
     ("metrics-short-row", lambda tmp: _curves_argv(tmp, "0,0,abc"), {}, EXIT_DATA,
      "metrics.csv:2: expected 6 cells, got 3"),
     ("metrics-non-numeric", lambda tmp: _curves_argv(tmp, "0,0,abc,0.5,0.5,0.7"), {},

@@ -1,7 +1,5 @@
 """Dataset loading, normalization, synthetic generation and patch tests."""
 
-import io
-import struct
 import zipfile
 
 import numpy as np
@@ -16,9 +14,7 @@ from qccnn.data import (
     extract_patches,
     generate_synthetic,
     load_array_archive,
-    load_csv,
     load_dataset,
-    load_idx_pair,
     normalize_pixels,
     patch_grid,
 )
@@ -110,64 +106,6 @@ def test_archive_accepts_trailing_singleton_channel(tmp_path):
     _write_archive(path, train_n=3, val_n=3, h=4, w=4, channels=1)
     train, _ = load_array_archive(path)
     assert train.images.shape == (3, 4, 4)
-
-
-# ---------------------------------------------------------------------------
-# IDX and CSV loaders
-# ---------------------------------------------------------------------------
-
-
-def _write_idx(tmp_path, n=5, h=6, w=6):
-    rng = np.random.default_rng(1)
-    images = rng.integers(0, 256, (n, h, w)).astype(np.uint8)
-    labels = rng.integers(0, 2, n).astype(np.uint8)
-    ipath = tmp_path / "train-images.idx"
-    lpath = tmp_path / "train-labels.idx"
-    ipath.write_bytes(struct.pack(">IIII", 0x803, n, h, w) + images.tobytes())
-    lpath.write_bytes(struct.pack(">II", 0x801, n) + labels.tobytes())
-    return ipath, lpath, images, labels
-
-
-def test_idx_pair_loads(tmp_path):
-    ipath, lpath, images, labels = _write_idx(tmp_path)
-    data = load_idx_pair(ipath, lpath)
-    np.testing.assert_allclose(data.images, normalize_pixels(images))
-    np.testing.assert_array_equal(data.labels, labels)
-
-
-def test_idx_bad_magic(tmp_path):
-    path = tmp_path / "bad.idx"
-    path.write_bytes(struct.pack(">IIII", 0x9999, 1, 2, 2) + bytes(4))
-    with pytest.raises(DataError, match="magic"):
-        load_idx_pair(path, path)
-
-
-def test_idx_truncated(tmp_path):
-    path = tmp_path / "short.idx"
-    path.write_bytes(struct.pack(">IIII", 0x803, 10, 28, 28) + bytes(5))
-    with pytest.raises(DataError, match="payload"):
-        load_idx_pair(path, path)
-
-
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    images = rng.integers(0, 256, (3, 2, 2))
-    labels = [0, 1, 1]
-    lines = ["label," + ",".join(f"p{i}" for i in range(4))]
-    for img, lab in zip(images, labels):
-        lines.append(f"{lab}," + ",".join(str(v) for v in img.ravel()))
-    path = tmp_path / "train.csv"
-    path.write_text("\n".join(lines) + "\n")
-    data = load_csv(path)
-    np.testing.assert_allclose(data.images, normalize_pixels(images))
-    np.testing.assert_array_equal(data.labels, labels)
-
-
-def test_csv_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("foo,p0,p1,p2,p3\n0,1,2,3,4\n")
-    with pytest.raises(DataError, match="header"):
-        load_csv(path)
 
 
 def test_load_dataset_resolver(tmp_path):
