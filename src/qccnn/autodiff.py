@@ -5,11 +5,10 @@ final state phi; lambda = O_w phi with O_w = sum_j w[r, j] Z_j, diagonal per
 row r.  Walking back through the gates, each parameterised gate
 exp(-i theta P/2) adds Im<lambda|P|phi> to its slot, and then is undone on
 both states, down to the first parameterised gate.  The walk runs over
-the parameterised ops of ``circuit.split``, which holds the circuit's
-deferred form, so conditioned rotations differentiate as controlled
-rotations, whose generator acts on the control-1 half only.  A parameter
-slot referenced by several gates accumulates the per-occurrence
-contributions.
+the body of ``circuit.split``, which holds the circuit's deferred form,
+so conditioned rotations differentiate as controlled rotations, whose
+generator acts on the control-1 half only.  A parameter slot referenced
+by several gates accumulates the per-occurrence contributions.
 
 One walk serves two entry points.  :func:`readout_gradient` walks every
 row and overwrites the caller's phi; it simulates nothing itself.
@@ -68,19 +67,20 @@ def _lambda(circuit: Circuit, weights: np.ndarray, state: np.ndarray) -> np.ndar
 
 
 def _walk(ops, params, phi: np.ndarray, lam: np.ndarray, grad: np.ndarray):
-    """Walk back from the last of `ops` to the first, which is parameterised.
+    """Walk back from the last of `ops` to the first parameterised one.
 
-    No op takes an input angle: ``Circuit`` rejects one after the first
-    parameterised op.  `phi` and `lam` are (2,)*n + (cols,) views,
-    overwritten.  Each parameterised op adds the per-column Im<lam|P|phi>
-    to its slot of the (cols, num_params) `grad`, and then every op but the
-    first is undone on both states.
+    No op takes an input angle: ``Circuit`` rejects one after the encoding
+    prefix.  `phi` and `lam` are (2,)*n + (cols,) views, overwritten.  Each
+    parameterised op adds the per-column Im<lam|P|phi> to its slot of the
+    (cols, num_params) `grad`, and then every op after the first
+    parameterised one is undone on both states.
     """
-    for i in range(len(ops) - 1, -1, -1):
+    first = next((i for i, op in enumerate(ops) if op.param_slot is not None), len(ops))
+    for i in range(len(ops) - 1, first - 1, -1):
         op = ops[i]
         if op.param_slot is not None:
             grad[:, op.param_slot] += _generator_overlap(lam, phi, op.kind, op.targets)
-        if i == 0:
+        if i == first:
             break
         # Rotations are undone at -theta; the fixed gates are their own inverses.
         theta = None
@@ -122,9 +122,9 @@ def summed_readout_gradient(circuit: Circuit, params, weights, unitaries, encode
     readouts), `unitaries` the (kernels, 2**n, 2**n) matrices
     :func:`qccnn.sim.unitary` returns for `params`, and `encoded` the
     (2**n, rows) state :func:`qccnn.sim.encode` returns; neither is
-    changed.  Kernel k's rows share every op from the first parameterised
-    one, so its gradient is Im tr(P M_k) for M_k = sum_r phi_r lambda_r^dagger
-    with phi = U_k @ encoded, a (2**n, 2**n) matrix.  The kernels' final
+    changed.  Kernel k's rows share every op of the body, so its gradient
+    is Im tr(P M_k) for M_k = sum_r phi_r lambda_r^dagger with
+    phi = U_k @ encoded, a (2**n, 2**n) matrix.  The kernels' final
     states are formed one at a time in one buffer; their M_k stand side by
     side against copies of I, and one walk on these kernels x 2**n columns,
     each with its kernel's parameters, gives every column's Im<I_c|P|M_c>.

@@ -231,15 +231,17 @@ def patch_grid(height: int, width: int, size: int = 2, stride: int = 2) -> tuple
     return (height - size) // stride + 1, (width - size) // stride + 1
 
 
-def extract_patches(image, size: int = 2, stride: int = 2) -> np.ndarray:
-    """All valid windows in row-major order, each flattened row-major.
+def extract_patches(images, size: int = 2, stride: int = 2) -> np.ndarray:
+    """All valid windows of an (H, W) image or an (N, H, W) batch, copied from one strided view.
 
-    Returns an array of shape (n_patches, size*size).
+    Windows run image by image, each in row-major order, and each is
+    flattened row-major.  Returns an array of shape (N * n_patches,
+    size*size), N = 1 for a single image.
     """
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 2:
-        raise ValueError(f"expected a 2-D image, got shape {image.shape}")
-    h_out, w_out = patch_grid(image.shape[0], image.shape[1], size, stride)
-    windows = np.lib.stride_tricks.sliding_window_view(image, (size, size))
-    windows = windows[::stride, ::stride]
-    return windows.reshape(h_out * w_out, size * size).copy()
+    images = np.asarray(images, dtype=float)
+    if images.ndim not in (2, 3):
+        raise ValueError(f"expected an (H, W) image or (N, H, W) batch, got shape {images.shape}")
+    patch_grid(images.shape[-2], images.shape[-1], size, stride)
+    windows = np.lib.stride_tricks.sliding_window_view(images, (size, size), axis=(-2, -1))
+    windows = windows[..., ::stride, ::stride, :, :]
+    return np.array(windows).reshape(-1, size * size)

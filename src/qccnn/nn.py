@@ -2,7 +2,7 @@
 
 The quantum front end slides four parallel kernels over the image, one
 circuit evaluation per 2x2 patch per kernel: the patch encoding is
-simulated once per batch, and each kernel then acts on it as one
+computed once per batch, and each kernel then acts on it as one
 2**n x 2**n matrix (``Circuit.split`` defers the circuit once and splits
 it into that encoding and the kernel's body).  The kernels' matrices are
 built together, and their backward is one walk, each on kernels x 2**n
@@ -45,12 +45,13 @@ class QuantumConvLayer:
     """Quantum convolution (optionally pooling) with 2x2 patch circuits.
 
     The kernels share one circuit, held as built, and differ only in
-    parameters, and no input angle follows the first parameterised gate (``Circuit`` rejects
-    one when it is built), so each kernel acts on the encoded patches as
-    one 2**n x 2**n matrix.  A forward encodes the patch batch once, builds
-    every kernel's matrix in one pass of the gates over kernels x 2**n
-    columns (:func:`unitary`), and applies each matrix to the encoding in
-    one matrix product.  It caches the encoded state and the matrices, not
+    parameters, and no input angle follows the encoding prefix (``Circuit``
+    rejects one when it is built), so each kernel acts on the encoded
+    patches as one 2**n x 2**n matrix.  A forward encodes the patch batch
+    once and applies each matrix to the encoding in one matrix product.
+    The matrices are built in one pass of the gates over kernels x 2**n
+    columns (:func:`unitary`), and only when the parameters changed since
+    the last build.  It caches the encoded state and the matrices, not
     the final states; the backward recomputes each final state from them
     and makes one walk back over the kernels' row-summed matrices,
     kernels x 2**n columns in all (:func:`summed_readout_gradient`), not
@@ -67,6 +68,7 @@ class QuantumConvLayer:
         self.params = rng.uniform(-math.pi, math.pi, (self.num_kernels, ansatz.num_params))
         self.meta = {"front": ansatz.key, "relu": False}
         self._cache = None
+        self._matrices = None  # (params.tobytes(), their unitary) of the last build
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"kernels": self.params}
@@ -75,7 +77,11 @@ class QuantumConvLayer:
         self._cache = None  # free the last encoded state before encoding this batch
         patches, maps_shape = _patch_features(images, self.stride)
         encoded = encode(self.circuit, patches.reshape(-1, KERNEL_SIZE * KERNEL_SIZE))
-        unitaries = unitary(self.circuit, self.params)
+        # Keyed by value: training updates the parameter array in place.
+        key = self.params.tobytes()
+        if self._matrices is None or self._matrices[0] != key:
+            self._matrices = (key, unitary(self.circuit, self.params))
+        unitaries = self._matrices[1]
         # One buffer for every kernel: a fresh product each would map and
         # unmap state-sized blocks.
         state = np.empty_like(encoded)
@@ -146,7 +152,8 @@ def _patch_features(images: np.ndarray, stride: int):
     (batch, 4, h_out, w_out) that ``features.transpose(0, 2, 1)`` takes as maps."""
     batch, h, w = images.shape
     h_out, w_out = patch_grid(h, w, KERNEL_SIZE, stride)
-    patches = np.stack([extract_patches(img, KERNEL_SIZE, stride) for img in images])
+    patches = extract_patches(images, KERNEL_SIZE, stride)
+    patches = patches.reshape(batch, h_out * w_out, KERNEL_SIZE * KERNEL_SIZE)
     return patches, (batch, NUM_FEATURE_MAPS, h_out, w_out)
 
 

@@ -18,23 +18,28 @@ rule that makes this rewrite exact when it is built, so the rewrite itself
 rejects nothing.
 
 :attr:`Circuit.split` owns the deferral and the split: it defers the circuit
-once and splits the result at its first parameterised op, and every
-function here and in :mod:`qccnn.autodiff` reads it.  :func:`encode`
-simulates the parameter-free prefix (for the ansatz circuits, the patch
-encoding), which depends on the inputs only, so circuits that differ only
-in their parameters share it.  No input angle follows the first
-parameterised op (:class:`Circuit` rejects one), so the rest of the ops is
-one matrix for every row: :func:`unitary` builds it by running them on the
-2**n identity columns, and a caller applies it to the encoding as one
-matrix product.  Circuits that differ only in their parameters (the
-kernels of a layer, the parameter draws of an effective dimension) build
-their matrices together, as kernels x 2**n columns with per-column
-parameters.  :func:`readouts` reads the readout Z expectations off a final
-state.
+once and splits the result into the encoding prefix, compiled into a phase
+program, and the body, the ops after it; every function here and in
+:mod:`qccnn.autodiff` reads it.  The prefix is a leading run of Hadamards
+on fresh qubits, X/CNOT frame changes and RZ phases with input or constant
+angles; for the ansatz circuits it is the patch encoding, the diagonal
+ZZ feature map of Havlicek et al. 2019 (arXiv:1804.11279).  :func:`encode`
+runs the program, which multiplies each amplitude by the gates' own phase
+factors in op order without simulating a gate, and it depends on the
+inputs only, so circuits that differ only in their parameters share it.
+No input angle follows the prefix (:class:`Circuit` rejects one), so the
+body is one matrix for every row: :func:`unitary` builds it by running its
+gates on the 2**n identity columns, and a caller applies it to the
+encoding as one matrix product.  Circuits that differ only in their
+parameters (the kernels of a layer, the parameter draws of an effective
+dimension) build their matrices together, as kernels x 2**n columns with
+per-column parameters.  :func:`readouts` reads the readout Z expectations
+off a final state.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -110,10 +115,10 @@ class Circuit:
     `readout` lists the qubits whose Pauli-Z expectations
     :func:`readouts` returns, in order.  Construction checks the
     template rules, so every circuit can be deferred and splits into an
-    encoding and a parameterised body: a qubit is measured at most once and
-    is then only the control of a gate or the target of a Z-diagonal one; a
+    encoding prefix and a body: a qubit is measured at most once and is
+    then only the control of a gate or the target of a Z-diagonal one; a
     conditioned gate is an RX, RY or RZ on a qubit not yet measured; and no
-    input angle follows the first parameterised op.
+    input angle follows the encoding prefix (see :func:`_compile_prefix`).
     """
 
     num_qubits: int
@@ -149,8 +154,6 @@ class Circuit:
                 for i in op.input_idx:
                     if not 0 <= i < self.num_inputs:
                         raise ValueError(f"input index {i} out of range")
-                if seen_slots:
-                    raise ValueError("an input angle follows the first parameterised op")
             target = op.targets[-1]  # the control of a controlled kind comes first
             if op.condition is None:
                 if target in measured and op.kind not in _Z_DIAGONAL_KINDS:
@@ -172,6 +175,9 @@ class Circuit:
             raise ValueError(f"parameter slots never referenced: {missing}")
         for q in self.readout:
             self._check_qubit(q)
+        length, _ = _compile_prefix(self.num_qubits, self.ops)
+        if any(getattr(op, "input_idx", None) is not None for op in self.ops[length:]):
+            raise ValueError("an input angle follows the encoding prefix")
 
     def _check_qubit(self, q: int):
         if not 0 <= q < self.num_qubits:
@@ -179,13 +185,68 @@ class Circuit:
 
     @cached_property
     def split(self) -> tuple[tuple, tuple]:
-        """The deferred ops before the first parameterised op, and the ops from it on.
+        """The encoding prefix of the deferred ops as a phase program, and the ops after it.
 
+        :func:`_compile_prefix` defines the prefix and the program, which
+        :func:`encode` runs; :func:`unitary` runs the ops after it, the body.
         Cached in the instance ``__dict__``, which ``repr``, ``==`` and the hash ignore.
         """
         ops = defer_measurements(self).ops
-        first = next((i for i, op in enumerate(ops) if op.param_slot is not None), len(ops))
-        return ops[:first], ops[first:]
+        length, program = _compile_prefix(self.num_qubits, ops)
+        return program, ops[length:]
+
+
+# ---------------------------------------------------------------------------
+# the encoding prefix as a phase program
+# ---------------------------------------------------------------------------
+
+
+def _compile_prefix(num_qubits: int, ops) -> tuple[int, tuple]:
+    """The length of the encoding prefix of `ops`, and its phase program.
+
+    The prefix is the longest leading run of Hadamards on qubits no earlier
+    op touched, X and CNOT gates, and RZ gates with an input or constant
+    angle, cut back to the last op after which the X/CNOT frame is the
+    identity.  A measurement is passed over, as deferring drops it, and a
+    conditioned gate ends the run.  The frame maps a basis state b of the
+    Hadamards' superposition to the current one: current bit q is the
+    parity of ``b & masks[q]``, flipped when ``flips[q]`` is set.  A fresh
+    qubit's Hadamard commutes with the frame and every phase before it, so
+    at the end of the prefix the state is the superposition with one phase
+    per RZ, on the Z-string of its target's frame row.
+
+    The program is one step per Hadamard and RZ, in op order: ``(op,
+    qubits, flip)``, where `qubits` are the Hadamard's qubit or the
+    Hadamard-touched qubits of the RZ's Z-string (every other qubit stays
+    0), and `flip` swaps the RZ's two phases.
+    """
+    masks = [1 << q for q in range(num_qubits)]  # the frame's rows
+    flips = [False] * num_qubits
+    touched, hadamards, steps = set(), [], []
+    length, program = 0, ()
+    for i, op in enumerate(ops):
+        if isinstance(op, MidMeasure):
+            continue
+        if op.condition is not None or op.param_slot is not None:
+            break
+        if op.kind == "H" and op.targets[0] not in touched:
+            hadamards.append(op.targets[0])
+            steps.append((op, op.targets, False))
+        elif op.kind == "X":
+            flips[op.targets[0]] ^= True
+        elif op.kind == "CNOT":
+            control, target = op.targets
+            masks[target] ^= masks[control]
+            flips[target] ^= flips[control]
+        elif op.kind == "RZ":
+            q = op.targets[0]
+            steps.append((op, tuple(h for h in hadamards if masks[q] >> h & 1), flips[q]))
+        else:
+            break
+        touched.update(op.targets)
+        if not any(flips) and all(m == 1 << q for q, m in enumerate(masks)):
+            length, program = i + 1, tuple(steps)
+    return length, program
 
 
 # ---------------------------------------------------------------------------
@@ -353,23 +414,79 @@ def _state_view(circuit: Circuit, state: np.ndarray, rows: int) -> np.ndarray:
     return state.reshape((2,) * circuit.num_qubits + (rows,))
 
 
-def _apply_ops(psi: np.ndarray, ops, params, inputs):
-    for op in ops:
-        theta = _resolve_angle(op, params, inputs) if op.kind in ROTATION_KINDS else None
-        _apply_kind(psi, op.kind, op.targets, theta)
-
-
 def encode(circuit: Circuit, inputs) -> np.ndarray:
-    """State after the parameter-free prefix of ``circuit.split``, as a (2**n, rows) array.
+    """State after the encoding prefix of ``circuit.split``, as a (2**n, rows) array.
 
     `inputs` is a (rows, num_inputs) matrix; an input-free circuit takes
-    (rows, 0).
+    (rows, 0).  The phase program multiplies each amplitude by the same
+    factors, in the same order, as the prefix's gates, so the state equals
+    theirs to the bit.  Only the amplitudes the Hadamards reach are
+    stored: a Hadamard scales them by 1/sqrt(2) and leaves its axis
+    pending, both halves equal and only half 0 stored.  An RZ on one
+    pending axis writes half 1 as half 0 times its bit-1 phase; any other
+    RZ first copies its pending axes open and multiplies each parity
+    sub-view of its Z-string by that parity's phase.
     """
     inputs = _check_inputs(circuit, inputs)
     rows = inputs.shape[0]
-    state = np.zeros((1 << circuit.num_qubits, rows), dtype=complex)
-    state[0] = 1.0
-    _apply_ops(_state_view(circuit, state, rows), circuit.split[0], None, inputs)
+    n = circuit.num_qubits
+    program = circuit.split[0]
+    phases = [op for op, _, _ in program if op.kind == "RZ"]
+    angles = np.empty((len(phases), rows))
+    for i, op in enumerate(phases):
+        angles[i] = _resolve_angle(op, None, inputs)
+    c, s = _half_angle(angles)  # one cos/sin pass for every RZ
+    # The gates' phases c - 1j*s and c + 1j*s to the bit, without complex
+    # temporaries: 1j*s has real part +-0, which leaves c as it is (a cosine
+    # is never 0), and imaginary part s, so the imaginary parts are 0 - s and 0 + s.
+    phase = np.empty((2,) + c.shape, dtype=complex)
+    phase.real = c
+    np.subtract(0.0, s, out=phase[0].imag)
+    np.add(0.0, s, out=phase[1].imag)
+    factors = iter(zip(*phase))  # each RZ's phases on parity 0 and 1
+    state = np.zeros((1 << n, rows), dtype=complex)
+    psi = _state_view(circuit, state, rows)
+    region = [0] * n  # the stored amplitudes: axes not yet open are fixed at 0
+    pending = set()
+    psi[tuple(region)] = 1.0
+
+    def part(fixed=()):
+        index = list(region)
+        for q, bit in fixed:
+            index[n - 1 - q] = bit
+        return psi[tuple(index)]
+
+    def scale(view, factor):
+        np.multiply(view, factor, out=view)
+
+    def open_axis(q, odd=None):
+        """Write half 1 of pending axis q: half 0, or half 0 times `odd`."""
+        half1 = part(((q, 1),))
+        if odd is None:
+            half1[...] = part()
+        else:
+            np.multiply(part(), odd, out=half1)
+        region[n - 1 - q] = slice(None)
+        pending.remove(q)
+
+    for op, qubits, flip in program:
+        if op.kind == "H":
+            scale(part(), _INV_SQRT2)
+            pending.add(qubits[0])
+            continue
+        even, odd = next(factors)
+        if flip:
+            even, odd = odd, even
+        if len(qubits) == 1 and qubits[0] in pending:
+            open_axis(qubits[0], odd)
+            scale(part(((qubits[0], 0),)), even)
+            continue
+        for q in pending.intersection(qubits):
+            open_axis(q)
+        for bits in itertools.product((0, 1), repeat=len(qubits)):
+            scale(part(zip(qubits, bits)), odd if sum(bits) % 2 else even)
+    for q in sorted(pending):
+        open_axis(q)
     return state
 
 
@@ -390,18 +507,21 @@ def _kernel_columns(circuit: Circuit, params) -> tuple:
 
 
 def unitary(circuit: Circuit, params) -> np.ndarray:
-    """The parameterised ops of ``circuit.split``, as one matrix per kernel.
+    """The body of ``circuit.split``, as one matrix per kernel.
 
-    `params` is a (kernels, num_params) matrix.  The ops run once, through
-    the same gate path as :func:`encode`, on kernels copies of the
-    2**n identity columns, each column with its kernel's parameters.  The
+    `params` is a (kernels, num_params) matrix.  The body's gates run once,
+    gate by gate, on kernels copies of the 2**n identity columns, each
+    column with its kernel's parameters.  The
     result is a (kernels, 2**n, 2**n) array, and
     ``unitary(c, p)[k] @ encode(c, x)`` is the final state of every row of
     `x` at ``p[k]``.
     """
     column_params, u = _kernel_columns(circuit, params)
     dim, cols = u.shape
-    _apply_ops(_state_view(circuit, u, cols), circuit.split[1], column_params, None)
+    psi = _state_view(circuit, u, cols)
+    for op in circuit.split[1]:
+        theta = _resolve_angle(op, column_params, None) if op.kind in ROTATION_KINDS else None
+        _apply_kind(psi, op.kind, op.targets, theta)
     return u.reshape(dim, cols // dim, dim).transpose(1, 0, 2)
 
 

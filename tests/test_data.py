@@ -196,6 +196,13 @@ def test_patches_row_major_order_and_flattening():
     np.testing.assert_allclose(patches[2], image[[2, 2, 3, 3], [0, 1, 0, 1]])
 
 
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_batch_patches_are_each_images_patches_in_order(stride):
+    images = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 5, 6))
+    want = np.concatenate([extract_patches(image, 2, stride) for image in images])
+    np.testing.assert_array_equal(extract_patches(images, 2, stride), want)
+
+
 def test_image_smaller_than_window_rejected():
     with pytest.raises(ValueError, match="smaller"):
         extract_patches(np.zeros((1, 5)), 2, 2)

@@ -117,25 +117,45 @@ def _count_columns(monkeypatch) -> dict:
 def test_layer_encodes_once_per_forward_and_never_in_backward(key, monkeypatch):
     columns = _count_columns(monkeypatch)
     circuit = build_ansatz(key).circuit
-    prefix, suffix = map(len, circuit.split)
+    body = len(circuit.split[1])
     rng = np.random.default_rng(61)
     layer = QuantumConvLayer(build_ansatz(key), stride=2, rng=rng)
     dim = 1 << circuit.num_qubits
     kernels = layer.num_kernels
     for images in (1, 3):
+        layer.params += 0.1  # a new parameter version: the kernels' matrices are rebuilt
         layer.forward(rng.uniform(-1.0, 1.0, (images, 4, 4)))
-        rows = images * 4
-        # The encoding runs once on the patch rows; the remaining ops run
-        # once, on the 2**n identity columns of every kernel's matrix at once.
-        assert columns["sim"] == [rows] * prefix + [kernels * dim] * suffix
+        # The encoding runs the phase program and applies no gate; the body
+        # runs once, on the 2**n identity columns of every kernel's matrix at once.
+        assert columns["sim"] == [kernels * dim] * body
         assert columns["walk"] == []
         columns["sim"].clear()
         layer.backward(rng.normal(size=(images, 4, 2, 2)))
         # The backward simulates nothing, and one walk undoes every op after
         # the first parameterised one on the two (2**n, kernels * 2**n)
         # matrices that hold every kernel's pair.
-        assert columns == {"sim": [], "walk": [kernels * dim] * (2 * (suffix - 1))}
+        assert columns == {"sim": [], "walk": [kernels * dim] * (2 * (body - 1))}
         columns["walk"].clear()
+
+
+def test_layer_builds_kernel_matrices_once_per_parameter_version(monkeypatch):
+    built = []
+    monkeypatch.setattr("qccnn.nn.unitary", lambda c, p: built.append(1) or sim.unitary(c, p))
+    rng = np.random.default_rng(63)
+    layer = QuantumConvLayer(build_ansatz("mod-b"), stride=2, rng=rng)
+    images = rng.uniform(-1.0, 1.0, (2, 4, 4))
+    first = layer.forward(images)
+    np.testing.assert_array_equal(layer.forward(images), first)
+    assert len(built) == 1
+    # Adam updates the parameters in place: the next forward rebuilds, once.
+    grads = layer.backward(rng.normal(size=first.shape))
+    adam_step(layer.parameters(), grads, AdamState(lr=0.01))
+    updated = layer.forward(images)
+    layer.forward(images[:1])
+    assert len(built) == 2
+    fresh = QuantumConvLayer(build_ansatz("mod-b"), stride=2, rng=rng)
+    fresh.params[...] = layer.params
+    np.testing.assert_array_equal(fresh.forward(images), updated)
 
 
 @pytest.mark.parametrize("key", ["midcircuit-rx", "mod-c"])

@@ -13,6 +13,7 @@ from qccnn.sim import (
     GateOp,
     MidMeasure,
     _apply_kind,
+    _resolve_angle,
     defer_measurements,
     encode,
     run_deferred_batch,
@@ -333,6 +334,131 @@ def test_unitary_rejects_input_angle_after_first_parameter():
            GateOp("RZ", (0,), input_idx=(0,)))
     with pytest.raises(ValueError, match="input angle follows"):
         Circuit(1, ops, num_params=1, num_inputs=1, readout=(0,))
+
+
+@pytest.mark.parametrize("gate", [
+    GateOp("CZ", (0, 1)),
+    GateOp("RY", (0,), angle=0.3),
+    GateOp("H", (0,)),  # a Hadamard on a touched qubit ends the prefix too
+    GateOp("CNOT", (0, 1)),  # the frame is not the identity at the input angle
+], ids=["CZ", "RY", "H-touched", "open-frame"])
+def test_input_angle_outside_the_prefix_rejected(gate):
+    # The test above covers an input angle after a parameterised op.
+    ops = (GateOp("H", (0,)), GateOp("RZ", (0,), input_idx=(0,)), GateOp("H", (1,)), gate,
+           GateOp("RZ", (1,), input_idx=(0,)), GateOp("RX", (0,), param_slot=0))
+    with pytest.raises(ValueError, match="input angle follows"):
+        Circuit(2, ops, num_params=1, num_inputs=1, readout=(0,))
+
+
+# ---------------------------------------------------------------------------
+# the encoding prefix as a phase program
+# ---------------------------------------------------------------------------
+
+
+def _prefix_gate_by_gate(circuit, xs):
+    """The prefix of ``circuit.split`` run gate by gate through the production kernels."""
+    ops = defer_measurements(circuit).ops
+    n = circuit.num_qubits
+    state = np.zeros((1 << n, len(xs)), dtype=complex)
+    state[0] = 1.0
+    for op in ops[: len(ops) - len(circuit.split[1])]:
+        theta = _resolve_angle(op, None, xs) if op.kind in ROTATION_KINDS else None
+        _apply_kind(state.reshape((2,) * n + (-1,)), op.kind, op.targets, theta)
+    return state
+
+
+def _assert_same_bits(got, want):
+    """Equal values, and equal bits wherever the amplitude is not zero.
+
+    Gates also multiply and move the zero amplitudes that no Hadamard
+    reaches, which can leave a signed zero there.
+    """
+    np.testing.assert_array_equal(got, want)
+    reached = want != 0
+    np.testing.assert_array_equal(got[reached].view(np.uint64), want[reached].view(np.uint64))
+
+
+def _edge_inputs(rng, rows, num_inputs):
+    """Uniform inputs with rows of 0, -0 and +-1, where a signed zero could differ."""
+    xs = rng.uniform(-1, 1, (rows, num_inputs))
+    edges = np.array([0.0, -0.0, 1.0, -1.0])[:rows, None]
+    xs[: len(edges)] = edges
+    return xs
+
+
+@pytest.mark.parametrize("key", ANSATZ_KEYS)
+def test_encode_equals_the_prefix_gate_by_gate_for_ansatz(key):
+    circuit = build_ansatz(key).circuit
+    ops = defer_measurements(circuit).ops
+    body = circuit.split[1]
+    # The prefix is the patch encoding: everything before the first parameterised op.
+    assert body[0].param_slot is not None
+    assert len(ops) - len(body) == (27 if key.startswith("ancilla") else 26)
+    rng = np.random.default_rng(18)
+    for rows in (1, 7, 196):
+        xs = _edge_inputs(rng, rows, 4)
+        _assert_same_bits(encode(circuit, xs), _prefix_gate_by_gate(circuit, xs))
+
+
+def _random_prefix(rng, n: int, length: int) -> tuple[list, bool]:
+    """Random ops of the compiled class, closed by the inverse of their X/CNOT frame.
+
+    Hadamards go on untouched qubits; RZ angles are inputs or constants.
+    Also returns whether a Hadamard follows a phase.
+    """
+    ops, frame, touched = [], [], set()
+    h_after_phase = False
+    for _ in range(length):
+        kind = ("H", "X", "CNOT", "RZ", "RZ")[rng.integers(5)]
+        fresh = sorted(set(range(n)) - touched)
+        if kind == "H" and fresh:
+            op = GateOp("H", (int(rng.choice(fresh)),))
+            h_after_phase |= any(o.kind == "RZ" for o in ops)
+        elif kind == "CNOT" and n > 1:
+            op = GateOp("CNOT", tuple(int(q) for q in rng.choice(n, size=2, replace=False)))
+            frame.append(op)
+        elif kind == "RZ":
+            q = int(rng.integers(n))
+            if rng.random() < 0.3:
+                op = GateOp("RZ", (q,), angle=float(rng.uniform(-4, 4)))
+            else:
+                k = int(rng.integers(1, min(n, 2) + 1))
+                idx = tuple(int(i) for i in rng.choice(n, size=k, replace=False))
+                op = GateOp("RZ", (q,), input_idx=idx)
+        else:
+            op = GateOp("X", (int(rng.integers(n)),))
+            frame.append(op)
+        ops.append(op)
+        touched.update(op.targets)
+    return ops + frame[::-1], h_after_phase
+
+
+def test_encode_equals_the_prefix_gate_by_gate_for_random_encodings():
+    rng = np.random.default_rng(19)
+    h_after_phase = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        prefix, late_h = _random_prefix(rng, n, int(rng.integers(0, 25)))
+        h_after_phase += late_h
+        body = (GateOp("RY", (0,), param_slot=0), GateOp("RZ", (0,), angle=0.5))
+        circuit = Circuit(n, tuple(prefix) + body, num_params=1, num_inputs=n, readout=(0,))
+        # The closing inverse frame makes the whole run one prefix.
+        assert circuit.split[1] == body
+        xs = _edge_inputs(rng, 9, n)
+        _assert_same_bits(encode(circuit, xs), _prefix_gate_by_gate(circuit, xs))
+        want = np.stack([circuit_unitary(circuit, [0.0], x)[:, 0] for x in xs], axis=1)
+        np.testing.assert_allclose(unitary(circuit, [[0.0]])[0] @ encode(circuit, xs), want,
+                                   atol=1e-12)
+    assert h_after_phase >= 5
+
+
+def test_encode_equals_the_prefix_gate_by_gate_for_input_free_circuits():
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        circuit = random_circuit(rng, num_qubits=int(rng.integers(2, 6)),
+                                 depth=int(rng.integers(0, 12)))
+        _assert_same_bits(encode(circuit, np.zeros((3, 0))),
+                          _prefix_gate_by_gate(circuit, np.zeros((3, 0))))
 
 
 # ---------------------------------------------------------------------------
