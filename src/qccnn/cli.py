@@ -539,9 +539,9 @@ _COMMANDS = {
 }
 _OPTION_HELP = {
     "config": "key = value config file",
-    "data": "'synthetic', an .npz archive, or a dataset directory",
+    "data": "'synthetic[:k=v,...]' or an .npz/.zip archive",
     "stride": "convolution stride (default 2)",
-    "seeds": "comma-separated seeds (default 0,1,2)",
+    "seeds": "comma-separated seeds (default 0,1,2; eval reads none)",
     "out": "output directory (eval writes none)",
     "ansatz": "train: ansatz key or 'classical'; ed: comma-separated keys (default: table set)",
     "stop_at_train_acc": "stop once epoch train accuracy reaches this value",

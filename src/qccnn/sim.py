@@ -23,8 +23,10 @@ program, and the body, the ops after it; every function here and in
 :mod:`qccnn.autodiff` reads it.  The prefix is a leading run of Hadamards
 on fresh qubits, X/CNOT frame changes and RZ phases with input or constant
 angles; for the ansatz circuits it is the patch encoding, the diagonal
-ZZ feature map of Havlicek et al. 2019 (arXiv:1804.11279).  :func:`encode`
-runs the program, which multiplies each amplitude by the gates' own phase
+ZZ feature map of Havlicek et al. 2019 (arXiv:1804.11279).  The program
+holds one step per Hadamard and RZ, each RZ with a parity table that picks
+one of its two phases per amplitude.  :func:`encode` runs it as one
+broadcast multiply per step, which gives each amplitude the gates' own
 factors in op order without simulating a gate, and it depends on the
 inputs only, so circuits that differ only in their parameters share it.
 No input angle follows the prefix (:class:`Circuit` rejects one), so the
@@ -39,7 +41,6 @@ off a final state.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -187,8 +188,9 @@ class Circuit:
     def split(self) -> tuple[tuple, tuple]:
         """The encoding prefix of the deferred ops as a phase program, and the ops after it.
 
-        :func:`_compile_prefix` defines the prefix and the program, which
-        :func:`encode` runs; :func:`unitary` runs the ops after it, the body.
+        :func:`_compile_prefix` defines the prefix and the program, its
+        ``(op, parity table)`` steps, which :func:`encode` runs;
+        :func:`unitary` runs the ops after it, the body.
         Cached in the instance ``__dict__``, which ``repr``, ``==`` and the hash ignore.
         """
         ops = defer_measurements(self).ops
@@ -216,9 +218,11 @@ def _compile_prefix(num_qubits: int, ops) -> tuple[int, tuple]:
     per RZ, on the Z-string of its target's frame row.
 
     The program is one step per Hadamard and RZ, in op order: ``(op,
-    qubits, flip)``, where `qubits` are the Hadamard's qubit or the
-    Hadamard-touched qubits of the RZ's Z-string (every other qubit stays
-    0), and `flip` swaps the RZ's two phases.
+    table)``.  A Hadamard's table is None.  An RZ's is an n-axis integer
+    array in the axis order of the state view, of size 2 on the axis of
+    each Hadamard qubit in its Z-string and 1 on every other: the parity of
+    those qubits' bits, XOR the frame's flip, which indexes the RZ's two
+    phases.
     """
     masks = [1 << q for q in range(num_qubits)]  # the frame's rows
     flips = [False] * num_qubits
@@ -231,7 +235,7 @@ def _compile_prefix(num_qubits: int, ops) -> tuple[int, tuple]:
             break
         if op.kind == "H" and op.targets[0] not in touched:
             hadamards.append(op.targets[0])
-            steps.append((op, op.targets, False))
+            steps.append((op, None))
         elif op.kind == "X":
             flips[op.targets[0]] ^= True
         elif op.kind == "CNOT":
@@ -240,7 +244,12 @@ def _compile_prefix(num_qubits: int, ops) -> tuple[int, tuple]:
             flips[target] ^= flips[control]
         elif op.kind == "RZ":
             q = op.targets[0]
-            steps.append((op, tuple(h for h in hadamards if masks[q] >> h & 1), flips[q]))
+            table = np.full((1,) * num_qubits, flips[q], dtype=np.intp)
+            for h in hadamards:
+                if masks[q] >> h & 1:  # qubit h's bit, along axis n-1-h
+                    table = table ^ np.arange(2).reshape((2,) + (1,) * h)
+            table.setflags(write=False)
+            steps.append((op, table))
         else:
             break
         touched.update(op.targets)
@@ -418,20 +427,18 @@ def encode(circuit: Circuit, inputs) -> np.ndarray:
     """State after the encoding prefix of ``circuit.split``, as a (2**n, rows) array.
 
     `inputs` is a (rows, num_inputs) matrix; an input-free circuit takes
-    (rows, 0).  The phase program multiplies each amplitude by the same
-    factors, in the same order, as the prefix's gates, so the state equals
-    theirs to the bit.  Only the amplitudes the Hadamards reach are
-    stored: a Hadamard scales them by 1/sqrt(2) and leaves its axis
-    pending, both halves equal and only half 0 stored.  An RZ on one
-    pending axis writes half 1 as half 0 times its bit-1 phase; any other
-    RZ first copies its pending axes open and multiplies each parity
-    sub-view of its Z-string by that parity's phase.
+    (rows, 0).  The amplitudes the Hadamards reach, every Hadamard qubit
+    either 0 or 1 and every other qubit 0, start at 1; each program step
+    multiplies all of them at once, by 1/sqrt(2) for a Hadamard and by the
+    phase its parity table picks for an RZ.  Each amplitude so receives the
+    same factors, in the same order, as from the prefix's gates, and the
+    state equals theirs to the bit.
     """
     inputs = _check_inputs(circuit, inputs)
     rows = inputs.shape[0]
     n = circuit.num_qubits
     program = circuit.split[0]
-    phases = [op for op, _, _ in program if op.kind == "RZ"]
+    phases = [op for op, table in program if table is not None]
     angles = np.empty((len(phases), rows))
     for i, op in enumerate(phases):
         angles[i] = _resolve_angle(op, None, inputs)
@@ -439,54 +446,23 @@ def encode(circuit: Circuit, inputs) -> np.ndarray:
     # The gates' phases c - 1j*s and c + 1j*s to the bit, without complex
     # temporaries: 1j*s has real part +-0, which leaves c as it is (a cosine
     # is never 0), and imaginary part s, so the imaginary parts are 0 - s and 0 + s.
-    phase = np.empty((2,) + c.shape, dtype=complex)
-    phase.real = c
-    np.subtract(0.0, s, out=phase[0].imag)
-    np.add(0.0, s, out=phase[1].imag)
-    factors = iter(zip(*phase))  # each RZ's phases on parity 0 and 1
+    phase = np.empty((len(phases), 2, rows), dtype=complex)
+    phase.real = c[:, None]
+    np.subtract(0.0, s, out=phase[:, 0].imag)
+    np.add(0.0, s, out=phase[:, 1].imag)
+    factors = iter(phase)  # each RZ's phases on parity 0 and 1
     state = np.zeros((1 << n, rows), dtype=complex)
-    psi = _state_view(circuit, state, rows)
-    region = [0] * n  # the stored amplitudes: axes not yet open are fixed at 0
-    pending = set()
-    psi[tuple(region)] = 1.0
-
-    def part(fixed=()):
-        index = list(region)
-        for q, bit in fixed:
-            index[n - 1 - q] = bit
-        return psi[tuple(index)]
-
-    def scale(view, factor):
-        np.multiply(view, factor, out=view)
-
-    def open_axis(q, odd=None):
-        """Write half 1 of pending axis q: half 0, or half 0 times `odd`."""
-        half1 = part(((q, 1),))
-        if odd is None:
-            half1[...] = part()
+    region = [slice(1)] * n  # the amplitudes the Hadamards reach
+    for op, table in program:
+        if table is None:
+            region[n - 1 - op.targets[0]] = slice(None)
+    amp = _state_view(circuit, state, rows)[tuple(region)]
+    amp[...] = 1.0
+    for op, table in program:
+        if table is None:
+            amp *= _INV_SQRT2
         else:
-            np.multiply(part(), odd, out=half1)
-        region[n - 1 - q] = slice(None)
-        pending.remove(q)
-
-    for op, qubits, flip in program:
-        if op.kind == "H":
-            scale(part(), _INV_SQRT2)
-            pending.add(qubits[0])
-            continue
-        even, odd = next(factors)
-        if flip:
-            even, odd = odd, even
-        if len(qubits) == 1 and qubits[0] in pending:
-            open_axis(qubits[0], odd)
-            scale(part(((qubits[0], 0),)), even)
-            continue
-        for q in pending.intersection(qubits):
-            open_axis(q)
-        for bits in itertools.product((0, 1), repeat=len(qubits)):
-            scale(part(zip(qubits, bits)), odd if sum(bits) % 2 else even)
-    for q in sorted(pending):
-        open_axis(q)
+            amp *= next(factors)[table]
     return state
 
 

@@ -395,7 +395,8 @@ def test_encode_equals_the_prefix_gate_by_gate_for_ansatz(key):
     assert body[0].param_slot is not None
     assert len(ops) - len(body) == (27 if key.startswith("ancilla") else 26)
     rng = np.random.default_rng(18)
-    for rows in (1, 7, 196):
+    # 500 rows: an ED batch of 5 draws; 1,568: one 8-image 28x28 eval batch.
+    for rows in (1, 7, 196, 500, 1568):
         xs = _edge_inputs(rng, rows, 4)
         _assert_same_bits(encode(circuit, xs), _prefix_gate_by_gate(circuit, xs))
 
