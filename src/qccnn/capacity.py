@@ -16,7 +16,9 @@ the parameter count d for comparison across circuits.
 
 The θ draws of one estimate are simulated together, in batches of at most
 2048 rows, through the quantum layer's encode-and-unitary path: one forward
-and one adjoint walk per batch instead of per draw.
+and one adjoint walk per batch instead of per draw.  Draw d owns the d-th
+block of consecutive rows of a batch, and both the forward and the walk
+take the batch's (draws, num_params) θ matrix as it is, one row per draw.
 """
 
 from __future__ import annotations
@@ -139,11 +141,10 @@ def _forward(circuit: Circuit, thetas: np.ndarray, xs: np.ndarray) -> tuple:
 def _scores(circuit: Circuit, thetas, ys, state, probs) -> np.ndarray:
     """Score rows from the final state and class probabilities of the draws `thetas`.
 
-    Draw d's θ serves its block of rows; the adjoint walk overwrites `state`.
+    Draw d's θ row serves its block of rows; the adjoint walk overwrites `state`.
     """
     weights = _log_prob_weights(probs, ys, len(circuit.readout))
-    params = np.repeat(thetas, len(ys) // len(thetas), axis=0)
-    return readout_gradient(circuit, params, weights, state)
+    return readout_gradient(circuit, thetas, weights, state)
 
 
 def score_batch(circuit: Circuit, params, xs, ys):
@@ -199,18 +200,19 @@ def _kappa(gamma: float, n: int) -> float:
 
 
 def effective_dimension_from_fims(fims: list, gamma: float, n: int) -> tuple[float, float]:
-    """(ed, normalized ed) from precomputed FIM samples at one setting."""
+    """(ed, normalized ed) from precomputed FIM samples at one setting.
+
+    One ``eigvalsh`` call takes the spectra of all normalized FIMs, stacked
+    as a (draws, d, d) array; LAPACK still factors each matrix alone.
+    """
     kappa = _kappa(gamma, n)
-    normalized = normalized_fim(fims)
-    d = normalized[0].shape[0]
-    half_logdets = []
-    for matrix in normalized:
-        eigvals = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
-        if eigvals.min() < _PSD_TOLERANCE:
-            raise NumericError(f"FIM eigenvalue {eigvals.min():.3e} below PSD tolerance")
-        eigvals = np.clip(eigvals, 0.0, None)
-        half_logdets.append(0.5 * np.log1p(kappa * eigvals).sum())
-    half_logdets = np.asarray(half_logdets)
+    normalized = np.array(normalized_fim(fims))
+    d = normalized.shape[1]
+    eigvals = np.linalg.eigvalsh((normalized + normalized.transpose(0, 2, 1)) / 2.0)
+    if eigvals.min() < _PSD_TOLERANCE:
+        raise NumericError(f"FIM eigenvalue {eigvals.min():.3e} below PSD tolerance")
+    eigvals = np.clip(eigvals, 0.0, None)
+    half_logdets = 0.5 * np.log1p(kappa * eigvals).sum(axis=1)
     peak = float(half_logdets.max())
     log_mean_sqrt_det = peak + math.log(np.mean(np.exp(half_logdets - peak)))
     ed = 2.0 * log_mean_sqrt_det / math.log(kappa)

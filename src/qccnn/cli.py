@@ -25,8 +25,8 @@ from .capacity import (
     effective_dimension_from_fims,  # noqa: F401  (a perfbench span target)
     uniform_input_sampler,
 )
-from .circuits import ANSATZ_KEYS
-from .data import DataError, load_dataset
+from .circuits import ANSATZ_KEYS, build_ansatz
+from .data import _SYNTHETIC_MAX_BYTES, DataError, load_dataset
 from .nn import FitResult, evaluate, fit, make_model
 
 ENV_PREFIX = "QCCNN_"
@@ -361,6 +361,40 @@ def _ed_sampler(cfg: RunConfig):
 _ED_HEADER = "ansatz,seed,gamma,n,theta_samples,data_samples,d,ed,normalized_ed"
 
 
+def _check_ed_sizes(cfg: RunConfig, keys):
+    """Raise ConfigError before any allocation the ED's sample counts would push past the limit.
+
+    The limit is the one synthetic data has.  Every draw's 4 inputs and
+    label uniform are drawn up front, and a batch holds at least one draw's
+    (2**n, data_samples) complex state, n the largest qubit count of `keys`.
+    """
+    qubits = max(build_ansatz(key).circuit.num_qubits for key in keys)
+    for what, size in (
+        ("drawn inputs and uniforms", cfg.theta_samples * cfg.data_samples * 5 * 8),
+        (f"{qubits}-qubit state of one batch", (1 << qubits) * cfg.data_samples * 16),
+    ):
+        if size > _SYNTHETIC_MAX_BYTES:
+            raise ConfigError(
+                f"the ED's {what} would take {size / 2**30:.1f} GiB, more than the"
+                f" {_SYNTHETIC_MAX_BYTES / 2**30:.0f} GiB limit"
+            )
+
+
+def _read_ed_table(path: Path) -> dict:
+    """The rows of an existing ED table, keyed by their settings, the first six cells."""
+    first, *lines = _read_utf8(path, DataError).splitlines() or [""]
+    if first != _ED_HEADER:
+        raise DataError(f"{path}: unexpected ED table header {first!r}")
+    cells = _ED_HEADER.count(",") + 1
+    table = {}
+    for lineno, line in enumerate(lines, 2):
+        row = line.split(",")
+        if len(row) != cells:
+            raise DataError(f"{path}:{lineno}: expected {cells} cells, got {len(row)}")
+        table[tuple(row[:6])] = line
+    return table
+
+
 def cmd_ed(cfg: RunConfig) -> int:
     keys = cfg.ansatz.split(",") if cfg.ansatz else list(ED_TABLE_KEYS)
     for key in keys:
@@ -368,14 +402,12 @@ def cmd_ed(cfg: RunConfig) -> int:
             raise ConfigError(f"unknown ansatz {key!r}; choose from {', '.join(ANSATZ_KEYS)}")
     if len(set(keys)) != len(keys):  # a repeated key would score the same rows twice
         raise ConfigError(f"ansatz keys must be distinct, got {keys}")
+    _check_ed_sizes(cfg, keys)
     out_dir = _make_out_dir(cfg.out or "runs/ed")
     table_path = out_dir / "ed_results.csv"
-    # Rows are keyed by their settings, the first six columns, so a rerun
-    # replaces its own rows in place and keeps every other row.
-    table = {}
-    if table_path.exists():
-        for line in _read_utf8(table_path, DataError).splitlines()[1:]:
-            table[tuple(line.split(",")[:6])] = line
+    # Rows are keyed by their settings, so a rerun replaces its own rows in
+    # place and keeps every other row.
+    table = _read_ed_table(table_path) if table_path.exists() else {}
     sampler = _ed_sampler(cfg)
     _check_writable([table_path, out_dir / "ed_summary.json"])
     summary = {}

@@ -9,8 +9,10 @@ qubit ``q`` is axis ``n-1-q``.
 A :class:`Circuit` is an immutable template.  Rotation angles are resolved at
 execution time from one of three sources: a trainable parameter slot, a
 product of circuit inputs (scaled by pi), or a baked-in constant.  The
-parameters are a matrix with one row per state column, so every column
-carries its own.
+parameters are a (groups, num_params) matrix: group g owns the g-th block
+of consecutive state columns, and the body and the adjoint walk run on the
+(2,)*n + (groups, columns) view of the state, in which a slot's angles
+are a (groups, 1) column that broadcasts over each group's columns.
 Mid-circuit measurements and classically conditioned gates always execute
 exactly: :func:`defer_measurements` rewrites each conditioned rotation to a
 controlled rotation on the measured qubit.  :class:`Circuit` checks every
@@ -35,8 +37,8 @@ gates on the 2**n identity columns, and a caller applies it to the
 encoding as one matrix product.  Circuits that differ only in their
 parameters (the kernels of a layer, the parameter draws of an effective
 dimension) build their matrices together, as kernels x 2**n columns with
-per-column parameters.  :func:`readouts` reads the readout Z expectations
-off a final state.
+one parameter row per kernel.  :func:`readouts` reads the readout Z
+expectations off a final state.
 """
 
 from __future__ import annotations
@@ -277,13 +279,13 @@ def _z_signs(n: int, q: int) -> np.ndarray:
 
 
 def _half_angle(theta):
-    """cos/sin of theta/2; a per-row vector broadcasts over the row axis."""
+    """cos/sin of theta/2, elementwise."""
     t = np.multiply(theta, 0.5)
     return np.cos(t), np.sin(t)
 
 
 def _halves(n: int, kind: str, targets: tuple) -> tuple:
-    """Index tuples of the target-0 and target-1 halves of a (2,)*n + (rows,) view.
+    """Index tuples of the target-0 and target-1 halves of a (2,)*n + columns view.
 
     Controlled kinds also fix the control axis to 1.
     """
@@ -296,15 +298,15 @@ def _halves(n: int, kind: str, targets: tuple) -> tuple:
     return i0, tuple(half)
 
 
-def _apply_kind(psi: np.ndarray, kind: str, targets: tuple, theta=None):
-    """Apply one gate in place to `psi`, a (2,)*n + (rows,) view of the state.
+def _apply_kind(psi: np.ndarray, kind: str, targets: tuple, rotation=None):
+    """Apply one gate in place to `psi`, a (2,)*n + (groups, columns) view of the state.
 
-    Qubit q lives on axis n-1-q.  `theta` is a scalar or a length-`rows`
-    vector for rotation kinds.  Every kind is a 2x2 base action on the two
-    halves split by the target axis; controlled kinds also fix the control
-    axis to 1.
+    Qubit q lives on axis n-1-q.  `rotation` is the (cos, sin) of a
+    rotation's half angle, each a scalar or a (groups, 1) column (see
+    :func:`_rotations`).  Every kind is a 2x2 base action on the two halves
+    split by the target axis; controlled kinds also fix the control axis to 1.
     """
-    n = psi.ndim - 1
+    n = psi.ndim - 2
     base = _CONTROLLED_BASE.get(kind, kind)
     i0, i1 = _halves(n, kind, targets)
     # The halves are views: `a` is copied because psi[i0] is written first.
@@ -323,43 +325,65 @@ def _apply_kind(psi: np.ndarray, kind: str, targets: tuple, theta=None):
     elif base == "Z":
         psi[i1] *= -1.0
     elif base == "RX":
-        c, s = _half_angle(theta)
+        c, s = rotation
         a, b = psi[i0].copy(), psi[i1]
         psi[i0] = c * a - 1j * s * b
         psi[i1] = c * b - 1j * s * a
     elif base == "RY":
-        c, s = _half_angle(theta)
+        c, s = rotation
         a, b = psi[i0].copy(), psi[i1]
         psi[i0] = c * a - s * b
         psi[i1] = c * b + s * a
     else:  # RZ
-        c, s = _half_angle(theta)
+        c, s = rotation
         psi[i0] *= c - 1j * s
         psi[i1] *= c + 1j * s
 
 
-def _resolve_angle(op: GateOp, params: np.ndarray, inputs: np.ndarray):
-    """Angle for one rotation op: a per-row vector, or a scalar constant.
+def _rotations(ops, params: np.ndarray, sign: float = 1.0) -> list:
+    """Per op of a body, the `rotation` :func:`_apply_kind` takes at sign * its angle.
 
-    `params` is a (rows, num_params) and `inputs` a (rows, num_inputs) matrix.
+    None for a fixed gate.  One :func:`_half_angle` pass over the (groups,
+    num_params) `params` gives every parameterised rotation the (groups, 1)
+    columns of its slot; a constant angle keeps its scalar.  No body op
+    takes an input angle (:class:`Circuit` rejects one).
     """
-    if op.param_slot is not None:
-        return params[:, op.param_slot]
-    if op.input_idx is not None:
-        prod = inputs[:, op.input_idx[0]]
-        for i in op.input_idx[1:]:
-            prod = prod * inputs[:, i]
-        return np.pi * prod
-    return op.angle
+    c, s = _half_angle(sign * params)
+    return [
+        None if op.kind not in ROTATION_KINDS
+        else _half_angle(sign * op.angle) if op.param_slot is None
+        else (c[:, op.param_slot, None], s[:, op.param_slot, None])
+        for op in ops
+    ]
 
 
-def _check_params(circuit: Circuit, params, rows: int) -> np.ndarray:
-    """`params` as a (rows, num_params) matrix, one parameter row per state row."""
+def _resolve_angle(op: GateOp, inputs: np.ndarray):
+    """Angle for one encoding rotation: a per-row vector, or a scalar constant.
+
+    `inputs` is a (rows, num_inputs) matrix.
+    """
+    if op.input_idx is None:
+        return op.angle
+    prod = inputs[:, op.input_idx[0]]
+    for i in op.input_idx[1:]:
+        prod = prod * inputs[:, i]
+    return np.pi * prod
+
+
+def _check_params(circuit: Circuit, params, rows: int | None = None) -> np.ndarray:
+    """`params` as a (groups, num_params) matrix, group g for the g-th block of state columns.
+
+    The blocks are equal and consecutive, so the group count must divide
+    the `rows` state columns; None skips that check.  One group per row is
+    the case groups = rows.
+    """
     params = np.asarray(params, dtype=float)
-    if params.shape != (rows, circuit.num_params):
+    if (params.ndim != 2 or params.shape[1] != circuit.num_params or not len(params)
+            or rows is not None and rows % len(params)):
         raise ValueError(
-            f"circuit takes {circuit.num_params} parameters per row, as a"
-            f" ({rows}, {circuit.num_params}) parameter matrix; got shape {params.shape}"
+            f"circuit takes {circuit.num_params} parameters per group, as a (groups,"
+            f" {circuit.num_params}) parameter matrix whose group count divides the state"
+            f" columns; got shape {params.shape}"
         )
     return params
 
@@ -412,15 +436,15 @@ def defer_measurements(circuit: Circuit) -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-def _state_view(circuit: Circuit, state: np.ndarray, rows: int) -> np.ndarray:
-    """The (2,)*n + (rows,) view of a (2**n, rows) state; writing to it writes the state."""
-    shape = (1 << circuit.num_qubits, rows)
+def _state_view(circuit: Circuit, state: np.ndarray, columns: tuple) -> np.ndarray:
+    """The (2,)*n + `columns` view of a (2**n, prod(columns)) state; writes go to the state."""
+    shape = (1 << circuit.num_qubits, math.prod(columns))
     if state.shape != shape or state.dtype != complex or not state.flags.c_contiguous:
         raise ValueError(
             f"state must be a C-contiguous complex {shape} array, got"
             f" {state.dtype} {state.shape}"
         )
-    return state.reshape((2,) * circuit.num_qubits + (rows,))
+    return state.reshape((2,) * circuit.num_qubits + columns)
 
 
 def encode(circuit: Circuit, inputs) -> np.ndarray:
@@ -441,7 +465,7 @@ def encode(circuit: Circuit, inputs) -> np.ndarray:
     phases = [op for op, table in program if table is not None]
     angles = np.empty((len(phases), rows))
     for i, op in enumerate(phases):
-        angles[i] = _resolve_angle(op, None, inputs)
+        angles[i] = _resolve_angle(op, inputs)
     c, s = _half_angle(angles)  # one cos/sin pass for every RZ
     # The gates' phases c - 1j*s and c + 1j*s to the bit, without complex
     # temporaries: 1j*s has real part +-0, which leaves c as it is (a cosine
@@ -456,7 +480,7 @@ def encode(circuit: Circuit, inputs) -> np.ndarray:
     for op, table in program:
         if table is None:
             region[n - 1 - op.targets[0]] = slice(None)
-    amp = _state_view(circuit, state, rows)[tuple(region)]
+    amp = _state_view(circuit, state, (rows,))[tuple(region)]
     amp[...] = 1.0
     for op, table in program:
         if table is None:
@@ -466,39 +490,24 @@ def encode(circuit: Circuit, inputs) -> np.ndarray:
     return state
 
 
-def _kernel_columns(circuit: Circuit, params) -> tuple:
-    """The (kernels * 2**n, num_params) column parameters and (2**n, kernels * 2**n) columns.
-
-    Column k * 2**n + c is identity column c with kernel k's parameters.
-    Raises ValueError unless `params` is a (kernels, num_params) matrix.
-    """
-    params = np.asarray(params, dtype=float)
-    if params.ndim != 2 or params.shape[1] != circuit.num_params:
-        raise ValueError(
-            f"circuit takes {circuit.num_params} parameters per kernel, as a"
-            f" (kernels, {circuit.num_params}) parameter matrix; got shape {params.shape}"
-        )
-    dim = 1 << circuit.num_qubits
-    return np.repeat(params, dim, axis=0), np.tile(np.eye(dim, dtype=complex), len(params))
-
-
 def unitary(circuit: Circuit, params) -> np.ndarray:
     """The body of ``circuit.split``, as one matrix per kernel.
 
     `params` is a (kernels, num_params) matrix.  The body's gates run once,
-    gate by gate, on kernels copies of the 2**n identity columns, each
-    column with its kernel's parameters.  The
-    result is a (kernels, 2**n, 2**n) array, and
+    gate by gate, on kernels copies of the 2**n identity columns, as a
+    (kernels, 2**n) group view in which each kernel's columns take its
+    parameter row.  The result is a (kernels, 2**n, 2**n) array, and
     ``unitary(c, p)[k] @ encode(c, x)`` is the final state of every row of
     `x` at ``p[k]``.
     """
-    column_params, u = _kernel_columns(circuit, params)
-    dim, cols = u.shape
-    psi = _state_view(circuit, u, cols)
-    for op in circuit.split[1]:
-        theta = _resolve_angle(op, column_params, None) if op.kind in ROTATION_KINDS else None
-        _apply_kind(psi, op.kind, op.targets, theta)
-    return u.reshape(dim, cols // dim, dim).transpose(1, 0, 2)
+    params = _check_params(circuit, params)
+    kernels, dim = len(params), 1 << circuit.num_qubits
+    u = np.tile(np.eye(dim, dtype=complex), kernels)
+    psi = _state_view(circuit, u, (kernels, dim))
+    ops = circuit.split[1]
+    for op, rotation in zip(ops, _rotations(ops, params)):
+        _apply_kind(psi, op.kind, op.targets, rotation)
+    return u.reshape(dim, kernels, dim).transpose(1, 0, 2)
 
 
 def readouts(circuit: Circuit, state: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 from qccnn.autodiff import readout_gradient, summed_readout_gradient
 from qccnn.circuits import ANSATZ_KEYS, build_ansatz
+from qccnn import sim
 from qccnn.nn import ClassicalConvLayer, QuantumConvLayer
 from qccnn.sim import (
     Circuit,
@@ -156,8 +157,8 @@ def test_gradient_batch_matches_per_row():
 
 @pytest.mark.parametrize("key", ANSATZ_KEYS)
 def test_per_row_params_equal_stacked_vector_calls(key):
-    # Per-row parameters let one call walk blocks of rows at different θ, as
-    # effective_dimension does; it must reproduce one call per block, at
+    # Per-row parameters, one group per row, let one call walk blocks of
+    # unequal size at different θ; it must reproduce one call per block, at
     # that block's θ on each of its rows, bit for bit.  The gates are
     # elementwise, but BLAS and numpy's reductions can round a row
     # differently with the row count of the call (a 1-row call does), so
@@ -176,11 +177,32 @@ def test_per_row_params_equal_stacked_vector_calls(key):
     np.testing.assert_array_equal(grad, np.vstack(block_grads))
 
 
-@pytest.mark.parametrize("shape", [(4, 5), (5, 4), (1, 4, 4), (4, 4, 1), (4,)])
+@pytest.mark.parametrize("groups", [1, 2, 5, 10])
+@pytest.mark.parametrize("key", ANSATZ_KEYS)
+def test_group_rows_equal_the_same_rows_repeated_over_each_block(key, groups):
+    # Group g's parameter row serves its block of 10 // groups consecutive
+    # rows; repeating it over the block, one group per row, gives the same
+    # gradient to the bit.
+    circuit = build_ansatz(key).circuit
+    rng = np.random.default_rng(48)
+    rows = 10
+    xs = rng.uniform(-1, 1, (rows, circuit.num_inputs))
+    thetas = rng.uniform(-math.pi, math.pi, (groups, circuit.num_params))
+    weights = rng.normal(size=(rows, len(circuit.readout)))
+    encoded, u = encode(circuit, xs), unitary(circuit, thetas)
+    block = rows // groups
+    state = np.hstack([u[g] @ encoded[:, g * block : (g + 1) * block] for g in range(groups)])
+    grouped = readout_gradient(circuit, thetas, weights, state.copy())
+    per_row = readout_gradient(circuit, np.repeat(thetas, block, axis=0), weights, state)
+    np.testing.assert_array_equal(grouped, per_row)
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (5, 4), (3, 4), (0, 4), (1, 4, 4), (4, 4, 1), (4,)])
 def test_params_of_wrong_shape_rejected(shape):
     # select-tanh takes P = 4 parameters; the batch below has 4 rows, so the
-    # parameters must be a (4, 4) matrix: not the wrong P, not another row
-    # count, not 3-D, and not one (P,) vector for every row.
+    # parameters must be a (groups, 4) matrix with groups 1, 2 or 4: not the
+    # wrong P, not a group count that does not divide the rows, not 3-D, and
+    # not one (P,) vector.
     circuit = build_ansatz("select-tanh").circuit
     state = _final_state(circuit, np.zeros(4), np.zeros((4, 4)))
     with pytest.raises(ValueError, match="parameter matrix"):
@@ -218,6 +240,30 @@ def test_state_of_wrong_shape_or_layout_rejected():
     # The rows are the state's columns: two of them do not fit three weight rows.
     with pytest.raises(ValueError, match="does not match"):
         readout_gradient(ansatz.circuit, np.zeros((2, 4)), np.ones((3, 1)), state[:, :2].copy())
+
+
+@pytest.mark.parametrize("key", ANSATZ_KEYS)
+def test_half_angle_runs_once_per_unitary_and_once_per_walk(key, monkeypatch):
+    # Every rotation takes its cos/sin from one table per call; no ansatz
+    # body has a constant angle, which would take its own scalar pair.
+    calls = []
+    half_angle = sim._half_angle
+    monkeypatch.setattr(sim, "_half_angle", lambda t: calls.append(np.shape(t)) or half_angle(t))
+    circuit = build_ansatz(key).circuit
+    rng = np.random.default_rng(49)
+    params = rng.uniform(-math.pi, math.pi, (3, circuit.num_params))
+    xs = rng.uniform(-1, 1, (6, circuit.num_inputs))
+    encoded = encode(circuit, xs)
+    calls.clear()  # the encoding's own pass
+    u = unitary(circuit, params)
+    assert calls == [params.shape]
+    calls.clear()
+    state = np.hstack([u[g] @ encoded[:, 2 * g : 2 * g + 2] for g in range(3)])
+    readout_gradient(circuit, params, np.ones((6, len(circuit.readout))), state)
+    assert calls == [params.shape]
+    calls.clear()
+    summed_readout_gradient(circuit, params, np.ones((3, 6, len(circuit.readout))), u, encoded)
+    assert calls == [params.shape]
 
 
 def _summed_and_per_row(circuit, params, xs, weights):

@@ -222,6 +222,32 @@ def test_ed_rejects_bad_settings():
 def test_ed_rejects_non_psd():
     with pytest.raises(NumericError, match="PSD"):
         effective_dimension_from_fims([np.diag([1.0, -0.5])], 1.0, 546)
+    # The message names the smallest eigenvalue over all draws, not the
+    # first draw's: normalized, -0.002 * 2 / 1.9985.
+    with pytest.raises(NumericError, match=r"FIM eigenvalue -2\.002e-03 below"):
+        effective_dimension_from_fims([np.diag([1.0, -0.001]), np.diag([3.0, -0.002])], 1.0, 546)
+
+
+def _ed_one_matrix_at_a_time(fims, gamma, n):
+    """The ED from one eigvalsh call per normalized FIM: the stacked call's reference."""
+    kappa = gamma * n / (2.0 * math.pi * math.log(n))
+    normalized = normalized_fim(fims)
+    half_logdets = np.array([
+        0.5 * np.log1p(kappa * np.clip(np.linalg.eigvalsh((m + m.T) / 2.0), 0.0, None)).sum()
+        for m in normalized
+    ])
+    peak = float(half_logdets.max())
+    ed = 2.0 * (peak + math.log(np.mean(np.exp(half_logdets - peak)))) / math.log(kappa)
+    return float(ed), float(ed / len(fims[0]))
+
+
+@pytest.mark.parametrize("d", [1, 4, 12, 36])
+def test_ed_stacked_spectra_equal_one_matrix_at_a_time(d):
+    rng = np.random.default_rng(57)
+    scores = rng.normal(size=(30, 50, d))
+    fims = [b.T @ b / len(b) for b in scores]
+    assert effective_dimension_from_fims(fims, 1.0, 546) == _ed_one_matrix_at_a_time(
+        fims, 1.0, 546)
 
 
 def test_psd_roundoff_clipped():

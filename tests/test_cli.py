@@ -276,6 +276,7 @@ def _params(**changes):
 
 TRAIN = ["train", "--ansatz", "classical", "--data", SMALL_DATA]
 SMALL_ED = ["ed", "--ansatz", "select-tanh", "--theta-samples", "1", "--data-samples", "2"]
+ED_HEADER = "ansatz,seed,gamma,n,theta_samples,data_samples,d,ed,normalized_ed"
 
 # One row per documented failure: (case, argv builder, environment, exit
 # code, *stderr fragments). A fragment may name `{tmp}`, the case's tmp_path.
@@ -331,6 +332,16 @@ FAILURES = [
      EXIT_CONFIG, "cannot make output directory"),
     ("ed-out-under-file", lambda tmp: [*SMALL_ED, "--out", str(_file(tmp / "file") / "ed")],
      {}, EXIT_CONFIG, "cannot make output directory"),
+    # Refused before anything is allocated: 7.5 GiB of drawn inputs, and a
+    # 1.2 GiB state for one draw's 5,000,000 rows on conv's 4 qubits.
+    ("ed-samples-huge", lambda tmp: [
+        "ed", "--ansatz", "conv", "--seeds", "0", "--theta-samples", "2",
+        "--data-samples", "100000000", "--out", str(tmp / "ed")], {}, EXIT_CONFIG,
+     "the ED's drawn inputs and uniforms would take 7.5 GiB, more than the 1 GiB limit"),
+    ("ed-batch-state-huge", lambda tmp: [
+        "ed", "--ansatz", "conv", "--seeds", "0", "--theta-samples", "1",
+        "--data-samples", "5000000", "--out", str(tmp / "ed")], {}, EXIT_CONFIG,
+     "the ED's 4-qubit state of one batch would take 1.2 GiB"),
     # Every output path is checked before any is written, and before the
     # first seed or key is computed.
     *[(f"unwritable-{command}-{name}", lambda tmp, argv=argv, name=name: _blocked_argv(
@@ -435,6 +446,16 @@ FAILURES = [
      "ed_results.csv as UTF-8 text"),
     ("ed-results-is-directory", lambda tmp: _ed_prior_table_argv(tmp, Path.mkdir), {},
      EXIT_DATA, "ed_results.csv as UTF-8 text"),
+    # A foreign table is refused before any compute, not merged as ED rows.
+    ("ed-table-foreign-header", lambda tmp: _ed_prior_table_argv(tmp, lambda path: path.write_text(
+        "epoch,seed,train_acc,train_loss,val_acc,val_loss\n0,0,0.5,0.6,0.5,0.7\n\n")), {},
+     EXIT_DATA, "ed_results.csv: unexpected ED table header 'epoch,seed,"),
+    ("ed-table-short-row", lambda tmp: _ed_prior_table_argv(tmp, lambda path: path.write_text(
+        f"{ED_HEADER}\nconv,0,1.0\n")), {}, EXIT_DATA,
+     "ed_results.csv:2: expected 9 cells, got 3"),
+    ("ed-table-blank-line", lambda tmp: _ed_prior_table_argv(tmp, lambda path: path.write_text(
+        f"{ED_HEADER}\nselect-tanh,0,1.0,546,1,2,4,0.5,0.125\n\n")), {}, EXIT_DATA,
+     "ed_results.csv:3: expected 9 cells, got 1"),
     # 4: numeric failures
     ("non-finite-training", lambda tmp: [*TRAIN, "--lr", "1e308", "--epochs", "3",
                                          "--seeds", "0", "--out", str(tmp / "run")], {},

@@ -98,12 +98,12 @@ def test_shared_encoding_forward_and_backward_are_exact(key):
 
 
 def _count_columns(monkeypatch) -> dict:
-    """Record the column count of every gate the simulator and the adjoint walk apply."""
+    """Record the (groups, columns) of every gate the simulator and the adjoint walk apply."""
     columns = {"sim": [], "walk": []}
 
     def counting(name, apply):
         def wrapped(psi, *args):
-            columns[name].append(psi.shape[-1])
+            columns[name].append(psi.shape[-2:])
             return apply(psi, *args)
         return wrapped
 
@@ -126,15 +126,16 @@ def test_layer_encodes_once_per_forward_and_never_in_backward(key, monkeypatch):
         layer.params += 0.1  # a new parameter version: the kernels' matrices are rebuilt
         layer.forward(rng.uniform(-1.0, 1.0, (images, 4, 4)))
         # The encoding runs the phase program and applies no gate; the body
-        # runs once, on the 2**n identity columns of every kernel's matrix at once.
-        assert columns["sim"] == [kernels * dim] * body
+        # runs once, on the 2**n identity columns of every kernel's matrix at
+        # once: kernels * 2**n columns, one group of 2**n per kernel.
+        assert columns["sim"] == [(kernels, dim)] * body
         assert columns["walk"] == []
         columns["sim"].clear()
         layer.backward(rng.normal(size=(images, 4, 2, 2)))
         # The backward simulates nothing, and one walk undoes every op after
         # the first parameterised one on the two (2**n, kernels * 2**n)
         # matrices that hold every kernel's pair.
-        assert columns == {"sim": [], "walk": [kernels * dim] * (2 * (body - 1))}
+        assert columns == {"sim": [], "walk": [(kernels, dim)] * (2 * (body - 1))}
         columns["walk"].clear()
 
 

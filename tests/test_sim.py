@@ -13,6 +13,7 @@ from qccnn.sim import (
     GateOp,
     MidMeasure,
     _apply_kind,
+    _half_angle,
     _resolve_angle,
     defer_measurements,
     encode,
@@ -38,6 +39,17 @@ def _zero(n):
     return amps
 
 
+def _gate(state, kind, targets, theta=None):
+    """One gate through the production kernel, in place on a (2**n, rows) state.
+
+    Each row is its own parameter group: `theta` is a scalar or one angle
+    per row, passed as the (cos, sin) of its half angle in (rows, 1) columns.
+    """
+    n = state.shape[0].bit_length() - 1
+    rotation = None if theta is None else _half_angle(np.reshape(theta, (-1, 1)))
+    _apply_kind(state.reshape((2,) * n + (-1, 1)), kind, targets, rotation)
+
+
 def _apply(amps, kind, targets, theta=None):
     """One gate through the production kernel, on a copy of `amps`.
 
@@ -45,8 +57,7 @@ def _apply(amps, kind, targets, theta=None):
     the simulator's own layout.
     """
     state = np.array(amps, dtype=complex)
-    n = state.shape[0].bit_length() - 1
-    _apply_kind(state.reshape((2,) * n + (-1,)), kind, targets, theta)
+    _gate(state, kind, targets, theta)
     return state
 
 
@@ -323,7 +334,7 @@ def test_unitary_times_encoding_is_final_state_for_random_circuits():
 def test_unitary_rejects_params_that_are_not_a_kernel_matrix():
     circuit = build_ansatz("mod-a").circuit
     for shape in [(6,), (4, 5), (4, 1, 6)]:
-        with pytest.raises(ValueError, match=r"\(kernels, 6\) parameter matrix"):
+        with pytest.raises(ValueError, match=r"\(groups, 6\) parameter matrix"):
             unitary(circuit, np.zeros(shape))
 
 
@@ -362,8 +373,8 @@ def _prefix_gate_by_gate(circuit, xs):
     state = np.zeros((1 << n, len(xs)), dtype=complex)
     state[0] = 1.0
     for op in ops[: len(ops) - len(circuit.split[1])]:
-        theta = _resolve_angle(op, None, xs) if op.kind in ROTATION_KINDS else None
-        _apply_kind(state.reshape((2,) * n + (-1,)), op.kind, op.targets, theta)
+        _gate(state, op.kind, op.targets,
+              _resolve_angle(op, xs) if op.kind in ROTATION_KINDS else None)
     return state
 
 
