@@ -177,15 +177,6 @@ def sample_labels(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def normalized_fim(fims: list) -> list:
-    """Scale FIM matrices so the average trace equals the parameter count."""
-    d = fims[0].shape[0]
-    mean_trace = float(np.mean([np.trace(m) for m in fims]))
-    if mean_trace <= 0.0:
-        return [np.zeros_like(m) for m in fims]
-    return [d * m / mean_trace for m in fims]
-
-
 def _kappa(gamma: float, n: int) -> float:
     if not isinstance(n, (int, np.integer)) or n <= 1:
         raise ValueError(f"n must be an integer > 1, got {n!r}")
@@ -199,20 +190,33 @@ def _kappa(gamma: float, n: int) -> float:
     return kappa
 
 
-def effective_dimension_from_fims(fims: list, gamma: float, n: int) -> tuple[float, float]:
-    """(ed, normalized ed) from precomputed FIM samples at one setting.
+def effective_dimension_from_fims(fims, gamma: float, n: int) -> tuple[float, float]:
+    """(ed, normalized ed) from a (draws, d, d) stack of FIMs; overwrites a float64 ndarray stack.
 
-    One ``eigvalsh`` call takes the spectra of all normalized FIMs, stacked
-    as a (draws, d, d) array; LAPACK still factors each matrix alone.
+    The stack is scaled to mean trace d (zeroed if that is not positive) and
+    symmetrized matrix by matrix, in place: a float64 ndarray argument must
+    be writable and is left normalized, and anything else (a list of
+    matrices) is copied once.  One ``eigvalsh`` call takes every spectrum;
+    LAPACK still factors each matrix alone.
     """
     kappa = _kappa(gamma, n)
-    normalized = np.array(normalized_fim(fims))
-    d = normalized.shape[1]
-    eigvals = np.linalg.eigvalsh((normalized + normalized.transpose(0, 2, 1)) / 2.0)
+    fims = np.asarray(fims, dtype=float)
+    d = fims.shape[1]
+    mean_trace = float(np.trace(fims, axis1=1, axis2=2).mean())
+    if mean_trace <= 0.0:
+        fims[...] = 0.0
+    else:
+        fims *= d
+        fims /= mean_trace
+    for m in fims:  # (m + m.T) / 2; the add buffers the overlapping m.T
+        np.add(m, m.T, out=m)
+        m /= 2.0
+    eigvals = np.linalg.eigvalsh(fims)
     if eigvals.min() < _PSD_TOLERANCE:
         raise NumericError(f"FIM eigenvalue {eigvals.min():.3e} below PSD tolerance")
-    eigvals = np.clip(eigvals, 0.0, None)
-    half_logdets = 0.5 * np.log1p(kappa * eigvals).sum(axis=1)
+    np.clip(eigvals, 0.0, None, out=eigvals)
+    eigvals *= kappa
+    half_logdets = 0.5 * np.log1p(eigvals, out=eigvals).sum(axis=1)
     peak = float(half_logdets.max())
     log_mean_sqrt_det = peak + math.log(np.mean(np.exp(half_logdets - peak)))
     ed = 2.0 * log_mean_sqrt_det / math.log(kappa)
@@ -233,6 +237,34 @@ def dataset_input_sampler(dataset: Dataset, stride: int = 2):
     return sample
 
 
+def _fill_fims(circuit: Circuit, rng, input_sampler, k: int, out: np.ndarray):
+    """Write the FIMs of len(`out`) new draws to `out`; each draws θ, k inputs, k uniforms."""
+    draws, d = len(out), circuit.num_params
+    thetas, u = np.empty((draws, d)), np.empty((draws, k))
+    xs = np.empty((draws, k, circuit.num_inputs))
+    for i in range(draws):
+        thetas[i] = rng.uniform(-math.pi, math.pi, d)
+        xs[i], u[i] = input_sampler(rng, k), rng.random(k)
+    state, probs = _forward(circuit, thetas, xs.reshape(draws * k, -1))
+    scores = _scores(circuit, thetas, sample_labels(probs, u.ravel()), state, probs)
+    for fim, b in zip(out, scores.reshape(draws, k, d)):
+        fim[...] = b.T @ b / k
+
+
+def held_bytes(circuit: Circuit, theta_samples: int, data_samples: int) -> tuple[int, int]:
+    """Bytes :func:`effective_dimension` holds: (its FIM stack and their spectra, one batch).
+
+    A batch of G draws and R rows peaks under three copies of its G
+    unitaries, or under five (2**n, R) states plus the (R, d) scores and 16
+    floats a row (measured: 2.6-2.9 copies; 4.1-4.5 states).
+    """
+    d, dim = circuit.num_params, 1 << circuit.num_qubits
+    draws = min(theta_samples, max(1, _BATCH_ROWS // data_samples))
+    rows = draws * data_samples
+    batch = 3 * draws * dim * dim * 16 + rows * (5 * dim * 16 + d * 8 + 16 * 8)
+    return theta_samples * d * (d + 1) * 8, batch
+
+
 def effective_dimension(
     key: str,
     gamma: float = 1.0,
@@ -250,32 +282,20 @@ def effective_dimension(
     (1/k) sum_j score_j score_j^T over its k samples.  Deterministic for a
     fixed seed.
 
-    Every draw's θ, inputs and label uniforms are drawn first, in draw
-    order.  Batches of at most ``_BATCH_ROWS`` = 2048 rows and at least one
-    draw then take one :func:`_forward` and one adjoint walk each.  BLAS
-    rounds a row according to where it falls in a call, so batching can
-    move the result in its last digits: over 15 input counts from 1 to 128
-    (three ansatze, 12 draws) it did in 9 of 45 cases, all at 50 inputs or
-    fewer, by up to 6.5e-15 relative; at 100 inputs it never did.
+    Batches of at most ``_BATCH_ROWS`` = 2048 rows and at least one draw
+    draw their values when they run and take one :func:`_forward` and one
+    adjoint walk each; their FIMs fill one (theta_samples, d, d) stack.  BLAS
+    rounds a row by where it falls in a call, so batching can move the
+    result in its last digits (README, "Simulator"); at 100 inputs it did not.
     """
     circuit = build_ansatz(key).circuit
     _kappa(gamma, n)  # validate settings before any compute
     d, k = circuit.num_params, data_samples
     rng = np.random.default_rng(seed)
-    draws = [
-        (rng.uniform(-math.pi, math.pi, d), input_sampler(rng, k), rng.random(k))
-        for _ in range(theta_samples)
-    ]
     per_batch = max(1, _BATCH_ROWS // k)
-    fims = []
+    fims = np.empty((theta_samples, d, d))
     for start in range(0, theta_samples, per_batch):
-        batch = draws[start : start + per_batch]
-        thetas = np.array([t for t, _, _ in batch])
-        xs = np.concatenate([x for _, x, _ in batch])
-        u = np.concatenate([v for _, _, v in batch])
-        state, probs = _forward(circuit, thetas, xs)
-        scores = _scores(circuit, thetas, sample_labels(probs, u), state, probs)
-        fims += [b.T @ b / k for b in np.split(scores, len(batch))]
+        _fill_fims(circuit, rng, input_sampler, k, fims[start : start + per_batch])
     ed, normalized = effective_dimension_from_fims(fims, gamma, n)
     return EDReport(
         ansatz_key=key,

@@ -23,10 +23,11 @@ from .capacity import (
     dataset_input_sampler,
     effective_dimension,
     effective_dimension_from_fims,  # noqa: F401  (a perfbench span target)
+    held_bytes,
     uniform_input_sampler,
 )
 from .circuits import ANSATZ_KEYS, build_ansatz
-from .data import _SYNTHETIC_MAX_BYTES, DataError, load_dataset
+from .data import DataError, _check_limit, load_dataset
 from .nn import FitResult, evaluate, fit, make_model
 
 ENV_PREFIX = "QCCNN_"
@@ -361,25 +362,6 @@ def _ed_sampler(cfg: RunConfig):
 _ED_HEADER = "ansatz,seed,gamma,n,theta_samples,data_samples,d,ed,normalized_ed"
 
 
-def _check_ed_sizes(cfg: RunConfig, keys):
-    """Raise ConfigError before any allocation the ED's sample counts would push past the limit.
-
-    The limit is the one synthetic data has.  Every draw's 4 inputs and
-    label uniform are drawn up front, and a batch holds at least one draw's
-    (2**n, data_samples) complex state, n the largest qubit count of `keys`.
-    """
-    qubits = max(build_ansatz(key).circuit.num_qubits for key in keys)
-    for what, size in (
-        ("drawn inputs and uniforms", cfg.theta_samples * cfg.data_samples * 5 * 8),
-        (f"{qubits}-qubit state of one batch", (1 << qubits) * cfg.data_samples * 16),
-    ):
-        if size > _SYNTHETIC_MAX_BYTES:
-            raise ConfigError(
-                f"the ED's {what} would take {size / 2**30:.1f} GiB, more than the"
-                f" {_SYNTHETIC_MAX_BYTES / 2**30:.0f} GiB limit"
-            )
-
-
 def _read_ed_table(path: Path) -> dict:
     """The rows of an existing ED table, keyed by their settings, the first six cells."""
     first, *lines = _read_utf8(path, DataError).splitlines() or [""]
@@ -402,7 +384,10 @@ def cmd_ed(cfg: RunConfig) -> int:
             raise ConfigError(f"unknown ansatz {key!r}; choose from {', '.join(ANSATZ_KEYS)}")
     if len(set(keys)) != len(keys):  # a repeated key would score the same rows twice
         raise ConfigError(f"ansatz keys must be distinct, got {keys}")
-    _check_ed_sizes(cfg, keys)
+    for key in keys:  # refused before any compute; the keys run one at a time
+        stack, batch = held_bytes(build_ansatz(key).circuit, cfg.theta_samples, cfg.data_samples)
+        _check_limit(f"the ED of {key} ({stack / 2**30:.2f} GiB of FIMs,"
+                     f" {batch / 2**30:.2f} GiB a batch)", stack + batch, ConfigError)
     out_dir = _make_out_dir(cfg.out or "runs/ed")
     table_path = out_dir / "ed_results.csv"
     # Rows are keyed by their settings, so a rerun replaces its own rows in

@@ -13,11 +13,14 @@ trips exactly on integers.
 
 from __future__ import annotations
 
+import contextlib
+import math
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy
 
 
 class DataError(Exception):
@@ -50,12 +53,19 @@ class Dataset:
         return self.images.shape[1], self.images.shape[2]
 
 
-# Largest synthetic request, in bytes of images; the 28x28 stand-in for the
-# real dataset (546 + 78 images) takes 3.9 MB.
+# Largest synthetic or archive images (as float64) and largest ED, in bytes;
+# the 28x28 stand-in for the real dataset (546 + 78 images) takes 3.9 MB.
 _SYNTHETIC_MAX_BYTES = 1 << 30
 
 # Half-width of the uniform pixel noise added to every synthetic image.
 _SYNTHETIC_NOISE = 0.1
+
+
+def _check_limit(what: str, nbytes: int, error: type[Exception] = DataError):
+    """Raise `error` before `what` is allocated if its `nbytes` pass the limit."""
+    if nbytes > _SYNTHETIC_MAX_BYTES:
+        raise error(f"{what} would take {nbytes / 2**30:.1f} GiB,"
+                    f" more than the {_SYNTHETIC_MAX_BYTES / 2**30:.0f} GiB limit")
 
 
 @dataclass
@@ -80,45 +90,60 @@ def normalize_pixels(pixels) -> np.ndarray:
 _ARCHIVE_KEYS = ("train_images", "train_labels", "val_images", "val_labels")
 
 
-def _read_archive_member(zf: zipfile.ZipFile, names: set[str], key: str) -> np.ndarray:
+def _open_record(stack: contextlib.ExitStack, zf: zipfile.ZipFile, names: set[str], key: str):
+    """Record `key`'s stream, left at its data, and its header's (shape, fortran_order, dtype)."""
     member = key + ".npy" if key + ".npy" in names else key
     if member not in names:
         raise DataError(f"archive is missing record {key!r}")
-    with zf.open(member) as f:
-        if f.read(6) != b"\x93NUMPY":
-            raise DataError(f"record {key!r}: bad magic bytes, not an array record")
-        f.seek(0)
-        try:
-            return np.lib.format.read_array(f, allow_pickle=False)
-        except Exception as exc:
-            raise DataError(f"record {key!r}: {exc}") from exc
+    f = stack.enter_context(zf.open(member))
+    try:
+        version = npy.read_magic(f)
+    except ValueError as exc:
+        raise DataError(f"record {key!r}: bad magic bytes, not an array record") from exc
+    if version not in ((1, 0), (2, 0), (3, 0)):
+        raise DataError(f"record {key!r}: unsupported array record version {version}")
+    # Version 3.0 differs from 2.0 only by a UTF-8 header, which only the
+    # non-ASCII field names of structured dtypes need; those are refused.
+    read = npy.read_array_header_1_0 if version == (1, 0) else npy.read_array_header_2_0
+    try:
+        return f, read(f)
+    except Exception as exc:
+        raise DataError(f"record {key!r}: {exc}") from exc
 
 
-def _validate_images(arr: np.ndarray, key: str) -> np.ndarray:
-    if arr.ndim == 4 and arr.shape[3] == 1:
-        arr = arr[..., 0]
-    if arr.ndim != 3:
-        raise DataError(
-            f"record {key!r}: expected grayscale (N, H, W) images, got shape {arr.shape}"
-        )
-    if arr.dtype != np.uint8:
-        raise DataError(f"record {key!r}: expected uint8 pixels, got {arr.dtype}")
-    return arr
-
-
-def _validate_labels(arr: np.ndarray, key: str, n_images: int) -> np.ndarray:
-    arr = np.asarray(arr).reshape(-1)
-    if arr.shape[0] != n_images:
-        raise DataError(f"record {key!r}: {arr.shape[0]} labels for {n_images} images")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise DataError(f"record {key!r}: labels must be integers, got {arr.dtype}")
-    if not np.isin(arr, (0, 1)).all():
-        raise DataError(f"record {key!r}: non-binary labels present")
-    return arr.astype(np.int64)
+def _check_headers(path: Path, headers: dict):
+    """Refuse what the headers show to be malformed or past the limit, before any data is read."""
+    for key, (shape, _, _) in headers.items():
+        if min(shape, default=0) < 0:
+            raise DataError(f"record {key!r}: negative dimension in shape {shape}")
+    shapes = {}
+    for split in ("train", "val"):
+        shape, _, dtype = headers[f"{split}_images"]
+        shape = shapes[split] = shape[:3] if len(shape) == 4 and shape[3] == 1 else shape
+        if len(shape) != 3:
+            raise DataError(
+                f"record '{split}_images': expected grayscale (N, H, W) images, got shape {shape}"
+            )
+        if dtype != np.uint8:
+            raise DataError(f"record '{split}_images': expected uint8 pixels, got {dtype}")
+        if shape[0] == 0:
+            raise DataError(f"{path}: {split} split has no images")
+        if min(shape[1:]) < 2:
+            raise DataError(f"{path}: {split} images are {shape[1]}x{shape[2]}, smaller than 2x2")
+        labels, _, dtype = headers[f"{split}_labels"]
+        count = math.prod(labels)
+        if not np.issubdtype(dtype, np.integer):
+            raise DataError(f"record '{split}_labels': labels must be integers, got {dtype}")
+        if count != shape[0]:
+            raise DataError(f"record '{split}_labels': {count} labels for {shape[0]} images")
+    train, val = shapes["train"][1:], shapes["val"][1:]
+    if train != val:
+        raise DataError(f"{path}: train images are {train}, val images are {val}")
+    _check_limit("archive images", 8 * (math.prod(shapes["train"]) + math.prod(shapes["val"])))
 
 
 def load_array_archive(path) -> tuple[Dataset, Dataset]:
-    """Load train/val splits from a ZIP-of-array-records archive."""
+    """Load train/val splits from a ZIP-of-array-records archive; headers are checked first."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such archive: {path}")
@@ -126,14 +151,24 @@ def load_array_archive(path) -> tuple[Dataset, Dataset]:
         zf = zipfile.ZipFile(path)
     except zipfile.BadZipFile as exc:
         raise DataError(f"{path} is not a ZIP archive: {exc}") from exc
-    with zf:
+    with zf, contextlib.ExitStack() as stack:
         names = set(zf.namelist())
-        records = {key: _read_archive_member(zf, names, key) for key in _ARCHIVE_KEYS}
+        opened = {key: _open_record(stack, zf, names, key) for key in _ARCHIVE_KEYS}
+        _check_headers(path, {key: header for key, (_, header) in opened.items()})
+        records = {}
+        for key, (f, (shape, fortran_order, dtype)) in opened.items():
+            count = math.prod(shape)
+            try:
+                array = np.frombuffer(f.read(count * dtype.itemsize), dtype, count)
+            except ValueError as exc:  # fewer bytes than the header declared
+                raise DataError(f"record {key!r}: {exc}") from exc
+            records[key] = array.reshape(shape, order="F" if fortran_order else "C")
     datasets = []
     for split in ("train", "val"):
-        images = _validate_images(records[f"{split}_images"], f"{split}_images")
-        labels = _validate_labels(records[f"{split}_labels"], f"{split}_labels", len(images))
-        datasets.append(Dataset(normalize_pixels(images), labels, split))
+        images, labels = records[f"{split}_images"], records[f"{split}_labels"].reshape(-1)
+        if not np.isin(labels, (0, 1)).all():
+            raise DataError(f"record '{split}_labels': non-binary labels present")
+        datasets.append(Dataset(normalize_pixels(images.reshape(images.shape[:3])), labels, split))
     return datasets[0], datasets[1]
 
 
@@ -142,28 +177,16 @@ def load_dataset(source) -> tuple[Dataset, Dataset]:
 
     Accepts ``synthetic`` (optionally ``synthetic:seed=N,...``) or a
     ``.npz``/``.zip`` archive path; anything else, a directory included, is
-    an unrecognized source.  Both splits must hold at least one image of at
-    least 2x2 pixels, the patch window, and their images must share one shape.
+    an unrecognized source.  Both splits hold at least one image of at
+    least 2x2 pixels, the patch window, and their images share one shape:
+    a synthetic spec guarantees it, and an archive's headers are checked.
     """
     source = str(source)
     if source == "synthetic" or source.startswith("synthetic:"):
-        splits = generate_synthetic(_synthetic_spec(source))
-    elif Path(source).suffix in (".npz", ".zip"):
-        splits = load_array_archive(source)
-    else:
-        raise DataError(f"unrecognized data source {source!r}")
-    for split in splits:
-        h, w = split.image_shape
-        if len(split) == 0:
-            raise DataError(f"{source}: {split.split} split has no images")
-        if h < 2 or w < 2:
-            raise DataError(f"{source}: {split.split} images are {h}x{w}, smaller than 2x2")
-    train, val = splits
-    if train.image_shape != val.image_shape:
-        raise DataError(
-            f"{source}: train images are {train.image_shape}, val images are {val.image_shape}"
-        )
-    return splits
+        return generate_synthetic(_synthetic_spec(source))
+    if Path(source).suffix in (".npz", ".zip"):
+        return load_array_archive(source)
+    raise DataError(f"unrecognized data source {source!r}")
 
 
 def _synthetic_spec(source: str) -> SyntheticSpec:
@@ -182,12 +205,7 @@ def _synthetic_spec(source: str) -> SyntheticSpec:
     for key, least in (("seed", 0), ("train_n", 1), ("val_n", 1), ("size", 2)):
         if getattr(spec, key) < least:
             raise DataError(f"synthetic option {key!r} must be >= {least}, got {getattr(spec, key)}")
-    image_bytes = (spec.train_n + spec.val_n) * spec.size**2 * 8  # float64 pixels
-    if image_bytes > _SYNTHETIC_MAX_BYTES:
-        raise DataError(
-            f"synthetic images would take {image_bytes / 2**30:.1f} GiB,"
-            f" more than the {_SYNTHETIC_MAX_BYTES / 2**30:.0f} GiB limit"
-        )
+    _check_limit("synthetic images", (spec.train_n + spec.val_n) * spec.size**2 * 8)  # float64
     return spec
 
 
@@ -232,16 +250,16 @@ def patch_grid(height: int, width: int, size: int = 2, stride: int = 2) -> tuple
 
 
 def extract_patches(images, size: int = 2, stride: int = 2) -> np.ndarray:
-    """All valid windows of an (H, W) image or an (N, H, W) batch, copied from one strided view.
+    """All valid windows of an (N, H, W) batch, copied from one strided view.
 
     Windows run image by image, each in row-major order, and each is
     flattened row-major.  Returns an array of shape (N * n_patches,
-    size*size), N = 1 for a single image.
+    size*size).
     """
     images = np.asarray(images, dtype=float)
-    if images.ndim not in (2, 3):
-        raise ValueError(f"expected an (H, W) image or (N, H, W) batch, got shape {images.shape}")
-    patch_grid(images.shape[-2], images.shape[-1], size, stride)
+    if images.ndim != 3:
+        raise ValueError(f"expected an (N, H, W) batch, got shape {images.shape}")
+    patch_grid(images.shape[1], images.shape[2], size, stride)
     windows = np.lib.stride_tricks.sliding_window_view(images, (size, size), axis=(-2, -1))
     windows = windows[..., ::stride, ::stride, :, :]
     return np.array(windows).reshape(-1, size * size)

@@ -192,9 +192,7 @@ class DenseLayer:
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Per-sample loss and logits gradient; accepts one sample or a batch."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=float))
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    """Per-sample loss and logits gradient of (batch, classes) logits and (batch,) labels."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=1, keepdims=True)

@@ -1,6 +1,7 @@
 """Fisher information and effective dimension tests against closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from qccnn.capacity import (
     dataset_input_sampler,
     effective_dimension,
     effective_dimension_from_fims,
-    normalized_fim,
     sample_labels,
     score_batch,
     uniform_input_sampler,
@@ -160,19 +160,40 @@ def test_single_sample_fim_is_rank_one_outer_product():
 # ---------------------------------------------------------------------------
 
 
-def test_normalized_fim_identities():
+def test_fim_stack_normalized_in_place_to_mean_trace_d():
+    # Draws a*I and b*I have mean trace d(a + b)/2, so they normalize to
+    # 2a/(a + b)*I and 2b/(a + b)*I: each det(I + kappa F) is a d-th power.
+    d, a, b, n = 3, 0.7, 2.9, 546
+    kappa = n / (2 * math.pi * math.log(n))
+    stack = np.array([a * np.eye(d), b * np.eye(d)])
+    ed, normalized = effective_dimension_from_fims(stack, 1.0, n)
+    dets = [(1 + kappa * 2 * c / (a + b)) ** (d / 2) for c in (a, b)]
+    expected = 2 * math.log(np.mean(dets)) / math.log(kappa)
+    assert abs(ed - expected) < 1e-12
+    assert abs(normalized - expected / d) < 1e-12
+    assert abs(np.trace(stack, axis1=1, axis2=2).mean() - d) < 1e-12
+    np.testing.assert_allclose(stack, [2 * a / (a + b) * np.eye(d), 2 * b / (a + b) * np.eye(d)],
+                               rtol=0, atol=1e-15)
+
+
+def test_single_fim_normalizes_to_trace_d():
+    rng = np.random.default_rng(55)
+    spectrum = rng.uniform(0.1, 2.0, 3)
+    stack = np.diag(spectrum)[None]
+    ed, _ = effective_dimension_from_fims(stack, 1.0, 546)
+    assert abs(np.trace(stack[0]) - 3.0) < 1e-12
+    kappa = 546 / (2 * math.pi * math.log(546))
+    expected = np.log1p(kappa * 3 * spectrum / spectrum.sum()).sum() / math.log(kappa)
+    assert abs(ed - expected) < 1e-12
+
+
+def test_ed_is_scale_invariant():
     rng = np.random.default_rng(55)
     mats = [np.diag(rng.uniform(0.1, 2.0, 3)) for _ in range(5)]
-    normed = normalized_fim(mats)
-    traces = [np.trace(m) for m in normed]
-    assert abs(np.mean(traces) - 3.0) < 1e-10
-    # single sample: trace is exactly d
-    single = normalized_fim([mats[0]])
-    assert abs(np.trace(single[0]) - 3.0) < 1e-12
-    # scale invariance
-    scaled = normalized_fim([7.3 * m for m in mats])
-    for a, b in zip(normed, scaled):
-        np.testing.assert_allclose(a, b, atol=1e-12)
+    ed, normalized = effective_dimension_from_fims(mats, 1.0, 546)
+    scaled, scaled_normalized = effective_dimension_from_fims([7.3 * m for m in mats], 1.0, 546)
+    assert abs(ed - scaled) < 1e-12
+    assert abs(normalized - scaled_normalized) < 1e-12
 
 
 def test_ed_zero_fim_is_exactly_zero():
@@ -229,9 +250,15 @@ def test_ed_rejects_non_psd():
 
 
 def _ed_one_matrix_at_a_time(fims, gamma, n):
-    """The ED from one eigvalsh call per normalized FIM: the stacked call's reference."""
+    """The ED from one eigvalsh call per normalized FIM: the stacked call's reference.
+
+    It normalizes a list of matrices by itself, d * F / mean trace, each in
+    the order of operations the stack keeps.
+    """
     kappa = gamma * n / (2.0 * math.pi * math.log(n))
-    normalized = normalized_fim(fims)
+    d = len(fims[0])
+    mean_trace = float(np.mean([np.trace(m) for m in fims]))
+    normalized = [d * m / mean_trace for m in fims]
     half_logdets = np.array([
         0.5 * np.log1p(kappa * np.clip(np.linalg.eigvalsh((m + m.T) / 2.0), 0.0, None)).sum()
         for m in normalized
@@ -364,3 +391,21 @@ def test_report_lines_format():
     lines = report.lines()
     assert lines[0] == "ansatz: conv"
     assert any(line.startswith("normalized_ed: ") for line in lines)
+
+
+@pytest.mark.parametrize("key, theta_samples, data_samples",
+                         [("mod-c", 20000, 1), ("ancilla-cz", 1, 100000)])
+def test_effective_dimension_holds_no_more_than_it_counts(key, theta_samples, data_samples):
+    # The FIM stack dominates 20,000 mod-c draws of one input; one batch of
+    # 100,000 rows on 5 qubits dominates the other.  `qccnn ed` refuses
+    # settings by this count, so it must bound what the ED allocates.
+    effective_dimension(key, theta_samples=1, data_samples=1)  # build and cache the circuit
+    tracemalloc.start()
+    try:
+        effective_dimension(key, theta_samples=theta_samples, data_samples=data_samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack, batch = capacity.held_bytes(build_ansatz(key).circuit, theta_samples, data_samples)
+    assert peak <= stack + batch
+    assert peak >= max(stack, batch) / 2  # the count is of the right size, not just large

@@ -230,6 +230,25 @@ def _bad_record_archive_argv(tmp_path):
     return _train_argv(tmp_path, str(path))
 
 
+def _header_only_archive_argv(tmp_path, train_images, train_labels):
+    """train on an archive of array headers alone, declaring the train shapes given.
+
+    The val split declares 2 images of the train image size and 2 labels.
+    The archive is about 1 KB and holds no pixel or label, so only a loader
+    that reads data before it checks the headers gets further than them.
+    """
+    path = tmp_path / "archive.npz"
+    val_images = (2, *train_images[1:])
+    with zipfile.ZipFile(path, "w") as zf:
+        for split, images, labels in (("train", train_images, train_labels),
+                                      ("val", val_images, (2,))):
+            for key, shape in ((f"{split}_images", images), (f"{split}_labels", labels)):
+                with zf.open(key + ".npy", "w") as f:
+                    np.lib.format.write_array_header_1_0(
+                        f, {"descr": "|u1", "fortran_order": False, "shape": shape})
+    return _train_argv(tmp_path, str(path))
+
+
 def _eval_other_size_argv(tmp_path):
     """eval of a 12x12 checkpoint on 8x8 data."""
     out = tmp_path / "run12"
@@ -332,16 +351,22 @@ FAILURES = [
      EXIT_CONFIG, "cannot make output directory"),
     ("ed-out-under-file", lambda tmp: [*SMALL_ED, "--out", str(_file(tmp / "file") / "ed")],
      {}, EXIT_CONFIG, "cannot make output directory"),
-    # Refused before anything is allocated: 7.5 GiB of drawn inputs, and a
-    # 1.2 GiB state for one draw's 5,000,000 rows on conv's 4 qubits.
+    # Refused before anything is allocated: one batch of one draw's
+    # 100,000,000 or 5,000,000 rows on conv's 4 qubits, and 110,000 mod-c
+    # FIMs of 36 x 36 with their spectra.
     ("ed-samples-huge", lambda tmp: [
         "ed", "--ansatz", "conv", "--seeds", "0", "--theta-samples", "2",
         "--data-samples", "100000000", "--out", str(tmp / "ed")], {}, EXIT_CONFIG,
-     "the ED's drawn inputs and uniforms would take 7.5 GiB, more than the 1 GiB limit"),
+     "the ED of conv (0.00 GiB of FIMs, 134.11 GiB a batch) would take 134.1 GiB,"
+     " more than the 1 GiB limit"),
     ("ed-batch-state-huge", lambda tmp: [
         "ed", "--ansatz", "conv", "--seeds", "0", "--theta-samples", "1",
         "--data-samples", "5000000", "--out", str(tmp / "ed")], {}, EXIT_CONFIG,
-     "the ED's 4-qubit state of one batch would take 1.2 GiB"),
+     "the ED of conv (0.00 GiB of FIMs, 6.71 GiB a batch) would take 6.7 GiB"),
+    ("ed-fim-stack-huge", lambda tmp: [
+        "ed", "--ansatz", "mod-c", "--seeds", "0", "--theta-samples", "110000",
+        "--data-samples", "1", "--out", str(tmp / "ed")], {}, EXIT_CONFIG,
+     "the ED of mod-c (1.09 GiB of FIMs, 0.03 GiB a batch) would take 1.1 GiB"),
     # Every output path is checked before any is written, and before the
     # first seed or key is computed.
     *[(f"unwritable-{command}-{name}", lambda tmp, argv=argv, name=name: _blocked_argv(
@@ -432,6 +457,20 @@ FAILURES = [
     ("archive-not-zip", lambda tmp: _train_argv(tmp, str(_file(tmp / "x.npz", b"not a zip"))),
      {}, EXIT_DATA, "is not a ZIP archive"),
     ("archive-record-not-array", _bad_record_archive_argv, {}, EXIT_DATA, "bad magic bytes"),
+    # Refused from the record headers, before any pixel is read or converted:
+    # 330 images of 1000x1000 would take 2.46 GiB as float64.
+    ("archive-images-huge",
+     lambda tmp: _header_only_archive_argv(tmp, (330, 1000, 1000), (330,)), {},
+     EXIT_DATA, "archive images would take 2.5 GiB, more than the 1 GiB limit"),
+    ("archive-label-count", lambda tmp: _header_only_archive_argv(tmp, (330, 8, 8), (329,)), {},
+     EXIT_DATA, "record 'train_labels': 329 labels for 330 images"),
+    # A negative dimension would read a ZIP stream to its end, or pass the
+    # count check as a product of two negatives.
+    ("archive-images-negative", lambda tmp: _header_only_archive_argv(tmp, (-1, 8, 8), (-1,)),
+     {}, EXIT_DATA, "record 'train_images': negative dimension in shape (-1, 8, 8)"),
+    ("archive-labels-negative",
+     lambda tmp: _header_only_archive_argv(tmp, (330, 8, 8), (-2, -165)), {}, EXIT_DATA,
+     "record 'train_labels': negative dimension in shape (-2, -165)"),
     ("metrics-short-row", lambda tmp: _curves_argv(tmp, "0,0,abc"), {}, EXIT_DATA,
      "metrics.csv:2: expected 6 cells, got 3"),
     ("metrics-non-numeric", lambda tmp: _curves_argv(tmp, "0,0,abc,0.5,0.5,0.7"), {},

@@ -42,7 +42,7 @@ def test_normalization_round_trip_exact():
 
 
 def _write_archive(path, train_n=546, val_n=78, h=28, w=28, labels=None, corrupt=None,
-                   image_dtype=np.uint8, channels=None):
+                   image_dtype=np.uint8, channels=None, keep=40):
     rng = np.random.default_rng(0)
     payload = {}
     for split, n in (("train", train_n), ("val", val_n)):
@@ -55,7 +55,7 @@ def _write_archive(path, train_n=546, val_n=78, h=28, w=28, labels=None, corrupt
     if corrupt:
         with zipfile.ZipFile(path) as zf:
             records = {name: zf.read(name) for name in zf.namelist()}
-        records[corrupt] = records[corrupt][:40]  # truncate the member
+        records[corrupt] = records[corrupt][:keep]  # truncate the member
         with zipfile.ZipFile(path, "w") as zf:
             for name, blob in records.items():
                 zf.writestr(name, blob)
@@ -84,6 +84,44 @@ def test_archive_truncated_record(tmp_path):
     _write_archive(path, train_n=4, val_n=2, h=8, w=8, corrupt="val_images.npy")
     with pytest.raises(DataError, match="val_images"):
         load_array_archive(path)
+
+
+def test_archive_truncated_array_data(tmp_path):
+    # The record keeps its 128-byte header and 72 of its 128 pixels.
+    path = tmp_path / "data.npz"
+    _write_archive(path, train_n=4, val_n=2, h=8, w=8, corrupt="val_images.npy", keep=200)
+    with pytest.raises(DataError, match="'val_images': buffer is smaller than requested size"):
+        load_array_archive(path)
+
+
+def _rewrite_record(path, name, rewrite):
+    with zipfile.ZipFile(path) as zf:
+        records = {member: zf.read(member) for member in zf.namelist()}
+    records[name] = rewrite(records[name])
+    with zipfile.ZipFile(path, "w") as zf:
+        for member, blob in records.items():
+            zf.writestr(member, blob)
+
+
+def test_archive_rejects_unknown_record_version(tmp_path):
+    # Version bytes 9.0 after the magic string; the loader knows 1.0, 2.0 and 3.0.
+    path = tmp_path / "data.npz"
+    _write_archive(path, train_n=4, val_n=2, h=8, w=8)
+    _rewrite_record(path, "val_labels.npy", lambda blob: blob[:6] + b"\x09\x00" + blob[8:])
+    with pytest.raises(DataError, match=r"'val_labels': unsupported array record version \(9, 0\)"):
+        load_array_archive(path)
+
+
+def test_archive_reads_version_3_record(tmp_path):
+    # A 3.0 record has a 4-byte header length and a UTF-8 header.
+    path = tmp_path / "data.npz"
+    _write_archive(path, train_n=4, val_n=2, h=8, w=8)
+    _, val = load_array_archive(path)
+    header = b"{'descr': '|u1', 'fortran_order': False, 'shape': (2,), }\n"
+    record = b"\x93NUMPY\x03\x00" + len(header).to_bytes(4, "little") + header
+    record += val.labels.astype(np.uint8).tobytes()
+    _rewrite_record(path, "val_labels.npy", lambda blob: record)
+    np.testing.assert_array_equal(load_array_archive(path)[1].labels, val.labels)
 
 
 def test_archive_rejects_non_binary_labels(tmp_path):
@@ -162,17 +200,17 @@ def test_synthetic_values_clipped(monkeypatch):
 
 def test_patch_arithmetic_28x28():
     assert patch_grid(28, 28, 2, 2) == (14, 14)
-    patches = extract_patches(np.zeros((28, 28)), 2, 2)
+    patches = extract_patches(np.zeros((1, 28, 28)), 2, 2)
     assert patches.shape == (196, 4)
 
 
 def test_single_patch_equals_image():
-    image = np.array([[1.0, 2.0], [3.0, 4.0]])
+    image = np.array([[[1.0, 2.0], [3.0, 4.0]]])
     np.testing.assert_array_equal(extract_patches(image / 4, 2, 2), [[0.25, 0.5, 0.75, 1.0]])
 
 
 def test_three_by_three_stride_two_keeps_only_valid_window():
-    patches = extract_patches(np.arange(9.0).reshape(3, 3) / 8, 2, 2)
+    patches = extract_patches(np.arange(9.0).reshape(1, 3, 3) / 8, 2, 2)
     assert patches.shape == (1, 4)
 
 
@@ -184,13 +222,13 @@ def test_patch_count_matches_window_enumeration():
                 for i in range(0, h - 1, stride):
                     for j in range(0, w - 1, stride):
                         count += 1
-                got = extract_patches(np.zeros((h, w)), 2, stride).shape[0]
+                got = extract_patches(np.zeros((1, h, w)), 2, stride).shape[0]
                 assert got == count, (h, w, stride)
 
 
 def test_patches_row_major_order_and_flattening():
     image = np.arange(16.0).reshape(4, 4) / 15
-    patches = extract_patches(image, 2, 2)
+    patches = extract_patches(image[None], 2, 2)
     np.testing.assert_allclose(patches[0], image[[0, 0, 1, 1], [0, 1, 0, 1]])
     np.testing.assert_allclose(patches[1], image[[0, 0, 1, 1], [2, 3, 2, 3]])
     np.testing.assert_allclose(patches[2], image[[2, 2, 3, 3], [0, 1, 0, 1]])
@@ -199,13 +237,13 @@ def test_patches_row_major_order_and_flattening():
 @pytest.mark.parametrize("stride", [1, 2, 3])
 def test_batch_patches_are_each_images_patches_in_order(stride):
     images = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 5, 6))
-    want = np.concatenate([extract_patches(image, 2, stride) for image in images])
+    want = np.concatenate([extract_patches(image[None], 2, stride) for image in images])
     np.testing.assert_array_equal(extract_patches(images, 2, stride), want)
 
 
 def test_image_smaller_than_window_rejected():
     with pytest.raises(ValueError, match="smaller"):
-        extract_patches(np.zeros((1, 5)), 2, 2)
+        extract_patches(np.zeros((1, 1, 5)), 2, 2)
 
 
 def test_dataset_validates_shapes():

@@ -82,7 +82,7 @@ def test_shared_encoding_forward_and_backward_are_exact(key):
     readouts = layer.ansatz.num_readouts
     want_grads = np.zeros_like(grads)
     for b, image in enumerate(images):
-        for p, patch in enumerate(extract_patches(image, 2, 2)):
+        for p, patch in enumerate(extract_patches(image[None], 2, 2)):
             for k in range(layer.num_kernels):
                 raw = z_expectations_oracle(circuit, layer.params[k], patch)
                 feats = slice(k * readouts, (k + 1) * readouts)
@@ -238,13 +238,13 @@ def test_dense_matches_matmul_oracle():
 
 
 def test_softmax_cross_entropy_symmetric_case():
-    losses, grads = softmax_cross_entropy([0.0, 0.0], 0)
+    losses, grads = softmax_cross_entropy(np.array([[0.0, 0.0]]), np.array([0]))
     assert abs(losses[0] - math.log(2)) < 1e-12
     np.testing.assert_allclose(grads[0], [-0.5, 0.5], atol=1e-12)
 
 
 def test_softmax_cross_entropy_confident_case():
-    losses, _ = softmax_cross_entropy([10.0, -10.0], 0)
+    losses, _ = softmax_cross_entropy(np.array([[10.0, -10.0]]), np.array([0]))
     assert abs(losses[0] - math.log1p(math.exp(-20))) < 1e-15
     assert 2.0e-9 < losses[0] < 2.1e-9
 
@@ -252,9 +252,9 @@ def test_softmax_cross_entropy_confident_case():
 def test_softmax_cross_entropy_gradient_vs_finite_difference():
     rng = np.random.default_rng(4)
     logits = rng.normal(size=2)
-    _, grads = softmax_cross_entropy(logits, 1)
+    _, grads = softmax_cross_entropy(logits[None], np.array([1]))
     fd = finite_difference_gradient(
-        lambda l: softmax_cross_entropy(l, 1)[0][0], logits, h=1e-6
+        lambda l: softmax_cross_entropy(l[None], np.array([1]))[0][0], logits, h=1e-6
     )
     np.testing.assert_allclose(grads[0], fd, atol=1e-8)
 
