@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from urllib.parse import quote
 
 import numpy as np
 
@@ -359,11 +360,23 @@ def _ed_sampler(cfg: RunConfig):
     return dataset_input_sampler(train, cfg.stride)
 
 
-_ED_HEADER = "ansatz,seed,gamma,n,theta_samples,data_samples,d,ed,normalized_ed"
+_ED_HEADER = "ansatz,seed,gamma,n,theta_samples,data_samples,inputs,d,ed,normalized_ed"
+_ED_KEY_CELLS = 7  # the settings that key a row: ansatz through inputs
+
+
+def _ed_inputs_cell(cfg: RunConfig) -> str:
+    """An ED row's ``inputs`` cell: ``uniform``, or the ``--ed-inputs`` source and its stride.
+
+    The source is percent-encoded past letters, digits and ``_.-~/:=``, so
+    that no comma (``synthetic:train_n=32,val_n=16``) splits the row.
+    """
+    if cfg.ed_inputs == "uniform":
+        return "uniform"
+    return f"{quote(cfg.ed_inputs, safe='/:=', errors='surrogateescape')};stride={cfg.stride}"
 
 
 def _read_ed_table(path: Path) -> dict:
-    """The rows of an existing ED table, keyed by their settings, the first six cells."""
+    """The rows of an existing ED table, keyed by their settings, the first seven cells."""
     first, *lines = _read_utf8(path, DataError).splitlines() or [""]
     if first != _ED_HEADER:
         raise DataError(f"{path}: unexpected ED table header {first!r}")
@@ -373,7 +386,7 @@ def _read_ed_table(path: Path) -> dict:
         row = line.split(",")
         if len(row) != cells:
             raise DataError(f"{path}:{lineno}: expected {cells} cells, got {len(row)}")
-        table[tuple(row[:6])] = line
+        table[tuple(row[:_ED_KEY_CELLS])] = line
     return table
 
 
@@ -393,7 +406,7 @@ def cmd_ed(cfg: RunConfig) -> int:
     # Rows are keyed by their settings, so a rerun replaces its own rows in
     # place and keeps every other row.
     table = _read_ed_table(table_path) if table_path.exists() else {}
-    sampler = _ed_sampler(cfg)
+    sampler, inputs = _ed_sampler(cfg), _ed_inputs_cell(cfg)
     _check_writable([table_path, out_dir / "ed_summary.json"])
     summary = {}
     for key in keys:
@@ -408,10 +421,10 @@ def cmd_ed(cfg: RunConfig) -> int:
             print()
             line = (
                 f"{report.ansatz_key},{report.seed},{report.gamma},{report.n},"
-                f"{report.theta_samples},{report.data_samples},{report.d},"
+                f"{report.theta_samples},{report.data_samples},{inputs},{report.d},"
                 f"{_fmt(report.ed)},{_fmt(report.normalized_ed)}"
             )
-            table[tuple(line.split(",")[:6])] = line
+            table[tuple(line.split(",")[:_ED_KEY_CELLS])] = line
             _atomic_write(table_path, "\n".join([_ED_HEADER, *table.values()]) + "\n")
             values.append(report.normalized_ed)
         summary[key] = {"mean": float(np.mean(values)), "std": float(np.std(values))}

@@ -12,7 +12,12 @@ product of circuit inputs (scaled by pi), or a baked-in constant.  The
 parameters are a (groups, num_params) matrix: group g owns the g-th block
 of consecutive state columns, and the body and the adjoint walk run on the
 (2,)*n + (groups, columns) view of the state, in which a slot's angles
-are a (groups, 1) column that broadcasts over each group's columns.
+are a (groups, 1) column that broadcasts over each group's columns.  Each
+gate acts on one view of that state whose leading axis is its target's,
+restricted to the control-1 half for a controlled gate; the view's plan is
+cached per (n, kind, targets).  So a pair of states stacked on one more
+qubit above the circuit's, as the adjoint walk holds them, takes each gate
+in one call.
 Mid-circuit measurements and classically conditioned gates always execute
 exactly: :func:`defer_measurements` rewrites each conditioned rotation to a
 controlled rotation on the measured qubit.  :class:`Circuit` checks every
@@ -284,77 +289,93 @@ def _half_angle(theta):
     return np.cos(t), np.sin(t)
 
 
-def _halves(n: int, kind: str, targets: tuple) -> tuple:
-    """Index tuples of the target-0 and target-1 halves of a (2,)*n + columns view.
+@lru_cache(maxsize=None)
+def _plan(n: int, kind: str, targets: tuple) -> tuple:
+    """(base kind, control index, axis) of one gate on a (2,)*n + columns view.
 
-    Controlled kinds also fix the control axis to 1.
+    ``psi[control].swapaxes(0, axis)`` is the view the gate acts on, and
+    whose halves the adjoint walk's generator overlaps read: the control-1
+    half of a controlled kind (the whole state for the others), with the
+    target's axis leading.
     """
-    half = [slice(None)] * n
-    if kind in _CONTROLLED_BASE:
-        half[n - 1 - targets[0]] = 1
-    half[n - 1 - targets[-1]] = 0
-    i0 = tuple(half)
-    half[n - 1 - targets[-1]] = 1
-    return i0, tuple(half)
+    axis = n - 1 - targets[-1]
+    if kind not in _CONTROLLED_BASE:
+        return kind, (), axis
+    control = n - 1 - targets[0]
+    return _CONTROLLED_BASE[kind], (slice(None),) * control + (1,), axis - (control < axis)
 
 
 def _apply_kind(psi: np.ndarray, kind: str, targets: tuple, rotation=None):
     """Apply one gate in place to `psi`, a (2,)*n + (groups, columns) view of the state.
 
-    Qubit q lives on axis n-1-q.  `rotation` is the (cos, sin) of a
-    rotation's half angle, each a scalar or a (groups, 1) column (see
-    :func:`_rotations`).  Every kind is a 2x2 base action on the two halves
-    split by the target axis; controlled kinds also fix the control axis to 1.
+    Qubit q lives on axis n-1-q.  Every kind is a 2x2 base action on the
+    view :func:`_plan` gives, whose ``p[0]`` and ``p[1]`` are the target's
+    halves.  The view spans every other axis, so two states stacked on an
+    extra most significant qubit, which no gate targets, take each gate in
+    one call.  `rotation` is the (2, groups, 1) stack :func:`_rotations`
+    gives a rotation.  Each amplitude gets the factors of ``c*a - 1j*s*b``,
+    ``c*a - s*b`` and ``a * (c - 1j*s)``, in that order.
     """
-    n = psi.ndim - 2
-    base = _CONTROLLED_BASE.get(kind, kind)
-    i0, i1 = _halves(n, kind, targets)
-    # The halves are views: `a` is copied because psi[i0] is written first.
-    if base == "H":
-        a, b = psi[i0].copy(), psi[i1]
-        psi[i0] = (a + b) * _INV_SQRT2
-        psi[i1] = (a - b) * _INV_SQRT2
-    elif base == "X":
-        a = psi[i0].copy()
-        psi[i0] = psi[i1]
-        psi[i1] = a
-    elif base == "Y":
-        a, b = psi[i0].copy(), psi[i1]
-        psi[i0] = -1j * b
-        psi[i1] = 1j * a
-    elif base == "Z":
-        psi[i1] *= -1.0
-    elif base == "RX":
-        c, s = rotation
-        a, b = psi[i0].copy(), psi[i1]
-        psi[i0] = c * a - 1j * s * b
-        psi[i1] = c * b - 1j * s * a
+    base, control, axis = _plan(psi.ndim - 2, kind, targets)
+    p = (psi[control] if control else psi).swapaxes(0, axis)
+    if base == "RX":
+        c, js = rotation
+        t = js * p[::-1]
+        np.multiply(c, p, out=p)
+        p -= t
     elif base == "RY":
         c, s = rotation
-        a, b = psi[i0].copy(), psi[i1]
-        psi[i0] = c * a - s * b
-        psi[i1] = c * b + s * a
-    else:  # RZ
-        c, s = rotation
-        psi[i0] *= c - 1j * s
-        psi[i1] *= c + 1j * s
+        t = s * p[::-1]
+        np.multiply(c, p, out=p)
+        p[0] -= t[0]
+        p[1] += t[1]
+    elif base == "RZ":
+        p *= rotation[(slice(None),) + (None,) * (p.ndim - 3)]
+    elif base == "H":
+        a, b = p
+        t = a + b
+        np.subtract(a, b, out=b)
+        b *= _INV_SQRT2
+        np.multiply(t, _INV_SQRT2, out=a)
+    elif base == "X":
+        p[...] = p[::-1]  # numpy buffers the overlapping source
+    elif base == "Y":
+        a = p[0].copy()
+        np.multiply(-1j, p[1], out=p[0])
+        np.multiply(1j, a, out=p[1])
+    else:  # Z
+        p[1] *= -1.0
+
+
+def _rotation_forms(c: np.ndarray, s: np.ndarray) -> dict:
+    """Per base rotation, the stack of two tables :func:`_apply_kind` reads, from cos/sin tables.
+
+    RX takes (c, 1j*s), RY (c, s) and RZ its phases (c - 1j*s, c + 1j*s).
+    """
+    js = 1j * s
+    return {"RX": np.array((c, js)), "RY": np.array((c, s)), "RZ": np.array((c - js, c + js))}
 
 
 def _rotations(ops, params: np.ndarray, sign: float = 1.0) -> list:
     """Per op of a body, the `rotation` :func:`_apply_kind` takes at sign * its angle.
 
     None for a fixed gate.  One :func:`_half_angle` pass over the (groups,
-    num_params) `params` gives every parameterised rotation the (groups, 1)
-    columns of its slot; a constant angle keeps its scalar.  No body op
-    takes an input angle (:class:`Circuit` rejects one).
+    num_params) `params` and one :func:`_rotation_forms` pass give every
+    parameterised rotation the (2, groups, 1) stack of its slot; a
+    constant angle takes a (2, 1, 1) one of its own.  No body op takes an
+    input angle (:class:`Circuit` rejects one).
     """
-    c, s = _half_angle(sign * params)
-    return [
-        None if op.kind not in ROTATION_KINDS
-        else _half_angle(sign * op.angle) if op.param_slot is None
-        else (c[:, op.param_slot, None], s[:, op.param_slot, None])
-        for op in ops
-    ]
+    forms = _rotation_forms(*_half_angle(sign * params))
+    out = []
+    for op in ops:
+        base = _CONTROLLED_BASE.get(op.kind, op.kind)
+        if base not in forms:
+            out.append(None)
+        elif op.param_slot is None:
+            out.append(_rotation_forms(*_half_angle(np.full((1, 1), sign * op.angle)))[base])
+        else:
+            out.append(forms[base][..., op.param_slot, None])
+    return out
 
 
 def _resolve_angle(op: GateOp, inputs: np.ndarray):
@@ -436,15 +457,21 @@ def defer_measurements(circuit: Circuit) -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-def _state_view(circuit: Circuit, state: np.ndarray, columns: tuple) -> np.ndarray:
-    """The (2,)*n + `columns` view of a (2**n, prod(columns)) state; writes go to the state."""
-    shape = (1 << circuit.num_qubits, math.prod(columns))
+def _state_view(circuit: Circuit, state: np.ndarray, columns: tuple,
+                stacked: bool = False) -> np.ndarray:
+    """The (2,)*n + `columns` view of a (2**n, prod(columns)) state; writes go to the state.
+
+    A `stacked` state is a (2, 2**n, prod(columns)) pair, viewed as
+    (2,)*(n+1) + `columns`: its stack axis is one more qubit, above the rest.
+    """
+    lead = (2,) if stacked else ()
+    shape = lead + (1 << circuit.num_qubits, math.prod(columns))
     if state.shape != shape or state.dtype != complex or not state.flags.c_contiguous:
         raise ValueError(
             f"state must be a C-contiguous complex {shape} array, got"
             f" {state.dtype} {state.shape}"
         )
-    return state.reshape((2,) * circuit.num_qubits + columns)
+    return state.reshape(lead + (2,) * circuit.num_qubits + columns)
 
 
 def encode(circuit: Circuit, inputs) -> np.ndarray:

@@ -127,7 +127,8 @@ def test_acceptance_03_gradients_all_ansatz_keys():
             x = rng.uniform(-1, 1, 4)
             theta = rng.uniform(-math.pi, math.pi, circuit.num_params)
             state = unitary(circuit, [theta])[0] @ encode(circuit, x[None])
-            adj = readout_gradient(circuit, theta[None], first_readout, state)[0]
+            pair = np.stack((state, np.empty_like(state)))  # readout_gradient writes λ to [1]
+            adj = readout_gradient(circuit, theta[None], first_readout, pair)[0]
             fd = finite_difference_gradient(
                 lambda p: run_deferred_batch(circuit, p, x[None])[0][0], theta
             )

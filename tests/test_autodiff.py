@@ -36,10 +36,16 @@ def _final_state(circuit, theta, xs):
     return unitary(circuit, [theta])[0] @ encode(circuit, xs)
 
 
+def _pair(state):
+    """A (2**n, rows) final state as the top half of the (2, 2**n, rows) pair
+    readout_gradient walks; it writes lambda into the bottom half."""
+    return np.stack((state, np.empty_like(state)))
+
+
 def _adjoint(circuit, theta, weights, xs):
     """readout_gradient at one θ, given to every row of `xs`."""
     params = np.tile(theta, (len(xs), 1))
-    return readout_gradient(circuit, params, weights, _final_state(circuit, theta, xs))
+    return readout_gradient(circuit, params, weights, _pair(_final_state(circuit, theta, xs)))
 
 
 def _gradient(circuit, params, readout_index=0, inputs=None):
@@ -171,8 +177,8 @@ def test_per_row_params_equal_stacked_vector_calls(key):
     thetas = rng.uniform(-math.pi, math.pi, (len(sizes), circuit.num_params))
     weights = rng.normal(size=(bounds[-1], len(circuit.readout)))
     blocks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    grad = readout_gradient(circuit, np.repeat(thetas, sizes, axis=0), weights, np.hstack(
-        [_final_state(circuit, t, xs[b]) for t, b in zip(thetas, blocks)]))
+    grad = readout_gradient(circuit, np.repeat(thetas, sizes, axis=0), weights, _pair(np.hstack(
+        [_final_state(circuit, t, xs[b]) for t, b in zip(thetas, blocks)])))
     block_grads = [_adjoint(circuit, t, weights[b], xs[b]) for t, b in zip(thetas, blocks)]
     np.testing.assert_array_equal(grad, np.vstack(block_grads))
 
@@ -192,8 +198,8 @@ def test_group_rows_equal_the_same_rows_repeated_over_each_block(key, groups):
     encoded, u = encode(circuit, xs), unitary(circuit, thetas)
     block = rows // groups
     state = np.hstack([u[g] @ encoded[:, g * block : (g + 1) * block] for g in range(groups)])
-    grouped = readout_gradient(circuit, thetas, weights, state.copy())
-    per_row = readout_gradient(circuit, np.repeat(thetas, block, axis=0), weights, state)
+    grouped = readout_gradient(circuit, thetas, weights, _pair(state))
+    per_row = readout_gradient(circuit, np.repeat(thetas, block, axis=0), weights, _pair(state))
     np.testing.assert_array_equal(grouped, per_row)
 
 
@@ -204,7 +210,7 @@ def test_params_of_wrong_shape_rejected(shape):
     # wrong P, not a group count that does not divide the rows, not 3-D, and
     # not one (P,) vector.
     circuit = build_ansatz("select-tanh").circuit
-    state = _final_state(circuit, np.zeros(4), np.zeros((4, 4)))
+    state = _pair(_final_state(circuit, np.zeros(4), np.zeros((4, 4))))
     with pytest.raises(ValueError, match="parameter matrix"):
         readout_gradient(circuit, np.zeros(shape), np.ones((4, 1)), state)
 
@@ -225,7 +231,7 @@ def test_input_free_circuit_gives_one_row_per_weight_row():
 def test_weights_shape_mismatch_rejected(shape):
     ansatz = build_ansatz("select-tanh")
     xs = np.zeros((3, 4))
-    state = _final_state(ansatz.circuit, np.zeros(4), xs)
+    state = _pair(_final_state(ansatz.circuit, np.zeros(4), xs))
     with pytest.raises(ValueError, match="does not match"):
         readout_gradient(ansatz.circuit, np.zeros((3, 4)), np.ones(shape), state)
 
@@ -233,13 +239,13 @@ def test_weights_shape_mismatch_rejected(shape):
 def test_state_of_wrong_shape_or_layout_rejected():
     ansatz = build_ansatz("select-tanh")
     xs = np.zeros((3, 4))
-    state = _final_state(ansatz.circuit, np.zeros(4), xs)
-    for bad in (state[:8].copy(), state.T.copy().T, state.real.copy()):
+    state = _pair(_final_state(ansatz.circuit, np.zeros(4), xs))
+    for bad in (state[:, :8].copy(), state.T.copy().T, state.real.copy(), state[0].copy()):
         with pytest.raises(ValueError, match="state must be"):
             readout_gradient(ansatz.circuit, np.zeros((3, 4)), np.ones((3, 1)), bad)
     # The rows are the state's columns: two of them do not fit three weight rows.
     with pytest.raises(ValueError, match="does not match"):
-        readout_gradient(ansatz.circuit, np.zeros((2, 4)), np.ones((3, 1)), state[:, :2].copy())
+        readout_gradient(ansatz.circuit, np.zeros((2, 4)), np.ones((3, 1)), state[..., :2].copy())
 
 
 @pytest.mark.parametrize("key", ANSATZ_KEYS)
@@ -258,7 +264,7 @@ def test_half_angle_runs_once_per_unitary_and_once_per_walk(key, monkeypatch):
     u = unitary(circuit, params)
     assert calls == [params.shape]
     calls.clear()
-    state = np.hstack([u[g] @ encoded[:, 2 * g : 2 * g + 2] for g in range(3)])
+    state = _pair(np.hstack([u[g] @ encoded[:, 2 * g : 2 * g + 2] for g in range(3)]))
     readout_gradient(circuit, params, np.ones((6, len(circuit.readout))), state)
     assert calls == [params.shape]
     calls.clear()

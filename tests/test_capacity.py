@@ -113,8 +113,8 @@ def test_forward_matches_dense_oracle_per_draw(key):
     rng = np.random.default_rng(59)
     thetas = rng.uniform(-math.pi, math.pi, (3, circuit.num_params))
     xs = rng.uniform(-1, 1, (12, 4))
-    state, probs = capacity._forward(circuit, thetas, xs)
-    got = readouts(circuit, state)
+    pair, probs = capacity._forward(circuit, thetas, xs)
+    got = readouts(circuit, pair[0])
     deferred = defer_measurements(circuit)
     want = [z_expectations_oracle(deferred, thetas[r // 4], x) for r, x in enumerate(xs)]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -265,7 +265,8 @@ def _readout_jacobian(circuit, theta, xs, num_readouts):
         weights = np.zeros((len(xs), num_readouts))
         weights[:, j] = 1.0
         state = unitary(circuit, [theta])[0] @ encode(circuit, xs)
-        blocks.append(readout_gradient(circuit, params, weights, state))
+        pair = np.stack((state, np.empty_like(state)))  # readout_gradient writes λ to [1]
+        blocks.append(readout_gradient(circuit, params, weights, pair))
     return np.concatenate(blocks)
 
 

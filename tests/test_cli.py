@@ -132,6 +132,25 @@ def test_ed_rerun_replaces_its_own_rows(tmp_path):
     assert table.read_text().startswith(first)
 
 
+def test_ed_rows_keyed_by_their_inputs(tmp_path):
+    # The same settings on other inputs, or on the same source at another
+    # stride, add rows; the uniform row stays as it was.
+    args = ["ed", "--ansatz", "conv", "--theta-samples", "3", "--data-samples", "8",
+            "--seeds", "0", "--out", str(tmp_path / "ed")]
+    table = tmp_path / "ed" / "ed_results.csv"
+    assert main(args) == EXIT_OK
+    uniform = table.read_text().splitlines()[1]
+    assert main(args + ["--ed-inputs", SMALL_DATA]) == EXIT_OK
+    assert main(args + ["--ed-inputs", SMALL_DATA, "--stride", "3"]) == EXIT_OK
+    rows = table.read_text().splitlines()
+    source = SMALL_DATA.replace(",", "%2C")
+    assert [r.split(",")[6] for r in rows[1:]] == [
+        "uniform", f"{source};stride=2", f"{source};stride=3"]
+    assert rows[1] == uniform
+    assert main(args) == EXIT_OK  # a rerun replaces its own row only
+    assert table.read_text().splitlines() == rows
+
+
 def test_ed_deterministic_rows(tmp_path):
     args = ["ed", "--ansatz", "select-tanh", "--theta-samples", "3",
             "--data-samples", "8", "--seeds", "2"]
@@ -295,7 +314,7 @@ def _params(**changes):
 
 TRAIN = ["train", "--ansatz", "classical", "--data", SMALL_DATA]
 SMALL_ED = ["ed", "--ansatz", "select-tanh", "--theta-samples", "1", "--data-samples", "2"]
-ED_HEADER = "ansatz,seed,gamma,n,theta_samples,data_samples,d,ed,normalized_ed"
+ED_HEADER = "ansatz,seed,gamma,n,theta_samples,data_samples,inputs,d,ed,normalized_ed"
 
 # One row per documented failure: (case, argv builder, environment, exit
 # code, *stderr fragments). A fragment may name `{tmp}`, the case's tmp_path.
@@ -491,10 +510,17 @@ FAILURES = [
      EXIT_DATA, "ed_results.csv: unexpected ED table header 'epoch,seed,"),
     ("ed-table-short-row", lambda tmp: _ed_prior_table_argv(tmp, lambda path: path.write_text(
         f"{ED_HEADER}\nconv,0,1.0\n")), {}, EXIT_DATA,
-     "ed_results.csv:2: expected 9 cells, got 3"),
+     "ed_results.csv:2: expected 10 cells, got 3"),
     ("ed-table-blank-line", lambda tmp: _ed_prior_table_argv(tmp, lambda path: path.write_text(
-        f"{ED_HEADER}\nselect-tanh,0,1.0,546,1,2,4,0.5,0.125\n\n")), {}, EXIT_DATA,
-     "ed_results.csv:3: expected 9 cells, got 1"),
+        f"{ED_HEADER}\nselect-tanh,0,1.0,546,1,2,uniform,4,0.5,0.125\n\n")), {}, EXIT_DATA,
+     "ed_results.csv:3: expected 10 cells, got 1"),
+    # A table from before rows recorded their inputs cannot say what it measured.
+    ("ed-table-without-inputs-cell", lambda tmp: _ed_prior_table_argv(
+        tmp, lambda path: path.write_text(
+            "ansatz,seed,gamma,n,theta_samples,data_samples,d,ed,normalized_ed\n"
+            "select-tanh,0,1.0,546,1,2,4,0.5,0.125\n")), {},
+     EXIT_DATA, "ed_results.csv: unexpected ED table header 'ansatz,seed,gamma,n,theta_samples,"
+                "data_samples,d,"),
     # 4: numeric failures
     ("non-finite-training", lambda tmp: [*TRAIN, "--lr", "1e308", "--epochs", "3",
                                          "--seeds", "0", "--out", str(tmp / "run")], {},

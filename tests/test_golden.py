@@ -32,7 +32,7 @@ COMMANDS = [
 ]
 
 GOLDEN = {
-    "ed/ed_results.csv": "00a752bb183f212720fd5734f5fe29459dd522a466ad0239074ff9760b9abedc",
+    "ed/ed_results.csv": "9fc0b539cdc14a11b8e897180a46f25cd90043ca5a899ea90e08d92e1492f3b7",
     "ed/ed_summary.json": "6a9d150dcedf43e0dde58fb780a853ec54b66288a5a1ec09dc1792e341c42ec6",
     "train/ancilla-cy/checkpoint_seed0.json": "bbae5b7971ab7c6a9efd5996d63ef3e1326e1525705a82cf502f37fe4140f48e",
     "train/ancilla-cy/metrics.csv": "c7fc7710ad62dca19a7e8902efdff14c3c07dfe7ebba0ebc1de3a5173987ae2b",

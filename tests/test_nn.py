@@ -97,30 +97,30 @@ def test_shared_encoding_forward_and_backward_are_exact(key):
         np.testing.assert_array_equal(grads, 0.0)
 
 
-def _count_columns(monkeypatch) -> dict:
-    """Record the (groups, columns) of every gate the simulator and the adjoint walk apply."""
-    columns = {"sim": [], "walk": []}
+def _count_shapes(monkeypatch) -> dict:
+    """Record the state view shape of every gate the simulator and the adjoint walk apply."""
+    shapes = {"sim": [], "walk": []}
 
     def counting(name, apply):
         def wrapped(psi, *args):
-            columns[name].append(psi.shape[-2:])
+            shapes[name].append(psi.shape)
             return apply(psi, *args)
         return wrapped
 
     apply = sim._apply_kind
     monkeypatch.setattr(sim, "_apply_kind", counting("sim", apply))
     monkeypatch.setattr("qccnn.autodiff._apply_kind", counting("walk", apply))
-    return columns
+    return shapes
 
 
 @pytest.mark.parametrize("key", ["conv", "ancilla-cz", "mod-c", "select-tanh"])
 def test_layer_encodes_once_per_forward_and_never_in_backward(key, monkeypatch):
-    columns = _count_columns(monkeypatch)
+    shapes = _count_shapes(monkeypatch)
     circuit = build_ansatz(key).circuit
     body = len(circuit.split[1])
     rng = np.random.default_rng(61)
     layer = QuantumConvLayer(build_ansatz(key), stride=2, rng=rng)
-    dim = 1 << circuit.num_qubits
+    n = circuit.num_qubits
     kernels = layer.num_kernels
     for images in (1, 3):
         layer.params += 0.1  # a new parameter version: the kernels' matrices are rebuilt
@@ -128,15 +128,16 @@ def test_layer_encodes_once_per_forward_and_never_in_backward(key, monkeypatch):
         # The encoding runs the phase program and applies no gate; the body
         # runs once, on the 2**n identity columns of every kernel's matrix at
         # once: kernels * 2**n columns, one group of 2**n per kernel.
-        assert columns["sim"] == [(kernels, dim)] * body
-        assert columns["walk"] == []
-        columns["sim"].clear()
+        assert shapes["sim"] == [(2,) * n + (kernels, 1 << n)] * body
+        assert shapes["walk"] == []
+        shapes["sim"].clear()
         layer.backward(rng.normal(size=(images, 4, 2, 2)))
         # The backward simulates nothing, and one walk undoes every op after
-        # the first parameterised one on the two (2**n, kernels * 2**n)
-        # matrices that hold every kernel's pair.
-        assert columns == {"sim": [], "walk": [(kernels, dim)] * (2 * (body - 1))}
-        columns["walk"].clear()
+        # the first parameterised one, one kernel call each, on the one
+        # (2, 2**n, kernels * 2**n) buffer whose halves hold every kernel's
+        # M and I: its stack axis is one more qubit, above the circuit's.
+        assert shapes == {"sim": [], "walk": [(2,) * (n + 1) + (kernels, 1 << n)] * (body - 1)}
+        shapes["walk"].clear()
 
 
 def test_layer_builds_kernel_matrices_once_per_parameter_version(monkeypatch):
@@ -173,8 +174,9 @@ def test_circuit_defers_once_across_layer_and_readout_gradient(key, monkeypatch)
     layer.backward(rng.normal(size=maps.shape))
     inputs = rng.uniform(-1.0, 1.0, (3, circuit.num_inputs))
     state = sim.unitary(circuit, layer.params[:1])[0] @ sim.encode(circuit, inputs)
+    pair = np.stack((state, np.empty_like(state)))  # readout_gradient writes λ to [1]
     params = np.repeat(layer.params[:1], 3, axis=0)
-    readout_gradient(circuit, params, np.ones((3, len(circuit.readout))), state)
+    readout_gradient(circuit, params, np.ones((3, len(circuit.readout))), pair)
     assert len(calls) <= 1
     # The cached split changes neither equality, the hash nor the repr.
     assert circuit == built.circuit and hash(circuit) == hash(built.circuit)

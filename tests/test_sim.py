@@ -9,12 +9,14 @@ import pytest
 from qccnn.circuits import ANSATZ_KEYS, build_ansatz
 from qccnn.sim import (
     ROTATION_KINDS,
+    SINGLE_QUBIT_KINDS,
     Circuit,
     GateOp,
     MidMeasure,
     _apply_kind,
-    _half_angle,
     _resolve_angle,
+    _rotations,
+    _state_view,
     defer_measurements,
     encode,
     run_deferred_batch,
@@ -43,10 +45,12 @@ def _gate(state, kind, targets, theta=None):
     """One gate through the production kernel, in place on a (2**n, rows) state.
 
     Each row is its own parameter group: `theta` is a scalar or one angle
-    per row, passed as the (cos, sin) of its half angle in (rows, 1) columns.
+    per row, passed as the rotation :func:`_rotations` forms from a
+    (rows, 1) parameter matrix.
     """
     n = state.shape[0].bit_length() - 1
-    rotation = None if theta is None else _half_angle(np.reshape(theta, (-1, 1)))
+    rotation = None if theta is None else _rotations(
+        (GateOp(kind, targets, param_slot=0),), np.reshape(theta, (-1, 1)))[0]
     _apply_kind(state.reshape((2,) * n + (-1, 1)), kind, targets, rotation)
 
 
@@ -113,6 +117,67 @@ def test_every_gate_matches_dense_matrix(kind, targets, rows):
     for r, angle in enumerate(angles):
         want = gate_unitary(kind, targets, n, angle) @ amps[:, r]
         np.testing.assert_allclose(got[:, r], want, atol=1e-13)
+
+
+def _two_half_gate(psi, kind, targets, c, s):
+    """One gate by the two-half formulas, on a (2,)*n + (groups, columns) view.
+
+    The target-0 and target-1 halves (the control-1 half's, for a controlled
+    kind) are read into copies a and b and written back whole; `c` and `s`
+    are the (groups, 1) cos/sin of the half angle.
+    """
+    n = psi.ndim - 2
+    index = [slice(None)] * n
+    base = {"CNOT": "X", "CY": "Y", "CZ": "Z", "CRX": "RX", "CRY": "RY", "CRZ": "RZ"}
+    if kind in base:
+        index[n - 1 - targets[0]] = 1
+    halves = []
+    for bit in (0, 1):
+        index[n - 1 - targets[-1]] = bit
+        halves.append(tuple(index))
+    a, b = (psi[i].copy() for i in halves)
+    psi[halves[0]], psi[halves[1]] = {
+        "H": lambda: ((a + b) * SQRT2_INV, (a - b) * SQRT2_INV),
+        "X": lambda: (b, a),
+        "Y": lambda: (-1j * b, 1j * a),
+        "Z": lambda: (a, b * -1.0),
+        "RX": lambda: (c * a - 1j * s * b, c * b - 1j * s * a),
+        "RY": lambda: (c * a - s * b, c * b + s * a),
+        "RZ": lambda: (a * (c - 1j * s), b * (c + 1j * s)),
+    }[base.get(kind, kind)]()
+
+
+_STACK_CASES = (
+    [pytest.param(k, (q,), id=f"{k}-{q}") for k in sorted(SINGLE_QUBIT_KINDS) for q in (0, 2)]
+    + [pytest.param(k, (2, 0), id=f"{k}-control-above") for k in _CONTROLLED]
+    + [pytest.param(k, (0, 2), id=f"{k}-control-below") for k in _CONTROLLED]
+)
+
+
+@pytest.mark.parametrize("kind, targets", _STACK_CASES)
+def test_stacked_pair_takes_each_gate_as_each_state_alone(kind, targets):
+    # The adjoint walk stacks phi and lambda as a (2, 2**n, columns) pair
+    # and views the stack as one more qubit above the circuit's, so each
+    # gate is one kernel call on both.  That call must equal the two-half
+    # formulas applied to each state alone, to the bit: the amplitudes and
+    # angles hold zeros of both signs, and tobytes tells them apart.
+    rng = np.random.default_rng(zlib.crc32(f"{kind}{targets}".encode()))
+    n, groups, cols = 3, 3, 2
+    circuit = Circuit(n, ())
+    shape = (2, 1 << n, groups * cols)
+    pair = np.empty(shape, dtype=complex)
+    for part in (pair.real, pair.imag):
+        part[...] = rng.choice([0.0, -0.0, 1.0, -1.0], shape) * rng.uniform(0.5, 2.0, shape)
+    params = np.array([[0.0], [-0.0], [rng.uniform(-math.pi, math.pi)]])
+    rotation = None
+    if kind in ROTATION_KINDS:
+        rotation = _rotations((GateOp(kind, targets, param_slot=0),), params)[0]
+    want = pair.copy()
+    for state in want:
+        _two_half_gate(_state_view(circuit, state, (groups, cols)), kind, targets,
+                       np.cos(params * 0.5), np.sin(params * 0.5))
+    _apply_kind(_state_view(circuit, pair, (groups, cols), stacked=True), kind, targets, rotation)
+    assert pair.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
