@@ -27,15 +27,16 @@ rejects nothing.
 :attr:`Circuit.split` owns the deferral and the split: it defers the circuit
 once and splits the result into the encoding prefix, compiled into a phase
 program, and the body, the ops after it; every function here and in
-:mod:`qccnn.autodiff` reads it.  The prefix is a leading run of Hadamards
-on fresh qubits, X/CNOT frame changes and RZ phases with input or constant
-angles; for the ansatz circuits it is the patch encoding, the diagonal
-ZZ feature map of Havlicek et al. 2019 (arXiv:1804.11279).  The program
-holds one step per Hadamard and RZ, each RZ with a parity table that picks
-one of its two phases per amplitude.  :func:`encode` runs it as one
-broadcast multiply per step, which gives each amplitude the gates' own
-factors in op order without simulating a gate, and it depends on the
-inputs only, so circuits that differ only in their parameters share it.
+:mod:`qccnn.autodiff` reads it.  The prefix is the patch encoding of the
+ansatz circuits, the diagonal ZZ feature map of Havlicek et al. 2019
+(arXiv:1804.11279): leading Hadamards on distinct qubits, then RZ phases
+with input angles, alone or framed by CNOTs.  The program holds the
+Hadamard qubits and one step per RZ, with a parity table that picks one
+of its two phases per amplitude.  :func:`encode` fills the Hadamards'
+amplitudes and runs each step as one broadcast multiply, which gives each
+amplitude the gates' own factors in op order without simulating a gate,
+and it depends on the inputs only, so circuits that differ only in their
+parameters share it.
 No input angle follows the prefix (:class:`Circuit` rejects one), so the
 body is one matrix for every row: :func:`unitary` builds it by running its
 gates on the 2**n identity columns, and a caller applies it to the
@@ -126,7 +127,8 @@ class Circuit:
     encoding prefix and a body: a qubit is measured at most once and is
     then only the control of a gate or the target of a Z-diagonal one; a
     conditioned gate is an RX, RY or RZ on a qubit not yet measured; and no
-    input angle follows the encoding prefix (see :func:`_compile_prefix`).
+    input angle follows the encoding prefix, so each one is an RZ after the
+    leading Hadamards, alone or framed by CNOTs (see :func:`_compile_prefix`).
     """
 
     num_qubits: int
@@ -183,8 +185,7 @@ class Circuit:
             raise ValueError(f"parameter slots never referenced: {missing}")
         for q in self.readout:
             self._check_qubit(q)
-        length, _ = _compile_prefix(self.num_qubits, self.ops)
-        if any(getattr(op, "input_idx", None) is not None for op in self.ops[length:]):
+        if any(op.input_idx is not None for op in self.split[1]):
             raise ValueError("an input angle follows the encoding prefix")
 
     def _check_qubit(self, q: int):
@@ -196,9 +197,11 @@ class Circuit:
         """The encoding prefix of the deferred ops as a phase program, and the ops after it.
 
         :func:`_compile_prefix` defines the prefix and the program, its
-        ``(op, parity table)`` steps, which :func:`encode` runs;
-        :func:`unitary` runs the ops after it, the body.
-        Cached in the instance ``__dict__``, which ``repr``, ``==`` and the hash ignore.
+        Hadamard qubits and ``(op, parity table)`` steps, which
+        :func:`encode` runs; :func:`unitary` runs the ops after it, the
+        body.  Construction reads it, to check that the body takes no input
+        angle.  Cached in the instance ``__dict__``, which ``repr``, ``==``
+        and the hash ignore.
         """
         ops = defer_measurements(self).ops
         length, program = _compile_prefix(self.num_qubits, ops)
@@ -211,47 +214,35 @@ class Circuit:
 
 
 def _compile_prefix(num_qubits: int, ops) -> tuple[int, tuple]:
-    """The length of the encoding prefix of `ops`, and its phase program.
+    """The length of the encoding prefix of the deferred `ops`, and its phase program.
 
-    The prefix is the longest leading run of Hadamards on qubits no earlier
-    op touched, X and CNOT gates, and RZ gates with an input or constant
-    angle, cut back to the last op after which the X/CNOT frame is the
-    identity.  A measurement is passed over, as deferring drops it, and a
-    conditioned gate ends the run.  The frame maps a basis state b of the
-    Hadamards' superposition to the current one: current bit q is the
-    parity of ``b & masks[q]``, flipped when ``flips[q]`` is set.  A fresh
-    qubit's Hadamard commutes with the frame and every phase before it, so
+    The prefix is the Hadamards on distinct qubits that lead `ops`, then the
+    longest run of CNOT gates and RZ gates with an input angle, cut back to
+    the last op after which the CNOT frame is the identity.  Any other op
+    ends it.  The frame maps a basis state b of the Hadamards' superposition
+    to the current one: current bit q is the parity of ``b & masks[q]``.  So
     at the end of the prefix the state is the superposition with one phase
     per RZ, on the Z-string of its target's frame row.
 
-    The program is one step per Hadamard and RZ, in op order: ``(op,
-    table)``.  A Hadamard's table is None.  An RZ's is an n-axis integer
-    array in the axis order of the state view, of size 2 on the axis of
-    each Hadamard qubit in its Z-string and 1 on every other: the parity of
-    those qubits' bits, XOR the frame's flip, which indexes the RZ's two
-    phases.
+    The program is ``(hadamard qubits, steps)``, with one ``(op, table)``
+    step per RZ in op order.  The table is an n-axis integer array in the
+    axis order of the state view, of size 2 on the axis of each Hadamard
+    qubit in the RZ's Z-string and 1 on every other: the parity of those
+    qubits' bits, which indexes the RZ's two phases.
     """
     masks = [1 << q for q in range(num_qubits)]  # the frame's rows
-    flips = [False] * num_qubits
-    touched, hadamards, steps = set(), [], []
-    length, program = 0, ()
+    hadamards, steps = [], []
+    length, program = 0, ((), ())
     for i, op in enumerate(ops):
-        if isinstance(op, MidMeasure):
-            continue
-        if op.condition is not None or op.param_slot is not None:
-            break
-        if op.kind == "H" and op.targets[0] not in touched:
+        leading = i == len(hadamards)  # every earlier op is a Hadamard
+        if op.kind == "H" and leading and op.targets[0] not in hadamards:
             hadamards.append(op.targets[0])
-            steps.append((op, None))
-        elif op.kind == "X":
-            flips[op.targets[0]] ^= True
         elif op.kind == "CNOT":
             control, target = op.targets
             masks[target] ^= masks[control]
-            flips[target] ^= flips[control]
-        elif op.kind == "RZ":
+        elif op.kind == "RZ" and op.input_idx is not None:
             q = op.targets[0]
-            table = np.full((1,) * num_qubits, flips[q], dtype=np.intp)
+            table = np.zeros((1,) * num_qubits, dtype=np.intp)
             for h in hadamards:
                 if masks[q] >> h & 1:  # qubit h's bit, along axis n-1-h
                     table = table ^ np.arange(2).reshape((2,) + (1,) * h)
@@ -259,9 +250,8 @@ def _compile_prefix(num_qubits: int, ops) -> tuple[int, tuple]:
             steps.append((op, table))
         else:
             break
-        touched.update(op.targets)
-        if not any(flips) and all(m == 1 << q for q, m in enumerate(masks)):
-            length, program = i + 1, tuple(steps)
+        if all(m == 1 << q for q, m in enumerate(masks)):
+            length, program = i + 1, (tuple(hadamards), tuple(steps))
     return length, program
 
 
@@ -378,13 +368,11 @@ def _rotations(ops, params: np.ndarray, sign: float = 1.0) -> list:
     return out
 
 
-def _resolve_angle(op: GateOp, inputs: np.ndarray):
-    """Angle for one encoding rotation: a per-row vector, or a scalar constant.
+def _resolve_angle(op: GateOp, inputs: np.ndarray) -> np.ndarray:
+    """Per-row angle of one encoding RZ: pi times the product of its inputs.
 
     `inputs` is a (rows, num_inputs) matrix.
     """
-    if op.input_idx is None:
-        return op.angle
     prod = inputs[:, op.input_idx[0]]
     for i in op.input_idx[1:]:
         prod = prod * inputs[:, i]
@@ -479,41 +467,36 @@ def encode(circuit: Circuit, inputs) -> np.ndarray:
 
     `inputs` is a (rows, num_inputs) matrix; an input-free circuit takes
     (rows, 0).  The amplitudes the Hadamards reach, every Hadamard qubit
-    either 0 or 1 and every other qubit 0, start at 1; each program step
-    multiplies all of them at once, by 1/sqrt(2) for a Hadamard and by the
-    phase its parity table picks for an RZ.  Each amplitude so receives the
-    same factors, in the same order, as from the prefix's gates, and the
-    state equals theirs to the bit.
+    either 0 or 1 and every other qubit 0, start at 1 multiplied by
+    1/sqrt(2) once per Hadamard, as the h Hadamards leave them; each RZ
+    step then multiplies all of them at once by the phase its parity table
+    picks.
+    Each amplitude so receives the same factors, in the same order, as from
+    the prefix's gates, and the state equals theirs to the bit.
     """
     inputs = _check_inputs(circuit, inputs)
     rows = inputs.shape[0]
     n = circuit.num_qubits
-    program = circuit.split[0]
-    phases = [op for op, table in program if table is not None]
-    angles = np.empty((len(phases), rows))
-    for i, op in enumerate(phases):
+    hadamards, steps = circuit.split[0]
+    angles = np.empty((len(steps), rows))
+    for i, (op, _) in enumerate(steps):
         angles[i] = _resolve_angle(op, inputs)
     c, s = _half_angle(angles)  # one cos/sin pass for every RZ
     # The gates' phases c - 1j*s and c + 1j*s to the bit, without complex
     # temporaries: 1j*s has real part +-0, which leaves c as it is (a cosine
     # is never 0), and imaginary part s, so the imaginary parts are 0 - s and 0 + s.
-    phase = np.empty((len(phases), 2, rows), dtype=complex)
+    phase = np.empty((len(steps), 2, rows), dtype=complex)
     phase.real = c[:, None]
     np.subtract(0.0, s, out=phase[:, 0].imag)
     np.add(0.0, s, out=phase[:, 1].imag)
-    factors = iter(phase)  # each RZ's phases on parity 0 and 1
     state = np.zeros((1 << n, rows), dtype=complex)
     region = [slice(1)] * n  # the amplitudes the Hadamards reach
-    for op, table in program:
-        if table is None:
-            region[n - 1 - op.targets[0]] = slice(None)
+    for q in hadamards:
+        region[n - 1 - q] = slice(None)
     amp = _state_view(circuit, state, (rows,))[tuple(region)]
-    amp[...] = 1.0
-    for op, table in program:
-        if table is None:
-            amp *= _INV_SQRT2
-        else:
-            amp *= next(factors)[table]
+    amp[...] = math.prod((_INV_SQRT2,) * len(hadamards))
+    for (_, table), factors in zip(steps, phase):
+        amp *= factors[table]
     return state
 
 

@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import zipfile
 from dataclasses import fields, replace
 from pathlib import Path
@@ -302,6 +305,12 @@ def _blocked_argv(tmp_path, argv, name):
     return [*argv, "--out", str(tmp_path)]
 
 
+def _overflowing_head(state):
+    """An `_eval_argv` edit: head weights of 1e308, so every logit overflows."""
+    weights = np.full(np.shape(state["params"]["head_weights"]), 1e308)
+    return _params(head_weights=weights.tolist())(state)
+
+
 def _checkpoint(**changes):
     """An `_eval_argv` edit: the checkpoint with `changes` over its fields."""
     return lambda state: json.dumps({**state, **changes})
@@ -525,6 +534,8 @@ FAILURES = [
     ("non-finite-training", lambda tmp: [*TRAIN, "--lr", "1e308", "--epochs", "3",
                                          "--seeds", "0", "--out", str(tmp / "run")], {},
      EXIT_NUMERIC, "at epoch 0", "head_weights"),
+    ("eval-non-finite-loss", lambda tmp: _eval_argv(tmp, _overflowing_head), {}, EXIT_NUMERIC,
+     "non-finite train and val loss"),
     ("ed-kappa-at-most-one", lambda tmp: [*SMALL_ED, "--n", "2", "--out", str(tmp / "ed")],
      {}, EXIT_NUMERIC, "<= 1; effective dimension undefined"),
 ]
@@ -561,8 +572,7 @@ def _assert_exits_with_its_class(tmp_path, capsys, monkeypatch, row):
     # A configuration error makes no directory; the others may make --out.
     with_dirs = code == EXIT_CONFIG
     before = _tree(tmp_path, with_dirs)
-    with np.errstate(all="ignore"):  # the non-finite training row overflows on purpose
-        got, out, err = _run(capsys, argv)
+    got, out, err = _run(capsys, argv)
     assert got == code, err
     assert err.startswith(CLASS_PREFIX[code]), err
     for fragment in fragments:
@@ -588,6 +598,85 @@ def test_malformed_input_is_data_error(tmp_path, capsys, monkeypatch, row):
 @_failures(data=False)
 def test_config_or_numeric_failure_exits_with_its_class(tmp_path, capsys, monkeypatch, row):
     _assert_exits_with_its_class(tmp_path, capsys, monkeypatch, row)
+
+
+def test_numeric_failure_prints_one_stderr_line(tmp_path):
+    # In a process of its own: pytest's warning capture would hide numpy's
+    # RuntimeWarnings from capsys.
+    argv = ["train", "--data", "synthetic:train_n=1,val_n=1,size=4", "--epochs", "1",
+            "--lr", "1e308", "--ansatz", "classical", "--seeds", "0", "--out", str(tmp_path / "x")]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "qccnn.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_NUMERIC
+    assert done.stdout == ""
+    assert done.stderr == "numeric failure: non-finite val_loss at epoch 0\n"
+
+
+# One record header field of a valid archive set to an edge value: (field, value).
+HEADER_EDGES = [
+    *[("shape", v) for v in (0, -1, 2**40, 2.5)],
+    *[("descr", v) for v in ("<f8", "|O", "<U3", "garbage")],
+    *[("fortran_order", v) for v in (True, "yes")],
+    *[("version", v) for v in (0, 4, 255)],
+    ("header_len", "past the record"),
+]
+ARCHIVE_RECORDS = {
+    "train_images": np.arange(4 * 8 * 8, dtype=np.uint8).reshape(4, 8, 8),
+    "train_labels": np.array([0, 1, 0, 1], dtype=np.uint8),
+    "val_images": np.arange(2 * 8 * 8, dtype=np.uint8).reshape(2, 8, 8)[:, ::-1],
+    "val_labels": np.array([1, 0], dtype=np.uint8),
+}
+
+
+def _header_mutations(count: int, seed: int) -> list:
+    """`count` distinct cases (record, field, value, shape index), each edge in turn.
+
+    The record, and the shape entry a shape edge replaces, are drawn.
+    """
+    rng = np.random.default_rng(seed)
+    cases = {}
+    while len(cases) < count:
+        field, value = HEADER_EDGES[len(cases) % len(HEADER_EDGES)]
+        key = list(ARCHIVE_RECORDS)[rng.integers(len(ARCHIVE_RECORDS))]
+        index = int(rng.integers(ARCHIVE_RECORDS[key].ndim))
+        name = f"{key}-{field}{f'[{index}]' if field == 'shape' else ''}={value}"
+        cases.setdefault(name, pytest.param(key, field, value, index, id=name))
+    return list(cases.values())
+
+
+def _npy_record(array, field, value, index) -> bytes:
+    """`array` as a version 1.0 array record, its header's `field` set to `value`."""
+    header = {"descr": array.dtype.str, "fortran_order": False, "shape": array.shape}
+    if field == "shape":
+        header["shape"] = tuple(value if i == index else n for i, n in enumerate(array.shape))
+    elif field in header:
+        header[field] = value
+    text = repr(header).encode("latin-1")
+    text += b" " * (-(len(text) + 11) % 64) + b"\n"  # the data starts 64-byte aligned
+    data = np.ascontiguousarray(array).tobytes()
+    size = len(text) + len(data) + 7 if field == "header_len" else len(text)
+    version = value if field == "version" else 1
+    return b"\x93NUMPY" + bytes([version, 0]) + size.to_bytes(2, "little") + text + data
+
+
+@pytest.mark.parametrize("key,field,value,index", _header_mutations(30, seed=29))
+def test_archive_header_edges_exit_cleanly(tmp_path, capsys, key, field, value, index):
+    # A seeded sweep over one record header of a small valid archive: each
+    # case trains or is refused as a data error, and never tracebacks.
+    archive = tmp_path / "data.npz"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for name, array in ARCHIVE_RECORDS.items():
+            edit = (field, value, index) if name == key else (None, None, None)
+            zf.writestr(name + ".npy", _npy_record(array, *edit))
+    before = _tree(tmp_path, with_dirs=False)
+    code, out, err = _run(capsys, ["train", "--data", str(archive), "--ansatz", "classical",
+                                   "--epochs", "1", "--seeds", "0", "--out", str(tmp_path / "x")])
+    assert code in (EXIT_OK, EXIT_DATA), err
+    assert "Traceback" not in err
+    if code == EXIT_DATA:
+        assert err.startswith(CLASS_PREFIX[EXIT_DATA]) and out == ""
+        assert _tree(tmp_path, with_dirs=False) == before
 
 
 def test_parser_reuse_leaks_no_option_between_calls(tmp_path, monkeypatch):

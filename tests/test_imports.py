@@ -1,11 +1,14 @@
-"""Every import in the package is used."""
+"""Every import in the package is used, and names a declared dependency."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qccnn"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qccnn"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -42,3 +45,35 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_found():
     source = "import itertools\nimport math  # noqa: F401\nfrom os import path, sep\nsep\n"
     assert _unused_imports(source) == ["line 1: itertools", "line 3: path"]
+
+
+def _imported_modules(source: str) -> set[str]:
+    """The top-level module of each absolute import in `source`."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+def _declared_dependencies() -> set[str]:
+    """The distribution names in pyproject.toml's ``[project] dependencies``."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        requirements = tomllib.load(f)["project"]["dependencies"]
+    return {re.match(r"\s*([\w.-]+)", req)[1] for req in requirements}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_declared(path):
+    # An installed but undeclared package (scipy, say) would pass here and fail for users.
+    allowed = set(sys.stdlib_module_names) | {"qccnn"} | _declared_dependencies()
+    assert _imported_modules(path.read_text(encoding="utf-8")) - allowed == set()
+
+
+def test_an_undeclared_import_is_found():
+    source = "import os.path\nimport scipy.linalg\nfrom numpy import linalg\nfrom . import sim\n"
+    assert _imported_modules(source) - set(sys.stdlib_module_names) == {"scipy", "numpy"}
+    assert _declared_dependencies() == {"numpy"}

@@ -162,11 +162,13 @@ def test_layer_builds_kernel_matrices_once_per_parameter_version(monkeypatch):
 
 @pytest.mark.parametrize("key", ["midcircuit-rx", "mod-c"])
 def test_circuit_defers_once_across_layer_and_readout_gradient(key, monkeypatch):
+    built = build_ansatz(key)
     calls = []
     defer = sim.defer_measurements
     monkeypatch.setattr(sim, "defer_measurements", lambda c: calls.append(c) or defer(c))
-    built = build_ansatz(key)
-    circuit = replace(built.circuit)  # a fresh instance: no split read yet
+    circuit = replace(built.circuit)  # a fresh instance, which reads its split when built
+    assert calls[0] is circuit  # a measured circuit's deferred form reads its own split too
+    calls.clear()
     rng = np.random.default_rng(62)
     layer = QuantumConvLayer(replace(built, circuit=circuit), stride=2, rng=rng)
     for _ in range(2):
@@ -177,7 +179,7 @@ def test_circuit_defers_once_across_layer_and_readout_gradient(key, monkeypatch)
     pair = np.stack((state, np.empty_like(state)))  # readout_gradient writes λ to [1]
     params = np.repeat(layer.params[:1], 3, axis=0)
     readout_gradient(circuit, params, np.ones((3, len(circuit.readout))), pair)
-    assert len(calls) <= 1
+    assert calls == []
     # The cached split changes neither equality, the hash nor the repr.
     assert circuit == built.circuit and hash(circuit) == hash(built.circuit)
     assert repr(circuit) == repr(built.circuit)
