@@ -8,7 +8,7 @@ Fisher-information effective-dimension analysis of every circuit.
 from .circuits import ANSATZ_KEYS, Ansatz, build_ansatz
 from .data import Dataset, DataError, SyntheticSpec, generate_synthetic, load_dataset
 from .nn import HybridModel, fit, make_model
-from .sim import Circuit, GateOp, MidMeasure, defer_measurements
+from .sim import Circuit, GateOp, MidMeasure
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,6 @@ __all__ = [
     "MidMeasure",
     "SyntheticSpec",
     "build_ansatz",
-    "defer_measurements",
     "fit",
     "generate_synthetic",
     "load_dataset",

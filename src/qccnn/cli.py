@@ -345,7 +345,9 @@ def cmd_eval(cfg: RunConfig, checkpoint: str) -> int:
         model.load_state_dict(state)
     except OSError as exc:
         raise DataError(f"cannot read checkpoint: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:  # parse error, missing key, bad record
+    # A parse error, a missing key or a bad record; JSON nested past Python's
+    # recursion limit ends its decoding in a RecursionError.
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DataError(f"malformed checkpoint {checkpoint}: {exc!r}") from exc
     # Both splits before any line, so a failure prints nothing to stdout.
     results = [(name, *evaluate(model, dataset), len(dataset)) for name, dataset in splits]

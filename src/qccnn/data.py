@@ -33,7 +33,6 @@ class Dataset:
 
     images: np.ndarray
     labels: np.ndarray
-    split: str = "train"
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=float)
@@ -168,7 +167,7 @@ def load_array_archive(path) -> tuple[Dataset, Dataset]:
         images, labels = records[f"{split}_images"], records[f"{split}_labels"].reshape(-1)
         if not np.isin(labels, (0, 1)).all():
             raise DataError(f"record '{split}_labels': non-binary labels present")
-        datasets.append(Dataset(normalize_pixels(images.reshape(images.shape[:3])), labels, split))
+        datasets.append(Dataset(normalize_pixels(images.reshape(images.shape[:3])), labels))
     return datasets[0], datasets[1]
 
 
@@ -222,7 +221,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     rr, cc = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     centers = {0: (size // 4, size // 4), 1: (3 * size // 4, 3 * size // 4)}
 
-    def make(split: str, n: int) -> Dataset:
+    def make(n: int) -> Dataset:
         labels = (np.arange(n) % 2).astype(np.int64)
         images = np.empty((n, size, size))
         for i, label in enumerate(labels):
@@ -230,9 +229,9 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
             blob = np.exp(-((rr - cr) ** 2 + (cc - ccol) ** 2) / (2.0 * 1.2**2))
             noise = rng.uniform(-_SYNTHETIC_NOISE, _SYNTHETIC_NOISE, (size, size))
             images[i] = np.clip(-0.85 + 1.7 * blob + noise, -1.0, 1.0)
-        return Dataset(images, labels, split)
+        return Dataset(images, labels)
 
-    return make("train", spec.train_n), make("val", spec.val_n)
+    return make(spec.train_n), make(spec.val_n)
 
 
 # ---------------------------------------------------------------------------

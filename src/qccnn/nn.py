@@ -3,13 +3,13 @@
 The quantum front end slides four parallel kernels over the image, one
 circuit evaluation per 2x2 patch per kernel: the patch encoding is
 computed once per batch, and each kernel then acts on it as one
-2**n x 2**n matrix (``Circuit.split`` defers the circuit once and splits
-it into that encoding and the kernel's body).  The kernels' matrices are
-built together, and their backward is one walk, each on kernels x 2**n
-columns.  The conv-without-pooling variant uses a single kernel whose four
-readouts form the four feature maps, so every configuration feeds the
-dense head 4 x H' x W' features.  Training uses softmax cross-entropy and
-Adam.
+2**n x 2**n matrix (a circuit defers and splits itself into that encoding
+and the kernel's body once, when it is built: ``Circuit.split``).  The
+kernels' matrices are built together, and their backward is one walk,
+each on kernels x 2**n columns.  The conv-without-pooling variant uses a
+single kernel whose four readouts form the four feature maps, so every
+configuration feeds the dense head 4 x H' x W' features.  Training uses
+softmax cross-entropy and Adam.
 
 Both fronts share one interface: ``parameters()`` returns the live arrays by
 checkpoint group (``kernels``, or ``filters`` and ``conv_bias``), which
@@ -273,14 +273,17 @@ def make_model(front_key: str, image_shape: tuple[int, int], stride: int = 2,
 # ---------------------------------------------------------------------------
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators per parameter group."""
 
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -294,11 +297,11 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> AdamState:
         if name not in state.m:
             state.m[name] = np.zeros_like(params[name])
             state.v[name] = np.zeros_like(params[name])
-        m = state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * grad
-        v = state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * grad**2
-        m_hat = m / (1 - state.beta1**t)
-        v_hat = v / (1 - state.beta2**t)
-        params[name] -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m = state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * grad
+        v = state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * grad**2
+        m_hat = m / (1 - ADAM_BETA1**t)
+        v_hat = v / (1 - ADAM_BETA2**t)
+        params[name] -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return state
 
 

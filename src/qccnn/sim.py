@@ -19,24 +19,23 @@ cached per (n, kind, targets).  So a pair of states stacked on one more
 qubit above the circuit's, as the adjoint walk holds them, takes each gate
 in one call.
 Mid-circuit measurements and classically conditioned gates always execute
-exactly: :func:`defer_measurements` rewrites each conditioned rotation to a
-controlled rotation on the measured qubit.  :class:`Circuit` checks every
-rule that makes this rewrite exact when it is built, so the rewrite itself
-rejects nothing.
+exactly, deferred: each conditioned rotation becomes a controlled rotation
+on the measured qubit.  :class:`Circuit` does this in the one walk that
+checks its rules when it is built, so the check that passes an op is the
+one that makes its rewrite exact.  The same walk splits the deferred ops
+into the encoding prefix, compiled into a phase program, and the body, the
+ops after it, and stores both as :attr:`Circuit.split`, which every
+function here and in :mod:`qccnn.autodiff` reads.
 
-:attr:`Circuit.split` owns the deferral and the split: it defers the circuit
-once and splits the result into the encoding prefix, compiled into a phase
-program, and the body, the ops after it; every function here and in
-:mod:`qccnn.autodiff` reads it.  The prefix is the patch encoding of the
-ansatz circuits, the diagonal ZZ feature map of Havlicek et al. 2019
-(arXiv:1804.11279): leading Hadamards on distinct qubits, then RZ phases
-with input angles, alone or framed by CNOTs.  The program holds the
-Hadamard qubits and one step per RZ, with a parity table that picks one
-of its two phases per amplitude.  :func:`encode` fills the Hadamards'
-amplitudes and runs each step as one broadcast multiply, which gives each
-amplitude the gates' own factors in op order without simulating a gate,
-and it depends on the inputs only, so circuits that differ only in their
-parameters share it.
+The prefix is the patch encoding of the ansatz circuits, the diagonal ZZ
+feature map of Havlicek et al. 2019 (arXiv:1804.11279): leading Hadamards
+on distinct qubits, then RZ phases with input angles, alone or framed by
+CNOTs.  The program holds the Hadamard qubits and one step per RZ, with
+a parity table that picks one of its two phases per amplitude.
+:func:`encode` fills the Hadamards' amplitudes and runs each step as one
+broadcast multiply, which gives each amplitude the gates' own factors in
+op order without simulating a gate, and it depends on the inputs only, so
+circuits that differ only in their parameters share it.
 No input angle follows the prefix (:class:`Circuit` rejects one), so the
 body is one matrix for every row: :func:`unitary` builds it by running its
 gates on the 2**n identity columns, and a caller applies it to the
@@ -50,8 +49,8 @@ expectations off a final state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,13 +121,18 @@ class Circuit:
     """Ordered gate program with trainable parameter and input slots.
 
     `readout` lists the qubits whose Pauli-Z expectations
-    :func:`readouts` returns, in order.  Construction checks the
-    template rules, so every circuit can be deferred and splits into an
-    encoding prefix and a body: a qubit is measured at most once and is
-    then only the control of a gate or the target of a Z-diagonal one; a
-    conditioned gate is an RX, RY or RZ on a qubit not yet measured; and no
-    input angle follows the encoding prefix, so each one is an RZ after the
-    leading Hadamards, alone or framed by CNOTs (see :func:`_compile_prefix`).
+    :func:`readouts` returns, in order.  Construction walks the ops once: it
+    checks the template rules and builds `deferred`, the ops with each
+    conditioned rotation rewritten to a controlled rotation whose control is
+    the measured qubit.  The rules are what make that rewrite exact: a qubit
+    is measured at most once and is then only the control of a gate or the
+    target of a Z-diagonal one; a conditioned gate is an RX, RY or RZ on a
+    qubit not yet measured.  `split` is the encoding prefix of `deferred`
+    as a phase program (see :func:`_compile_prefix`), which :func:`encode`
+    runs, and the ops after it, the body, which :func:`unitary` runs.  No
+    input angle may follow the prefix, so each one is an RZ after the
+    leading Hadamards, alone or framed by CNOTs.  Neither field takes part
+    in ``repr``, ``==`` or the hash.
     """
 
     num_qubits: int
@@ -136,6 +140,8 @@ class Circuit:
     num_params: int = 0
     num_inputs: int = 0
     readout: tuple[int, ...] = ()
+    deferred: tuple = field(init=False, repr=False, compare=False)
+    split: tuple[tuple, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.num_qubits <= MAX_QUBITS:
@@ -143,6 +149,7 @@ class Circuit:
         seen_slots = set()
         qubit_of_bit: dict[int, int] = {}
         measured = qubit_of_bit.values()  # a live view: the qubits measured so far
+        deferred = []
         for op in self.ops:
             if isinstance(op, MidMeasure):
                 self._check_qubit(op.qubit)
@@ -171,41 +178,34 @@ class Circuit:
                         f"{op.kind} on {op.targets} reuses a measured qubit; outside the"
                         " deferred-measurement-valid class"
                     )
+                deferred.append(op)
                 continue
             if op.condition not in qubit_of_bit:
                 raise ValueError(f"condition on classical bit {op.condition} before it is assigned")
             if op.kind not in _CONTROLLED_FORM:
                 raise ValueError(f"conditioned {op.kind} cannot be deferred; only RX/RY/RZ can")
-            if target == qubit_of_bit[op.condition]:
+            control = qubit_of_bit[op.condition]
+            if target == control:
                 raise ValueError(f"conditioned gate targets its own measured qubit {target}")
             if target in measured:
                 raise ValueError(f"conditioned gate targets already-measured qubit {target}")
+            deferred.append(replace(op, kind=_CONTROLLED_FORM[op.kind],
+                                    targets=(control, *op.targets), condition=None))
         if seen_slots != set(range(self.num_params)):
             missing = sorted(set(range(self.num_params)) - seen_slots)
             raise ValueError(f"parameter slots never referenced: {missing}")
         for q in self.readout:
             self._check_qubit(q)
-        if any(op.input_idx is not None for op in self.split[1]):
+        deferred = tuple(deferred)
+        length, program = _compile_prefix(self.num_qubits, deferred)
+        if any(op.input_idx is not None for op in deferred[length:]):
             raise ValueError("an input angle follows the encoding prefix")
+        object.__setattr__(self, "deferred", deferred)
+        object.__setattr__(self, "split", (program, deferred[length:]))
 
     def _check_qubit(self, q: int):
         if not 0 <= q < self.num_qubits:
             raise ValueError(f"qubit {q} out of range for {self.num_qubits}-qubit circuit")
-
-    @cached_property
-    def split(self) -> tuple[tuple, tuple]:
-        """The encoding prefix of the deferred ops as a phase program, and the ops after it.
-
-        :func:`_compile_prefix` defines the prefix and the program, its
-        Hadamard qubits and ``(op, parity table)`` steps, which
-        :func:`encode` runs; :func:`unitary` runs the ops after it, the
-        body.  Construction reads it, to check that the body takes no input
-        angle.  Cached in the instance ``__dict__``, which ``repr``, ``==``
-        and the hash ignore.
-        """
-        ops = defer_measurements(self).ops
-        length, program = _compile_prefix(self.num_qubits, ops)
-        return program, ops[length:]
 
 
 # ---------------------------------------------------------------------------
@@ -407,37 +407,6 @@ def _check_inputs(circuit: Circuit, inputs) -> np.ndarray:
     if np.any(np.abs(inputs) > 1.0 + 1e-12):
         raise ValueError("inputs must be normalized to [-1, 1]")
     return inputs
-
-
-# ---------------------------------------------------------------------------
-# deferred-measurement rewriting
-# ---------------------------------------------------------------------------
-
-
-def defer_measurements(circuit: Circuit) -> Circuit:
-    """Rewrite mid-circuit measurements into controlled gates.
-
-    Each gate conditioned on a recorded bit becomes the corresponding
-    controlled gate with the measured qubit as quantum control.  Final
-    readout expectations equal the outcome-averaged conditional expectations
-    of the original circuit.  :class:`Circuit` has checked that every
-    measurement can be deferred, so the rewrite rejects nothing.  Circuits
-    without measurements are returned unchanged.
-    """
-    if not any(isinstance(op, MidMeasure) for op in circuit.ops):
-        return circuit
-    qubit_of_bit: dict[int, int] = {}
-    ops = []
-    for op in circuit.ops:
-        if isinstance(op, MidMeasure):
-            qubit_of_bit[op.classical_bit] = op.qubit
-        elif op.condition is None:
-            ops.append(op)
-        else:
-            control = qubit_of_bit[op.condition]
-            ops.append(replace(op, kind=_CONTROLLED_FORM[op.kind],
-                               targets=(control, *op.targets), condition=None))
-    return replace(circuit, ops=tuple(ops))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ The parameter-shift jacobian differentiates on the same dense matrices, so it
 checks the production adjoint gradient independently of its backward walk.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from qccnn.sim import Circuit, GateOp, MidMeasure
@@ -67,6 +69,12 @@ def op_unitary(op: GateOp, n: int, params, inputs=None) -> np.ndarray:
     elif op.angle is not None:
         theta = float(op.angle)
     return gate_unitary(op.kind, op.targets, n, theta)
+
+
+def deferred_circuit(circuit: Circuit) -> Circuit:
+    """`circuit` as the measurement-free circuit of its deferred ops; itself if it measures nothing."""
+    measures = any(isinstance(op, MidMeasure) for op in circuit.ops)
+    return replace(circuit, ops=circuit.deferred) if measures else circuit
 
 
 def circuit_unitary(circuit: Circuit, params, inputs=None) -> np.ndarray:

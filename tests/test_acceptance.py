@@ -24,9 +24,10 @@ from qccnn.circuits import ANSATZ_KEYS, build_ansatz, higher_order_encoding_temp
 from qccnn.cli import main as cli_main
 from qccnn.data import SyntheticSpec, generate_synthetic
 from qccnn.nn import fit, make_model
-from qccnn.sim import Circuit, defer_measurements, encode, run_deferred_batch, unitary
+from qccnn.sim import Circuit, encode, run_deferred_batch, unitary
 
 from oracles import (
+    deferred_circuit,
     finite_difference_gradient,
     jacobian_rank,
     param_shift_jacobian,
@@ -239,7 +240,7 @@ def _rank_of_d(key: str) -> str:
     printed next to the ED as context and checked nowhere here.
     """
     ansatz = build_ansatz(key)
-    circuit = defer_measurements(ansatz.circuit)
+    circuit = deferred_circuit(ansatz.circuit)
     rng = np.random.default_rng(70)
     theta = rng.uniform(-math.pi, math.pi, ansatz.num_params)
     jac = np.concatenate(

@@ -12,13 +12,13 @@ from qccnn.nn import ClassicalConvLayer, QuantumConvLayer
 from qccnn.sim import (
     Circuit,
     GateOp,
-    defer_measurements,
     encode,
     run_deferred_batch,
     unitary,
 )
 
 from oracles import (
+    deferred_circuit,
     encoded_random_circuit,
     finite_difference_gradient,
     param_shift_jacobian,
@@ -90,7 +90,7 @@ def test_parameter_shift_matches_finite_differences(key):
     for _ in range(3):
         x = rng.uniform(-1, 1, 4)
         theta = rng.uniform(-math.pi, math.pi, ansatz.num_params)
-        jac = param_shift_jacobian(defer_measurements(circuit), theta, x)
+        jac = param_shift_jacobian(deferred_circuit(circuit), theta, x)
         for readout_index in range(ansatz.num_readouts):
             fd = finite_difference_gradient(
                 lambda p: run_deferred_batch(circuit, p, x[None])[0][readout_index], theta
@@ -110,7 +110,7 @@ def test_adjoint_matches_parameter_shift_oracle(key):
     weights = rng.normal(size=(7, ansatz.num_readouts))
     got = _adjoint(ansatz.circuit, theta, weights, xs)
     assert got.shape == (7, ansatz.num_params)
-    deferred = defer_measurements(ansatz.circuit)
+    deferred = deferred_circuit(ansatz.circuit)
     for r in range(7):
         want = param_shift_jacobian(deferred, theta, xs[r]) @ weights[r]
         np.testing.assert_allclose(got[r], want, rtol=0, atol=1e-12)
@@ -135,7 +135,7 @@ def test_gradient_on_undeferred_equals_deferred():
     x = rng.uniform(-1, 1, 4)
     theta = rng.uniform(-math.pi, math.pi, 6)
     direct = _gradient(circuit, theta, 0, x[None])
-    explicit = _gradient(defer_measurements(circuit), theta, 0, x[None])
+    explicit = _gradient(deferred_circuit(circuit), theta, 0, x[None])
     np.testing.assert_allclose(direct, explicit, atol=1e-14)
 
 

@@ -20,9 +20,9 @@ from qccnn.capacity import (
 )
 from qccnn.circuits import build_ansatz
 from qccnn.data import SyntheticSpec, generate_synthetic
-from qccnn.sim import Circuit, GateOp, defer_measurements, encode, readouts, run_deferred_batch
+from qccnn.sim import Circuit, GateOp, encode, readouts, run_deferred_batch
 
-from oracles import finite_difference_gradient, z_expectations_oracle
+from oracles import deferred_circuit, finite_difference_gradient, z_expectations_oracle
 
 
 def _rx_toy():
@@ -115,7 +115,7 @@ def test_forward_matches_dense_oracle_per_draw(key):
     xs = rng.uniform(-1, 1, (12, 4))
     pair, probs = capacity._forward(circuit, thetas, xs)
     got = readouts(circuit, pair[0])
-    deferred = defer_measurements(circuit)
+    deferred = deferred_circuit(circuit)
     want = [z_expectations_oracle(deferred, thetas[r // 4], x) for r, x in enumerate(xs)]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(probs, class_probabilities(np.array(want)), rtol=0, atol=1e-12)

@@ -19,13 +19,12 @@ from qccnn.capacity import uniform_input_sampler
 from qccnn.sim import (
     Circuit,
     GateOp,
-    defer_measurements,
     encode,
     run_deferred_batch,
     unitary,
 )
 
-from oracles import jacobian_rank, param_shift_jacobian, z_expectations_oracle
+from oracles import deferred_circuit, jacobian_rank, param_shift_jacobian, z_expectations_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +233,30 @@ def test_ansatz_matches_its_pin(key):
     assert hashlib.sha256(text.encode()).hexdigest() == ANSATZ_PINS[key]
 
 
+# key -> sha256 of repr(circuit.deferred), the ops every run executes: any
+# edit to the deferral or to the ops it rewrites changes this table.  The
+# three keys without a measurement defer to the same `conv` ops.
+DEFERRED_PINS = {
+    "conv": "e89e91040acc5060b0a855e8d71696f3ad7a67b12ec31f6eab07f47a135e2019",
+    "midcircuit-rx": "d0e674a1980fec0e824836592e9be07df035edcedd9f6e51b51391f6002c2e38",
+    "midcircuit-ry": "33422a77eaae108dc71a28d5e5d3cb6c6369f2ae7712818ac16b1017e4113d95",
+    "ancilla-cy": "d36b7593ae3706daa659a78e3e43de471199ad2c63cac6bce0bb2a9eec38eb41",
+    "ancilla-cz": "e7d77cf2035bbde2f622112b424c48a2123834108c8286d2055ac582b3cf30d8",
+    "mod-a": "0f4e8b0ff3326fa3f246a67c9e2380695cc47a70d53350f575c134497052536c",
+    "mod-b": "eeca4388494da2e22c25861080e114dd3914ac136261e70351c2e633b796f2d0",
+    "mod-c": "03f314061b4df2eb56c3be6ea59746520b4ef2edd07b59ec8801b9d9db0e092c",
+    "select-sign": "e89e91040acc5060b0a855e8d71696f3ad7a67b12ec31f6eab07f47a135e2019",
+    "select-tanh": "e89e91040acc5060b0a855e8d71696f3ad7a67b12ec31f6eab07f47a135e2019",
+}
+
+
+@pytest.mark.parametrize("key", ANSATZ_KEYS)
+def test_deferred_ops_match_their_pin(key):
+    assert tuple(DEFERRED_PINS) == ANSATZ_KEYS
+    text = repr(build_ansatz(key).circuit.deferred)
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFERRED_PINS[key]
+
+
 # ---------------------------------------------------------------------------
 # rank audit: the readout jacobian's rank and its dead parameters
 # ---------------------------------------------------------------------------
@@ -284,7 +307,7 @@ def test_readout_jacobian_rank_and_dead_parameters(key):
         scale = np.abs(jac).max()
         assert tuple(np.flatnonzero(np.abs(jac).max(axis=0) < 1e-12 * scale)) == dead
         # A few rows against the dense parameter-shift jacobian.
-        deferred = defer_measurements(ansatz.circuit)
+        deferred = deferred_circuit(ansatz.circuit)
         for r in (0, 17):
             want = param_shift_jacobian(deferred, theta, xs[r])
             np.testing.assert_allclose(jac[r :: len(xs)], want.T, atol=1e-12)

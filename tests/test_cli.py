@@ -1,7 +1,9 @@
 """Command line driver tests: schemas, determinism, exit codes, artifacts."""
 
 import argparse
+import functools
 import json
+import math
 import os
 import re
 import subprocess
@@ -26,6 +28,7 @@ from qccnn.cli import (
     read_config_file,
     read_metrics_csv,
 )
+from qccnn.nn import make_model
 
 SMALL_DATA = "synthetic:seed=0,train_n=24,val_n=8"
 
@@ -321,6 +324,22 @@ def _params(**changes):
     return lambda state: json.dumps({**state, "params": {**state["params"], **changes}})
 
 
+# JSON arrays nested 200,000 deep: the decoder recurses once per level and
+# stops at Python's recursion limit.
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+def _with_text(state: dict, group: str, field: str, text) -> str:
+    """`state` as JSON, `field` of `group` (``record`` or ``params``) as `text`; None deletes it."""
+    state = {**state, "params": dict(state["params"])}
+    target = state if group == "record" else state["params"]
+    if text is None:
+        del target[field]
+        return json.dumps(state)
+    target[field] = "\0"  # a placeholder no checkpoint holds
+    return json.dumps(state).replace(json.dumps("\0"), text)
+
+
 TRAIN = ["train", "--ansatz", "classical", "--data", SMALL_DATA]
 SMALL_ED = ["ed", "--ansatz", "select-tanh", "--theta-samples", "1", "--data-samples", "2"]
 ED_HEADER = "ansatz,seed,gamma,n,theta_samples,data_samples,inputs,d,ed,normalized_ed"
@@ -426,6 +445,11 @@ FAILURES = [
      "no such archive"),
     ("checkpoint-not-json", lambda tmp: _eval_argv(tmp, lambda s: "{not json"), {}, EXIT_DATA,
      "JSONDecodeError"),
+    ("checkpoint-deep-nesting", lambda tmp: _eval_argv(tmp, lambda s: DEEP_JSON), {}, EXIT_DATA,
+     "RecursionError"),
+    ("checkpoint-params-deep-nesting", lambda tmp: _eval_argv(
+        tmp, lambda s: _with_text(s, "record", "params", DEEP_JSON)), {}, EXIT_DATA,
+     "RecursionError"),
     ("checkpoint-missing-front", lambda tmp: _eval_argv(
         tmp, lambda s: json.dumps({k: v for k, v in s.items() if k != "front"})), {},
      EXIT_DATA, "KeyError('front')"),
@@ -677,6 +701,54 @@ def test_archive_header_edges_exit_cleanly(tmp_path, capsys, key, field, value, 
     if code == EXIT_DATA:
         assert err.startswith(CLASS_PREFIX[EXIT_DATA]) and out == ""
         assert _tree(tmp_path, with_dirs=False) == before
+
+
+# The JSON text one checkpoint field or parameter group is set to, by its
+# case id; None deletes the field.
+CHECKPOINT_EDGES = {
+    "deleted": None,
+    **{json.dumps(v): json.dumps(v) for v in (
+        None, 0, -1, 2**63, 1.5, math.nan, math.inf, "", [], {}, True, [2**40, 2**40])},
+    "deep": DEEP_JSON,
+}
+CHECKPOINT_FIELDS = {  # front -> (group, field) of its checkpoint
+    front: [("record", f) for f in ("format", "version", "front", "relu", "stride",
+                                    "image_shape", "params")] + [("params", g) for g in groups]
+    for front, groups in (("classical", ("head_weights", "head_bias", "filters", "conv_bias")),
+                          ("mod-a", ("head_weights", "head_bias", "kernels")))
+}
+
+
+def _checkpoint_mutations(count: int, seed: int) -> list:
+    """`count` distinct cases (front, group, field, edge), each edge in turn; the rest drawn."""
+    rng = np.random.default_rng(seed)
+    cases = {}
+    while len(cases) < count:
+        edge = list(CHECKPOINT_EDGES)[len(cases) % len(CHECKPOINT_EDGES)]
+        front = list(CHECKPOINT_FIELDS)[rng.integers(len(CHECKPOINT_FIELDS))]
+        group, field = CHECKPOINT_FIELDS[front][rng.integers(len(CHECKPOINT_FIELDS[front]))]
+        name = f"{front}-{group}.{field}={edge}"
+        cases.setdefault(name, pytest.param(front, group, field, edge, id=name))
+    return list(cases.values())
+
+
+@functools.lru_cache(maxsize=None)
+def _checkpoint_state(front: str) -> dict:
+    """A valid checkpoint of `front` for `SMALL_DATA`'s 8x8 images; `_with_text` copies it."""
+    return make_model(front, (8, 8), seed=0).state_dict()
+
+
+@pytest.mark.parametrize("front,group,field,edge", _checkpoint_mutations(40, seed=30))
+def test_checkpoint_field_edges_exit_cleanly(tmp_path, capsys, front, group, field, edge):
+    # A seeded sweep over one field of a small valid checkpoint: each case
+    # evaluates, or exits as a data or numeric failure, and never tracebacks.
+    path = tmp_path / "ck.json"
+    path.write_text(_with_text(_checkpoint_state(front), group, field, CHECKPOINT_EDGES[edge]))
+    code, out, err = _run(capsys, ["eval", str(path), "--data", SMALL_DATA])
+    assert code in (EXIT_OK, EXIT_DATA, EXIT_NUMERIC), err
+    assert "Traceback" not in err
+    if code != EXIT_OK:
+        assert err.startswith(CLASS_PREFIX[code]) and out == ""
 
 
 def test_parser_reuse_leaks_no_option_between_calls(tmp_path, monkeypatch):

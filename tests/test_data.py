@@ -68,7 +68,6 @@ def test_archive_split_sizes_and_range(tmp_path):
     assert (len(train), len(val)) == (546, 78)
     assert train.image_shape == (28, 28)
     assert np.all(np.abs(train.images) <= 1.0)
-    assert train.split == "train" and val.split == "val"
 
 
 def test_archive_missing_key(tmp_path):

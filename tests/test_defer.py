@@ -1,7 +1,7 @@
 """Deferred-measurement rewrite: structure, validity class, equivalence.
 
-The validity class is checked when a Circuit is built, so each circuit
-outside it fails at construction and the rewrite itself rejects nothing.
+A Circuit checks the validity class and defers its ops in one walk when it
+is built, so each circuit outside the class fails at construction.
 """
 
 import math
@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from qccnn.circuits import build_ansatz
-from qccnn.sim import Circuit, GateOp, MidMeasure, defer_measurements, run_deferred_batch
+from qccnn.sim import Circuit, GateOp, MidMeasure, run_deferred_batch
 
-from oracles import sample_shots
+from oracles import deferred_circuit, sample_shots
 
 
 def _midmeasures(circuit):
@@ -23,7 +23,7 @@ def test_midcircuit_rewrite_structure():
     circuit = build_ansatz("midcircuit-ry").circuit
     assert _midmeasures(circuit) == 3
     assert sum(op.condition is not None for op in circuit.ops if isinstance(op, GateOp)) == 6
-    deferred = defer_measurements(circuit)
+    deferred = deferred_circuit(circuit)
     assert _midmeasures(deferred) == 0
     controlled = [op for op in deferred.ops if op.kind in ("CRX", "CRY", "CRZ")]
     assert len(controlled) == 6
@@ -35,7 +35,8 @@ def test_midcircuit_rewrite_structure():
 
 def test_measurement_free_circuit_returned_unchanged():
     circuit = Circuit(1, (GateOp("H", (0,)),), readout=(0,))
-    assert defer_measurements(circuit) is circuit
+    assert circuit.deferred == circuit.ops
+    assert deferred_circuit(circuit) is circuit
 
 
 def test_conditioned_rotation_becomes_control_from_measured_qubit():
@@ -44,10 +45,10 @@ def test_conditioned_rotation_becomes_control_from_measured_qubit():
         MidMeasure(0, 0),
         GateOp("RY", (1,), angle=0.7, condition=0),
     )
-    deferred = defer_measurements(Circuit(2, ops, readout=(1,)))
-    kinds = [op.kind for op in deferred.ops]
+    deferred = Circuit(2, ops, readout=(1,)).deferred
+    kinds = [op.kind for op in deferred]
     assert kinds == ["H", "CRY"]
-    assert deferred.ops[1].targets == (0, 1)
+    assert deferred[1].targets == (0, 1)
 
 
 def test_rewrite_rejects_reuse_of_measured_qubit():
@@ -105,8 +106,8 @@ def test_rewrite_allows_control_only_reuse():
         MidMeasure(0, 0),
         GateOp("CNOT", (0, 1)),
     )
-    deferred = defer_measurements(Circuit(2, ops, readout=(1,)))
-    assert [op.kind for op in deferred.ops] == ["H", "CNOT"]
+    deferred = Circuit(2, ops, readout=(1,)).deferred
+    assert [op.kind for op in deferred] == ["H", "CNOT"]
 
 
 def test_deferred_equals_outcome_average_small_case():

@@ -23,7 +23,12 @@ from qccnn import sim
 from qccnn.autodiff import readout_gradient
 from qccnn.circuits import ANSATZ_KEYS, apply_postprocess, build_ansatz, postprocess_derivative
 
-from oracles import finite_difference_gradient, param_shift_jacobian, z_expectations_oracle
+from oracles import (
+    deferred_circuit,
+    finite_difference_gradient,
+    param_shift_jacobian,
+    z_expectations_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +78,7 @@ def test_shared_encoding_forward_and_backward_are_exact(key):
     rng = np.random.default_rng(60)
     images = rng.uniform(-1.0, 1.0, (2, 2, 4))
     layer = QuantumConvLayer(build_ansatz(key), stride=2, rng=rng)
-    circuit = sim.defer_measurements(layer.circuit)  # the dense oracles take no measurement
+    circuit = deferred_circuit(layer.circuit)  # the dense oracles take no measurement
     maps = layer.forward(images)
     upstream = rng.normal(size=maps.shape)
     grads = layer.backward(upstream)["kernels"]
@@ -160,14 +165,17 @@ def test_layer_builds_kernel_matrices_once_per_parameter_version(monkeypatch):
     np.testing.assert_array_equal(fresh.forward(images), updated)
 
 
-@pytest.mark.parametrize("key", ["midcircuit-rx", "mod-c"])
+@pytest.mark.parametrize("key", ANSATZ_KEYS)
 def test_circuit_defers_once_across_layer_and_readout_gradient(key, monkeypatch):
     built = build_ansatz(key)
     calls = []
-    defer = sim.defer_measurements
-    monkeypatch.setattr(sim, "defer_measurements", lambda c: calls.append(c) or defer(c))
-    circuit = replace(built.circuit)  # a fresh instance, which reads its split when built
-    assert calls[0] is circuit  # a measured circuit's deferred form reads its own split too
+    compile_prefix = sim._compile_prefix
+    monkeypatch.setattr(sim, "_compile_prefix",
+                        lambda *args: calls.append(args) or compile_prefix(*args))
+    # A fresh instance defers and splits its ops when it is built, in one
+    # walk that compiles the prefix once and builds no second Circuit.
+    circuit = replace(built.circuit)
+    assert len(calls) == 1
     calls.clear()
     rng = np.random.default_rng(62)
     layer = QuantumConvLayer(replace(built, circuit=circuit), stride=2, rng=rng)
@@ -180,7 +188,7 @@ def test_circuit_defers_once_across_layer_and_readout_gradient(key, monkeypatch)
     params = np.repeat(layer.params[:1], 3, axis=0)
     readout_gradient(circuit, params, np.ones((3, len(circuit.readout))), pair)
     assert calls == []
-    # The cached split changes neither equality, the hash nor the repr.
+    # The stored deferral and split change neither equality, the hash nor the repr.
     assert circuit == built.circuit and hash(circuit) == hash(built.circuit)
     assert repr(circuit) == repr(built.circuit)
 
@@ -296,7 +304,7 @@ def test_adam_three_step_trace_matches_hand_rolled():
         trace.append(x_ref)
 
     params = {"x": np.array([1.0])}
-    state = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
+    state = AdamState(lr=lr)
     for t in range(3):
         adam_step(params, {"x": 2.0 * params["x"]}, state)
         assert abs(params["x"][0] - trace[t]) < 1e-10
@@ -311,7 +319,7 @@ def _toy_dataset(n=8, size=4, seed=5):
     rng = np.random.default_rng(seed)
     images = rng.uniform(-1, 1, (n, size, size))
     labels = rng.integers(0, 2, n)
-    return Dataset(images, labels, "train")
+    return Dataset(images, labels)
 
 
 @pytest.mark.parametrize("front", ["classical", "conv", "midcircuit-ry", "select-tanh", "mod-a"])
@@ -437,7 +445,7 @@ def test_fit_epoch_metrics_length():
 
 def test_fit_rejects_empty_dataset():
     train, val = generate_synthetic(SyntheticSpec(train_n=4, val_n=2))
-    empty = Dataset(np.zeros((0, 8, 8)), np.zeros(0, dtype=int), "train")
+    empty = Dataset(np.zeros((0, 8, 8)), np.zeros(0, dtype=int))
     model = make_model("classical", (8, 8), seed=0)
     with pytest.raises(ValueError, match="empty"):
         fit(model, empty, val, epochs=1)

@@ -17,7 +17,6 @@ from qccnn.sim import (
     _resolve_angle,
     _rotations,
     _state_view,
-    defer_measurements,
     encode,
     run_deferred_batch,
     unitary,
@@ -25,6 +24,7 @@ from qccnn.sim import (
 
 from oracles import (
     circuit_unitary,
+    deferred_circuit,
     encoded_random_circuit,
     gate_unitary,
     random_circuit,
@@ -371,7 +371,7 @@ def _check_kernel_unitaries(circuit, params, xs):
     dim = 1 << circuit.num_qubits
     assert u.shape == (len(params), dim, dim)
     encoded = encode(circuit, xs)
-    deferred = defer_measurements(circuit)
+    deferred = deferred_circuit(circuit)
     for k, theta in enumerate(params):
         np.testing.assert_allclose(u[k].conj().T @ u[k], np.eye(dim), atol=1e-12)
         want = np.stack([circuit_unitary(deferred, theta, x)[:, 0] for x in xs], axis=1)
@@ -436,7 +436,7 @@ def test_input_angle_outside_the_prefix_rejected(gate):
 
 def _prefix_gate_by_gate(circuit, xs):
     """The prefix of ``circuit.split`` run gate by gate through the production kernels."""
-    ops = defer_measurements(circuit).ops
+    ops = circuit.deferred
     n = circuit.num_qubits
     state = np.zeros((1 << n, len(xs)), dtype=complex)
     state[0] = 1.0
@@ -468,7 +468,7 @@ def _edge_inputs(rng, rows, num_inputs):
 @pytest.mark.parametrize("key", ANSATZ_KEYS)
 def test_encode_equals_the_prefix_gate_by_gate_for_ansatz(key):
     circuit = build_ansatz(key).circuit
-    ops = defer_measurements(circuit).ops
+    ops = circuit.deferred
     body = circuit.split[1]
     # The prefix is the patch encoding: everything before the first parameterised op.
     assert body[0].param_slot is not None
