@@ -2,11 +2,11 @@
 
 Jones & Gacon 2020 (arXiv:2009.02823): the caller's forward pass gives the
 final state phi; lambda = O_w phi with O_w = sum_j w[r, j] Z_j, diagonal per
-row r.  Walking back through the gates, each parameterised gate
-exp(-i theta P/2) adds Im<lambda|P|phi> to its slot, and then is undone on
-both states, down to the first parameterised gate.  The walk runs over
-the body of ``circuit.split``, which holds the circuit's deferred form,
-so conditioned rotations differentiate as controlled rotations, whose
+row r and read off ``circuit.signs``.  Walking back through the gates, each
+parameterised gate exp(-i theta P/2) adds Im<lambda|P|phi> to its slot, and
+then is undone on both states, down to the first parameterised gate.  The
+walk runs over ``circuit.body``, the deferred ops after the encoding, so
+conditioned rotations differentiate as controlled rotations, whose
 generator acts on the control-1 half only.  A parameter slot referenced
 by several gates accumulates the per-occurrence contributions.
 
@@ -42,7 +42,6 @@ from .sim import (
     _plan,
     _rotations,
     _state_view,
-    _z_signs,
     # Unused here: perfbench wraps qccnn.autodiff:run_deferred_batch and a test
     # asserts that every wrap target resolves.  The adjoint simulates nothing.
     run_deferred_batch,  # noqa: F401
@@ -70,8 +69,7 @@ def _generator_overlap(lam: np.ndarray, phi: np.ndarray, kind: str, targets: tup
 
 def _lambda(circuit: Circuit, weights: np.ndarray, state: np.ndarray, out=None) -> np.ndarray:
     """lambda = O_w phi for every row of a (2**n, rows) state, O_w = sum_j weights[r, j] Z_j."""
-    signs = np.stack([_z_signs(circuit.num_qubits, q) for q in circuit.readout], axis=1)
-    return np.multiply(signs @ weights.T, state, out=out)
+    return np.multiply(np.ascontiguousarray(circuit.signs.T) @ weights.T, state, out=out)
 
 
 def _walk(ops, params: np.ndarray, psi: np.ndarray, grad: np.ndarray):
@@ -123,7 +121,7 @@ def readout_gradient(circuit: Circuit, params, weights, pair) -> np.ndarray:
         )
     _lambda(circuit, weights, pair[0], out=pair[1])
     grad = np.zeros((groups, rows // groups, circuit.num_params))
-    _walk(circuit.split[1], params, psi, grad)
+    _walk(circuit.body, params, psi, grad)
     return grad.reshape(rows, circuit.num_params)
 
 
@@ -167,5 +165,5 @@ def summed_readout_gradient(circuit: Circuit, params, weights, unitaries, encode
     pair[1] = np.tile(np.eye(dim, dtype=complex), kernels)
     psi = _state_view(circuit, pair, (kernels, dim), stacked=True)
     grad = np.zeros((kernels, dim, circuit.num_params))
-    _walk(circuit.split[1], params, psi, grad)
+    _walk(circuit.body, params, psi, grad)
     return grad.sum(axis=1)

@@ -231,7 +231,7 @@ def uniform_input_sampler(rng, k: int) -> np.ndarray:
 
 def dataset_input_sampler(dataset: Dataset, stride: int = 2):
     """Sampler drawing 2x2 patches from a dataset's images."""
-    pool = extract_patches(dataset.images, 2, stride)
+    pool = extract_patches(dataset.images, stride)
 
     def sample(rng, k: int) -> np.ndarray:
         return pool[rng.integers(0, len(pool), k)]

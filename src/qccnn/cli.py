@@ -73,11 +73,9 @@ class RunConfig:
     ed_inputs: str = "uniform"
 
 
-def _parse_seeds(text) -> tuple:
-    if isinstance(text, (tuple, list)):
-        return tuple(int(s) for s in text)
+def _parse_seeds(text: str) -> tuple:
     try:
-        return tuple(int(s) for s in str(text).split(","))
+        return tuple(int(s) for s in text.split(","))
     except ValueError:
         raise ConfigError(f"seeds: expected comma-separated integers, got {text!r}") from None
 
@@ -210,9 +208,28 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+_METRICS_HEADER = "epoch,seed,train_acc,train_loss,val_acc,val_loss"
+
+
+def _read_table(path: Path, header: str, name: str):
+    """Yield (line number, cells) per row of the CSV table `name` at `path`, each line stripped.
+
+    A first line other than `header`, or a row of another cell count, raises DataError.
+    """
+    first, *lines = _read_utf8(path, DataError).splitlines() or [""]
+    if first.strip() != header:
+        raise DataError(f"{path}: unexpected {name} header {first.strip()!r}")
+    width = header.count(",") + 1
+    for lineno, line in enumerate(lines, 2):
+        cells = line.strip().split(",")
+        if len(cells) != width:
+            raise DataError(f"{path}:{lineno}: expected {width} cells, got {len(cells)}")
+        yield lineno, cells
+
+
 def write_metrics_csv(path: Path, per_seed: dict[int, FitResult]):
     """Per-seed epoch rows plus per-epoch mean rows keyed ``seed=agg``."""
-    lines = ["epoch,seed,train_acc,train_loss,val_acc,val_loss"]
+    lines = [_METRICS_HEADER]
     for seed, res in per_seed.items():
         for e in range(res.epochs_run):
             lines.append(
@@ -234,21 +251,14 @@ def read_metrics_csv(path: Path) -> dict[str, dict[int, list]]:
     if not path.is_file():
         raise DataError(f"missing metrics file: {path}")
     per_seed: dict[str, dict[int, list]] = {}
-    first, *lines = _read_utf8(path, DataError).splitlines() or [""]
-    header = first.strip().split(",")
-    if header != ["epoch", "seed", "train_acc", "train_loss", "val_acc", "val_loss"]:
-        raise DataError(f"{path}: unexpected metrics header {header}")
-    for lineno, line in enumerate(lines, 2):
-        cells = line.strip().split(",")
-        if len(cells) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
+    for lineno, cells in _read_table(path, _METRICS_HEADER, "metrics"):
         epoch, seed, *values = cells
         if seed == "agg":
             continue
         try:
             per_seed.setdefault(seed, {})[int(epoch)] = [float(v) for v in values]
         except ValueError:
-            raise DataError(f"{path}:{lineno}: non-numeric cell in {line.strip()!r}") from None
+            raise DataError(f"{path}:{lineno}: non-numeric cell in {','.join(cells)!r}") from None
     return per_seed
 
 
@@ -383,17 +393,8 @@ def _ed_inputs_cell(cfg: RunConfig) -> str:
 
 def _read_ed_table(path: Path) -> dict:
     """The rows of an existing ED table, keyed by their settings, the first seven cells."""
-    first, *lines = _read_utf8(path, DataError).splitlines() or [""]
-    if first != _ED_HEADER:
-        raise DataError(f"{path}: unexpected ED table header {first!r}")
-    cells = _ED_HEADER.count(",") + 1
-    table = {}
-    for lineno, line in enumerate(lines, 2):
-        row = line.split(",")
-        if len(row) != cells:
-            raise DataError(f"{path}:{lineno}: expected {cells} cells, got {len(row)}")
-        table[tuple(row[:_ED_KEY_CELLS])] = line
-    return table
+    return {tuple(cells[:_ED_KEY_CELLS]): ",".join(cells)
+            for _, cells in _read_table(path, _ED_HEADER, "ED table")}
 
 
 def cmd_ed(cfg: RunConfig) -> int:

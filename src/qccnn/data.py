@@ -59,6 +59,9 @@ _SYNTHETIC_MAX_BYTES = 1 << 30
 # Half-width of the uniform pixel noise added to every synthetic image.
 _SYNTHETIC_NOISE = 0.1
 
+# The side of the square window every front reads: 2x2 patches, 4 inputs each.
+PATCH_SIZE = 2
+
 
 def _check_limit(what: str, nbytes: int, error: type[Exception] = DataError):
     """Raise `error` before `what` is allocated if its `nbytes` pass the limit."""
@@ -127,7 +130,7 @@ def _check_headers(path: Path, headers: dict):
             raise DataError(f"record '{split}_images': expected uint8 pixels, got {dtype}")
         if shape[0] == 0:
             raise DataError(f"{path}: {split} split has no images")
-        if min(shape[1:]) < 2:
+        if min(shape[1:]) < PATCH_SIZE:
             raise DataError(f"{path}: {split} images are {shape[1]}x{shape[2]}, smaller than 2x2")
         labels, _, dtype = headers[f"{split}_labels"]
         count = math.prod(labels)
@@ -201,7 +204,7 @@ def _synthetic_spec(source: str) -> SyntheticSpec:
                 raise DataError(
                     f"synthetic option {key!r} must be an integer, got {value!r}"
                 ) from None
-    for key, least in (("seed", 0), ("train_n", 1), ("val_n", 1), ("size", 2)):
+    for key, least in (("seed", 0), ("train_n", 1), ("val_n", 1), ("size", PATCH_SIZE)):
         if getattr(spec, key) < least:
             raise DataError(f"synthetic option {key!r} must be >= {least}, got {getattr(spec, key)}")
     _check_limit("synthetic images", (spec.train_n + spec.val_n) * spec.size**2 * 8)  # float64
@@ -239,26 +242,26 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
 # ---------------------------------------------------------------------------
 
 
-def patch_grid(height: int, width: int, size: int = 2, stride: int = 2) -> tuple[int, int]:
-    """Feature-map shape for valid windows of `size` at `stride`."""
-    if height < size or width < size:
-        raise ValueError(f"image {height}x{width} smaller than {size}x{size} window")
+def patch_grid(height: int, width: int, stride: int = 2) -> tuple[int, int]:
+    """Feature-map shape for valid PATCH_SIZE x PATCH_SIZE windows at `stride`."""
+    if min(height, width) < PATCH_SIZE:
+        raise ValueError(f"image {height}x{width} smaller than {PATCH_SIZE}x{PATCH_SIZE} window")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    return (height - size) // stride + 1, (width - size) // stride + 1
+    return (height - PATCH_SIZE) // stride + 1, (width - PATCH_SIZE) // stride + 1
 
 
-def extract_patches(images, size: int = 2, stride: int = 2) -> np.ndarray:
-    """All valid windows of an (N, H, W) batch, copied from one strided view.
+def extract_patches(images, stride: int = 2) -> np.ndarray:
+    """Every valid patch window of an (N, H, W) batch, copied from one strided view.
 
     Windows run image by image, each in row-major order, and each is
     flattened row-major.  Returns an array of shape (N * n_patches,
-    size*size).
+    PATCH_SIZE**2).
     """
     images = np.asarray(images, dtype=float)
     if images.ndim != 3:
         raise ValueError(f"expected an (N, H, W) batch, got shape {images.shape}")
-    patch_grid(images.shape[1], images.shape[2], size, stride)
-    windows = np.lib.stride_tricks.sliding_window_view(images, (size, size), axis=(-2, -1))
+    patch_grid(images.shape[1], images.shape[2], stride)
+    windows = np.lib.stride_tricks.sliding_window_view(images, (PATCH_SIZE,) * 2, axis=(-2, -1))
     windows = windows[..., ::stride, ::stride, :, :]
-    return np.array(windows).reshape(-1, size * size)
+    return np.array(windows).reshape(-1, PATCH_SIZE**2)

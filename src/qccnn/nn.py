@@ -3,8 +3,8 @@
 The quantum front end slides four parallel kernels over the image, one
 circuit evaluation per 2x2 patch per kernel: the patch encoding is
 computed once per batch, and each kernel then acts on it as one
-2**n x 2**n matrix (a circuit defers and splits itself into that encoding
-and the kernel's body once, when it is built: ``Circuit.split``).  The
+2**n x 2**n matrix (a circuit holds the encoding's program and the body
+from when it is built: ``Circuit.prefix`` and ``Circuit.body``).  The
 kernels' matrices are built together, and their backward is one walk,
 each on kernels x 2**n columns.  The conv-without-pooling variant uses a
 single kernel whose four readouts form the four feature maps, so every
@@ -27,7 +27,7 @@ import numpy as np
 
 from .autodiff import summed_readout_gradient
 from .circuits import Ansatz, apply_postprocess, build_ansatz, postprocess_derivative
-from .data import Dataset, extract_patches, patch_grid
+from .data import PATCH_SIZE, Dataset, extract_patches, patch_grid
 from .sim import (
     encode,
     readouts,
@@ -38,7 +38,6 @@ from .sim import (
 )
 
 NUM_FEATURE_MAPS = 4
-KERNEL_SIZE = 2
 
 
 class QuantumConvLayer:
@@ -76,7 +75,7 @@ class QuantumConvLayer:
     def forward(self, images: np.ndarray) -> np.ndarray:
         self._cache = None  # free the last encoded state before encoding this batch
         patches, maps_shape = _patch_features(images, self.stride)
-        encoded = encode(self.circuit, patches.reshape(-1, KERNEL_SIZE * KERNEL_SIZE))
+        encoded = encode(self.circuit, patches.reshape(-1, PATCH_SIZE**2))
         # Keyed by value: training updates the parameter array in place.
         key = self.params.tobytes()
         if self._matrices is None or self._matrices[0] != key:
@@ -117,8 +116,8 @@ class ClassicalConvLayer:
 
     def __init__(self, stride: int = 2, rng=None, relu: bool = False):
         rng = rng or np.random.default_rng(0)
-        bound = math.sqrt(6.0 / (KERNEL_SIZE * KERNEL_SIZE + 1))
-        self.filters = rng.uniform(-bound, bound, (NUM_FEATURE_MAPS, KERNEL_SIZE, KERNEL_SIZE))
+        bound = math.sqrt(6.0 / (PATCH_SIZE**2 + 1))
+        self.filters = rng.uniform(-bound, bound, (NUM_FEATURE_MAPS, PATCH_SIZE, PATCH_SIZE))
         self.bias = np.zeros(NUM_FEATURE_MAPS)
         self.stride = stride
         self.relu = relu
@@ -151,9 +150,9 @@ def _patch_features(images: np.ndarray, stride: int):
     """Each image's 2x2 patches as (batch, rows, 4) features, and the shape
     (batch, 4, h_out, w_out) that ``features.transpose(0, 2, 1)`` takes as maps."""
     batch, h, w = images.shape
-    h_out, w_out = patch_grid(h, w, KERNEL_SIZE, stride)
-    patches = extract_patches(images, KERNEL_SIZE, stride)
-    patches = patches.reshape(batch, h_out * w_out, KERNEL_SIZE * KERNEL_SIZE)
+    h_out, w_out = patch_grid(h, w, stride)
+    patches = extract_patches(images, stride)
+    patches = patches.reshape(batch, h_out * w_out, PATCH_SIZE**2)
     return patches, (batch, NUM_FEATURE_MAPS, h_out, w_out)
 
 
@@ -213,7 +212,7 @@ class HybridModel:
 
     def __init__(self, front, image_shape: tuple[int, int], rng=None):
         self.front = front
-        h_out, w_out = patch_grid(image_shape[0], image_shape[1], KERNEL_SIZE, front.stride)
+        h_out, w_out = patch_grid(image_shape[0], image_shape[1], front.stride)
         self.head = DenseLayer(NUM_FEATURE_MAPS * h_out * w_out, rng=rng)
         self.image_shape = tuple(image_shape)
 
@@ -246,7 +245,9 @@ class HybridModel:
         }
 
     def load_state_dict(self, state: dict):
-        if state.get("format") != "qccnn-checkpoint" or state.get("version") != 1:
+        # The integer 1: true and 1.0 compare equal to it too.
+        version = state.get("version")
+        if state.get("format") != "qccnn-checkpoint" or type(version) is not int or version != 1:
             raise ValueError("not a version-1 checkpoint record")
         for name, arr in self.parameters().items():
             loaded = np.asarray(state["params"][name], dtype=float)

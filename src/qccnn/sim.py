@@ -22,10 +22,9 @@ Mid-circuit measurements and classically conditioned gates always execute
 exactly, deferred: each conditioned rotation becomes a controlled rotation
 on the measured qubit.  :class:`Circuit` does this in the one walk that
 checks its rules when it is built, so the check that passes an op is the
-one that makes its rewrite exact.  The same walk splits the deferred ops
-into the encoding prefix, compiled into a phase program, and the body, the
-ops after it, and stores both as :attr:`Circuit.split`, which every
-function here and in :mod:`qccnn.autodiff` reads.
+one that makes its rewrite exact.  It then holds what runs, which every
+function here and in :mod:`qccnn.autodiff` reads: the encoding prefix as a
+phase program, the body (the deferred ops after it) and the readout signs.
 
 The prefix is the patch encoding of the ansatz circuits, the diagonal ZZ
 feature map of Havlicek et al. 2019 (arXiv:1804.11279): leading Hadamards
@@ -43,7 +42,7 @@ encoding as one matrix product.  Circuits that differ only in their
 parameters (the kernels of a layer, the parameter draws of an effective
 dimension) build their matrices together, as kernels x 2**n columns with
 one parameter row per kernel.  :func:`readouts` reads the readout Z
-expectations off a final state.
+expectations off a final state, one sign row per readout.
 """
 
 from __future__ import annotations
@@ -122,17 +121,18 @@ class Circuit:
 
     `readout` lists the qubits whose Pauli-Z expectations
     :func:`readouts` returns, in order.  Construction walks the ops once: it
-    checks the template rules and builds `deferred`, the ops with each
-    conditioned rotation rewritten to a controlled rotation whose control is
-    the measured qubit.  The rules are what make that rewrite exact: a qubit
-    is measured at most once and is then only the control of a gate or the
-    target of a Z-diagonal one; a conditioned gate is an RX, RY or RZ on a
-    qubit not yet measured.  `split` is the encoding prefix of `deferred`
-    as a phase program (see :func:`_compile_prefix`), which :func:`encode`
-    runs, and the ops after it, the body, which :func:`unitary` runs.  No
-    input angle may follow the prefix, so each one is an RZ after the
-    leading Hadamards, alone or framed by CNOTs.  Neither field takes part
-    in ``repr``, ``==`` or the hash.
+    checks the template rules and defers the ops, each conditioned rotation
+    rewritten to a controlled rotation whose control is the measured qubit.
+    The rules are what make that rewrite exact: a qubit is measured at most
+    once and is then only the control of a gate or the target of a
+    Z-diagonal one; a conditioned gate is an RX, RY or RZ on a qubit not yet
+    measured.  `prefix` is the encoding prefix of the deferred ops as a
+    phase program (:func:`_compile_prefix`), which :func:`encode` runs;
+    `body` is the ops after it, which :func:`unitary` and the adjoint walk
+    run; row j of the read-only (readouts, 2**n) `signs` is readout j's Z
+    sign per basis state.  No input angle may follow the prefix, so each one
+    is an RZ after the leading Hadamards, alone or framed by CNOTs.  None of
+    the three takes part in ``repr``, ``==`` or the hash.
     """
 
     num_qubits: int
@@ -140,8 +140,9 @@ class Circuit:
     num_params: int = 0
     num_inputs: int = 0
     readout: tuple[int, ...] = ()
-    deferred: tuple = field(init=False, repr=False, compare=False)
-    split: tuple[tuple, tuple] = field(init=False, repr=False, compare=False)
+    prefix: tuple = field(init=False, repr=False, compare=False)
+    body: tuple = field(init=False, repr=False, compare=False)
+    signs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.num_qubits <= MAX_QUBITS:
@@ -196,12 +197,16 @@ class Circuit:
             raise ValueError(f"parameter slots never referenced: {missing}")
         for q in self.readout:
             self._check_qubit(q)
-        deferred = tuple(deferred)
         length, program = _compile_prefix(self.num_qubits, deferred)
-        if any(op.input_idx is not None for op in deferred[length:]):
+        body = tuple(deferred[length:])
+        if any(op.input_idx is not None for op in body):
             raise ValueError("an input angle follows the encoding prefix")
-        object.__setattr__(self, "deferred", deferred)
-        object.__setattr__(self, "split", (program, deferred[length:]))
+        bits = np.arange(1 << self.num_qubits) >> np.array(self.readout, dtype=int)[:, None] & 1
+        signs = np.where(bits == 0, 1.0, -1.0)
+        signs.setflags(write=False)
+        object.__setattr__(self, "prefix", program)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "signs", signs)
 
     def _check_qubit(self, q: int):
         if not 0 <= q < self.num_qubits:
@@ -253,19 +258,6 @@ def _compile_prefix(num_qubits: int, ops) -> tuple[int, tuple]:
         if all(m == 1 << q for q, m in enumerate(masks)):
             length, program = i + 1, (tuple(hadamards), tuple(steps))
     return length, program
-
-
-# ---------------------------------------------------------------------------
-# sign tables (little-endian bit arithmetic)
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _z_signs(n: int, q: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    signs = np.where((idx >> q) & 1 == 0, 1.0, -1.0)
-    signs.setflags(write=False)
-    return signs
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +424,7 @@ def _state_view(circuit: Circuit, state: np.ndarray, columns: tuple,
 
 
 def encode(circuit: Circuit, inputs) -> np.ndarray:
-    """State after the encoding prefix of ``circuit.split``, as a (2**n, rows) array.
+    """State after ``circuit.prefix``, as a (2**n, rows) array.
 
     `inputs` is a (rows, num_inputs) matrix; an input-free circuit takes
     (rows, 0).  The amplitudes the Hadamards reach, every Hadamard qubit
@@ -446,7 +438,7 @@ def encode(circuit: Circuit, inputs) -> np.ndarray:
     inputs = _check_inputs(circuit, inputs)
     rows = inputs.shape[0]
     n = circuit.num_qubits
-    hadamards, steps = circuit.split[0]
+    hadamards, steps = circuit.prefix
     angles = np.empty((len(steps), rows))
     for i, (op, _) in enumerate(steps):
         angles[i] = _resolve_angle(op, inputs)
@@ -470,7 +462,7 @@ def encode(circuit: Circuit, inputs) -> np.ndarray:
 
 
 def unitary(circuit: Circuit, params) -> np.ndarray:
-    """The body of ``circuit.split``, as one matrix per kernel.
+    """``circuit.body``, as one matrix per kernel.
 
     `params` is a (kernels, num_params) matrix.  The body's gates run once,
     gate by gate, on kernels copies of the 2**n identity columns, as a
@@ -483,8 +475,7 @@ def unitary(circuit: Circuit, params) -> np.ndarray:
     kernels, dim = len(params), 1 << circuit.num_qubits
     u = np.tile(np.eye(dim, dtype=complex), kernels)
     psi = _state_view(circuit, u, (kernels, dim))
-    ops = circuit.split[1]
-    for op, rotation in zip(ops, _rotations(ops, params)):
+    for op, rotation in zip(circuit.body, _rotations(circuit.body, params)):
         _apply_kind(psi, op.kind, op.targets, rotation)
     return u.reshape(dim, kernels, dim).transpose(1, 0, 2)
 
@@ -492,12 +483,13 @@ def unitary(circuit: Circuit, params) -> np.ndarray:
 def readouts(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Z expectations of the readout qubits in a (2**n, rows) final state.
 
+    Readout j is the rows' probabilities times row j of ``circuit.signs``.
     Returns an array of shape (rows, len(readout)).
     """
     probs = np.ascontiguousarray((state.real**2 + state.imag**2).T)
     out = np.empty((state.shape[1], len(circuit.readout)))
-    for j, q in enumerate(circuit.readout):
-        out[:, j] = probs @ _z_signs(circuit.num_qubits, q)
+    for j, signs in enumerate(circuit.signs):
+        out[:, j] = probs @ signs
     return out
 
 

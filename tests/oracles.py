@@ -6,12 +6,17 @@ the production gate kernels.  Qubit ordering matches the package convention:
 qubit 0 is the least significant bit of the basis index, so a single-qubit
 matrix U on qubit q lifts to I_(2^(n-1-q)) (x) U (x) I_(2^q).
 
-The shot sampler runs mid-circuit measurements stochastically on the same
-dense matrices, so it checks the deferred-measurement rewrite of the
-production simulator independently of its kernels.
+The deferral is rewritten here on its own: `deferred_ops` drops each
+mid-circuit measurement and turns each gate conditioned on its bit into
+the controlled gate on the measured qubit, so the dense checks of the
+mid-circuit ansatze share no code with `Circuit`'s rewrite.  The shot
+sampler runs mid-circuit measurements stochastically on the same dense
+matrices, so it checks that deferral independently of both.
 
 The parameter-shift jacobian differentiates on the same dense matrices, so it
-checks the production adjoint gradient independently of its backward walk.
+checks the production adjoint gradient independently of its backward walk;
+the Fisher information built on it explains effective dimensions without
+the production scores.
 """
 
 from dataclasses import replace
@@ -71,10 +76,31 @@ def op_unitary(op: GateOp, n: int, params, inputs=None) -> np.ndarray:
     return gate_unitary(op.kind, op.targets, n, theta)
 
 
+def deferred_ops(circuit: Circuit) -> tuple:
+    """The ops of `circuit` with every mid-circuit measurement deferred.
+
+    A measurement is dropped, and a gate conditioned on its bit becomes the
+    controlled form of its kind ("C" + kind), with the measured qubit as
+    control.  That is exact for the circuits `Circuit` accepts, whose
+    measured qubits afterwards act only as controls or Z-diagonal targets.
+    """
+    qubit_of_bit, ops = {}, []
+    for op in circuit.ops:
+        if isinstance(op, MidMeasure):
+            qubit_of_bit[op.classical_bit] = op.qubit
+        elif op.condition is None:
+            ops.append(op)
+        else:
+            control = qubit_of_bit[op.condition]
+            ops.append(replace(op, kind="C" + op.kind, targets=(control, *op.targets),
+                               condition=None))
+    return tuple(ops)
+
+
 def deferred_circuit(circuit: Circuit) -> Circuit:
     """`circuit` as the measurement-free circuit of its deferred ops; itself if it measures nothing."""
     measures = any(isinstance(op, MidMeasure) for op in circuit.ops)
-    return replace(circuit, ops=circuit.deferred) if measures else circuit
+    return replace(circuit, ops=deferred_ops(circuit)) if measures else circuit
 
 
 def circuit_unitary(circuit: Circuit, params, inputs=None) -> np.ndarray:
@@ -195,6 +221,29 @@ def param_shift_jacobian(circuit: Circuit, params, inputs=None) -> np.ndarray:
             shifted = later[i] @ (gate_unitary(op.kind, op.targets, n, shift) @ psi)
             jac[op.param_slot] += coeff * _z_expectations(circuit, shifted)
     return jac
+
+
+def fisher_information(circuit: Circuit, params, xs) -> np.ndarray:
+    """Fisher information of a measurement-free circuit's class distribution over rows `xs`.
+
+    The classes are those of the effective dimension: a softmax over (z, -z)
+    for one readout z, over the readouts otherwise.  Each row's readouts and
+    their jacobian come from the dense matrices (`z_expectations_oracle`,
+    `param_shift_jacobian`).  The labels are not drawn: each class's score
+    outer product is weighted by its probability.  Returns the mean over
+    the rows, a (num_params, num_params) matrix.
+    """
+    fisher = np.zeros((circuit.num_params, circuit.num_params))
+    for x in xs:
+        z = z_expectations_oracle(circuit, params, x)
+        jac = param_shift_jacobian(circuit, params, x)  # (num_params, readouts)
+        if len(z) == 1:  # the logits are (z, -z)
+            z, jac = np.concatenate([z, -z]), np.concatenate([jac, -jac], axis=1)
+        p = np.exp(z - z.max())
+        p /= p.sum()
+        scores = jac - (jac @ p)[:, None]  # d log p_y / d theta, one column per class y
+        fisher += (scores * p) @ scores.T
+    return fisher / len(xs)
 
 
 def jacobian_rank(jac: np.ndarray, rtol: float = 1e-8) -> int:

@@ -29,6 +29,7 @@ from qccnn.sim import Circuit, encode, run_deferred_batch, unitary
 from oracles import (
     deferred_circuit,
     finite_difference_gradient,
+    fisher_information,
     jacobian_rank,
     param_shift_jacobian,
     random_circuit,
@@ -249,6 +250,32 @@ def _rank_of_d(key: str) -> str:
     return f"{jacobian_rank(jac)}/{ansatz.num_params}"
 
 
+@functools.lru_cache(maxsize=None)
+def _fisher_count(key: str) -> str:
+    """Median count of normalized-Fisher eigenvalues above 1/kappa, over d, from the dense oracle.
+
+    Five theta draws of 40 uniform inputs each (at least d for every key),
+    normalized as the ED normalizes its Fisher stack, d F_s / mean_s tr F_s,
+    at the default kappa.  The ED's log det(I + kappa F) gains little from an
+    eigenvalue below 1/kappa, so this counts the directions the ED sees.  It
+    is printed next to the ED as context and checked nowhere here.
+    """
+    ansatz = build_ansatz(key)
+    circuit = deferred_circuit(ansatz.circuit)
+    d = ansatz.num_params
+    rng = np.random.default_rng(71)
+    fims = np.array([
+        fisher_information(circuit, rng.uniform(-math.pi, math.pi, d),
+                           uniform_input_sampler(rng, 40))
+        for _ in range(5)
+    ])
+    fims *= d / np.trace(fims, axis1=1, axis2=2).mean()
+    n = ED_SETTINGS["n"]
+    kappa = ED_SETTINGS["gamma"] * n / (2 * math.pi * math.log(n))
+    counts = (np.linalg.eigvalsh(fims) > 1 / kappa).sum(axis=1)
+    return f"{np.median(counts):g}/{d}"
+
+
 @pytest.mark.parametrize("key", ["conv", "midcircuit-rx", "midcircuit-ry",
                                  "ancilla-cy", "ancilla-cz", "select-sign"])
 def test_acceptance_07_ed_reproduction_band(ed_table, key):
@@ -287,7 +314,9 @@ def test_acceptance_07_ed_modular_ordering(ed_table):
         b < c < a,
         f"mod-a {a:.3f}, mod-b {b:.3f}, mod-c {c:.3f} (reconstructed blocks);"
         f" readout-jacobian rank/d mod-a {_rank_of_d('mod-a')}, mod-b {_rank_of_d('mod-b')},"
-        f" mod-c {_rank_of_d('mod-c')}",
+        f" mod-c {_rank_of_d('mod-c')}; normalized-Fisher eigenvalues above 1/kappa"
+        f" (median count/d) mod-a {_fisher_count('mod-a')}, mod-b {_fisher_count('mod-b')},"
+        f" mod-c {_fisher_count('mod-c')}",
     )
 
 

@@ -22,7 +22,13 @@ from qccnn.circuits import build_ansatz
 from qccnn.data import SyntheticSpec, generate_synthetic
 from qccnn.sim import Circuit, GateOp, encode, readouts, run_deferred_batch
 
-from oracles import deferred_circuit, finite_difference_gradient, z_expectations_oracle
+from blas import kernel_note
+from oracles import (
+    deferred_circuit,
+    finite_difference_gradient,
+    fisher_information,
+    z_expectations_oracle,
+)
 
 
 def _rx_toy():
@@ -79,6 +85,29 @@ def test_bernoulli_toy_fisher_is_one():
         p0, p1 = class_probabilities(np.array([[math.cos(theta)]]))[0]
         fisher = p0 * s0[0] ** 2 + p1 * s1[0] ** 2
         assert abs(fisher / _toy_fisher(theta) - 1.0) < 1e-10
+
+
+def test_fisher_oracle_matches_the_closed_form_and_the_scores():
+    # The dense oracle's Fisher equals the toy's closed form and, on a
+    # four-readout and a deferred circuit, the probability-weighted outer
+    # products of the production scores of every label.
+    for theta in (0.8, 2.1, -1.3):
+        fisher = fisher_information(_rx_toy(), [theta], np.zeros((3, 0)))
+        assert abs(fisher[0, 0] / _toy_fisher(theta) - 1.0) < 1e-10
+    rng = np.random.default_rng(73)
+    for key in ("conv", "midcircuit-rx"):
+        circuit = build_ansatz(key).circuit
+        deferred = deferred_circuit(circuit)
+        theta = rng.uniform(-math.pi, math.pi, circuit.num_params)
+        xs = uniform_input_sampler(rng, 5)
+        probs = class_probabilities(np.array([z_expectations_oracle(deferred, theta, x)
+                                              for x in xs]))
+        want = np.zeros((circuit.num_params, circuit.num_params))
+        for y in range(probs.shape[1]):
+            scores, _ = score_batch(circuit, theta, xs, np.full(len(xs), y))
+            want += (scores * probs[:, y, None]).T @ scores
+        np.testing.assert_allclose(fisher_information(deferred, theta, xs), want / len(xs),
+                                   rtol=0, atol=1e-12)
 
 
 def test_empirical_fim_toy_converges_to_analytic():
@@ -311,7 +340,7 @@ def test_effective_dimension_values_are_pinned(key, ed):
     # Values from simulating one θ draw per batch (_BATCH_ROWS = 10); one
     # batched simulation of all 5 draws must reproduce them to the last bit.
     report = effective_dimension(key, theta_samples=5, data_samples=50, seed=2)
-    assert repr(report.ed) == ed
+    assert repr(report.ed) == ed, kernel_note()
 
 
 def _count_encodes(monkeypatch) -> list:
@@ -338,7 +367,7 @@ def test_effective_dimension_batch_boundaries_keep_pinned_values(
     calls = _count_encodes(monkeypatch)
     report = effective_dimension(key, theta_samples=5, data_samples=50, seed=2)
     assert calls == batches
-    assert repr(report.ed) == _PINNED_ED[key]
+    assert repr(report.ed) == _PINNED_ED[key], kernel_note()
 
 
 @pytest.mark.parametrize("theta_samples, data_samples", [(45, 100), (3, 3000), (1, 7)])

@@ -24,7 +24,13 @@ from qccnn.sim import (
     unitary,
 )
 
-from oracles import deferred_circuit, jacobian_rank, param_shift_jacobian, z_expectations_oracle
+from oracles import (
+    deferred_circuit,
+    deferred_ops,
+    jacobian_rank,
+    param_shift_jacobian,
+    z_expectations_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +239,9 @@ def test_ansatz_matches_its_pin(key):
     assert hashlib.sha256(text.encode()).hexdigest() == ANSATZ_PINS[key]
 
 
-# key -> sha256 of repr(circuit.deferred), the ops every run executes: any
-# edit to the deferral or to the ops it rewrites changes this table.  The
-# three keys without a measurement defer to the same `conv` ops.
+# key -> sha256 of repr(deferred_ops(circuit)), the ops every run executes:
+# any edit to the deferral or to the ops it rewrites changes this table.
+# The three keys without a measurement defer to the same `conv` ops.
 DEFERRED_PINS = {
     "conv": "e89e91040acc5060b0a855e8d71696f3ad7a67b12ec31f6eab07f47a135e2019",
     "midcircuit-rx": "d0e674a1980fec0e824836592e9be07df035edcedd9f6e51b51391f6002c2e38",
@@ -253,8 +259,16 @@ DEFERRED_PINS = {
 @pytest.mark.parametrize("key", ANSATZ_KEYS)
 def test_deferred_ops_match_their_pin(key):
     assert tuple(DEFERRED_PINS) == ANSATZ_KEYS
-    text = repr(build_ansatz(key).circuit.deferred)
+    text = repr(deferred_ops(build_ansatz(key).circuit))
     assert hashlib.sha256(text.encode()).hexdigest() == DEFERRED_PINS[key]
+
+
+@pytest.mark.parametrize("key", ANSATZ_KEYS)
+def test_body_is_the_suffix_of_the_deferred_ops(key):
+    # The circuit's own rewrite, which runs, against the oracle's.
+    circuit = build_ansatz(key).circuit
+    body = circuit.body
+    assert body and deferred_ops(circuit)[-len(body):] == body
 
 
 # ---------------------------------------------------------------------------

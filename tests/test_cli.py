@@ -455,6 +455,11 @@ FAILURES = [
      EXIT_DATA, "KeyError('front')"),
     ("checkpoint-wrong-version", lambda tmp: _eval_argv(tmp, _checkpoint(version=2)), {},
      EXIT_DATA, "not a version-1 checkpoint"),
+    # Both compare equal to 1, but neither is the integer 1.
+    ("checkpoint-version-true", lambda tmp: _eval_argv(tmp, _checkpoint(version=True)), {},
+     EXIT_DATA, "not a version-1 checkpoint"),
+    ("checkpoint-version-float", lambda tmp: _eval_argv(tmp, _checkpoint(version=1.0)), {},
+     EXIT_DATA, "not a version-1 checkpoint"),
     ("checkpoint-shape-mismatch", lambda tmp: _eval_argv(tmp, _params(head_bias=[0.0])), {},
      EXIT_DATA, "shape mismatch for 'head_bias'"),
     ("checkpoint-nan-param", lambda tmp: _eval_argv(

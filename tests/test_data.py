@@ -198,18 +198,18 @@ def test_synthetic_values_clipped(monkeypatch):
 
 
 def test_patch_arithmetic_28x28():
-    assert patch_grid(28, 28, 2, 2) == (14, 14)
-    patches = extract_patches(np.zeros((1, 28, 28)), 2, 2)
+    assert patch_grid(28, 28, 2) == (14, 14)
+    patches = extract_patches(np.zeros((1, 28, 28)), 2)
     assert patches.shape == (196, 4)
 
 
 def test_single_patch_equals_image():
     image = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-    np.testing.assert_array_equal(extract_patches(image / 4, 2, 2), [[0.25, 0.5, 0.75, 1.0]])
+    np.testing.assert_array_equal(extract_patches(image / 4, 2), [[0.25, 0.5, 0.75, 1.0]])
 
 
 def test_three_by_three_stride_two_keeps_only_valid_window():
-    patches = extract_patches(np.arange(9.0).reshape(1, 3, 3) / 8, 2, 2)
+    patches = extract_patches(np.arange(9.0).reshape(1, 3, 3) / 8, 2)
     assert patches.shape == (1, 4)
 
 
@@ -221,13 +221,13 @@ def test_patch_count_matches_window_enumeration():
                 for i in range(0, h - 1, stride):
                     for j in range(0, w - 1, stride):
                         count += 1
-                got = extract_patches(np.zeros((1, h, w)), 2, stride).shape[0]
+                got = extract_patches(np.zeros((1, h, w)), stride).shape[0]
                 assert got == count, (h, w, stride)
 
 
 def test_patches_row_major_order_and_flattening():
     image = np.arange(16.0).reshape(4, 4) / 15
-    patches = extract_patches(image[None], 2, 2)
+    patches = extract_patches(image[None], 2)
     np.testing.assert_allclose(patches[0], image[[0, 0, 1, 1], [0, 1, 0, 1]])
     np.testing.assert_allclose(patches[1], image[[0, 0, 1, 1], [2, 3, 2, 3]])
     np.testing.assert_allclose(patches[2], image[[2, 2, 3, 3], [0, 1, 0, 1]])
@@ -236,13 +236,13 @@ def test_patches_row_major_order_and_flattening():
 @pytest.mark.parametrize("stride", [1, 2, 3])
 def test_batch_patches_are_each_images_patches_in_order(stride):
     images = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 5, 6))
-    want = np.concatenate([extract_patches(image[None], 2, stride) for image in images])
-    np.testing.assert_array_equal(extract_patches(images, 2, stride), want)
+    want = np.concatenate([extract_patches(image[None], stride) for image in images])
+    np.testing.assert_array_equal(extract_patches(images, stride), want)
 
 
 def test_image_smaller_than_window_rejected():
     with pytest.raises(ValueError, match="smaller"):
-        extract_patches(np.zeros((1, 1, 5)), 2, 2)
+        extract_patches(np.zeros((1, 1, 5)), 2)
 
 
 def test_dataset_validates_shapes():

@@ -12,7 +12,7 @@ import pytest
 from qccnn.circuits import build_ansatz
 from qccnn.sim import Circuit, GateOp, MidMeasure, run_deferred_batch
 
-from oracles import deferred_circuit, sample_shots
+from oracles import deferred_circuit, deferred_ops, sample_shots
 
 
 def _midmeasures(circuit):
@@ -35,7 +35,7 @@ def test_midcircuit_rewrite_structure():
 
 def test_measurement_free_circuit_returned_unchanged():
     circuit = Circuit(1, (GateOp("H", (0,)),), readout=(0,))
-    assert circuit.deferred == circuit.ops
+    assert deferred_ops(circuit) == circuit.ops
     assert deferred_circuit(circuit) is circuit
 
 
@@ -45,10 +45,10 @@ def test_conditioned_rotation_becomes_control_from_measured_qubit():
         MidMeasure(0, 0),
         GateOp("RY", (1,), angle=0.7, condition=0),
     )
-    deferred = Circuit(2, ops, readout=(1,)).deferred
-    kinds = [op.kind for op in deferred]
-    assert kinds == ["H", "CRY"]
-    assert deferred[1].targets == (0, 1)
+    circuit = Circuit(2, ops, readout=(1,))
+    assert [op.kind for op in deferred_ops(circuit)] == ["H", "CRY"]
+    # The Hadamard is the encoding prefix; the rewritten gate leads the body.
+    assert circuit.body == (GateOp("CRY", (0, 1), angle=0.7),)
 
 
 def test_rewrite_rejects_reuse_of_measured_qubit():
@@ -106,8 +106,9 @@ def test_rewrite_allows_control_only_reuse():
         MidMeasure(0, 0),
         GateOp("CNOT", (0, 1)),
     )
-    deferred = Circuit(2, ops, readout=(1,)).deferred
-    assert [op.kind for op in deferred] == ["H", "CNOT"]
+    circuit = Circuit(2, ops, readout=(1,))
+    assert [op.kind for op in deferred_ops(circuit)] == ["H", "CNOT"]
+    assert circuit.body == (GateOp("CNOT", (0, 1)),)
 
 
 def test_deferred_equals_outcome_average_small_case():

@@ -8,20 +8,29 @@ the largest relative difference between its numbers.  A last-digit rounding
 move then reads differently from a real change.
 
 The table was recorded with numpy 2.4.6 and OpenBLAS 0.3.31.188.0
-(scipy-openblas64, DYNAMIC_ARCH) under Python 3.11 on x86-64.  BLAS kernels
-differ between CPUs, so on another host the digests may differ by rounding
-alone.  An update of the table is a change of test data: list it in
-CHANGES.md with its cause.
+(scipy-openblas64, DYNAMIC_ARCH) under Python 3.11 on x86-64, on the
+SkylakeX kernel.  OpenBLAS picks its kernel by CPU, and another kernel
+rounds the matrix products differently, so on another host the digests
+may differ by rounding alone; a mismatch names both kernels.  On the
+recorded kernel the bytes do not depend on the BLAS thread count, which
+one test checks.  An update of the table is a change of test data: list
+it in CHANGES.md with its cause.
 """
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qccnn
 from qccnn.circuits import ANSATZ_KEYS
 from qccnn.cli import EXIT_OK, main
+
+from blas import kernel_note
 
 REFERENCE = Path(__file__).parent / "golden"
 
@@ -123,4 +132,27 @@ def test_output_matches_its_golden_digest(outputs, name):
     if _sha256(got) != GOLDEN[name]:
         want = (REFERENCE / name).read_text()
         pytest.fail(f"{name} differs from the recorded output; "
-                    f"{_first_difference(got.decode(), want)}")
+                    f"{_first_difference(got.decode(), want)}\n({kernel_note()})")
+
+
+def test_train_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # OpenBLAS reads its thread count when it loads, so each run is a process
+    # of its own, from a working directory of its own.  Under the AVX2 kernel
+    # (OPENBLAS_CORETYPE=Haswell) this front's checkpoint and metrics differ
+    # between 1 and 2 threads; under the recorded kernel they must not.
+    argv = next(a for a in COMMANDS if a[:3] == ["train", "--ansatz", "ancilla-cz"])
+    package = str(Path(qccnn.__file__).parents[1])
+    written = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": package}
+        done = subprocess.run([sys.executable, "-m", "qccnn.cli", *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        written.append({p.relative_to(cwd).as_posix(): p.read_bytes()
+                        for p in cwd.rglob("*") if p.is_file()})
+    one, two = written
+    assert sorted(one) == sorted(name for name in GOLDEN if name.startswith("train/ancilla-cz/"))
+    differ = [name for name in sorted(one) if one[name] != two.get(name)]
+    assert not differ, f"{differ} differ between 1 and 2 BLAS threads ({kernel_note()})"

@@ -87,7 +87,7 @@ def test_shared_encoding_forward_and_backward_are_exact(key):
     readouts = layer.ansatz.num_readouts
     want_grads = np.zeros_like(grads)
     for b, image in enumerate(images):
-        for p, patch in enumerate(extract_patches(image[None], 2, 2)):
+        for p, patch in enumerate(extract_patches(image[None], 2)):
             for k in range(layer.num_kernels):
                 raw = z_expectations_oracle(circuit, layer.params[k], patch)
                 feats = slice(k * readouts, (k + 1) * readouts)
@@ -122,7 +122,7 @@ def _count_shapes(monkeypatch) -> dict:
 def test_layer_encodes_once_per_forward_and_never_in_backward(key, monkeypatch):
     shapes = _count_shapes(monkeypatch)
     circuit = build_ansatz(key).circuit
-    body = len(circuit.split[1])
+    body = len(circuit.body)
     rng = np.random.default_rng(61)
     layer = QuantumConvLayer(build_ansatz(key), stride=2, rng=rng)
     n = circuit.num_qubits

@@ -25,6 +25,7 @@ from qccnn.sim import (
 from oracles import (
     circuit_unitary,
     deferred_circuit,
+    deferred_ops,
     encoded_random_circuit,
     gate_unitary,
     random_circuit,
@@ -259,6 +260,15 @@ def test_run_deferred_rx_readout():
     )
 
 
+def test_signs_hold_each_readouts_z_sign_per_basis_state():
+    # Row j is readout j's (-1)^bit, little-endian: qubit 2 flips basis states 4-7.
+    circuit = Circuit(3, (GateOp("H", (0,)),), readout=(2, 0))
+    np.testing.assert_array_equal(circuit.signs, [[1, 1, 1, 1, -1, -1, -1, -1],
+                                                  [1, -1, 1, -1, 1, -1, 1, -1]])
+    assert circuit.signs.dtype == float and not circuit.signs.flags.writeable
+    assert Circuit(3, (GateOp("H", (0,)),)).signs.shape == (0, 8)
+
+
 def test_run_deferred_param_length_checked():
     circuit = Circuit(1, (GateOp("RX", (0,), param_slot=0),), num_params=1, readout=(0,))
     with pytest.raises(ValueError, match="parameters"):
@@ -435,12 +445,12 @@ def test_input_angle_outside_the_prefix_rejected(gate):
 
 
 def _prefix_gate_by_gate(circuit, xs):
-    """The prefix of ``circuit.split`` run gate by gate through the production kernels."""
-    ops = circuit.deferred
+    """The deferred ops before ``circuit.body`` run gate by gate through the production kernels."""
+    ops = deferred_ops(circuit)
     n = circuit.num_qubits
     state = np.zeros((1 << n, len(xs)), dtype=complex)
     state[0] = 1.0
-    for op in ops[: len(ops) - len(circuit.split[1])]:
+    for op in ops[: len(ops) - len(circuit.body)]:
         _gate(state, op.kind, op.targets,
               _resolve_angle(op, xs) if op.kind in ROTATION_KINDS else None)
     return state
@@ -468,8 +478,8 @@ def _edge_inputs(rng, rows, num_inputs):
 @pytest.mark.parametrize("key", ANSATZ_KEYS)
 def test_encode_equals_the_prefix_gate_by_gate_for_ansatz(key):
     circuit = build_ansatz(key).circuit
-    ops = circuit.deferred
-    body = circuit.split[1]
+    ops = deferred_ops(circuit)
+    body = circuit.body
     # The prefix is the patch encoding: everything before the first parameterised op.
     assert body[0].param_slot is not None
     assert len(ops) - len(body) == (27 if key.startswith("ancilla") else 26)
@@ -509,7 +519,7 @@ def test_encode_equals_the_prefix_gate_by_gate_for_random_encodings():
         body = (GateOp("RY", (0,), param_slot=0), GateOp("RZ", (0,), angle=0.5))
         circuit = Circuit(n, tuple(prefix) + body, num_params=1, num_inputs=n, readout=(0,))
         # The closing inverse frame makes the whole run one prefix.
-        assert circuit.split[1] == body
+        assert circuit.body == body
         xs = _edge_inputs(rng, 9, n)
         _assert_same_bits(encode(circuit, xs), _prefix_gate_by_gate(circuit, xs))
         want = np.stack([circuit_unitary(circuit, [0.0], x)[:, 0] for x in xs], axis=1)
