@@ -143,7 +143,7 @@ def summed_readout_gradient(circuit: Circuit, params, weights, unitaries, encode
     (kernels, num_params).
     """
     params = _check_params(circuit, params)
-    kernels, dim = len(params), 1 << circuit.num_qubits
+    kernels, dim = len(params), 1 << circuit.width
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 3 or weights.shape[::2] != (kernels, len(circuit.readout)):
         raise ValueError(

@@ -258,11 +258,13 @@ def held_bytes(circuit: Circuit, theta_samples: int, data_samples: int) -> tuple
 
     A batch of G draws and R rows peaks under three copies of its G
     unitaries, or under five (2**n, R) states plus the (R, d) scores and 16
-    floats a row.  Measured with tracemalloc over the 10 keys: 1.7-2.7
-    copies at 2,048 draws of one input; 3.5-4.3 states at one draw of 2,048
-    or 100,000 inputs, of which the walk's (2, 2**n, R) pair is two.
+    floats a row.  n is ``circuit.width``, the qubits the circuit runs on:
+    4 for every ansatz, as the ancilla's fifth is folded into its readout.
+    Measured with tracemalloc over the 10 keys: 1.7-2.7 copies at 2,048
+    draws of one input; 3.5-4.3 states at one draw of 2,048 or 100,000
+    inputs, of which the walk's (2, 2**n, R) pair is two.
     """
-    d, dim = circuit.num_params, 1 << circuit.num_qubits
+    d, dim = circuit.num_params, 1 << circuit.width
     draws = min(theta_samples, max(1, _BATCH_ROWS // data_samples))
     rows = draws * data_samples
     batch = 3 * draws * dim * dim * 16 + rows * (5 * dim * 16 + d * 8 + 16 * 8)

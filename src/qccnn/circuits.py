@@ -9,7 +9,9 @@ builder takes, and a postprocess kind (identity unless named below):
 * ``midcircuit-rx`` / ``midcircuit-ry`` - three mid-circuit measurements
   conditioning rotation cascades about the given axis, one readout.
 * ``ancilla-cy`` / ``ancilla-cz`` - Hadamard / controlled gates / Hadamard
-  parity readout on a fifth qubit.
+  parity readout on a fifth qubit.  The circuit declares 5 qubits, but
+  :class:`~qccnn.sim.Circuit` folds that gadget into a Z0Z1Z2Z3 parity
+  readout, so both variants run on 4 qubits.
 * ``mod-a`` / ``mod-b`` / ``mod-c`` - modular two-qubit blocks halving the
   register twice (4 -> 2 -> 1 qubits).  The block internals follow common
   two-qubit pooling constructions; they are one concrete reconstruction, not
@@ -132,7 +134,10 @@ def build_ancilla_pooling(gate: str) -> Circuit:
 
     The ancilla (q4) is framed by Hadamards around one controlled `gate` from
     each data qubit.  CY and CZ variants are observationally identical: both
-    reduce the readout to the four-qubit parity <ZZZZ>.
+    reduce the readout to the four-qubit parity <ZZZZ>.  The circuit keeps
+    these ops as written, but it runs on the 4 data qubits with that
+    parity as its sign row (``Circuit.width`` is 4), so CY and CZ run the
+    same program.
     """
     ops = [GateOp("H", (4,))]
     ops += higher_order_encoding_template()

@@ -9,6 +9,7 @@ environment (``QCCNN_<NAME>``) < command line.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import os
@@ -30,6 +31,31 @@ from .capacity import (
 from .circuits import ANSATZ_KEYS, build_ansatz
 from .data import DataError, _check_limit, load_dataset
 from .nn import FitResult, evaluate, fit, make_model
+
+def _fix_malloc_thresholds():
+    """Fix glibc's mmap and trim thresholds, so a call's cost does not depend on earlier calls.
+
+    By default glibc raises both to the size of the largest mmapped block
+    freed so far.  A work array under the mmap threshold comes from the
+    heap, which keeps freed memory up to the trim threshold for the next
+    call; otherwise it goes back to the system, and the next call
+    page-faults it in again.  So a call's cost depended on the largest
+    array any earlier call had freed: in a loop of `qccnn ed` calls over
+    the table's keys, the 4-qubit keys ran 10-15% slower when no key freed
+    the larger arrays of a 5-qubit circuit.  At 4 MiB and 16 MiB, work
+    arrays under 4 MiB (a (16, 12544) complex state is 3.2 MB) stay in the
+    heap, and at most 16 MiB of free heap is kept.  Where the C library
+    has no ``mallopt`` (it is not glibc), nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD in glibc's <malloc.h>
+    mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
+
+
+_fix_malloc_thresholds()
 
 ENV_PREFIX = "QCCNN_"
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4

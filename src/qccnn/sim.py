@@ -43,6 +43,14 @@ parameters (the kernels of a layer, the parameter draws of an effective
 dimension) build their matrices together, as kernels x 2**n columns with
 one parameter row per kernel.  :func:`readouts` reads the readout Z
 expectations off a final state, one sign row per readout.
+
+A circuit runs on ``circuit.width`` qubits, its `num_qubits` less a folded
+ancilla parity gadget: a top qubit that the prefix leaves in |+> and that
+the body touches only at its end, with CY/CZ gates from other qubits onto
+it and then a Hadamard.  That qubit's Z readout is its controls' Z parity
+on the others (see :func:`_fold_parity_gadget`), so its sign row holds
+that parity and no state holds the qubit.  Every other qubit keeps its bit
+and its axis, so the sizes above are 2**width where the text says 2**n.
 """
 
 from __future__ import annotations
@@ -129,10 +137,15 @@ class Circuit:
     measured.  `prefix` is the encoding prefix of the deferred ops as a
     phase program (:func:`_compile_prefix`), which :func:`encode` runs;
     `body` is the ops after it, which :func:`unitary` and the adjoint walk
-    run; row j of the read-only (readouts, 2**n) `signs` is readout j's Z
-    sign per basis state.  No input angle may follow the prefix, so each one
-    is an RZ after the leading Hadamards, alone or framed by CNOTs.  None of
-    the three takes part in ``repr``, ``==`` or the hash.
+    run; row j of the read-only (readouts, 2**width) `signs` is readout j's
+    Z sign per basis state.  No input angle may follow the prefix, so each
+    one is an RZ after the leading Hadamards, alone or framed by CNOTs.
+    `width` is the number of qubits those three act on: `num_qubits`, or
+    one less where :func:`_fold_parity_gadget` compiles an ancilla parity
+    gadget on the top qubit away, exactly: the prefix without its Hadamard,
+    the body without its CY/CZ-then-H tail, and the top qubit's sign row the
+    product of its controls' rows.  None of the four takes part in
+    ``repr``, ``==`` or the hash.
     """
 
     num_qubits: int
@@ -140,6 +153,7 @@ class Circuit:
     num_params: int = 0
     num_inputs: int = 0
     readout: tuple[int, ...] = ()
+    width: int = field(init=False, repr=False, compare=False)
     prefix: tuple = field(init=False, repr=False, compare=False)
     body: tuple = field(init=False, repr=False, compare=False)
     signs: np.ndarray = field(init=False, repr=False, compare=False)
@@ -201,9 +215,20 @@ class Circuit:
         body = tuple(deferred[length:])
         if any(op.input_idx is not None for op in body):
             raise ValueError("an input angle follows the encoding prefix")
-        bits = np.arange(1 << self.num_qubits) >> np.array(self.readout, dtype=int)[:, None] & 1
-        signs = np.where(bits == 0, 1.0, -1.0)
+        width, controls = self.num_qubits, None
+        folded = _fold_parity_gadget(width, program, body)
+        if folded is not None:
+            program, body, controls = folded
+            width -= 1
+        # A readout's sign is the product of its qubits' Z signs; a folded
+        # top qubit's are its controls'.
+        states = np.arange(1 << width)
+        signs = np.ones((len(self.readout), 1 << width))
+        for row, q in zip(signs, self.readout):
+            for z in controls if q == width else (q,):
+                row *= 1.0 - 2.0 * (states >> z & 1)
         signs.setflags(write=False)
+        object.__setattr__(self, "width", width)
         object.__setattr__(self, "prefix", program)
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "signs", signs)
@@ -258,6 +283,35 @@ def _compile_prefix(num_qubits: int, ops) -> tuple[int, tuple]:
         if all(m == 1 << q for q, m in enumerate(masks)):
             length, program = i + 1, (tuple(hadamards), tuple(steps))
     return length, program
+
+
+def _fold_parity_gadget(num_qubits: int, program: tuple, body: tuple):
+    """The top qubit's parity gadget compiled away: (program, body, controls), or None.
+
+    The gadget is a top qubit t = n-1 that the prefix leaves in |+>, as a
+    leading Hadamard in no RZ's Z-string, and that no body op touches until
+    the body ends with CY or CZ gates from other qubits onto t, then H(t).
+    Read backwards through that tail, Z_t becomes X_t times the product of
+    the controls' Z (for CY as for CZ), and X_t on |+> is 1 (the Clifford
+    rule, Gottesman 1998, arXiv:quant-ph/9807006).  So t's readout is the
+    controls' Z parity on the other qubits, which keep their bits, and any
+    other readout is unchanged.  The returned program drops t's Hadamard and
+    the leading axis of each table, the body drops the tail, and `controls`
+    lists the tail's controls in order, a repeated one as often as it acts.
+    """
+    t = num_qubits - 1
+    hadamards, steps = program
+    if t not in hadamards or any(table.shape[0] == 2 for _, table in steps):
+        return None
+    if not body or body[-1] != GateOp("H", (t,)):
+        return None
+    start = len(body) - 1
+    while start > 0 and body[start - 1].kind in ("CY", "CZ") and body[start - 1].targets[1] == t:
+        start -= 1
+    if start == len(body) - 1 or any(t in op.targets for op in body[:start]):
+        return None
+    program = (tuple(q for q in hadamards if q != t), tuple((op, table[0]) for op, table in steps))
+    return program, body[:start], tuple(op.targets[0] for op in body[start:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +464,18 @@ def _state_view(circuit: Circuit, state: np.ndarray, columns: tuple,
                 stacked: bool = False) -> np.ndarray:
     """The (2,)*n + `columns` view of a (2**n, prod(columns)) state; writes go to the state.
 
-    A `stacked` state is a (2, 2**n, prod(columns)) pair, viewed as
-    (2,)*(n+1) + `columns`: its stack axis is one more qubit, above the rest.
+    n is ``circuit.width``.  A `stacked` state is a (2, 2**n, prod(columns))
+    pair, viewed as (2,)*(n+1) + `columns`: its stack axis is one more
+    qubit, above the rest.
     """
     lead = (2,) if stacked else ()
-    shape = lead + (1 << circuit.num_qubits, math.prod(columns))
+    shape = lead + (1 << circuit.width, math.prod(columns))
     if state.shape != shape or state.dtype != complex or not state.flags.c_contiguous:
         raise ValueError(
             f"state must be a C-contiguous complex {shape} array, got"
             f" {state.dtype} {state.shape}"
         )
-    return state.reshape(lead + (2,) * circuit.num_qubits + columns)
+    return state.reshape(lead + (2,) * circuit.width + columns)
 
 
 def encode(circuit: Circuit, inputs) -> np.ndarray:
@@ -437,7 +492,7 @@ def encode(circuit: Circuit, inputs) -> np.ndarray:
     """
     inputs = _check_inputs(circuit, inputs)
     rows = inputs.shape[0]
-    n = circuit.num_qubits
+    n = circuit.width
     hadamards, steps = circuit.prefix
     angles = np.empty((len(steps), rows))
     for i, (op, _) in enumerate(steps):
@@ -472,7 +527,7 @@ def unitary(circuit: Circuit, params) -> np.ndarray:
     `x` at ``p[k]``.
     """
     params = _check_params(circuit, params)
-    kernels, dim = len(params), 1 << circuit.num_qubits
+    kernels, dim = len(params), 1 << circuit.width
     u = np.tile(np.eye(dim, dtype=complex), kernels)
     psi = _state_view(circuit, u, (kernels, dim))
     for op, rotation in zip(circuit.body, _rotations(circuit.body, params)):

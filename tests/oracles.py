@@ -103,13 +103,54 @@ def deferred_circuit(circuit: Circuit) -> Circuit:
     return replace(circuit, ops=deferred_ops(circuit)) if measures else circuit
 
 
-def circuit_unitary(circuit: Circuit, params, inputs=None) -> np.ndarray:
-    """Full unitary of a measurement-free circuit by matrix-chain product."""
+def input_free_matrices(circuit: Circuit, params) -> tuple:
+    """The dense matrices of a measurement-free circuit at one θ that no input changes.
+
+    Returns ``(mats, later, shifts)``: per op, its matrix, or None where it
+    takes an input angle; per op, the product of the gates after it, or
+    None where one of those takes an input angle; and per parameterised op,
+    the (coefficient, shift gate matrix) pairs of its `shift_rule` (None for
+    the others).  `z_expectations_oracle`, `param_shift_jacobian` and
+    `circuit_unitary` take it so that they do not rebuild these for every
+    input row; each product is formed in the order they form it themselves,
+    so their results keep every bit.
+    """
     params = np.asarray(params, dtype=float)
-    u = np.eye(1 << circuit.num_qubits, dtype=complex)
+    n = circuit.num_qubits
+    mats = []
     for op in circuit.ops:
         assert isinstance(op, GateOp) and op.condition is None
-        u = op_unitary(op, circuit.num_qubits, params, inputs) @ u
+        mats.append(None if op.input_idx is not None else op_unitary(op, n, params))
+    later = [None] * len(mats)
+    u = np.eye(1 << n, dtype=complex)
+    for i in range(len(mats) - 1, -1, -1):
+        later[i] = u
+        if mats[i] is None:
+            break
+        u = u @ mats[i]
+    shifts = [None if op.param_slot is None else
+              [(coeff, gate_unitary(op.kind, op.targets, n, shift))
+               for shift, coeff in shift_rule(op.kind)]
+              for op in circuit.ops]
+    return mats, later, shifts
+
+
+def _op_matrices(circuit: Circuit, params, inputs, fixed) -> list:
+    """Per op, its dense matrix: from `fixed` (`input_free_matrices`) where it holds one."""
+    params = np.asarray(params, dtype=float)
+    mats = fixed[0] if fixed is not None else [None] * len(circuit.ops)
+    out = []
+    for op, mat in zip(circuit.ops, mats):
+        assert isinstance(op, GateOp) and op.condition is None
+        out.append(op_unitary(op, circuit.num_qubits, params, inputs) if mat is None else mat)
+    return out
+
+
+def circuit_unitary(circuit: Circuit, params, inputs=None, fixed=None) -> np.ndarray:
+    """Full unitary of a measurement-free circuit by matrix-chain product."""
+    u = np.eye(1 << circuit.num_qubits, dtype=complex)
+    for mat in _op_matrices(circuit, params, inputs, fixed):
+        u = mat @ u
     return u
 
 
@@ -123,10 +164,10 @@ def _z_expectations(circuit: Circuit, psi: np.ndarray) -> np.ndarray:
     return np.asarray(out)
 
 
-def z_expectations_oracle(circuit: Circuit, params, inputs=None) -> np.ndarray:
+def z_expectations_oracle(circuit: Circuit, params, inputs=None, fixed=None) -> np.ndarray:
     """Readout Z expectations via the dense-matrix statevector."""
     dim = 1 << circuit.num_qubits
-    psi = circuit_unitary(circuit, params, inputs) @ np.eye(dim, 1, dtype=complex)[:, 0]
+    psi = circuit_unitary(circuit, params, inputs, fixed) @ np.eye(dim, 1, dtype=complex)[:, 0]
     return _z_expectations(circuit, psi)
 
 
@@ -189,7 +230,7 @@ def shift_rule(kind: str):
     raise ValueError(f"no parameter-shift rule for gate kind {kind!r}")
 
 
-def param_shift_jacobian(circuit: Circuit, params, inputs=None) -> np.ndarray:
+def param_shift_jacobian(circuit: Circuit, params, inputs=None, fixed=None) -> np.ndarray:
     """d<Z_j>/d theta_p of a measurement-free circuit at one input vector.
 
     Returns shape (num_params, readouts).  Each parameterised gate occurrence
@@ -197,28 +238,26 @@ def param_shift_jacobian(circuit: Circuit, params, inputs=None) -> np.ndarray:
     it (R(t + s) = R(s) R(t)), and every shifted circuit is evaluated on
     dense matrices: the state after the occurrence, the shift gate, then the
     product of the later gates.  Mid-circuit ansatze are passed in deferred
-    form, whose rewrite `sample_shots` checks.
+    form, whose rewrite `sample_shots` checks.  `fixed` is the circuit's
+    `input_free_matrices` at `params`, or None to build them here.
     """
-    params = np.asarray(params, dtype=float)
     n = circuit.num_qubits
-    mats = []
-    for op in circuit.ops:
-        assert isinstance(op, GateOp) and op.condition is None
-        mats.append(op_unitary(op, n, params, inputs))
+    if fixed is None:
+        fixed = input_free_matrices(circuit, params)
+    mats = _op_matrices(circuit, params, inputs, fixed)
     # later[i]: the product of the gates after op i.
-    later = [None] * len(mats)
-    u = np.eye(1 << n, dtype=complex)
-    for i in range(len(mats) - 1, -1, -1):
-        later[i] = u
-        u = u @ mats[i]
+    later = list(fixed[1])
+    for i in range(len(mats) - 2, -1, -1):
+        if later[i] is None:
+            later[i] = later[i + 1] @ mats[i + 1]
     jac = np.zeros((circuit.num_params, len(circuit.readout)))
     psi = np.eye(1 << n, 1, dtype=complex)[:, 0]
     for i, op in enumerate(circuit.ops):
         psi = mats[i] @ psi
         if op.param_slot is None:
             continue
-        for shift, coeff in shift_rule(op.kind):
-            shifted = later[i] @ (gate_unitary(op.kind, op.targets, n, shift) @ psi)
+        for coeff, gate in fixed[2][i]:
+            shifted = later[i] @ (gate @ psi)
             jac[op.param_slot] += coeff * _z_expectations(circuit, shifted)
     return jac
 
@@ -234,9 +273,10 @@ def fisher_information(circuit: Circuit, params, xs) -> np.ndarray:
     the rows, a (num_params, num_params) matrix.
     """
     fisher = np.zeros((circuit.num_params, circuit.num_params))
+    fixed = input_free_matrices(circuit, params)  # built once for every row
     for x in xs:
-        z = z_expectations_oracle(circuit, params, x)
-        jac = param_shift_jacobian(circuit, params, x)  # (num_params, readouts)
+        z = z_expectations_oracle(circuit, params, x, fixed)
+        jac = param_shift_jacobian(circuit, params, x, fixed)  # (num_params, readouts)
         if len(z) == 1:  # the logits are (z, -z)
             z, jac = np.concatenate([z, -z]), np.concatenate([jac, -jac], axis=1)
         p = np.exp(z - z.max())

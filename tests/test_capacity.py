@@ -331,7 +331,7 @@ def test_effective_dimension_deterministic_and_bounded():
 _PINNED_ED = {
     "conv": "3.63984273748377",
     "mod-c": "19.54794896253888",
-    "ancilla-cz": "2.3241109162080362",
+    "ancilla-cz": "2.3241109162080353",
 }
 
 
@@ -426,7 +426,7 @@ def test_report_lines_format():
                          [("mod-c", 20000, 1), ("ancilla-cz", 1, 100000)])
 def test_effective_dimension_holds_no_more_than_it_counts(key, theta_samples, data_samples):
     # The FIM stack dominates 20,000 mod-c draws of one input; one batch of
-    # 100,000 rows on 5 qubits dominates the other.  `qccnn ed` refuses
+    # 100,000 rows dominates the other.  `qccnn ed` refuses
     # settings by this count, so it must bound what the ED allocates.
     effective_dimension(key, theta_samples=1, data_samples=1)  # build and cache the circuit
     tracemalloc.start()
@@ -438,3 +438,11 @@ def test_effective_dimension_holds_no_more_than_it_counts(key, theta_samples, da
     stack, batch = capacity.held_bytes(build_ansatz(key).circuit, theta_samples, data_samples)
     assert peak <= stack + batch
     assert peak >= max(stack, batch) / 2  # the count is of the right size, not just large
+
+
+@pytest.mark.parametrize("theta_samples, data_samples", [(100, 100), (20000, 1), (1, 100000)])
+def test_ancilla_ed_holds_what_a_four_qubit_front_holds(theta_samples, data_samples):
+    # The ancilla's fifth qubit is folded into its readout signs, so its ED
+    # holds 2**4-amplitude states and matrices, as conv's (also d = 4) does.
+    assert capacity.held_bytes(build_ansatz("ancilla-cz").circuit, theta_samples, data_samples) \
+        == capacity.held_bytes(build_ansatz("conv").circuit, theta_samples, data_samples)

@@ -172,22 +172,38 @@ def test_ancilla_structure():
     assert controlled == [(0, 4), (1, 4), (2, 4), (3, 4)]
 
 
+_ANCILLA_KEYS = ("ancilla-cy", "ancilla-cz")
+
+
 def test_ancilla_cy_equals_cz_everywhere():
-    cy = build_ansatz("ancilla-cy").circuit
-    cz = build_ansatz("ancilla-cz").circuit
+    # Both variants compile to one 4-qubit program, so each is checked
+    # against its own 5-qubit dense simulation, which holds the CY or CZ gates.
+    circuits = [build_ansatz(key).circuit for key in _ANCILLA_KEYS]
     rng = np.random.default_rng(34)
     for _ in range(50):
         x = rng.uniform(-1, 1, 4)
         theta = rng.uniform(-math.pi, math.pi, 4)
-        a = run_deferred_batch(cy, theta, x[None])[0][0]
-        b = run_deferred_batch(cz, theta, x[None])[0][0]
-        assert abs(a - b) < 1e-12
+        for circuit in circuits:
+            got = run_deferred_batch(circuit, theta, x[None])[0][0]
+            assert abs(got - z_expectations_oracle(circuit, theta, x)[0]) < 1e-12
 
 
 def test_ancilla_zero_case_parity_of_cnot_ring_plus_state():
-    circuit = build_ansatz("ancilla-cy").circuit
-    out = run_deferred_batch(circuit, np.zeros(4), np.zeros((1, 4)))[0]
-    np.testing.assert_allclose(out, [0.0], atol=1e-14)
+    for key in _ANCILLA_KEYS:
+        circuit = build_ansatz(key).circuit
+        out = run_deferred_batch(circuit, np.zeros(4), np.zeros((1, 4)))[0]
+        want = z_expectations_oracle(circuit, np.zeros(4), np.zeros(4))
+        np.testing.assert_allclose(want, [0.0], atol=1e-14)
+        np.testing.assert_allclose(out, want, atol=1e-14)
+
+
+@pytest.mark.parametrize("key", ANSATZ_KEYS)
+def test_every_ansatz_simulates_four_qubits(key):
+    # The ancilla's fifth qubit is folded into its readout signs; a circuit
+    # edit that breaks the fold would bring back its 2**5-amplitude state.
+    circuit = build_ansatz(key).circuit
+    assert circuit.width == 4
+    assert circuit.signs.shape == (len(circuit.readout), 16)
 
 
 def test_modular_reduction_structure():
@@ -265,10 +281,17 @@ def test_deferred_ops_match_their_pin(key):
 
 @pytest.mark.parametrize("key", ANSATZ_KEYS)
 def test_body_is_the_suffix_of_the_deferred_ops(key):
-    # The circuit's own rewrite, which runs, against the oracle's.
+    # The circuit's own rewrite, which runs, against the oracle's.  An
+    # ancilla circuit's parity gadget, CY/CZ from each data qubit onto q4 and
+    # then H(q4), is folded into its readout signs: the body plus that tail
+    # is the suffix.
     circuit = build_ansatz(key).circuit
-    body = circuit.body
-    assert body and deferred_ops(circuit)[-len(body):] == body
+    body, ops = circuit.body, deferred_ops(circuit)
+    tail = ()
+    if key in _ANCILLA_KEYS:
+        tail = tuple(GateOp(key[-2:].upper(), (q, 4)) for q in range(4)) + (GateOp("H", (4,)),)
+    assert circuit.width == circuit.num_qubits - bool(tail)
+    assert body and ops[len(ops) - len(body) - len(tail):] == body + tail
 
 
 # ---------------------------------------------------------------------------

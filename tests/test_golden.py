@@ -41,13 +41,13 @@ COMMANDS = [
 ]
 
 GOLDEN = {
-    "ed/ed_results.csv": "9fc0b539cdc14a11b8e897180a46f25cd90043ca5a899ea90e08d92e1492f3b7",
-    "ed/ed_summary.json": "6a9d150dcedf43e0dde58fb780a853ec54b66288a5a1ec09dc1792e341c42ec6",
-    "train/ancilla-cy/checkpoint_seed0.json": "bbae5b7971ab7c6a9efd5996d63ef3e1326e1525705a82cf502f37fe4140f48e",
-    "train/ancilla-cy/metrics.csv": "c7fc7710ad62dca19a7e8902efdff14c3c07dfe7ebba0ebc1de3a5173987ae2b",
+    "ed/ed_results.csv": "344020d73c27b08f3885111c49c16d03101d1e156c987e6863edeab20d7d6b2e",
+    "ed/ed_summary.json": "edc1e213ab754bb5bfdc208a80cd7977b243aaf814ba1158aee6be87ee6570c2",
+    "train/ancilla-cy/checkpoint_seed0.json": "995d0a71d03719bf559af3d1bb80d91b6887149aafc7f7468d0f6319b8b36249",
+    "train/ancilla-cy/metrics.csv": "af23a0e7e73381e41edaad74c6d174ab737f8ad8343ef197ef5b91e61d017d8b",
     "train/ancilla-cy/summary.json": "9eb837aff718c88b64f69dc2cddabf66738bef326ca8951ce76e8127ffd39635",
-    "train/ancilla-cz/checkpoint_seed0.json": "82ca93ad857f07b85dfab10bcdc666a1b9ef32df476840112d1a2ba4fc38ec0e",
-    "train/ancilla-cz/metrics.csv": "c7fc7710ad62dca19a7e8902efdff14c3c07dfe7ebba0ebc1de3a5173987ae2b",
+    "train/ancilla-cz/checkpoint_seed0.json": "05be06866026ae2361b5ec78c5a4e32878040d612a310a438b5e82fed0e5a5f3",
+    "train/ancilla-cz/metrics.csv": "af23a0e7e73381e41edaad74c6d174ab737f8ad8343ef197ef5b91e61d017d8b",
     "train/ancilla-cz/summary.json": "9ae9bd5592afb4e0b29c7f0a6f6d44072415767ebcf4fc7359c8cc0ab2148865",
     "train/classical/checkpoint_seed0.json": "46df6c96e4b5495d601a838cbe1d8eb172f6888634ed67a085eedfd41d045661",
     "train/classical/metrics.csv": "4419b307d03d7db965f0359b7311518a3c4998d616d451ead3cd11076b2f546b",

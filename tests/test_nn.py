@@ -125,7 +125,8 @@ def test_layer_encodes_once_per_forward_and_never_in_backward(key, monkeypatch):
     body = len(circuit.body)
     rng = np.random.default_rng(61)
     layer = QuantumConvLayer(build_ansatz(key), stride=2, rng=rng)
-    n = circuit.num_qubits
+    n = circuit.width  # 4 for every key: the ancilla's q4 is folded into its signs
+    assert n == 4
     kernels = layer.num_kernels
     for images in (1, 3):
         layer.params += 0.1  # a new parameter version: the kernels' matrices are rebuilt

@@ -2,6 +2,7 @@
 
 import math
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qccnn.sim import (
     _rotations,
     _state_view,
     encode,
+    readouts,
     run_deferred_batch,
     unitary,
 )
@@ -28,6 +30,7 @@ from oracles import (
     deferred_ops,
     encoded_random_circuit,
     gate_unitary,
+    input_free_matrices,
     random_circuit,
     sample_shots,
     z_expectations_oracle,
@@ -375,17 +378,47 @@ def test_deterministic_repeat_calls_bit_identical():
 # ---------------------------------------------------------------------------
 
 
+def _folded_tail(circuit) -> int:
+    """How many deferred ops at the end a folded parity gadget takes: its CY/CZ gates and H.
+
+    0 unless the circuit runs on fewer qubits than it declares.
+    """
+    if circuit.width == circuit.num_qubits:
+        return 0
+    ops, t = deferred_ops(circuit), circuit.width
+    k = len(ops) - 1
+    assert ops[k] == GateOp("H", (t,))
+    while ops[k - 1].kind in ("CY", "CZ") and ops[k - 1].targets[1] == t:
+        k -= 1
+    return len(ops) - k
+
+
 def _check_kernel_unitaries(circuit, params, xs):
-    """Kernel k's matrix times the encoding is the dense oracle's final state at params[k]."""
+    """Kernel k's matrix times the encoding is the dense oracle's final state at params[k].
+
+    A circuit with a folded parity gadget (the ancilla ansatze) runs on
+    ``circuit.width`` qubits, without the top one: its final state is the
+    dense oracle's state before the gadget, in which the top qubit is |+>
+    and factors out, and its readouts are the dense oracle's.
+    """
     u = unitary(circuit, params)
-    dim = 1 << circuit.num_qubits
+    dim = 1 << circuit.width
     assert u.shape == (len(params), dim, dim)
     encoded = encode(circuit, xs)
     deferred = deferred_circuit(circuit)
+    tail = _folded_tail(circuit)
+    before = replace(deferred, ops=deferred.ops[: len(deferred.ops) - tail])
     for k, theta in enumerate(params):
+        fixed = input_free_matrices(deferred, theta)
         np.testing.assert_allclose(u[k].conj().T @ u[k], np.eye(dim), atol=1e-12)
-        want = np.stack([circuit_unitary(deferred, theta, x)[:, 0] for x in xs], axis=1)
+        want = np.stack([circuit_unitary(before, theta, x)[:, 0] for x in xs], axis=1)
+        if tail:  # the top qubit is the most significant bit: its |+> splits want in equal halves
+            np.testing.assert_allclose(want[dim:], want[:dim], atol=1e-12)
+            want = want[:dim] * math.sqrt(2.0)
         np.testing.assert_allclose(u[k] @ encoded, want, atol=1e-12)
+        np.testing.assert_allclose(
+            readouts(circuit, u[k] @ encoded),
+            [z_expectations_oracle(deferred, theta, x, fixed) for x in xs], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("key", ANSATZ_KEYS)
@@ -445,12 +478,20 @@ def test_input_angle_outside_the_prefix_rejected(gate):
 
 
 def _prefix_gate_by_gate(circuit, xs):
-    """The deferred ops before ``circuit.body`` run gate by gate through the production kernels."""
+    """The deferred ops before ``circuit.body`` run gate by gate through the production kernels.
+
+    They run on ``circuit.width`` qubits.  Where a parity gadget is folded,
+    the prefix's one op on the top qubit must be its Hadamard, which leaves
+    that qubit in |+> apart from the rest, so it is left out.
+    """
     ops = deferred_ops(circuit)
-    n = circuit.num_qubits
+    n = circuit.width
     state = np.zeros((1 << n, len(xs)), dtype=complex)
     state[0] = 1.0
-    for op in ops[: len(ops) - len(circuit.body)]:
+    for op in ops[: len(ops) - _folded_tail(circuit) - len(circuit.body)]:
+        if max(op.targets) >= n:
+            assert op == GateOp("H", (n,))
+            continue
         _gate(state, op.kind, op.targets,
               _resolve_angle(op, xs) if op.kind in ROTATION_KINDS else None)
     return state
@@ -481,8 +522,12 @@ def test_encode_equals_the_prefix_gate_by_gate_for_ansatz(key):
     ops = deferred_ops(circuit)
     body = circuit.body
     # The prefix is the patch encoding: everything before the first parameterised op.
+    # The ancilla's prefix also holds its q4 Hadamard, and its parity gadget
+    # (CY/CZ from each data qubit onto q4, then H) follows the body.
     assert body[0].param_slot is not None
-    assert len(ops) - len(body) == (27 if key.startswith("ancilla") else 26)
+    tail = _folded_tail(circuit)
+    assert tail == (5 if key.startswith("ancilla") else 0)
+    assert len(ops) - tail - len(body) == (27 if key.startswith("ancilla") else 26)
     rng = np.random.default_rng(18)
     # 500 rows: an ED batch of 5 draws; 1,568: one 8-image 28x28 eval batch.
     for rows in (1, 7, 196, 500, 1568):
