@@ -24,7 +24,6 @@ take the batch's (draws, num_params) θ matrix as it is, one row per draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,37 +49,6 @@ _BATCH_ROWS = 2048
 
 class NumericError(RuntimeError):
     """Raised when a numerical invariant (PSD spectrum, valid kappa) fails."""
-
-
-@dataclass
-class EDReport:
-    """Effective dimension of one ansatz at one seed, with its settings."""
-
-    ansatz_key: str
-    ed: float
-    normalized_ed: float
-    gamma: float
-    n: int
-    d: int
-    theta_samples: int
-    data_samples: int
-    seed: int
-    log_param_volume: float
-
-    def lines(self) -> list[str]:
-        """Structured text record, one ``key: value`` line per field."""
-        return [
-            f"ansatz: {self.ansatz_key}",
-            f"seed: {self.seed}",
-            f"d: {self.d}",
-            f"gamma: {self.gamma}",
-            f"n: {self.n}",
-            f"theta_samples: {self.theta_samples}",
-            f"data_samples: {self.data_samples}",
-            f"log_param_volume: {self.log_param_volume!r}",
-            f"ed: {self.ed!r}",
-            f"normalized_ed: {self.normalized_ed!r}",
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +247,8 @@ def effective_dimension(
     data_samples: int = 100,
     seed: int = 0,
     input_sampler=uniform_input_sampler,
-) -> EDReport:
-    """Monte-Carlo effective dimension of the ansatz circuit named `key`.
+) -> tuple[float, float]:
+    """Monte-Carlo (ed, normalized ed) of the ansatz circuit named `key`.
 
     Parameters are drawn uniformly from [-pi, pi]^d; for each draw,
     `data_samples` inputs come from `input_sampler` and labels from the
@@ -302,16 +270,4 @@ def effective_dimension(
     fims = np.empty((theta_samples, d, d))
     for start in range(0, theta_samples, per_batch):
         _fill_fims(circuit, rng, input_sampler, k, fims[start : start + per_batch])
-    ed, normalized = effective_dimension_from_fims(fims, gamma, n)
-    return EDReport(
-        ansatz_key=key,
-        ed=ed,
-        normalized_ed=normalized,
-        gamma=gamma,
-        n=n,
-        d=d,
-        theta_samples=theta_samples,
-        data_samples=data_samples,
-        seed=seed,
-        log_param_volume=d * math.log(2.0 * math.pi),
-    )
+    return effective_dimension_from_fims(fims, gamma, n)

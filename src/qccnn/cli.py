@@ -12,6 +12,7 @@ import argparse
 import ctypes
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -29,7 +30,7 @@ from .capacity import (
     uniform_input_sampler,
 )
 from .circuits import ANSATZ_KEYS, build_ansatz
-from .data import DataError, _check_limit, load_dataset
+from .data import PATCH_SIZE, DataError, _check_limit, load_dataset, patch_grid
 from .nn import FitResult, evaluate, fit, make_model
 
 def _fix_malloc_thresholds():
@@ -395,31 +396,28 @@ def cmd_eval(cfg: RunConfig, checkpoint: str) -> int:
     return EXIT_OK
 
 
-def _ed_sampler(cfg: RunConfig):
-    if cfg.ed_inputs == "uniform":
-        return uniform_input_sampler
-    train, _ = load_dataset(cfg.ed_inputs)
-    return dataset_input_sampler(train, cfg.stride)
-
-
 _ED_HEADER = "ansatz,seed,gamma,n,theta_samples,data_samples,inputs,d,ed,normalized_ed"
-_ED_KEY_CELLS = 7  # the settings that key a row: ansatz through inputs
+
+
+def _quoted(text: str) -> str:
+    """`text` as a CSV cell: percent-encoded past letters, digits and ``_.-~/:=``, so no comma."""
+    return quote(text, safe="/:=", errors="surrogateescape")
 
 
 def _ed_inputs_cell(cfg: RunConfig) -> str:
-    """An ED row's ``inputs`` cell: ``uniform``, or the ``--ed-inputs`` source and its stride.
+    """An ED row's ``inputs`` cell: ``uniform``, or the quoted ``--ed-inputs`` source and stride.
 
-    The source is percent-encoded past letters, digits and ``_.-~/:=``, so
-    that no comma (``synthetic:train_n=32,val_n=16``) splits the row.
+    ``synthetic:train_n=32,val_n=16`` at stride 2 gives
+    ``synthetic:train_n=32%2Cval_n=16;stride=2``.
     """
     if cfg.ed_inputs == "uniform":
         return "uniform"
-    return f"{quote(cfg.ed_inputs, safe='/:=', errors='surrogateescape')};stride={cfg.stride}"
+    return f"{_quoted(cfg.ed_inputs)};stride={cfg.stride}"
 
 
 def _read_ed_table(path: Path) -> dict:
     """The rows of an existing ED table, keyed by their settings, the first seven cells."""
-    return {tuple(cells[:_ED_KEY_CELLS]): ",".join(cells)
+    return {tuple(cells[:7]): ",".join(cells)
             for _, cells in _read_table(path, _ED_HEADER, "ED table")}
 
 
@@ -430,36 +428,44 @@ def cmd_ed(cfg: RunConfig) -> int:
             raise ConfigError(f"unknown ansatz {key!r}; choose from {', '.join(ANSATZ_KEYS)}")
     if len(set(keys)) != len(keys):  # a repeated key would score the same rows twice
         raise ConfigError(f"ansatz keys must be distinct, got {keys}")
+    # The --ed-inputs split is read first: its patch pool, every window of
+    # every image at the stride, is held through every key's ED.
+    train = None if cfg.ed_inputs == "uniform" else load_dataset(cfg.ed_inputs)[0]
+    pool = 0 if train is None else (
+        len(train) * math.prod(patch_grid(*train.image_shape, cfg.stride)) * PATCH_SIZE**2 * 8)
+    pool_text = f", {pool / 2**30:.2f} GiB of patches" if pool else ""
     for key in keys:  # refused before any compute; the keys run one at a time
         stack, batch = held_bytes(build_ansatz(key).circuit, cfg.theta_samples, cfg.data_samples)
         _check_limit(f"the ED of {key} ({stack / 2**30:.2f} GiB of FIMs,"
-                     f" {batch / 2**30:.2f} GiB a batch)", stack + batch, ConfigError)
+                     f" {batch / 2**30:.2f} GiB a batch{pool_text})", stack + batch + pool,
+                     ConfigError)
     out_dir = _make_out_dir(cfg.out or "runs/ed")
     table_path = out_dir / "ed_results.csv"
     # Rows are keyed by their settings, so a rerun replaces its own rows in
     # place and keeps every other row.
     table = _read_ed_table(table_path) if table_path.exists() else {}
-    sampler, inputs = _ed_sampler(cfg), _ed_inputs_cell(cfg)
+    sampler = uniform_input_sampler if train is None else dataset_input_sampler(train, cfg.stride)
+    inputs = _ed_inputs_cell(cfg)
     _check_writable([table_path, out_dir / "ed_summary.json"])
     summary = {}
     for key in keys:
+        d = build_ansatz(key).num_params
         values = []
         for seed in cfg.seeds:
-            report = effective_dimension(
+            ed, normalized = effective_dimension(
                 key, gamma=cfg.gamma, n=cfg.n,
                 theta_samples=cfg.theta_samples, data_samples=cfg.data_samples,
                 seed=seed, input_sampler=sampler,
             )
-            print("\n".join(report.lines()))
-            print()
-            line = (
-                f"{report.ansatz_key},{report.seed},{report.gamma},{report.n},"
-                f"{report.theta_samples},{report.data_samples},{inputs},{report.d},"
-                f"{_fmt(report.ed)},{_fmt(report.normalized_ed)}"
-            )
-            table[tuple(line.split(",")[:_ED_KEY_CELLS])] = line
+            print(f"ansatz: {key}\nseed: {seed}\nd: {d}\ngamma: {cfg.gamma}\nn: {cfg.n}\n"
+                  f"theta_samples: {cfg.theta_samples}\ndata_samples: {cfg.data_samples}\n"
+                  f"log_param_volume: {d * math.log(2.0 * math.pi)!r}\n"
+                  f"ed: {ed!r}\nnormalized_ed: {normalized!r}\n")
+            settings = (key, seed, cfg.gamma, cfg.n, cfg.theta_samples, cfg.data_samples)
+            cells = (*map(str, settings), inputs)
+            table[cells] = ",".join([*cells, str(d), _fmt(ed), _fmt(normalized)])
             _atomic_write(table_path, "\n".join([_ED_HEADER, *table.values()]) + "\n")
-            values.append(report.normalized_ed)
+            values.append(normalized)
         summary[key] = {"mean": float(np.mean(values)), "std": float(np.std(values))}
         print(f"== {key}: normalized ED {summary[key]['mean']:.3f} +- {summary[key]['std']:.3f}\n")
     _atomic_write(out_dir / "ed_summary.json", json.dumps(
@@ -492,9 +498,8 @@ def cmd_curves(run_dirs, out_csv: str | None, out_svg: str | None) -> int:
     for label, stats in series:
         for metric in ("train_acc", "val_acc"):
             for e, mean, std, lo, hi in stats[metric]:
-                lines.append(
-                    f"{label},{metric},{e},{_fmt(mean)},{_fmt(std)},{_fmt(lo)},{_fmt(hi)}"
-                )
+                lines.append(f"{_quoted(label)},{metric},{e},"
+                             f"{_fmt(mean)},{_fmt(std)},{_fmt(lo)},{_fmt(hi)}")
     outputs = [(Path(out_csv or "curves.csv"), "\n".join(lines) + "\n")]
     if out_svg:
         outputs.append((Path(out_svg), render_curves_svg(series)))
@@ -565,6 +570,10 @@ def _panel(series, metric: str, title: str, x0: int) -> list[str]:
 
 def render_curves_svg(series) -> str:
     """Two-panel accuracy chart (train, validation) with +-std bands."""
+    # Imported here: xml.sax.saxutils loads urllib.request, 6 MB of RSS that
+    # every other command would carry.
+    from xml.sax.saxutils import escape
+
     width = 2 * _PANEL_W + 40
     height = _PANEL_H + 24 * ((len(series) + 2) // 3) + 10
     parts = [
@@ -579,7 +588,9 @@ def render_curves_svg(series) -> str:
         x = _MARGIN + (i % 3) * 300
         y = _PANEL_H + 18 + (i // 3) * 24
         parts.append(f'<rect x="{x}" y="{y - 10}" width="18" height="10" fill="{color}"/>')
-        parts.append(f'<text x="{x + 24}" y="{y}" font-size="12">{label}</text>')
+        # A name that is not UTF-8 (its bytes held as surrogates) shows U+FFFD per bad byte.
+        text = escape(label.encode(errors="surrogateescape").decode(errors="replace"))
+        parts.append(f'<text x="{x + 24}" y="{y}" font-size="12">{text}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
 

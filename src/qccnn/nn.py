@@ -38,6 +38,7 @@ from .sim import (
 )
 
 NUM_FEATURE_MAPS = 4
+NUM_CLASSES = 2  # the dense head's logits
 
 
 class QuantumConvLayer:
@@ -170,13 +171,13 @@ def _feature_rows(upstream: np.ndarray, cache) -> np.ndarray:
 
 
 class DenseLayer:
-    """Fully connected classification head with two logits."""
+    """Fully connected classification head with NUM_CLASSES logits."""
 
-    def __init__(self, in_features: int, out_features: int = 2, rng=None):
+    def __init__(self, in_features: int, rng=None):
         rng = rng or np.random.default_rng(0)
-        bound = math.sqrt(6.0 / (in_features + out_features))
-        self.weights = rng.uniform(-bound, bound, (out_features, in_features))
-        self.bias = np.zeros(out_features)
+        bound = math.sqrt(6.0 / (in_features + NUM_CLASSES))
+        self.weights = rng.uniform(-bound, bound, (NUM_CLASSES, in_features))
+        self.bias = np.zeros(NUM_CLASSES)
         self._features = None
 
     def forward(self, features: np.ndarray) -> np.ndarray:

@@ -195,7 +195,7 @@ def ed_table():
     start = time.monotonic()
     for key in ED_KEYS:
         values = [
-            effective_dimension(key, seed=seed, **ED_SETTINGS).normalized_ed
+            effective_dimension(key, seed=seed, **ED_SETTINGS)[1]
             for seed in ED_SEEDS
         ]
         table[key] = (float(np.mean(values)), float(np.std(values)))

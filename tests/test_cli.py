@@ -8,9 +8,11 @@ import os
 import re
 import subprocess
 import sys
+import xml.dom.minidom
 import zipfile
 from dataclasses import fields, replace
 from pathlib import Path
+from urllib.parse import unquote
 
 import numpy as np
 import pytest
@@ -182,6 +184,32 @@ def test_curves_csv_and_svg(tmp_path):
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert "Training accuracy" in svg and "Validation accuracy" in svg
     assert "polyline" in svg and "polygon" in svg
+
+
+def test_curves_escape_run_labels(tmp_path):
+    # A comma would split the CSV row, and `&` and `<` would end the SVG's markup.
+    name = "a,b&<c>"
+    run = _train(tmp_path, name)
+    csv_path, svg_path = tmp_path / "c.csv", tmp_path / "c.svg"
+    assert main(["curves", str(run), "--out", str(csv_path), "--svg", str(svg_path)]) == EXIT_OK
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+    assert len(rows) == 1 + 2 * 3  # two metrics over three epochs
+    assert {len(cells) for cells in rows} == {7}
+    assert {unquote(cells[0]) for cells in rows[1:]} == {name}
+    texts = xml.dom.minidom.parse(str(svg_path)).getElementsByTagName("text")
+    assert name in [node.firstChild.data for node in texts]
+
+
+def test_curves_label_a_run_whose_name_is_not_utf8(tmp_path):
+    # Its CSV label keeps the byte as %E9; the SVG, UTF-8 text, shows U+FFFD.
+    run = Path(os.fsdecode(os.fsencode(tmp_path) + b"/caf\xe9"))
+    run.mkdir()
+    (run / "metrics.csv").write_text(f"{cli._METRICS_HEADER}\n0,0,0.5,0.6,0.5,0.7\n")
+    csv_path, svg_path = tmp_path / "c.csv", tmp_path / "c.svg"
+    assert main(["curves", str(run), "--out", str(csv_path), "--svg", str(svg_path)]) == EXIT_OK
+    assert {line.split(",")[0] for line in csv_path.read_text().splitlines()[1:]} == {"caf%E9"}
+    texts = xml.dom.minidom.parse(str(svg_path)).getElementsByTagName("text")
+    assert "caf\ufffd" in [node.firstChild.data for node in texts]
 
 
 def test_eval_checkpoint(tmp_path, capsys):
@@ -626,6 +654,18 @@ def test_malformed_input_is_data_error(tmp_path, capsys, monkeypatch, row):
 
 @_failures(data=False)
 def test_config_or_numeric_failure_exits_with_its_class(tmp_path, capsys, monkeypatch, row):
+    _assert_exits_with_its_class(tmp_path, capsys, monkeypatch, row)
+
+
+def test_ed_counts_its_patch_pool_against_the_limit(tmp_path, capsys, monkeypatch):
+    # The images, 624 of 28x28, take 3.9 MB as float64 and pass an 8 MiB
+    # limit; every stride-1 window of the 546 training images, copied as the
+    # ED's patch pool, takes 12.7 MB and does not.
+    monkeypatch.setattr("qccnn.data._SYNTHETIC_MAX_BYTES", 8 << 20)
+    row = ("ed-inputs-pool-huge", lambda tmp: [
+        *SMALL_ED, "--seeds", "0", "--ed-inputs", "synthetic:size=28,train_n=546,val_n=78",
+        "--stride", "1", "--out", str(tmp / "ed")], {}, EXIT_CONFIG,
+        "the ED of select-tanh (0.00 GiB of FIMs, 0.00 GiB a batch, 0.01 GiB of patches)")
     _assert_exits_with_its_class(tmp_path, capsys, monkeypatch, row)
 
 

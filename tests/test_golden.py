@@ -1,11 +1,13 @@
-"""Golden outputs: `train` on every front and the `ed` table write the recorded bytes.
+"""Golden outputs: `train` on every front and the `ed` tables write the recorded bytes.
 
 Each command runs in-process from a fresh working directory with a relative
 ``--out``, because ``summary.json`` and ``ed_summary.json`` echo it.  Every
-output file's sha256 is compared with ``GOLDEN``; ``tests/golden/`` holds the
-recorded files themselves, so a mismatch names the first differing line and
-the largest relative difference between its numbers.  A last-digit rounding
-move then reads differently from a real change.
+output file's sha256 is compared with ``GOLDEN``, and each `ed` command's
+stdout (its ``key: value`` records and ``==`` lines) with ``STDOUT``;
+``tests/golden/`` holds the recorded files themselves, so a mismatch names
+the first differing line and the largest relative difference between its
+numbers.  A last-digit rounding move then reads differently from a real
+change.
 
 The table was recorded with numpy 2.4.6 and OpenBLAS 0.3.31.188.0
 (scipy-openblas64, DYNAMIC_ARCH) under Python 3.11 on x86-64, on the
@@ -17,7 +19,9 @@ one test checks.  An update of the table is a change of test data: list
 it in CHANGES.md with its cause.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 import re
 import subprocess
@@ -38,11 +42,15 @@ COMMANDS = [
     *(["train", "--ansatz", front, "--data", "synthetic:train_n=32,val_n=16", "--epochs", "2",
        "--seeds", "0", "--out", f"train/{front}"] for front in (*ANSATZ_KEYS, "classical")),
     ["ed", "--seeds", "0", "--theta-samples", "5", "--data-samples", "50", "--out", "ed"],
+    ["ed", "--ed-inputs", "synthetic:train_n=32,val_n=16", "--stride", "1", "--seeds", "0",
+     "--theta-samples", "3", "--data-samples", "20", "--out", "ed-inputs"],
 ]
 
 GOLDEN = {
     "ed/ed_results.csv": "344020d73c27b08f3885111c49c16d03101d1e156c987e6863edeab20d7d6b2e",
     "ed/ed_summary.json": "edc1e213ab754bb5bfdc208a80cd7977b243aaf814ba1158aee6be87ee6570c2",
+    "ed-inputs/ed_results.csv": "ecf4a95136f139f588ca9ea6ee4ab4dcfc639fcea8f530f86426771dbc16937b",
+    "ed-inputs/ed_summary.json": "dc1f3096e9d621e90659a40d2e7475103fc74c3451afdca56d4f841943578467",
     "train/ancilla-cy/checkpoint_seed0.json": "995d0a71d03719bf559af3d1bb80d91b6887149aafc7f7468d0f6319b8b36249",
     "train/ancilla-cy/metrics.csv": "af23a0e7e73381e41edaad74c6d174ab737f8ad8343ef197ef5b91e61d017d8b",
     "train/ancilla-cy/summary.json": "9eb837aff718c88b64f69dc2cddabf66738bef326ca8951ce76e8127ffd39635",
@@ -78,6 +86,12 @@ GOLDEN = {
     "train/select-tanh/summary.json": "36ade02d4c60f859424c995401176b7d39c76239418765db0cf8a58b3eacc0fb",
 }
 
+# The stdout of each `ed` command, by its --out; recorded in tests/golden/stdout/<out>.txt.
+STDOUT = {
+    "ed": "7fffe4d89438c44e129891e4938194764258bcab48bd5e427e1a04a0d46ccd27",
+    "ed-inputs": "b00fd250d51e727e93bc0844772660db53c0b4780576812d5e4ca01fe4698466",
+}
+
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
@@ -106,14 +120,22 @@ def _first_difference(got: str, want: str) -> str:
 
 
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory) -> Path:
-    """A directory holding every command's outputs, each written under its relative --out."""
+def runs(tmp_path_factory) -> tuple[Path, dict[str, str]]:
+    """A directory of every command's outputs, each under its relative --out; stdouts by --out."""
     root = tmp_path_factory.mktemp("golden")
+    printed = {}
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(root)
         for argv in COMMANDS:
-            assert main(argv) == EXIT_OK, argv
-    return root
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                assert main(argv) == EXIT_OK, argv
+            printed[argv[-1]] = stdout.getvalue()
+    return root, printed
+
+
+@pytest.fixture(scope="module")
+def outputs(runs) -> Path:
+    return runs[0]
 
 
 def test_the_commands_write_exactly_the_recorded_files(outputs):
@@ -122,17 +144,31 @@ def test_the_commands_write_exactly_the_recorded_files(outputs):
 
 
 def test_recorded_files_match_the_table():
-    for name, digest in GOLDEN.items():
+    recorded = [*GOLDEN.items(), *((f"stdout/{out}.txt", d) for out, d in STDOUT.items())]
+    for name, digest in recorded:
         assert _sha256((REFERENCE / name).read_bytes()) == digest, name
+
+
+def _assert_matches(got: bytes, name: str, digest: str):
+    """`got` has `digest`, or the failure names its first difference from the recorded `name`."""
+    if _sha256(got) != digest:
+        want = (REFERENCE / name).read_text()
+        pytest.fail(f"{name} differs from the recorded output; "
+                    f"{_first_difference(got.decode(), want)}\n({kernel_note()})")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_matches_its_golden_digest(outputs, name):
-    got = (outputs / name).read_bytes()
-    if _sha256(got) != GOLDEN[name]:
-        want = (REFERENCE / name).read_text()
-        pytest.fail(f"{name} differs from the recorded output; "
-                    f"{_first_difference(got.decode(), want)}\n({kernel_note()})")
+    _assert_matches((outputs / name).read_bytes(), name, GOLDEN[name])
+
+
+@pytest.mark.parametrize("out", sorted(STDOUT))
+def test_ed_stdout_matches_its_golden_digest(runs, out):
+    # The ``key: value`` record of each key and seed (ansatz, seed, d, gamma,
+    # n, theta_samples, data_samples, log_param_volume, ed, normalized_ed),
+    # then each key's ``==`` line, byte for byte.
+    assert sorted(STDOUT) == sorted(a[-1] for a in COMMANDS if a[0] == "ed")
+    _assert_matches(runs[1][out].encode(), f"stdout/{out}.txt", STDOUT[out])
 
 
 def test_train_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):

@@ -77,3 +77,42 @@ def test_an_undeclared_import_is_found():
     source = "import os.path\nimport scipy.linalg\nfrom numpy import linalg\nfrom . import sim\n"
     assert _imported_modules(source) - set(sys.stdlib_module_names) == {"scipy", "numpy"}
     assert _declared_dependencies() == {"numpy"}
+
+
+def _noqa_imports(source: str) -> list[str]:
+    """The names a module imports on lines marked ``# noqa: F401``."""
+    lines = source.splitlines()
+    return [alias.asname or alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+            if "# noqa: F401" in lines[alias.lineno - 1]]
+
+
+def _span_targets() -> set[tuple[str, str]]:
+    """(module, attribute) of every wrap target in perfbench/spans.py's ``TARGETS``."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    return {(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_unread_import_is_a_benchmark_span_target(path):
+    # An import no code reads is kept only so that the benchmark can wrap it
+    # in that module's namespace; any other one is dead code.
+    names = _noqa_imports(path.read_text(encoding="utf-8"))
+    assert {(f"qccnn.{path.stem}", name) for name in names} - _span_targets() == set()
+
+
+def test_the_benchmark_only_imports_are_these():
+    # Each leaves when the benchmark stops wrapping it; then this list shrinks.
+    found = sorted(f"{path.stem}.{name}" for path in PACKAGE.glob("*.py")
+                   for name in _noqa_imports(path.read_text(encoding="utf-8")))
+    assert found == ["autodiff.run_deferred_batch", "capacity.run_deferred_batch",
+                     "cli.effective_dimension_from_fims", "nn.run_deferred_batch"]
+
+
+def test_a_noqa_import_and_the_span_targets_are_found():
+    source = "import math  # noqa: F401\nfrom os import path, sep  # noqa: F401\nimport re\n"
+    assert _noqa_imports(source) == ["math", "path", "sep"]
+    assert ("qccnn.capacity", "run_deferred_batch") in _span_targets()
+    assert ("qccnn.nn", "QuantumConvLayer.forward") in _span_targets()
