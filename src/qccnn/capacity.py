@@ -62,6 +62,11 @@ def _softmax(outputs: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
+def _logit_map(num_readouts: int) -> np.ndarray:
+    """The (readouts, classes) matrix from readouts to softmax inputs: (z, -z) for one z."""
+    return np.array([[1.0, -1.0]]) if num_readouts == 1 else np.eye(num_readouts)
+
+
 def class_probabilities(readouts: np.ndarray) -> np.ndarray:
     """Class distribution rows from (rows, readouts) circuit readouts.
 
@@ -69,25 +74,18 @@ def class_probabilities(readouts: np.ndarray) -> np.ndarray:
     softmax over all four.
     """
     readouts = np.asarray(readouts, dtype=float)
-    if readouts.shape[1] == 1:
-        z = readouts[:, 0]
-        return _softmax(np.stack([z, -z], axis=1))
-    return _softmax(readouts)
+    return _softmax(readouts @ _logit_map(readouts.shape[1]))
 
 
 def _log_prob_weights(probs, ys, num_readouts):
     """d log p(y)/d<Z_j> for each row: shape (rows, num_readouts).
 
-    probs: (rows, classes); ys: (rows,).
+    probs: (rows, classes); ys: (rows,).  The softmax gives d log p_y/d logits
+    as 1 at the label minus probs; the logit map carries it to the readouts.
     """
-    rows = np.arange(len(ys))
-    onehot = np.zeros_like(probs)
-    onehot[rows, ys] = 1.0
-    residual = onehot - probs  # d log p_y / d outputs for a softmax
-    if num_readouts == 1:
-        # outputs were (z, -z)
-        return (residual[:, 0] - residual[:, 1])[:, None]
-    return residual
+    residual = -probs
+    residual[np.arange(len(ys)), ys] += 1.0
+    return residual @ _logit_map(num_readouts).T
 
 
 def _forward(circuit: Circuit, thetas: np.ndarray, xs: np.ndarray) -> tuple:

@@ -100,29 +100,6 @@ class RunConfig:
     ed_inputs: str = "uniform"
 
 
-def _parse_seeds(text: str) -> tuple:
-    try:
-        return tuple(int(s) for s in text.split(","))
-    except ValueError:
-        raise ConfigError(f"seeds: expected comma-separated integers, got {text!r}") from None
-
-
-def _coerce(name: str, value, target_type):
-    if target_type is bool:
-        if isinstance(value, bool):
-            return value
-        lowered = str(value).strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{name}: expected a boolean, got {value!r}")
-    try:
-        return target_type(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name}: expected {target_type.__name__}, got {value!r}") from None
-
-
 def _read_utf8(path: Path, error: type[Exception]) -> str:
     """The text of `path`; a file that cannot be read as UTF-8 raises `error` naming it."""
     try:
@@ -148,12 +125,23 @@ def read_config_file(path) -> dict:
     return values
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
 def _cast(name: str, value):
     """`value` of option `name`, from a flag, a config line or a variable alike."""
-    if name == "seeds":  # this and stop_at_train_acc (default None) need more than type(default)
-        return _parse_seeds(value)
-    caster = float if name == "stop_at_train_acc" else type(getattr(RunConfig, name))
-    return _coerce(name, value, caster)
+    # stop_at_train_acc's default is None; the switch flag gives True itself.
+    kind = float if name == "stop_at_train_acc" else type(getattr(RunConfig, name))
+    what, cast = kind.__name__, kind
+    if name == "seeds":
+        what, cast = "comma-separated integers", lambda text: tuple(map(int, text.split(",")))
+    elif kind is bool:
+        what, cast = "a boolean", lambda text: _BOOLEANS[str(text).strip().lower()]
+    try:
+        return cast(value)
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError(f"{name}: expected {what}, got {value!r}") from None
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -371,13 +359,11 @@ def cmd_eval(cfg: RunConfig, checkpoint: str) -> int:
         state = json.loads(Path(checkpoint).read_text())
         _check_checkpoint_meta(state)
         # Compared before the model is built: its head is sized by the shape.
+        # load_dataset gives both splits one image shape.
         shape = tuple(state["image_shape"])
-        for name, dataset in splits:
-            if dataset.image_shape != shape:
-                raise DataError(
-                    f"checkpoint {checkpoint} takes images of shape {shape};"
-                    f" the {name} split of {cfg.data} has {dataset.image_shape}"
-                )
+        if train.image_shape != shape:
+            raise DataError(f"checkpoint {checkpoint} takes images of shape {shape};"
+                            f" the train split of {cfg.data} has {train.image_shape}")
         model = make_model(state["front"], shape, state["stride"], 0, state["relu"])
         model.load_state_dict(state)
     except OSError as exc:
@@ -430,7 +416,7 @@ def cmd_ed(cfg: RunConfig) -> int:
         raise ConfigError(f"ansatz keys must be distinct, got {keys}")
     # The --ed-inputs split is read first: its patch pool, every window of
     # every image at the stride, is held through every key's ED.
-    train = None if cfg.ed_inputs == "uniform" else load_dataset(cfg.ed_inputs)[0]
+    train = None if cfg.ed_inputs == "uniform" else load_dataset(cfg.ed_inputs, train_only=True)[0]
     pool = 0 if train is None else (
         len(train) * math.prod(patch_grid(*train.image_shape, cfg.stride)) * PATCH_SIZE**2 * 8)
     pool_text = f", {pool / 2**30:.2f} GiB of patches" if pool else ""

@@ -89,6 +89,7 @@ def normalize_pixels(pixels) -> np.ndarray:
 # loaders
 # ---------------------------------------------------------------------------
 
+_SPLITS = ("train", "val")
 _ARCHIVE_KEYS = ("train_images", "train_labels", "val_images", "val_labels")
 
 
@@ -113,13 +114,13 @@ def _open_record(stack: contextlib.ExitStack, zf: zipfile.ZipFile, names: set[st
         raise DataError(f"record {key!r}: {exc}") from exc
 
 
-def _check_headers(path: Path, headers: dict):
-    """Refuse what the headers show to be malformed or past the limit, before any data is read."""
+def _check_headers(path: Path, headers: dict, splits: tuple):
+    """Refuse malformed headers, or `splits`' images past the limit, before any data is read."""
     for key, (shape, _, _) in headers.items():
         if min(shape, default=0) < 0:
             raise DataError(f"record {key!r}: negative dimension in shape {shape}")
     shapes = {}
-    for split in ("train", "val"):
+    for split in _SPLITS:
         shape, _, dtype = headers[f"{split}_images"]
         shape = shapes[split] = shape[:3] if len(shape) == 4 and shape[3] == 1 else shape
         if len(shape) != 3:
@@ -141,12 +142,14 @@ def _check_headers(path: Path, headers: dict):
     train, val = shapes["train"][1:], shapes["val"][1:]
     if train != val:
         raise DataError(f"{path}: train images are {train}, val images are {val}")
-    _check_limit("archive images", 8 * (math.prod(shapes["train"]) + math.prod(shapes["val"])))
+    _check_limit("archive images", 8 * sum(math.prod(shapes[split]) for split in splits))
 
 
-def load_array_archive(path) -> tuple[Dataset, Dataset]:
-    """Load train/val splits from a ZIP-of-array-records archive; headers are checked first."""
+def load_array_archive(path, train_only: bool = False) -> tuple[Dataset, ...]:
+    """Load (train, val), or (train,) if `train_only`, from a ZIP-of-array-records archive;
+    every record's header is checked first."""
     path = Path(path)
+    splits = _SPLITS[:1] if train_only else _SPLITS
     if not path.is_file():
         raise DataError(f"no such archive: {path}")
     try:
@@ -156,9 +159,10 @@ def load_array_archive(path) -> tuple[Dataset, Dataset]:
     with zf, contextlib.ExitStack() as stack:
         names = set(zf.namelist())
         opened = {key: _open_record(stack, zf, names, key) for key in _ARCHIVE_KEYS}
-        _check_headers(path, {key: header for key, (_, header) in opened.items()})
+        _check_headers(path, {key: header for key, (_, header) in opened.items()}, splits)
         records = {}
-        for key, (f, (shape, fortran_order, dtype)) in opened.items():
+        for key in (f"{split}_{kind}" for split in splits for kind in ("images", "labels")):
+            f, (shape, fortran_order, dtype) = opened[key]
             count = math.prod(shape)
             try:
                 array = np.frombuffer(f.read(count * dtype.itemsize), dtype, count)
@@ -166,32 +170,34 @@ def load_array_archive(path) -> tuple[Dataset, Dataset]:
                 raise DataError(f"record {key!r}: {exc}") from exc
             records[key] = array.reshape(shape, order="F" if fortran_order else "C")
     datasets = []
-    for split in ("train", "val"):
+    for split in splits:
         images, labels = records[f"{split}_images"], records[f"{split}_labels"].reshape(-1)
         if not np.isin(labels, (0, 1)).all():
             raise DataError(f"record '{split}_labels': non-binary labels present")
         datasets.append(Dataset(normalize_pixels(images.reshape(images.shape[:3])), labels))
-    return datasets[0], datasets[1]
+    return tuple(datasets)
 
 
-def load_dataset(source) -> tuple[Dataset, Dataset]:
-    """Resolve a data source string to (train, val) datasets.
+def load_dataset(source, train_only: bool = False) -> tuple[Dataset, ...]:
+    """Resolve a data source string to (train, val) datasets, or to (train,) if `train_only`.
 
     Accepts ``synthetic`` (optionally ``synthetic:seed=N,...``) or a
     ``.npz``/``.zip`` archive path; anything else, a directory included, is
     an unrecognized source.  Both splits hold at least one image of at
     least 2x2 pixels, the patch window, and their images share one shape:
     a synthetic spec guarantees it, and an archive's headers are checked.
+    With `train_only`, only the train split is made or read and counted
+    against the limit; an archive's val headers are still checked.
     """
     source = str(source)
     if source == "synthetic" or source.startswith("synthetic:"):
-        return generate_synthetic(_synthetic_spec(source))
+        return generate_synthetic(_synthetic_spec(source, train_only), train_only)
     if Path(source).suffix in (".npz", ".zip"):
-        return load_array_archive(source)
+        return load_array_archive(source, train_only)
     raise DataError(f"unrecognized data source {source!r}")
 
 
-def _synthetic_spec(source: str) -> SyntheticSpec:
+def _synthetic_spec(source: str, train_only: bool = False) -> SyntheticSpec:
     spec = SyntheticSpec()
     if ":" in source:
         for item in source.split(":", 1)[1].split(","):
@@ -207,7 +213,8 @@ def _synthetic_spec(source: str) -> SyntheticSpec:
     for key, least in (("seed", 0), ("train_n", 1), ("val_n", 1), ("size", PATCH_SIZE)):
         if getattr(spec, key) < least:
             raise DataError(f"synthetic option {key!r} must be >= {least}, got {getattr(spec, key)}")
-    _check_limit("synthetic images", (spec.train_n + spec.val_n) * spec.size**2 * 8)  # float64
+    images = spec.train_n + (0 if train_only else spec.val_n)
+    _check_limit("synthetic images", images * spec.size**2 * 8)  # float64
     return spec
 
 
@@ -216,9 +223,10 @@ def _synthetic_spec(source: str) -> SyntheticSpec:
 # ---------------------------------------------------------------------------
 
 
-def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
+def generate_synthetic(spec: SyntheticSpec, train_only: bool = False) -> tuple[Dataset, ...]:
     """Two-class blob images: class 0 lights up the top-left corner, class 1
-    the bottom-right.  Deterministic for a fixed spec."""
+    the bottom-right.  Deterministic for a fixed spec; the train split is
+    made first, so `train_only` gives the same train images."""
     rng = np.random.default_rng(spec.seed)
     size = spec.size
     rr, cc = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
@@ -234,7 +242,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
             images[i] = np.clip(-0.85 + 1.7 * blob + noise, -1.0, 1.0)
         return Dataset(images, labels)
 
-    return make(spec.train_n), make(spec.val_n)
+    train = make(spec.train_n)
+    return (train,) if train_only else (train, make(spec.val_n))
 
 
 # ---------------------------------------------------------------------------

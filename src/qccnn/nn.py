@@ -58,8 +58,7 @@ class QuantumConvLayer:
     over every row.
     """
 
-    def __init__(self, ansatz: Ansatz, stride: int = 2, rng=None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, ansatz: Ansatz, stride: int = 2, *, rng):
         self.ansatz = ansatz
         self.stride = stride
         self.circuit = ansatz.circuit
@@ -115,8 +114,7 @@ class QuantumConvLayer:
 class ClassicalConvLayer:
     """Plain valid cross-correlation with four 2x2 filters."""
 
-    def __init__(self, stride: int = 2, rng=None, relu: bool = False):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, stride: int = 2, *, rng, relu: bool = False):
         bound = math.sqrt(6.0 / (PATCH_SIZE**2 + 1))
         self.filters = rng.uniform(-bound, bound, (NUM_FEATURE_MAPS, PATCH_SIZE, PATCH_SIZE))
         self.bias = np.zeros(NUM_FEATURE_MAPS)
@@ -173,8 +171,7 @@ def _feature_rows(upstream: np.ndarray, cache) -> np.ndarray:
 class DenseLayer:
     """Fully connected classification head with NUM_CLASSES logits."""
 
-    def __init__(self, in_features: int, rng=None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, in_features: int, rng):
         bound = math.sqrt(6.0 / (in_features + NUM_CLASSES))
         self.weights = rng.uniform(-bound, bound, (NUM_CLASSES, in_features))
         self.bias = np.zeros(NUM_CLASSES)
@@ -211,7 +208,7 @@ class HybridModel:
     ``head_bias``, then the front's groups; the checkpoint spreads its ``meta``.
     """
 
-    def __init__(self, front, image_shape: tuple[int, int], rng=None):
+    def __init__(self, front, image_shape: tuple[int, int], rng):
         self.front = front
         h_out, w_out = patch_grid(image_shape[0], image_shape[1], front.stride)
         self.head = DenseLayer(NUM_FEATURE_MAPS * h_out * w_out, rng=rng)
@@ -334,15 +331,19 @@ class FitResult:
         return max(self.val_acc)
 
 
-def evaluate(model: HybridModel, dataset: Dataset, batch_size: int = 64):
-    """Mean accuracy and loss over a dataset; independent of batching."""
+# Images per forward pass in evaluate; the results do not depend on it.
+EVAL_BATCH_SIZE = 64
+
+
+def evaluate(model: HybridModel, dataset: Dataset):
+    """Mean accuracy and loss over a dataset, EVAL_BATCH_SIZE images a forward pass."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     total_loss = 0.0
     correct = 0
-    for start in range(0, len(dataset), batch_size):
-        images = dataset.images[start : start + batch_size]
-        labels = dataset.labels[start : start + batch_size]
+    for start in range(0, len(dataset), EVAL_BATCH_SIZE):
+        images = dataset.images[start : start + EVAL_BATCH_SIZE]
+        labels = dataset.labels[start : start + EVAL_BATCH_SIZE]
         logits = model.forward(images)
         losses, _ = softmax_cross_entropy(logits, labels)
         total_loss += float(losses.sum())

@@ -352,7 +352,7 @@ def test_backward_linearity_and_weighting():
 
 def _layer(key, xs, theta):
     """Quantum conv layer with `theta` in kernel 0, run forward on one 2x2 image per patch row."""
-    layer = QuantumConvLayer(build_ansatz(key))
+    layer = QuantumConvLayer(build_ansatz(key), rng=np.random.default_rng(0))
     layer.params[0] = theta
     layer.forward(xs.reshape(-1, 2, 2))
     return layer
@@ -407,7 +407,9 @@ def test_layer_backward_sign_gradient_is_zero():
 
 @pytest.mark.parametrize("front", ["select-tanh", "classical"])
 def test_layer_backward_shape_mismatch_rejected(front):
-    layer = ClassicalConvLayer() if front == "classical" else QuantumConvLayer(build_ansatz(front))
+    rng = np.random.default_rng(0)
+    layer = (ClassicalConvLayer(rng=rng) if front == "classical"
+             else QuantumConvLayer(build_ansatz(front), rng=rng))
     with pytest.raises(RuntimeError, match="before forward"):
         layer.backward(np.zeros((3, 4, 1, 1)))
     rng = np.random.default_rng(49)

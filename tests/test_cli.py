@@ -669,6 +669,38 @@ def test_ed_counts_its_patch_pool_against_the_limit(tmp_path, capsys, monkeypatc
     _assert_exits_with_its_class(tmp_path, capsys, monkeypatch, row)
 
 
+def test_ed_inputs_read_the_train_split_alone(tmp_path):
+    # 200,000 val images of 28x28 would take 1.2 GiB as float64, past the
+    # limit; the ED draws its patches from the 2 train images alone.
+    cells = {}
+    for val_n in (200000, 1):
+        out = tmp_path / str(val_n)
+        assert main([
+            "ed", "--ansatz", "conv", "--theta-samples", "1", "--data-samples", "2",
+            "--seeds", "0", "--ed-inputs", f"synthetic:size=28,train_n=2,val_n={val_n}",
+            "--out", str(out)]) == EXIT_OK
+        header, row = (out / "ed_results.csv").read_text().splitlines()
+        cells[val_n] = dict(zip(header.split(",")[-2:], row.split(",")[-2:]))
+    assert cells[200000] == cells[1]
+
+
+def test_ed_inputs_count_only_the_train_split_of_an_archive(tmp_path, capsys, monkeypatch):
+    # As float64, the 4 train images of 28x28 take 24.5 KiB, their stride-2
+    # patch pool as much again, and the 40 val images 245 KiB.  A 64 KiB limit
+    # holds the ED's inputs and refuses the two splits that train loads.
+    path = tmp_path / "archive.npz"
+    np.savez(path, train_images=np.zeros((4, 28, 28), dtype=np.uint8),
+             train_labels=np.array([0, 1, 0, 1], dtype=np.uint8),
+             val_images=np.zeros((40, 28, 28), dtype=np.uint8),
+             val_labels=(np.arange(40) % 2).astype(np.uint8))
+    monkeypatch.setattr("qccnn.data._SYNTHETIC_MAX_BYTES", 64 << 10)
+    assert main([*SMALL_ED, "--seeds", "0", "--ed-inputs", str(path),
+                 "--out", str(tmp_path / "ed")]) == EXIT_OK
+    capsys.readouterr()
+    assert main(_train_argv(tmp_path, str(path))) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: archive images would take ")
+
+
 def test_numeric_failure_prints_one_stderr_line(tmp_path):
     # In a process of its own: pytest's warning capture would hide numpy's
     # RuntimeWarnings from capsys.
@@ -859,8 +891,25 @@ CASTS = {
 }
 
 
+# The stderr line each wrong-typed text of CASTS gives, alike from every source.
+CAST_ERRORS = {
+    "epochs": "configuration error: epochs: expected int, got 'abc'\n",
+    "batch_size": "configuration error: batch_size: expected int, got '1.5'\n",
+    "lr": "configuration error: lr: expected float, got 'fast'\n",
+    "stride": "configuration error: stride: expected int, got 'two'\n",
+    "seeds": "configuration error: seeds: expected comma-separated integers, got '0;1'\n",
+    "stop_at_train_acc": "configuration error: stop_at_train_acc: expected float, got 'high'\n",
+    "classical_relu": "configuration error: classical_relu: expected a boolean, got 'maybe'\n",
+    "gamma": "configuration error: gamma: expected float, got 'half'\n",
+    "n": "configuration error: n: expected int, got '1e2'\n",
+    "theta_samples": "configuration error: theta_samples: expected int, got 'x'\n",
+    "data_samples": "configuration error: data_samples: expected int, got 'many'\n",
+}
+
+
 def test_cast_table_covers_every_field():
     assert set(CASTS) == {f.name for f in fields(RunConfig)}
+    assert set(CAST_ERRORS) == {name for name, (_, _, wrong) in CASTS.items() if wrong}
 
 
 def _option_sources(tmp_path, name, text):
@@ -897,11 +946,15 @@ def test_every_source_casts_an_option_alike(tmp_path, capsys, monkeypatch, name)
                 patch.setenv(var, raw)
             assert main(argv) == EXIT_CONFIG, source
         errors[source] = capsys.readouterr().err
-    assert len(set(errors.values())) == 1, errors
-    err = errors["config"]
-    assert err.startswith(f"configuration error: {name}: expected ")
-    assert err.endswith(f"got {wrong!r}\n")
-    assert "Traceback" not in err
+    assert errors == dict.fromkeys(errors, CAST_ERRORS[name])
+
+
+def test_a_wrong_boolean_is_shown_as_given(capsys, monkeypatch):
+    # The word is read stripped and lower-cased; the error repeats the text itself.
+    monkeypatch.setenv("QCCNN_CLASSICAL_RELU", " Maybe ")
+    assert main(["train"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: classical_relu: expected a boolean, got ' Maybe '\n")
 
 
 def _readme_flags() -> dict[str, set[str]]:

@@ -152,6 +152,29 @@ def test_load_dataset_resolver(tmp_path):
         load_dataset(tmp_path / "nothing.bin")
 
 
+def test_train_only_load_gives_the_same_train_split(tmp_path):
+    path = tmp_path / "data.npz"
+    _write_archive(path, train_n=6, val_n=3, h=5, w=5)
+    for source in ("synthetic:seed=3,train_n=10,val_n=4", path):
+        (alone,) = load_dataset(source, train_only=True)
+        train, _ = load_dataset(source)
+        np.testing.assert_array_equal(alone.images, train.images)
+        np.testing.assert_array_equal(alone.labels, train.labels)
+
+
+def test_train_only_load_still_checks_the_val_headers(tmp_path):
+    path = tmp_path / "data.npz"
+    _write_archive(path, train_n=6, val_n=3, h=5, w=5)
+    with zipfile.ZipFile(path) as zf:
+        records = {name: zf.read(name) for name in zf.namelist()}
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, blob in records.items():
+            if name != "val_labels.npy":
+                zf.writestr(name, blob)
+    with pytest.raises(DataError, match="missing record 'val_labels'"):
+        load_dataset(path, train_only=True)
+
+
 # ---------------------------------------------------------------------------
 # synthetic data
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from qccnn.nn import (
     make_model,
     softmax_cross_entropy,
 )
-from qccnn import sim
+from qccnn import nn, sim
 from qccnn.autodiff import readout_gradient
 from qccnn.circuits import ANSATZ_KEYS, apply_postprocess, build_ansatz, postprocess_derivative
 
@@ -235,7 +235,7 @@ def test_classical_conv_matches_nested_loop_oracle():
 
 
 def test_dense_zero_weights_returns_bias():
-    layer = DenseLayer(4)
+    layer = DenseLayer(4, rng=np.random.default_rng(0))
     layer.weights[...] = 0.0
     layer.bias[:] = [0.3, -0.7]
     np.testing.assert_allclose(layer.forward(np.ones((1, 4))), [[0.3, -0.7]])
@@ -417,11 +417,13 @@ def test_group_order_is_head_then_front(front):
         assert params[name] is arr
 
 
-def test_evaluation_independent_of_batch_partitioning():
+def test_evaluation_independent_of_batch_partitioning(monkeypatch):
     data = _toy_dataset(n=10)
     model = make_model("classical", (4, 4), seed=1)
-    acc_a, loss_a = evaluate(model, data, batch_size=3)
-    acc_b, loss_b = evaluate(model, data, batch_size=10)
+    monkeypatch.setattr(nn, "EVAL_BATCH_SIZE", 3)
+    acc_a, loss_a = evaluate(model, data)
+    monkeypatch.setattr(nn, "EVAL_BATCH_SIZE", 10)
+    acc_b, loss_b = evaluate(model, data)
     assert acc_a == acc_b
     assert abs(loss_a - loss_b) < 1e-12
 
