@@ -31,7 +31,7 @@ from .capacity import (
 )
 from .circuits import ANSATZ_KEYS, build_ansatz
 from .data import PATCH_SIZE, DataError, _check_limit, load_dataset, patch_grid
-from .nn import FitResult, evaluate, fit, make_model
+from .nn import EVAL_BATCH_SIZE, FitResult, batch_bytes, evaluate, fit, make_model
 
 def _fix_malloc_thresholds():
     """Fix glibc's mmap and trim thresholds, so a call's cost does not depend on earlier calls.
@@ -262,7 +262,11 @@ def write_metrics_csv(path: Path, per_seed: dict[int, FitResult]):
 
 
 def read_metrics_csv(path: Path) -> dict[str, dict[int, list]]:
-    """Per-seed metric traces from a metrics.csv (aggregate rows skipped)."""
+    """Per-seed metric traces from a metrics.csv (aggregate rows skipped).
+
+    A cell that is not a finite number, or an accuracy outside [0, 1],
+    raises DataError naming its line.
+    """
     if not path.is_file():
         raise DataError(f"missing metrics file: {path}")
     per_seed: dict[str, dict[int, list]] = {}
@@ -271,9 +275,15 @@ def read_metrics_csv(path: Path) -> dict[str, dict[int, list]]:
         if seed == "agg":
             continue
         try:
-            per_seed.setdefault(seed, {})[int(epoch)] = [float(v) for v in values]
+            epoch, values = int(epoch), [float(v) for v in values]
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-numeric cell in {','.join(cells)!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"{path}:{lineno}: non-finite cell in {','.join(cells)!r}")
+        for name, acc in zip(("train_acc", "val_acc"), values[::2]):
+            if not 0.0 <= acc <= 1.0:
+                raise DataError(f"{path}:{lineno}: {name} {acc!r} outside [0, 1]")
+        per_seed.setdefault(seed, {})[epoch] = values
     return per_seed
 
 
@@ -290,8 +300,12 @@ def cmd_train(cfg: RunConfig) -> int:
         raise ConfigError(
             f"unknown ansatz {cfg.ansatz!r}; choose from {', '.join(known_fronts)}"
         )
-    out_dir = _make_out_dir(cfg.out or f"runs/{cfg.ansatz}")
     train, val = load_dataset(cfg.data)
+    # The larger of a training batch and a validation batch, before any directory is made.
+    images = max(min(cfg.batch_size, len(train)), min(EVAL_BATCH_SIZE, len(val)))
+    _check_limit(f"a batch of {images} images at stride {cfg.stride}",
+                 batch_bytes(cfg.ansatz, train.image_shape, cfg.stride, images), ConfigError)
+    out_dir = _make_out_dir(cfg.out or f"runs/{cfg.ansatz}")
     checkpoints = {seed: out_dir / f"checkpoint_seed{seed}.json" for seed in cfg.seeds}
     _check_writable([*checkpoints.values(), out_dir / "metrics.csv", out_dir / "summary.json"])
     per_seed: dict[int, FitResult] = {}
@@ -364,6 +378,9 @@ def cmd_eval(cfg: RunConfig, checkpoint: str) -> int:
         if train.image_shape != shape:
             raise DataError(f"checkpoint {checkpoint} takes images of shape {shape};"
                             f" the train split of {cfg.data} has {train.image_shape}")
+        images = min(EVAL_BATCH_SIZE, max(len(train), len(val)))
+        _check_limit(f"a batch of {images} images at the checkpoint's stride {state['stride']}",
+                     batch_bytes(state["front"], shape, state["stride"], images))
         model = make_model(state["front"], shape, state["stride"], 0, state["relu"])
         model.load_state_dict(state)
     except OSError as exc:

@@ -267,6 +267,24 @@ def make_model(front_key: str, image_shape: tuple[int, int], stride: int = 2,
     return HybridModel(front, image_shape, rng=rng)
 
 
+def batch_bytes(front_key: str, image_shape: tuple[int, int], stride: int, images: int) -> int:
+    """Bytes one training step on a batch of `images` images holds at its peak.
+
+    The batch's rows, its images times their `patch_grid` windows, each
+    hold the per-row arrays of the encoding, the forward and the backward:
+    five (2**n, rows) complex states for a quantum front, n its circuit's
+    width (4 for every ansatz), or 32 floats for the classical front.
+    Measured with tracemalloc over one batch per front, 8 or 64 images of
+    8x8 to 96x96 at stride 1 and 2: 4.7-4.8 states a row for a training
+    step and 3.6-4.1 for a forward pass alone, and 17-30 floats for the
+    classical front.
+    """
+    rows = images * math.prod(patch_grid(*image_shape, stride))
+    if front_key == "classical":
+        return rows * 32 * 8
+    return rows * 5 * (1 << build_ansatz(front_key).circuit.width) * 16
+
+
 # ---------------------------------------------------------------------------
 # optimization
 # ---------------------------------------------------------------------------

@@ -38,7 +38,9 @@ circuits that differ only in their parameters share it.
 No input angle follows the prefix (:class:`Circuit` rejects one), so the
 body is one matrix for every row: :func:`unitary` builds it by running its
 gates on the 2**n identity columns, and a caller applies it to the
-encoding as one matrix product.  Circuits that differ only in their
+encoding as one matrix product.  Its gates are `BODY_KINDS`, the kinds the
+ansatz table puts there: a Hadamard runs only in the prefix, CY and CZ
+only in a folded gadget (below).  Circuits that differ only in their
 parameters (the kernels of a layer, the parameter draws of an effective
 dimension) build their matrices together, as kernels x 2**n columns with
 one parameter row per kernel.  :func:`readouts` reads the readout Z
@@ -67,9 +69,10 @@ SINGLE_QUBIT_KINDS = frozenset({"H", "X", "RX", "RY", "RZ"})
 TWO_QUBIT_KINDS = frozenset({"CNOT", "CY", "CZ", "CRX", "CRY", "CRZ"})
 ROTATION_KINDS = frozenset({"RX", "RY", "RZ", "CRX", "CRY", "CRZ"})
 GATE_KINDS = SINGLE_QUBIT_KINDS | TWO_QUBIT_KINDS
+BODY_KINDS = GATE_KINDS - {"H", "CY", "CZ"}  # the kinds a body holds and _apply_kind runs
 
 # Controlled kind -> the single-qubit action it applies when the control is 1.
-_CONTROLLED_BASE = {"CNOT": "X", "CY": "Y", "CZ": "Z", "CRX": "RX", "CRY": "RY", "CRZ": "RZ"}
+_CONTROLLED_BASE = {"CNOT": "X", "CRX": "RX", "CRY": "RY", "CRZ": "RZ"}
 
 # Deferred-measurement rewrite of a conditioned rotation.
 _CONTROLLED_FORM = {b: k for k, b in _CONTROLLED_BASE.items() if k in ROTATION_KINDS}
@@ -144,7 +147,8 @@ class Circuit:
     one less where :func:`_fold_parity_gadget` compiles an ancilla parity
     gadget on the top qubit away, exactly: the prefix without its Hadamard,
     the body without its CY/CZ-then-H tail, and the top qubit's sign row the
-    product of its controls' rows.  None of the four takes part in
+    product of its controls' rows.  An H, CY or CZ left in the body then is
+    refused: a body runs `BODY_KINDS` only.  None of the four takes part in
     ``repr``, ``==`` or the hash.
     """
 
@@ -220,6 +224,10 @@ class Circuit:
         if folded is not None:
             program, body, controls = folded
             width -= 1
+        for op in body:
+            if op.kind not in BODY_KINDS:
+                raise ValueError(f"{op.kind} on {op.targets} follows the encoding prefix;"
+                                 f" a body runs only {', '.join(sorted(BODY_KINDS))}")
         # A readout's sign is the product of its qubits' Z signs; a folded
         # top qubit's are its controls'.
         states = np.arange(1 << width)
@@ -327,8 +335,9 @@ def _half_angle(theta):
 
 @lru_cache(maxsize=None)
 def _plan(n: int, kind: str, targets: tuple) -> tuple:
-    """(base kind, control index, axis) of one gate on a (2,)*n + columns view.
+    """(base kind, control index, axis) of one body gate on a (2,)*n + columns view.
 
+    The base is X, RX, RY or RZ.
     ``psi[control].swapaxes(0, axis)`` is the view the gate acts on, and
     whose halves the adjoint walk's generator overlaps read: the control-1
     half of a controlled kind (the whole state for the others), with the
@@ -342,13 +351,13 @@ def _plan(n: int, kind: str, targets: tuple) -> tuple:
 
 
 def _apply_kind(psi: np.ndarray, kind: str, targets: tuple, rotation=None):
-    """Apply one gate in place to `psi`, a (2,)*n + (groups, columns) view of the state.
+    """Apply one body gate in place to `psi`, a (2,)*n + (groups, columns) view of the state.
 
-    Qubit q lives on axis n-1-q.  Every kind is a 2x2 base action on the
-    view :func:`_plan` gives, whose ``p[0]`` and ``p[1]`` are the target's
-    halves.  The view spans every other axis, so two states stacked on an
-    extra most significant qubit, which no gate targets, take each gate in
-    one call.  `rotation` is the (2, groups, 1) stack :func:`_rotations`
+    Qubit q lives on axis n-1-q.  Each of `BODY_KINDS` is a 2x2 base action,
+    X, RX, RY or RZ, on the view :func:`_plan` gives, whose ``p[0]`` and
+    ``p[1]`` are the target's halves.  The view spans every other axis, so
+    two states stacked on an extra most significant qubit, which no gate
+    targets, take each gate in one call.  `rotation` is the (2, groups, 1) stack :func:`_rotations`
     gives a rotation.  Each amplitude gets the factors of ``c*a - 1j*s*b``,
     ``c*a - s*b`` and ``a * (c - 1j*s)``, in that order.
     """
@@ -367,20 +376,8 @@ def _apply_kind(psi: np.ndarray, kind: str, targets: tuple, rotation=None):
         p[1] += t[1]
     elif base == "RZ":
         p *= rotation[(slice(None),) + (None,) * (p.ndim - 3)]
-    elif base == "H":
-        a, b = p
-        t = a + b
-        np.subtract(a, b, out=b)
-        b *= _INV_SQRT2
-        np.multiply(t, _INV_SQRT2, out=a)
-    elif base == "X":
+    else:  # X
         p[...] = p[::-1]  # numpy buffers the overlapping source
-    elif base == "Y":
-        a = p[0].copy()
-        np.multiply(-1j, p[1], out=p[0])
-        np.multiply(1j, a, out=p[1])
-    else:  # Z
-        p[1] *= -1.0
 
 
 def _rotation_forms(c: np.ndarray, s: np.ndarray) -> dict:

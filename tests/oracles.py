@@ -49,6 +49,27 @@ def single_qubit_matrix(kind: str, theta: float | None = None) -> np.ndarray:
     raise ValueError(kind)
 
 
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def hadamard(state: np.ndarray, qubit: int):
+    """H on `qubit` of an amplitude-major (2**n, rows) state, in place.
+
+    The arithmetic of a Hadamard run gate by gate: with a and b the
+    qubit-0 and qubit-1 halves, t = a + b, then b = (a - b) / sqrt(2) and
+    a = t / sqrt(2), each product by the rounded 1/sqrt(2).  So a prefix
+    run gate by gate through it and the simulator's other kernels gives
+    the bits that `qccnn.sim.encode` must reproduce.
+    """
+    n = state.shape[0].bit_length() - 1
+    halves = state.reshape(1 << (n - 1 - qubit), 2, -1)  # basis index = (high, bit q, low)
+    a, b = halves[:, 0], halves[:, 1]
+    t = a + b
+    np.subtract(a, b, out=b)
+    b *= _INV_SQRT2
+    np.multiply(t, _INV_SQRT2, out=a)
+
+
 def lift_single(u: np.ndarray, qubit: int, n: int) -> np.ndarray:
     return np.kron(np.eye(1 << (n - 1 - qubit)), np.kron(u, np.eye(1 << qubit)))
 
@@ -292,18 +313,17 @@ def jacobian_rank(jac: np.ndarray, rtol: float = 1e-8) -> int:
     return int((singular > rtol * singular[0]).sum())
 
 
-_RANDOM_KINDS = (
-    "H", "X", "RX", "RY", "RZ", "CNOT", "CY", "CZ", "CRX", "CRY", "CRZ",
-)
+# The kinds a circuit's body may hold (qccnn.sim.BODY_KINDS, written out here).
+_RANDOM_KINDS = ("X", "RX", "RY", "RZ", "CNOT", "CRX", "CRY", "CRZ")
 
 
 def random_circuit(rng, num_qubits: int = 4, depth: int = 20) -> Circuit:
-    """Measurement-free random circuit with densely referenced param slots."""
+    """Measurement-free random circuit of body kinds with densely referenced param slots."""
     ops = []
     slot = 0
     for _ in range(depth):
         kind = _RANDOM_KINDS[rng.integers(len(_RANDOM_KINDS))]
-        if kind in ("H", "X", "RX", "RY", "RZ"):
+        if kind in ("X", "RX", "RY", "RZ"):
             targets = (int(rng.integers(num_qubits)),)
         else:
             a, b = rng.choice(num_qubits, size=2, replace=False)
@@ -336,3 +356,160 @@ def finite_difference_gradient(f, params, h: float = 1e-4) -> np.ndarray:
         down[i] -= h
         grad[i] = (f(up) - f(down)) / (2 * h)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# a whole training run, written out
+# ---------------------------------------------------------------------------
+
+# Adam's decay rates and denominator guard (Kingma & Ba 2015, arXiv:1412.6980).
+_ADAM = (0.9, 0.999, 1e-8)
+
+
+def _windows(image: np.ndarray, stride: int) -> list:
+    """Every 2x2 window of an (H, W) image at `stride`, row by row, each read row-major."""
+    h, w = image.shape
+    return [np.array([image[i + di, j + dj] for di in range(2) for dj in range(2)])
+            for i in range(0, h - 1, stride) for j in range(0, w - 1, stride)]
+
+
+def _quantum_front(ansatz, kernels: np.ndarray):
+    """(forward, backward) of quantum kernels on one image's windows, on the dense matrices.
+
+    Kernel k's readout r on window p is feature (k * readouts + r) * windows + p:
+    each kernel readout is one feature map, and a map lists its windows in order.
+    `backward(windows, features, d_features)` gives the kernels' gradient
+    from the parameter-shift jacobian of every window.
+    """
+    circuit = deferred_circuit(ansatz.circuit)
+    fixed = [input_free_matrices(circuit, theta) for theta in kernels]
+    readouts = len(circuit.readout)
+    post = ansatz.postprocess
+
+    def forward(windows):
+        features = np.empty(len(kernels) * readouts * len(windows))
+        for k in range(len(kernels)):
+            for p, x in enumerate(windows):
+                for r, value in enumerate(z_expectations_oracle(circuit, kernels[k], x, fixed[k])):
+                    if post == "sign":
+                        value = np.sign(value)
+                    elif post == "tanh":
+                        value = np.tanh(value)
+                    features[(k * readouts + r) * len(windows) + p] = value
+        return features
+
+    def backward(windows, features, d_features):
+        grad = np.zeros(kernels.shape)
+        if post == "sign":  # flat almost everywhere
+            return {"kernels": grad}
+        for k in range(len(kernels)):
+            for p, x in enumerate(windows):
+                jac = param_shift_jacobian(circuit, kernels[k], x, fixed[k])
+                for r in range(readouts):
+                    f = (k * readouts + r) * len(windows) + p
+                    # tanh' = 1 - tanh^2, read off the feature
+                    slope = 1.0 - features[f] ** 2 if post == "tanh" else 1.0
+                    grad[k] += d_features[f] * slope * jac[:, r]
+        return {"kernels": grad}
+
+    return forward, backward
+
+
+def _classical_front(filters: np.ndarray, bias: np.ndarray, relu: bool):
+    """(forward, backward) of the 2x2 filters on one image's windows, by nested loops."""
+
+    def forward(windows):
+        out = np.zeros((len(filters), len(windows)))
+        for c in range(len(filters)):
+            for p, x in enumerate(windows):
+                for di in range(2):
+                    for dj in range(2):
+                        out[c, p] += filters[c, di, dj] * x[2 * di + dj]
+                out[c, p] += bias[c]
+        return (np.maximum(out, 0.0) if relu else out).ravel()
+
+    def backward(windows, features, d_features):
+        d_out = d_features.reshape(len(filters), len(windows))
+        if relu:
+            d_out = d_out * (features.reshape(d_out.shape) > 0)
+        d_filters = np.zeros(filters.shape)
+        for c in range(len(filters)):
+            for p, x in enumerate(windows):
+                for di in range(2):
+                    for dj in range(2):
+                        d_filters[c, di, dj] += d_out[c, p] * x[2 * di + dj]
+        return {"filters": d_filters, "conv_bias": d_out.sum(axis=1)}
+
+    return forward, backward
+
+
+def train_oracle(ansatz, params: dict, train: tuple, val: tuple, *, epochs: int,
+                 batch_size: int, lr: float, seed: int, stride: int, relu: bool = False):
+    """A training run written out: ``(per-epoch metrics, final parameters)``.
+
+    `ansatz` is a quantum front's ansatz, or None for the classical front
+    (with `relu`); `params` holds the initial parameters by checkpoint group,
+    and `train` and `val` are (images, labels) pairs.  Each epoch takes the
+    permutation ``default_rng(seed)`` draws next, and each batch one Adam
+    step on the mean softmax cross-entropy of its images.  An image's
+    features are its front's maps, flattened map by map; its logits are
+    the dense head's.  An epoch's metrics are (train accuracy, train loss,
+    validation accuracy, validation loss): the train ones are means over
+    the epoch's images as each batch saw them, the validation ones over
+    the split at the epoch's end.
+    """
+    params = {name: np.array(value, dtype=float) for name, value in params.items()}
+    moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
+    beta1, beta2, eps = _ADAM
+    rng = np.random.default_rng(seed)
+    steps, history = 0, []
+
+    def front():
+        if ansatz is None:
+            return _classical_front(params["filters"], params["conv_bias"], relu)
+        return _quantum_front(ansatz, params["kernels"])
+
+    def image_pass(forward, windows, label):
+        """(loss, correct, features, dLoss/dlogits) of one image's windows."""
+        features = forward(windows)
+        logits = params["head_weights"] @ features + params["head_bias"]
+        exp = np.exp(logits - logits.max())
+        probs = exp / exp.sum()
+        d_logits = probs.copy()
+        d_logits[label] -= 1.0
+        return -np.log(probs[label]), int(np.argmax(logits) == label), features, d_logits
+
+    for _ in range(epochs):
+        order = rng.permutation(len(train[0]))
+        loss_sum, correct_sum = 0.0, 0
+        for start in range(0, len(order), batch_size):
+            batch = order[start : start + batch_size]
+            forward, backward = front()
+            grads = {name: np.zeros_like(p) for name, p in params.items()}
+            for i in batch:
+                windows = _windows(train[0][i], stride)
+                loss, correct, features, d_logits = image_pass(forward, windows, train[1][i])
+                loss_sum += loss
+                correct_sum += correct
+                d_logits /= len(batch)
+                grads["head_weights"] += np.outer(d_logits, features)
+                grads["head_bias"] += d_logits
+                d_features = params["head_weights"].T @ d_logits
+                for name, grad in backward(windows, features, d_features).items():
+                    grads[name] += grad
+            steps += 1
+            for name, grad in grads.items():
+                m, v = moments[name]
+                m[...] = beta1 * m + (1 - beta1) * grad
+                v[...] = beta2 * v + (1 - beta2) * grad**2
+                m_hat, v_hat = m / (1 - beta1**steps), v / (1 - beta2**steps)
+                params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        forward, _ = front()
+        val_loss, val_correct = 0.0, 0
+        for image, label in zip(*val):
+            loss, correct, _, _ = image_pass(forward, _windows(image, stride), label)
+            val_loss += loss
+            val_correct += correct
+        n, n_val = len(order), len(val[0])
+        history.append((correct_sum / n, loss_sum / n, val_correct / n_val, val_loss / n_val))
+    return history, params

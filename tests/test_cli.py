@@ -442,6 +442,20 @@ FAILURES = [
         "ed", "--ansatz", "mod-c", "--seeds", "0", "--theta-samples", "110000",
         "--data-samples", "1", "--out", str(tmp / "ed")], {}, EXIT_CONFIG,
      "the ED of mod-c (1.09 GiB of FIMs, 0.03 GiB a batch) would take 1.1 GiB"),
+    # One batch's rows (images x stride-1 windows) hold five 16-amplitude
+    # states each: 8 x 511 x 511 rows take 2.5 GiB, refused before any
+    # directory is made.  With batches of one image, the validation batch of
+    # 64 images is the larger, at 64 x 127 x 127 rows.
+    ("train-batch-huge", lambda tmp: [
+        "train", "--ansatz", "conv", "--data", "synthetic:size=512,train_n=8,val_n=8",
+        "--stride", "1", "--epochs", "1", "--seeds", "0", "--out", str(tmp / "x")], {},
+     EXIT_CONFIG, "configuration error: a batch of 8 images at stride 1 would take 2.5 GiB,"
+                  " more than the 1 GiB limit"),
+    ("train-validation-batch-huge", lambda tmp: [
+        "train", "--ansatz", "mod-a", "--data", "synthetic:size=128,train_n=1,val_n=64",
+        "--stride", "1", "--batch-size", "1", "--epochs", "1", "--seeds", "0",
+        "--out", str(tmp / "x")], {}, EXIT_CONFIG,
+     "configuration error: a batch of 64 images at stride 1 would take 1.2 GiB"),
     # Every output path is checked before any is written, and before the
     # first seed or key is computed.
     *[(f"unwritable-{command}-{name}", lambda tmp, argv=argv, name=name: _blocked_argv(
@@ -512,6 +526,13 @@ FAILURES = [
     ("eval-image-shape-huge", lambda tmp: _eval_argv(
         tmp, _checkpoint(image_shape=[1000000, 1000000])), {}, EXIT_DATA,
      "takes images of shape (1000000, 1000000)"),
+    # The checkpoint fixes the stride, so its batch is a data error: 64 images
+    # of 128x128 at stride 1 take 1.2 GiB on the quantum front.
+    ("eval-batch-huge", lambda tmp: [*_eval_argv(
+        tmp, _checkpoint(image_shape=[128, 128], stride=1), "--ansatz", "select-tanh"),
+        "--data", "synthetic:size=128,train_n=64,val_n=64"], {}, EXIT_DATA,
+     "data error: a batch of 64 images at the checkpoint's stride 1 would take 1.2 GiB,"
+     " more than the 1 GiB limit"),
     ("synthetic-seed-not-int", lambda tmp: _train_argv(tmp, "synthetic:seed=abc"), {},
      EXIT_DATA, "synthetic option 'seed' must be an integer"),
     ("synthetic-negative-seed", lambda tmp: _train_argv(tmp, "synthetic:seed=-1"), {},
@@ -560,6 +581,16 @@ FAILURES = [
      "metrics.csv:2: expected 6 cells, got 3"),
     ("metrics-non-numeric", lambda tmp: _curves_argv(tmp, "0,0,abc,0.5,0.5,0.7"), {},
      EXIT_DATA, "metrics.csv:2: non-numeric cell"),
+    # train writes no such row: fit stops at a non-finite loss, and an
+    # accuracy is a count over n.  The first bad line is named.
+    ("metrics-non-finite", lambda tmp: _curves_argv(tmp, "0,0,nan,0,7.5,0\n1,0,1e999,0,-3,0"),
+     {}, EXIT_DATA, "metrics.csv:2: non-finite cell in '0,0,nan,0,7.5,0'"),
+    ("metrics-infinite-loss", lambda tmp: _curves_argv(
+        tmp, "0,0,0.5,0.7,0.5,0.7\n1,0,0.5,1e999,0.5,0.7"), {}, EXIT_DATA, "metrics.csv:3: non-finite cell in '1,0,0.5,1e999,0.5,0.7'"),
+    ("metrics-accuracy-above-one", lambda tmp: _curves_argv(tmp, "0,0,0.5,0.7,7.5,0.7"), {},
+     EXIT_DATA, "metrics.csv:2: val_acc 7.5 outside [0, 1]"),
+    ("metrics-accuracy-negative", lambda tmp: _curves_argv(tmp, "0,0,-3,0.7,0.5,0.7"), {},
+     EXIT_DATA, "metrics.csv:2: train_acc -3.0 outside [0, 1]"),
     ("metrics-not-utf8", lambda tmp: _curves_argv(tmp, "0,0,caf\xe9,0.5,0.5,0.7"), {},
      EXIT_DATA, "metrics.csv as UTF-8 text"),
     ("curves-missing-metrics", lambda tmp: ["curves", str(_made(tmp / "nothing")),

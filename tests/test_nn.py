@@ -27,6 +27,7 @@ from oracles import (
     deferred_circuit,
     finite_difference_gradient,
     param_shift_jacobian,
+    train_oracle,
     z_expectations_oracle,
 )
 
@@ -444,6 +445,47 @@ def test_fit_epoch_metrics_length():
     result = fit(model, train, val, epochs=4, batch_size=4, seed=0)
     assert result.epochs_run == 4
     assert len(result.val_loss) == 4
+
+
+@pytest.mark.parametrize("front", [*ANSATZ_KEYS, "classical", "classical-relu"])
+def test_fit_matches_the_training_oracle(front):
+    """`fit` for 2 epochs against `oracles.train_oracle`: per-epoch metrics and final parameters.
+
+    The oracle shares nothing with `fit` but the seeded permutations and
+    the initial parameters: its windows come from nested loops, a quantum
+    front's readouts and kernel gradients from the dense matrices
+    (`z_expectations_oracle`, `param_shift_jacobian`), the classical
+    convolution from nested loops, and the head, softmax cross-entropy
+    and Adam are written out.  3 training images (batches of 2 and 1) and
+    2 validation images of 4x6 at stride 2 give each image a 2x3 grid of
+    windows; the 12 cases take about 5 s, most of it in the oracle's
+    parameter shifts.
+
+    Tolerances, from a measurement at these settings: the metrics agreed
+    within 4.4e-16 and the final parameters within 9.7e-12.  The largest
+    parameter gaps are on the ancilla, modular and select-tanh fronts,
+    where a parameter the readout barely depends on has a rounding-level
+    gradient g, and Adam steps it by up to lr * g / eps.  Every parameter
+    group moves by about 4e-3, so 1e-12 on the metrics and 1e-9 on the
+    parameters tell rounding from any real change.
+    """
+    key, relu = front.removesuffix("-relu"), front.endswith("-relu")
+    rng = np.random.default_rng(7)
+    train = Dataset(rng.uniform(-1, 1, (3, 4, 6)), [0, 1, 0])
+    val = Dataset(rng.uniform(-1, 1, (2, 4, 6)), [1, 0])
+    model = make_model(key, (4, 6), stride=2, seed=3, relu=relu)
+    initial = {name: p.copy() for name, p in model.parameters().items()}
+    result = fit(model, train, val, epochs=2, batch_size=2, seed=3)
+    history, params = train_oracle(
+        None if key == "classical" else build_ansatz(key), initial,
+        (train.images, train.labels), (val.images, val.labels),
+        epochs=2, batch_size=2, lr=0.001, seed=3, stride=2, relu=relu)
+    got = np.array([result.train_acc, result.train_loss, result.val_acc, result.val_loss]).T
+    np.testing.assert_allclose(got, history, rtol=0, atol=1e-12)
+    assert list(params) == list(model.parameters())
+    for name, want in params.items():
+        np.testing.assert_allclose(model.parameters()[name], want, rtol=0, atol=1e-9,
+                                   err_msg=name)
 
 
 def test_fit_rejects_empty_dataset():

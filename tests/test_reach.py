@@ -35,10 +35,6 @@ EXEMPT = {
     ("run_deferred_batch", None):
         "only the benchmark calls it, through the name each module imports",
     ("score_batch", None): "only the benchmark calls it",
-    ("_apply_kind", 'elif base == "H":'):
-        "the general gate set: no built body holds H, Y or Z; the dense-oracle tests run them",
-    ("_apply_kind", 'elif base == "Y":'): "the general gate set, as H",
-    ("_apply_kind", "p[1] *= -1.0"): "the general gate set, as H: the Z branch",
     ("_rotations", "elif op.param_slot is None:"):
         "the general gate set: no built body holds a constant-angle rotation",
     ("_fold_parity_gadget", 'if not body or body[-1] != GateOp("H", (t,)):'):

@@ -9,6 +9,7 @@ import pytest
 
 from qccnn.circuits import ANSATZ_KEYS, build_ansatz
 from qccnn.sim import (
+    BODY_KINDS,
     ROTATION_KINDS,
     SINGLE_QUBIT_KINDS,
     Circuit,
@@ -25,11 +26,13 @@ from qccnn.sim import (
 )
 
 from oracles import (
+    _RANDOM_KINDS,
     circuit_unitary,
     deferred_circuit,
     deferred_ops,
     encoded_random_circuit,
     gate_unitary,
+    hadamard,
     input_free_matrices,
     random_circuit,
     sample_shots,
@@ -75,7 +78,8 @@ def _apply(amps, kind, targets, theta=None):
 
 
 def test_hadamard_on_zero():
-    amps = _apply(_zero(1), "H", (0,))
+    # A Hadamard runs only in the encoding prefix, which encode fills.
+    amps = encode(Circuit(1, (GateOp("H", (0,)),)), np.zeros((1, 0)))[:, 0]
     np.testing.assert_allclose(amps, [SQRT2_INV, SQRT2_INV], atol=1e-15)
 
 
@@ -91,6 +95,8 @@ def test_cnot_flips_target_when_control_set():
     np.testing.assert_allclose(amps, [0, 0, 0, 1], atol=1e-15)
 
 
+# Every gate kind: a kind in BODY_KINDS runs through the kernel, and each
+# other (H, CY and CZ) is a case of Circuit refusing it in a body.
 _CONTROLLED = ("CRX", "CRY", "CRZ", "CNOT", "CY", "CZ")
 _GATE_CASES = (
     [pytest.param(k, (1,), 1, id=k) for k in ("RX", "RY", "RZ")]
@@ -105,8 +111,17 @@ _GATE_CASES = (
 )
 
 
+def _assert_refused_in_a_body(kind, targets):
+    """`Circuit` refuses a kind outside BODY_KINDS after the prefix, which the X ends."""
+    with pytest.raises(ValueError, match=rf"^{kind} on \({targets[0]},.* follows the encoding"):
+        Circuit(3, (GateOp("X", (0,)), GateOp(kind, targets)))
+
+
 @pytest.mark.parametrize("kind, targets, rows", _GATE_CASES)
 def test_every_gate_matches_dense_matrix(kind, targets, rows):
+    if kind not in BODY_KINDS:
+        _assert_refused_in_a_body(kind, targets)
+        return
     # One amplitude column per row; with 3 rows each gets its own angle.
     rng = np.random.default_rng(zlib.crc32(f"{kind}{targets}{rows}".encode()))
     n = 3
@@ -132,7 +147,7 @@ def _two_half_gate(psi, kind, targets, c, s):
     """
     n = psi.ndim - 2
     index = [slice(None)] * n
-    base = {"CNOT": "X", "CY": "Y", "CZ": "Z", "CRX": "RX", "CRY": "RY", "CRZ": "RZ"}
+    base = {"CNOT": "X", "CRX": "RX", "CRY": "RY", "CRZ": "RZ"}
     if kind in base:
         index[n - 1 - targets[0]] = 1
     halves = []
@@ -141,10 +156,7 @@ def _two_half_gate(psi, kind, targets, c, s):
         halves.append(tuple(index))
     a, b = (psi[i].copy() for i in halves)
     psi[halves[0]], psi[halves[1]] = {
-        "H": lambda: ((a + b) * SQRT2_INV, (a - b) * SQRT2_INV),
         "X": lambda: (b, a),
-        "Y": lambda: (-1j * b, 1j * a),
-        "Z": lambda: (a, b * -1.0),
         "RX": lambda: (c * a - 1j * s * b, c * b - 1j * s * a),
         "RY": lambda: (c * a - s * b, c * b + s * a),
         "RZ": lambda: (a * (c - 1j * s), b * (c + 1j * s)),
@@ -165,6 +177,9 @@ def test_stacked_pair_takes_each_gate_as_each_state_alone(kind, targets):
     # gate is one kernel call on both.  That call must equal the two-half
     # formulas applied to each state alone, to the bit: the amplitudes and
     # angles hold zeros of both signs, and tobytes tells them apart.
+    if kind not in BODY_KINDS:
+        _assert_refused_in_a_body(kind, targets)
+        return
     rng = np.random.default_rng(zlib.crc32(f"{kind}{targets}".encode()))
     n, groups, cols = 3, 3, 2
     circuit = Circuit(n, ())
@@ -279,6 +294,7 @@ def test_run_deferred_param_length_checked():
 
 
 def test_random_circuits_match_dense_oracle():
+    assert set(_RANDOM_KINDS) == BODY_KINDS  # every kind a body may hold, and no other
     rng = np.random.default_rng(11)
     for _ in range(40):
         circuit = random_circuit(rng, num_qubits=4, depth=int(rng.integers(5, 30)))
@@ -478,7 +494,9 @@ def test_input_angle_outside_the_prefix_rejected(gate):
 
 
 def _prefix_gate_by_gate(circuit, xs):
-    """The deferred ops before ``circuit.body`` run gate by gate through the production kernels.
+    """The deferred ops before ``circuit.body`` run gate by gate: each Hadamard through
+    the test-side `hadamard`, whose arithmetic is a gate kernel's, and every other op
+    through the production kernels.
 
     They run on ``circuit.width`` qubits.  Where a parity gadget is folded,
     the prefix's one op on the top qubit must be its Hadamard, which leaves
@@ -491,9 +509,11 @@ def _prefix_gate_by_gate(circuit, xs):
     for op in ops[: len(ops) - _folded_tail(circuit) - len(circuit.body)]:
         if max(op.targets) >= n:
             assert op == GateOp("H", (n,))
-            continue
-        _gate(state, op.kind, op.targets,
-              _resolve_angle(op, xs) if op.kind in ROTATION_KINDS else None)
+        elif op.kind == "H":
+            hadamard(state, op.targets[0])
+        else:
+            _gate(state, op.kind, op.targets,
+                  _resolve_angle(op, xs) if op.kind in ROTATION_KINDS else None)
     return state
 
 
@@ -575,8 +595,11 @@ def test_encode_equals_the_prefix_gate_by_gate_for_random_encodings():
 def test_encode_equals_the_prefix_gate_by_gate_for_input_free_circuits():
     rng = np.random.default_rng(20)
     for _ in range(40):
-        circuit = random_circuit(rng, num_qubits=int(rng.integers(2, 6)),
-                                 depth=int(rng.integers(0, 12)))
+        n = int(rng.integers(2, 6))
+        # A random body holds no Hadamard: lead it with some, so the prefix has them.
+        body = random_circuit(rng, num_qubits=n, depth=int(rng.integers(0, 12)))
+        hadamards = tuple(GateOp("H", (int(q),)) for q in rng.permutation(n)[: rng.integers(n + 1)])
+        circuit = replace(body, ops=hadamards + body.ops)
         _assert_same_bits(encode(circuit, np.zeros((3, 0))),
                           _prefix_gate_by_gate(circuit, np.zeros((3, 0))))
 
