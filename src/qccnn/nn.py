@@ -275,8 +275,8 @@ def batch_bytes(front_key: str, image_shape: tuple[int, int], stride: int, image
     five (2**n, rows) complex states for a quantum front, n its circuit's
     width (4 for every ansatz), or 32 floats for the classical front.
     Measured with tracemalloc over one batch per front, 8 or 64 images of
-    8x8 to 96x96 at stride 1 and 2: 4.7-4.8 states a row for a training
-    step and 3.6-4.1 for a forward pass alone, and 17-30 floats for the
+    8x8 to 96x96 at stride 1 and 2: 4.6-4.8 states a row for a training
+    step and 3.6-4.1 for a forward pass alone, and 12-30 floats for the
     classical front.
     """
     rows = images * math.prod(patch_grid(*image_shape, stride))

@@ -69,7 +69,8 @@ SINGLE_QUBIT_KINDS = frozenset({"H", "X", "RX", "RY", "RZ"})
 TWO_QUBIT_KINDS = frozenset({"CNOT", "CY", "CZ", "CRX", "CRY", "CRZ"})
 ROTATION_KINDS = frozenset({"RX", "RY", "RZ", "CRX", "CRY", "CRZ"})
 GATE_KINDS = SINGLE_QUBIT_KINDS | TWO_QUBIT_KINDS
-BODY_KINDS = GATE_KINDS - {"H", "CY", "CZ"}  # the kinds a body holds and _apply_kind runs
+# The kinds a body holds and _apply_kind runs: H, CY and CZ only lead or end a circuit.
+BODY_KINDS = frozenset({"X", "RX", "RY", "RZ", "CNOT", "CRX", "CRY", "CRZ"})
 
 # Controlled kind -> the single-qubit action it applies when the control is 1.
 _CONTROLLED_BASE = {"CNOT": "X", "CRX": "RX", "CRY": "RY", "CRZ": "RZ"}
@@ -353,13 +354,13 @@ def _plan(n: int, kind: str, targets: tuple) -> tuple:
 def _apply_kind(psi: np.ndarray, kind: str, targets: tuple, rotation=None):
     """Apply one body gate in place to `psi`, a (2,)*n + (groups, columns) view of the state.
 
-    Qubit q lives on axis n-1-q.  Each of `BODY_KINDS` is a 2x2 base action,
-    X, RX, RY or RZ, on the view :func:`_plan` gives, whose ``p[0]`` and
+    Qubit q lives on axis n-1-q.  Each of `BODY_KINDS` is a 2x2 base action
+    (X, RX, RY or RZ) on the view :func:`_plan` gives, whose ``p[0]`` and
     ``p[1]`` are the target's halves.  The view spans every other axis, so
     two states stacked on an extra most significant qubit, which no gate
-    targets, take each gate in one call.  `rotation` is the (2, groups, 1) stack :func:`_rotations`
-    gives a rotation.  Each amplitude gets the factors of ``c*a - 1j*s*b``,
-    ``c*a - s*b`` and ``a * (c - 1j*s)``, in that order.
+    targets, take each gate in one call.  `rotation` is the (2, groups, 1)
+    stack :func:`_rotations` gives a rotation.  Each amplitude gets the
+    factors of ``c*a - 1j*s*b``, ``c*a - s*b`` and ``a * (c - 1j*s)``.
     """
     base, control, axis = _plan(psi.ndim - 2, kind, targets)
     p = (psi[control] if control else psi).swapaxes(0, axis)

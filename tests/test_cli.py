@@ -586,7 +586,8 @@ FAILURES = [
     ("metrics-non-finite", lambda tmp: _curves_argv(tmp, "0,0,nan,0,7.5,0\n1,0,1e999,0,-3,0"),
      {}, EXIT_DATA, "metrics.csv:2: non-finite cell in '0,0,nan,0,7.5,0'"),
     ("metrics-infinite-loss", lambda tmp: _curves_argv(
-        tmp, "0,0,0.5,0.7,0.5,0.7\n1,0,0.5,1e999,0.5,0.7"), {}, EXIT_DATA, "metrics.csv:3: non-finite cell in '1,0,0.5,1e999,0.5,0.7'"),
+        tmp, "0,0,0.5,0.7,0.5,0.7\n1,0,0.5,1e999,0.5,0.7"), {}, EXIT_DATA,
+     "metrics.csv:3: non-finite cell in '1,0,0.5,1e999,0.5,0.7'"),
     ("metrics-accuracy-above-one", lambda tmp: _curves_argv(tmp, "0,0,0.5,0.7,7.5,0.7"), {},
      EXIT_DATA, "metrics.csv:2: val_acc 7.5 outside [0, 1]"),
     ("metrics-accuracy-negative", lambda tmp: _curves_argv(tmp, "0,0,-3,0.7,0.5,0.7"), {},

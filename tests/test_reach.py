@@ -36,7 +36,7 @@ EXEMPT = {
         "only the benchmark calls it, through the name each module imports",
     ("score_batch", None): "only the benchmark calls it",
     ("_rotations", "elif op.param_slot is None:"):
-        "the general gate set: no built body holds a constant-angle rotation",
+        "no built body holds a constant-angle rotation; the benchmark's oracle reads the angle",
     ("_fold_parity_gadget", 'if not body or body[-1] != GateOp("H", (t,)):'):
         "a near miss: every built circuit whose top qubit starts in |+> ends in its gadget",
     ("_fold_parity_gadget",

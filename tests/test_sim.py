@@ -494,10 +494,10 @@ def test_input_angle_outside_the_prefix_rejected(gate):
 
 
 def _prefix_gate_by_gate(circuit, xs):
-    """The deferred ops before ``circuit.body`` run gate by gate: each Hadamard through
-    the test-side `hadamard`, whose arithmetic is a gate kernel's, and every other op
-    through the production kernels.
+    """The deferred ops before ``circuit.body``, run gate by gate.
 
+    Each Hadamard runs through the test-side `hadamard`, which does a gate
+    kernel's arithmetic, and every other op through the production kernels.
     They run on ``circuit.width`` qubits.  Where a parity gadget is folded,
     the prefix's one op on the top qubit must be its Hadamard, which leaves
     that qubit in |+> apart from the rest, so it is left out.
