@@ -96,14 +96,16 @@ def _forward(circuit: Circuit, thetas: np.ndarray, xs: np.ndarray) -> tuple:
     built as kernels by one :func:`qccnn.sim.unitary` call, act on the
     (draws, 2**n, k) view of the encoding in one batched product, written
     straight into ``pair[0]``; ``pair[1]`` is left for
-    :func:`qccnn.autodiff.readout_gradient`'s lambda.
+    :func:`qccnn.autodiff.readout_gradient`'s lambda.  The walk needs the
+    whole state, and the readouts, z = 2 P(+1) - 1, read its
+    ``circuit.support`` rows.
     """
     encoded = encode(circuit, xs)
     pair = np.empty((2, *encoded.shape), dtype=complex)
     shape = (len(encoded), len(thetas), -1)
     np.matmul(unitary(circuit, thetas), encoded.reshape(shape).transpose(1, 0, 2),
               out=pair[0].reshape(shape).transpose(1, 0, 2))
-    return pair, class_probabilities(readouts(circuit, pair[0]))
+    return pair, class_probabilities(readouts(circuit, pair[0][circuit.support]))
 
 
 def _scores(circuit: Circuit, thetas, ys, pair, probs) -> np.ndarray:

@@ -233,7 +233,7 @@ def _read_table(path: Path, header: str, name: str):
     """
     first, *lines = _read_utf8(path, DataError).splitlines() or [""]
     if first.strip() != header:
-        raise DataError(f"{path}: unexpected {name} header {first.strip()!r}")
+        raise DataError(f"{path}:1: unexpected {name} header {first.strip()!r}")
     width = header.count(",") + 1
     for lineno, line in enumerate(lines, 2):
         cells = line.strip().split(",")

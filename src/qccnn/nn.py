@@ -2,11 +2,12 @@
 
 The quantum front end slides four parallel kernels over the image, one
 circuit evaluation per 2x2 patch per kernel: the patch encoding is
-computed once per batch, and each kernel then acts on it as one
-2**n x 2**n matrix (a circuit holds the encoding's program and the body
-from when it is built: ``Circuit.prefix`` and ``Circuit.body``).  The
-kernels' matrices are built together, and their backward is one walk,
-each on kernels x 2**n columns.  The conv-without-pooling variant uses a
+computed once per batch, and each kernel applies to it the rows of its
+2**n x 2**n body matrix that its readouts read, ``Circuit.support`` (a
+circuit holds the encoding's program, the body and those rows from when
+it is built: ``Circuit.prefix``, ``Circuit.body``).  The kernels'
+matrices are built together, and their backward is one walk, each on
+kernels x 2**n columns.  The conv-without-pooling variant uses a
 single kernel whose four readouts form the four feature maps, so every
 configuration feeds the dense head 4 x H' x W' features.  Training uses
 softmax cross-entropy and Adam.
@@ -47,15 +48,18 @@ class QuantumConvLayer:
     The kernels share one circuit, held as built, and differ only in
     parameters, and no input angle follows the encoding prefix (``Circuit``
     rejects one when it is built), so each kernel acts on the encoded
-    patches as one 2**n x 2**n matrix.  A forward encodes the patch batch
-    once and applies each matrix to the encoding in one matrix product.
-    The matrices are built in one pass of the gates over kernels x 2**n
+    patches as one 2**n x 2**n matrix.  The readouts of a unit state need
+    only its rows in some readout's +1 eigenspace (z = 2 P(+1) - 1), so a
+    forward encodes the patch batch once and applies each matrix's
+    ``circuit.support`` rows, 8 of 16 for a pooled or selected front, to
+    the encoding in one matrix product per kernel.  The matrices and their
+    support rows are built in one pass of the gates over kernels x 2**n
     columns (:func:`unitary`), and only when the parameters changed since
-    the last build.  It caches the encoded state and the matrices, not
-    the final states; the backward recomputes each final state from them
-    and makes one walk back over the kernels' row-summed matrices,
-    kernels x 2**n columns in all (:func:`summed_readout_gradient`), not
-    over every row.
+    the last build.  It caches the encoded state and the full matrices,
+    not the final states; the backward recomputes each whole final state
+    from them and makes one walk back over the kernels' row-summed
+    matrices, kernels x 2**n columns in all
+    (:func:`summed_readout_gradient`), not over every row.
     """
 
     def __init__(self, ansatz: Ansatz, stride: int = 2, *, rng):
@@ -67,7 +71,8 @@ class QuantumConvLayer:
         self.params = rng.uniform(-math.pi, math.pi, (self.num_kernels, ansatz.num_params))
         self.meta = {"front": ansatz.key, "relu": False}
         self._cache = None
-        self._matrices = None  # (params.tobytes(), their unitary) of the last build
+        # (params.tobytes(), their unitaries, those matrices' support rows) of the last build
+        self._matrices = None
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"kernels": self.params}
@@ -79,13 +84,14 @@ class QuantumConvLayer:
         # Keyed by value: training updates the parameter array in place.
         key = self.params.tobytes()
         if self._matrices is None or self._matrices[0] != key:
-            self._matrices = (key, unitary(self.circuit, self.params))
-        unitaries = self._matrices[1]
+            unitaries = unitary(self.circuit, self.params)
+            self._matrices = (key, unitaries, unitaries[:, self.circuit.support])
+        _, unitaries, support_rows = self._matrices
         # One buffer for every kernel: a fresh product each would map and
         # unmap state-sized blocks.
-        state = np.empty_like(encoded)
+        state = np.empty((len(self.circuit.support), encoded.shape[1]), dtype=complex)
         raw = np.empty((self.num_kernels, encoded.shape[1], self.ansatz.num_readouts))
-        for k, u in enumerate(unitaries):
+        for k, u in enumerate(support_rows):
             raw[k] = readouts(self.circuit, np.matmul(u, encoded, out=state))
         self._cache = (maps_shape, unitaries, raw, encoded)
         values = apply_postprocess(self.ansatz.postprocess, raw)
@@ -274,10 +280,12 @@ def batch_bytes(front_key: str, image_shape: tuple[int, int], stride: int, image
     hold the per-row arrays of the encoding, the forward and the backward:
     five (2**n, rows) complex states for a quantum front, n its circuit's
     width (4 for every ansatz), or 32 floats for the classical front.
-    Measured with tracemalloc over one batch per front, 8 or 64 images of
-    8x8 to 96x96 at stride 1 and 2: 4.6-4.8 states a row for a training
-    step and 3.6-4.1 for a forward pass alone, and 12-30 floats for the
-    classical front.
+    Measured with tracemalloc over one batch per front of 28x28 images at
+    stride 1 and 2: 4.7 states a row for a training step of 8 images
+    (3.6-3.8 for select-sign, whose kernels take no gradient) and 3.6 for
+    a forward pass of 64, and 20 floats for a classical step and 12-13
+    for its forward.  Below about 1,000 rows the backward's fixed arrays
+    of about 50 KB outweigh the count.
     """
     rows = images * math.prod(patch_grid(*image_shape, stride))
     if front_key == "classical":

@@ -43,8 +43,13 @@ ansatz table puts there: a Hadamard runs only in the prefix, CY and CZ
 only in a folded gadget (below).  Circuits that differ only in their
 parameters (the kernels of a layer, the parameter draws of an effective
 dimension) build their matrices together, as kernels x 2**n columns with
-one parameter row per kernel.  :func:`readouts` reads the readout Z
-expectations off a final state, one sign row per readout.
+one parameter row per kernel.  A readout's Z expectation on a unit state
+is z = 2 P(+1) - 1, P(+1) the probability of its +1 eigenspace, so
+:func:`readouts` needs only the final state's rows in some readout's +1
+eigenspace, ``circuit.support``: 8 of 16 for one readout, 15 for the
+four of the conv ansatz.  A caller multiplies only those rows of a
+matrix; the adjoint walk, which needs the whole state, reads the sign
+rows instead.
 
 A circuit runs on ``circuit.width`` qubits, its `num_qubits` less a folded
 ancilla parity gadget: a top qubit that the prefix leaves in |+> and that
@@ -142,15 +147,18 @@ class Circuit:
     phase program (:func:`_compile_prefix`), which :func:`encode` runs;
     `body` is the ops after it, which :func:`unitary` and the adjoint walk
     run; row j of the read-only (readouts, 2**width) `signs` is readout j's
-    Z sign per basis state.  No input angle may follow the prefix, so each
+    Z sign per basis state.  `support` lists, in order, the basis states
+    with a +1 in some row of `signs`, and row j of the 0/1 (readouts,
+    len(support)) `mask` marks those of readout j: the rows and the sums
+    :func:`readouts` takes.  No input angle may follow the prefix, so each
     one is an RZ after the leading Hadamards, alone or framed by CNOTs.
-    `width` is the number of qubits those three act on: `num_qubits`, or
+    `width` is the number of qubits those act on: `num_qubits`, or
     one less where :func:`_fold_parity_gadget` compiles an ancilla parity
     gadget on the top qubit away, exactly: the prefix without its Hadamard,
     the body without its CY/CZ-then-H tail, and the top qubit's sign row the
     product of its controls' rows.  An H, CY or CZ left in the body then is
-    refused: a body runs `BODY_KINDS` only.  None of the four takes part in
-    ``repr``, ``==`` or the hash.
+    refused: a body runs `BODY_KINDS` only.  None of the six derived fields
+    takes part in ``repr``, ``==`` or the hash.
     """
 
     num_qubits: int
@@ -162,6 +170,8 @@ class Circuit:
     prefix: tuple = field(init=False, repr=False, compare=False)
     body: tuple = field(init=False, repr=False, compare=False)
     signs: np.ndarray = field(init=False, repr=False, compare=False)
+    support: np.ndarray = field(init=False, repr=False, compare=False)
+    mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.num_qubits <= MAX_QUBITS:
@@ -236,11 +246,17 @@ class Circuit:
         for row, q in zip(signs, self.readout):
             for z in controls if q == width else (q,):
                 row *= 1.0 - 2.0 * (states >> z & 1)
-        signs.setflags(write=False)
+        # The basis states some readout reads +1 on, and which readouts do.
+        support = np.flatnonzero((signs > 0).any(axis=0))
+        mask = (signs[:, support] > 0).astype(float)
+        for a in (signs, support, mask):
+            a.setflags(write=False)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "prefix", program)
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "mask", mask)
 
     def _check_qubit(self, q: int):
         if not 0 <= q < self.num_qubits:
@@ -534,16 +550,23 @@ def unitary(circuit: Circuit, params) -> np.ndarray:
 
 
 def readouts(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    """Z expectations of the readout qubits in a (2**n, rows) final state.
+    """Z expectations of the readout qubits from the support rows of unit final states.
 
-    Readout j is the rows' probabilities times row j of ``circuit.signs``.
-    Returns an array of shape (rows, len(readout)).
+    `state` is ``phi[circuit.support]`` for a (2**n, rows) final state phi
+    whose columns have norm 1.  Readout j is z = 2 P - 1, P the probability
+    of its +1 eigenspace: row j of ``circuit.mask`` times the rows'
+    probabilities, one product for every readout.  Returns an array of
+    shape (rows, len(readout)).
     """
-    probs = np.ascontiguousarray((state.real**2 + state.imag**2).T)
-    out = np.empty((state.shape[1], len(circuit.readout)))
-    for j, signs in enumerate(circuit.signs):
-        out[:, j] = probs @ signs
-    return out
+    if state.shape[0] != len(circuit.support):
+        raise ValueError(f"state must hold the {len(circuit.support)} support rows of a final"
+                         f" state, got {state.shape[0]} rows")
+    probs = state.real**2
+    probs += state.imag**2
+    out = circuit.mask @ probs
+    out *= 2.0
+    out -= 1.0
+    return out.T
 
 
 def run_deferred_batch(circuit: Circuit, params, inputs) -> np.ndarray:
@@ -552,4 +575,5 @@ def run_deferred_batch(circuit: Circuit, params, inputs) -> np.ndarray:
     `inputs` is a (rows, num_inputs) matrix; returns (rows, len(readout)).
     The benchmark harness (``perfbench/``) wraps this name.
     """
-    return readouts(circuit, unitary(circuit, [params])[0] @ encode(circuit, inputs))
+    phi = unitary(circuit, [params])[0] @ encode(circuit, inputs)
+    return readouts(circuit, phi[circuit.support])

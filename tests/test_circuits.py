@@ -61,7 +61,8 @@ def test_encoding_zero_input_gives_plus_state():
     state = encode(template, np.zeros((1, 4)))
     for q in range(4):
         hadamard(state, q)
-    np.testing.assert_allclose(readouts(template, state)[0], np.ones(4), atol=1e-15)
+    np.testing.assert_allclose(readouts(template, state[template.support])[0], np.ones(4),
+                               atol=1e-15)
 
 
 def test_encoding_never_polarizes_z():
@@ -207,6 +208,15 @@ def test_every_ansatz_simulates_four_qubits(key):
     circuit = build_ansatz(key).circuit
     assert circuit.width == 4
     assert circuit.signs.shape == (len(circuit.readout), 16)
+
+
+@pytest.mark.parametrize("key", ANSATZ_KEYS)
+def test_every_pooled_readout_needs_half_the_rows(key):
+    # One readout's +1 eigenspace is 8 of 16 basis states, the ancilla's
+    # parity row included; conv's four single-qubit readouts miss only |1111>.
+    circuit = build_ansatz(key).circuit
+    assert len(circuit.support) == (15 if key == "conv" else 8)
+    assert circuit.mask.shape == (len(circuit.readout), len(circuit.support))
 
 
 def test_modular_reduction_structure():

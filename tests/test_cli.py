@@ -605,7 +605,7 @@ FAILURES = [
     # A foreign table is refused before any compute, not merged as ED rows.
     ("ed-table-foreign-header", lambda tmp: _ed_prior_table_argv(tmp, lambda path: path.write_text(
         "epoch,seed,train_acc,train_loss,val_acc,val_loss\n0,0,0.5,0.6,0.5,0.7\n\n")), {},
-     EXIT_DATA, "ed_results.csv: unexpected ED table header 'epoch,seed,"),
+     EXIT_DATA, "ed_results.csv:1: unexpected ED table header 'epoch,seed,"),
     ("ed-table-short-row", lambda tmp: _ed_prior_table_argv(tmp, lambda path: path.write_text(
         f"{ED_HEADER}\nconv,0,1.0\n")), {}, EXIT_DATA,
      "ed_results.csv:2: expected 10 cells, got 3"),
@@ -617,7 +617,7 @@ FAILURES = [
         tmp, lambda path: path.write_text(
             "ansatz,seed,gamma,n,theta_samples,data_samples,d,ed,normalized_ed\n"
             "select-tanh,0,1.0,546,1,2,4,0.5,0.125\n")), {},
-     EXIT_DATA, "ed_results.csv: unexpected ED table header 'ansatz,seed,gamma,n,theta_samples,"
+     EXIT_DATA, "ed_results.csv:1: unexpected ED table header 'ansatz,seed,gamma,n,theta_samples,"
                 "data_samples,d,"),
     # 4: numeric failures
     ("non-finite-training", lambda tmp: [*TRAIN, "--lr", "1e308", "--epochs", "3",
@@ -858,6 +858,113 @@ def test_checkpoint_field_edges_exit_cleanly(tmp_path, capsys, front, group, fie
     assert "Traceback" not in err
     if code != EXIT_OK:
         assert err.startswith(CLASS_PREFIX[code]) and out == ""
+
+
+# A valid metrics.csv: the header, two seeds of two epochs, then the agg rows
+# that `curves` skips.
+METRICS_LINES = (
+    "epoch,seed,train_acc,train_loss,val_acc,val_loss",
+    "0,0,0.5,0.69,0.5,0.7",
+    "1,0,0.75,0.6,0.5,0.65",
+    "0,1,0.25,0.71,0.5,0.69",
+    "1,1,0.5,0.66,1.0,0.6",
+    "0,agg,0.375,0.7,0.5,0.695",
+    "1,agg,0.625,0.63,0.75,0.625",
+)
+SEED_ROWS = range(1, 5)  # indices of METRICS_LINES whose cells `curves` reads
+# Row edits: (kind, the cells it may replace, the values it draws from).
+METRICS_CELL_EDITS = (
+    ("not-a-number", (2, 3, 4, 5), ("abc", "", "0x1", "1.0.0", "--1")),
+    ("non-finite", (2, 3, 4, 5), ("nan", "inf", "-inf", "1e999", "NaN")),
+    ("accuracy-out-of-range", (2, 4), ("1.5", "-0.25", "1.0000001", "2")),
+    ("epoch-not-an-integer", (0,), ("1.5", "one", "", "1e0")),
+)
+METRICS_EDITS = ("header-drop-column", "header-add-column", "header-swap-columns",
+                 "header-rename-column", "header-missing", "header-empty", "header-bom",
+                 "drop-cell", "add-cell", "blank-line", *(e[0] for e in METRICS_CELL_EDITS))
+
+
+def _metrics_edit(rng, kind: str) -> tuple[str, int, str]:
+    """METRICS_LINES with one `kind` edit: (the text, the line it makes invalid, a case id)."""
+    lines = list(METRICS_LINES)
+    names = lines[0].split(",")
+    i, j = (int(k) for k in rng.choice(len(names), 2, replace=False))
+    row, name = 0, kind
+    if kind == "header-drop-column":
+        del names[i]
+        name = f"{kind}-{i}"
+    elif kind == "header-add-column":
+        names.insert(i, "note")
+        name = f"{kind}-{i}"
+    elif kind == "header-swap-columns":
+        names[i], names[j] = names[j], names[i]
+        name = f"{kind}-{min(i, j)}-{max(i, j)}"
+    elif kind == "header-rename-column":
+        names[i] = names[i].upper()
+        name = f"{kind}-{i}"
+    if kind.startswith("header-"):
+        lines[0] = {"header-missing": lines.pop(1), "header-empty": "",
+                    "header-bom": "\ufeff" + lines[0]}.get(kind, ",".join(names))
+    elif kind == "blank-line":
+        row = int(rng.integers(1, len(lines) + 1))
+        lines.insert(row, "")
+        name = f"{kind}-line{row + 1}"
+    else:
+        row = int(rng.integers(1, len(lines)))
+        cells = lines[row].split(",")
+        if kind == "drop-cell":
+            del cells[i]
+        elif kind == "add-cell":
+            cells.insert(i, "0.5")
+        else:
+            row = int(rng.choice(SEED_ROWS))
+            cells = lines[row].split(",")
+            columns, values = next(e[1:] for e in METRICS_CELL_EDITS if e[0] == kind)
+            i = int(rng.choice(columns))
+            cells[i] = str(rng.choice(values))
+        lines[row] = ",".join(cells)
+        name = f"{kind}-line{row + 1}-cell{i}" + ("" if kind == "drop-cell" else f"={cells[i]!r}")
+    return "\n".join(lines) + "\n", row + 1, name
+
+
+def _metrics_mutations(count: int, seed: int) -> list:
+    """`count` distinct cases (text, invalid line), each kind of edit in turn; the rest drawn."""
+    rng = np.random.default_rng(seed)
+    cases = {}
+    for n in range(50 * count):  # a bound: the header-missing, -empty and -bom edits repeat
+        if len(cases) == count:
+            break
+        text, line, name = _metrics_edit(rng, METRICS_EDITS[n % len(METRICS_EDITS)])
+        cases.setdefault(text, pytest.param(text, line, id=name))
+    return list(cases.values())
+
+
+def _curves_on(tmp_path, text) -> tuple[list, Path]:
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "metrics.csv").write_text(text, encoding="utf-8")
+    return ["curves", str(run), "--out", str(tmp_path / "c.csv")], run / "metrics.csv"
+
+
+def test_the_metrics_edits_start_from_a_valid_table(tmp_path, capsys):
+    argv, _ = _curves_on(tmp_path, "\n".join(METRICS_LINES) + "\n")
+    code, out, err = _run(capsys, argv)
+    assert code == EXIT_OK, err
+    assert (tmp_path / "c.csv").read_text().count("\n") == 1 + 2 * 2  # 2 metrics x 2 epochs
+
+
+@pytest.mark.parametrize("text, line", _metrics_mutations(40, seed=31))
+def test_metrics_edits_exit_naming_their_line(tmp_path, capsys, text, line):
+    # A seeded sweep of single header and row edits of a valid metrics.csv:
+    # each is refused as a data error that names the file and the edited
+    # line, writes nothing and never tracebacks.
+    argv, metrics = _curves_on(tmp_path, text)
+    before = _tree(tmp_path, with_dirs=False)
+    code, out, err = _run(capsys, argv)
+    assert code == EXIT_DATA, err
+    assert err.startswith(f"{CLASS_PREFIX[EXIT_DATA]}{metrics}:{line}: "), err
+    assert "Traceback" not in err and out == ""
+    assert _tree(tmp_path, with_dirs=False) == before
 
 
 def test_parser_reuse_leaks_no_option_between_calls(tmp_path, monkeypatch):

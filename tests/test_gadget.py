@@ -92,7 +92,8 @@ def test_gadget_folds_only_where_the_rule_holds(case):
         for k, theta in enumerate(thetas):
             state = u[k] @ encoded
             want = [z_expectations_oracle(circuit, theta, x) for x in xs]
-            np.testing.assert_allclose(readouts(circuit, state), want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(readouts(circuit, state[circuit.support]), want,
+                                       rtol=0, atol=1e-12)
             # (rows, num_params): each row's jacobian times its weights.
             jac = np.stack([param_shift_jacobian(circuit, theta, x) @ w
                             for x, w in zip(xs, weights[k])])

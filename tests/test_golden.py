@@ -47,49 +47,49 @@ COMMANDS = [
 ]
 
 GOLDEN = {
-    "ed/ed_results.csv": "344020d73c27b08f3885111c49c16d03101d1e156c987e6863edeab20d7d6b2e",
-    "ed/ed_summary.json": "edc1e213ab754bb5bfdc208a80cd7977b243aaf814ba1158aee6be87ee6570c2",
-    "ed-inputs/ed_results.csv": "ecf4a95136f139f588ca9ea6ee4ab4dcfc639fcea8f530f86426771dbc16937b",
-    "ed-inputs/ed_summary.json": "dc1f3096e9d621e90659a40d2e7475103fc74c3451afdca56d4f841943578467",
-    "train/ancilla-cy/checkpoint_seed0.json": "995d0a71d03719bf559af3d1bb80d91b6887149aafc7f7468d0f6319b8b36249",
-    "train/ancilla-cy/metrics.csv": "af23a0e7e73381e41edaad74c6d174ab737f8ad8343ef197ef5b91e61d017d8b",
+    "ed/ed_results.csv": "bc379470450c14b156d7be7b3f07ed7e2e89a65db6c99c27cc618272a793ff7a",
+    "ed/ed_summary.json": "9878a8de8e55c64f67d6f39ff0ea73d43c3333eb1e70ea34358f7d4600303bd2",
+    "ed-inputs/ed_results.csv": "cbf093e60d3669ed9aaee9c8cb638eee3ec17491a3fe04e63f4b65e4455c4dc5",
+    "ed-inputs/ed_summary.json": "8f99fc48f3101a450ba0bd7e38b5d3e030dcc1abb9702119ecf9931739ce1cb1",
+    "train/ancilla-cy/checkpoint_seed0.json": "7bf545a445e437d8df5f1043606b8739068f252bd61e00bbfb03ee434e7411c7",
+    "train/ancilla-cy/metrics.csv": "0c6cd229f04d5b788c9fed850ba83eee8cb36d3b0877207f2c4d76015288a449",
     "train/ancilla-cy/summary.json": "9eb837aff718c88b64f69dc2cddabf66738bef326ca8951ce76e8127ffd39635",
-    "train/ancilla-cz/checkpoint_seed0.json": "05be06866026ae2361b5ec78c5a4e32878040d612a310a438b5e82fed0e5a5f3",
-    "train/ancilla-cz/metrics.csv": "af23a0e7e73381e41edaad74c6d174ab737f8ad8343ef197ef5b91e61d017d8b",
+    "train/ancilla-cz/checkpoint_seed0.json": "abacf8bc47b6830d8e1f28dada718b778e7b49124b8c7bc2f052f6823cd39e79",
+    "train/ancilla-cz/metrics.csv": "0c6cd229f04d5b788c9fed850ba83eee8cb36d3b0877207f2c4d76015288a449",
     "train/ancilla-cz/summary.json": "9ae9bd5592afb4e0b29c7f0a6f6d44072415767ebcf4fc7359c8cc0ab2148865",
     "train/classical/checkpoint_seed0.json": "46df6c96e4b5495d601a838cbe1d8eb172f6888634ed67a085eedfd41d045661",
     "train/classical/metrics.csv": "4419b307d03d7db965f0359b7311518a3c4998d616d451ead3cd11076b2f546b",
     "train/classical/summary.json": "8971c2f17cd2c4f386c9053f1924c5e12c8fa00b8d28b556202735e5f650ce41",
-    "train/conv/checkpoint_seed0.json": "f0f297b5c91ccd8fa01662f507d9321dbf2729c08a330bfc3e934ecfe5e7614c",
-    "train/conv/metrics.csv": "4c8f326ec2df9601854e46603814ead8864f52ba7cd51460397f93a6648b8ddf",
+    "train/conv/checkpoint_seed0.json": "b98ee13efc00ab4b3123e6a9eae14a85764d4d9f54e90c3cd0c8d1cdae2b6f69",
+    "train/conv/metrics.csv": "7dad88d099f773b99b147e7a7ad5dc281de37f557f5f5590c0ebadf1e0010d71",
     "train/conv/summary.json": "3d26ed154fd301973e4fd450beb04718b709d0368732d84127cb2a3f527e2d42",
-    "train/midcircuit-rx/checkpoint_seed0.json": "f7165ee45fd8f08bf10abda09395eec3b91fae6ee8712a7593435dc3f3f848f8",
-    "train/midcircuit-rx/metrics.csv": "86b0168d3f49b16d786538c3788b313ca8e8e73d24e78bd8dd7f749cc7997108",
+    "train/midcircuit-rx/checkpoint_seed0.json": "2e33ad2532d4e22e3df4f519c6dabfc653ead29a5371295fc387a804d08734c3",
+    "train/midcircuit-rx/metrics.csv": "4174e8e7c215bf9bd12d0583c4c391e9d2481025803d1e366437b7f4449f5aa6",
     "train/midcircuit-rx/summary.json": "6115f923b6611cef5b9cbccd3067227adc86e631229b92a7a42201367157c224",
-    "train/midcircuit-ry/checkpoint_seed0.json": "e9fc0242c147bf18bd9c03247ecb1daa6776289c253f18cb061f244be15ae6e2",
-    "train/midcircuit-ry/metrics.csv": "8e769c7d692ac3851ca73bf0862cde31eecb1a3d82105e1662a08bab1c90ce6e",
+    "train/midcircuit-ry/checkpoint_seed0.json": "4cd523bd8841c2fc37664032debc1a832f474325cdf62ef5b3fed8cbb8e0991d",
+    "train/midcircuit-ry/metrics.csv": "44a3b6f50677df576992dc36649bdf0b0e6e4fa3dc7c257e5650b92c6c52f3a2",
     "train/midcircuit-ry/summary.json": "5b92805292b878636beb7bc223e5802fd64dbf466672c6b68b037f6e713ef250",
-    "train/mod-a/checkpoint_seed0.json": "03bf38e2f6721ef18defbe10bd744af790ba6dd234c459a17d5436563f1ef58e",
-    "train/mod-a/metrics.csv": "696cc12dc2df0159a01916fd951d80cbfa1b6f990be40c81e246e7ee8bb61785",
+    "train/mod-a/checkpoint_seed0.json": "17609817a47873e07e605029004ea62aa385f111b826fd150f24a79d12eafe6b",
+    "train/mod-a/metrics.csv": "fe421b3d5a01967019c0e840163ee52c2840f393b0456ec735444d1134e92505",
     "train/mod-a/summary.json": "15b6604ff09dbbd9e2a16de515127f1a3110b8dc98e5bb9c8c4b449ce8e42e0a",
-    "train/mod-b/checkpoint_seed0.json": "565761ea226841f160d401a900f7f8aad7f726755016d5a3d062bc1712659288",
-    "train/mod-b/metrics.csv": "cf896162c282fe2ab2f1b537b5017640c47b57f2c6553e777108f27fc45cc962",
+    "train/mod-b/checkpoint_seed0.json": "d691dd30f3b137631828dc479a3179492a0d925fc3ce4c357ef704f065816a93",
+    "train/mod-b/metrics.csv": "47e81345e417e2eacfa5d4419409600a318f3234081a635c38974f2596b3f61b",
     "train/mod-b/summary.json": "4af1fece2b5c7810eeee84888ce707cef0e29923afeb38a4ebac2412688e74e6",
-    "train/mod-c/checkpoint_seed0.json": "eef2e053fd7e508cef3fa1f06528308aa23d9e6e76d879f35980adc395e345e6",
-    "train/mod-c/metrics.csv": "24c82dfdb7a8532e46561b8de22a883c5ddbf9515356ac9e0f8a64c9f0cc1850",
+    "train/mod-c/checkpoint_seed0.json": "8159e0955f803b5035e56f9104cd4703d7ff6c4b209dffcdf4b0b50b0dd2c4d7",
+    "train/mod-c/metrics.csv": "59af9768c624b23e73326b7969216807bfaf6c0a9b48477aa0fa23c6879b5399",
     "train/mod-c/summary.json": "a883e547ce80acaa8db1bdfdb6c826de243b573a8c2c3ea20d37fb4458f0a837",
     "train/select-sign/checkpoint_seed0.json": "ae2fec40b0ad3815ce32da776da06b925b9553f35a85c0f8fa6a5d4f5292f877",
     "train/select-sign/metrics.csv": "50dba1323334efeca306084e73765b5d160d63ed5713da82f7c7a0f942852664",
     "train/select-sign/summary.json": "ffbaa262636eb0d23eb8ae70e5ea125a0258de36327e3580f64d170c522ecdf7",
-    "train/select-tanh/checkpoint_seed0.json": "b3a8b4351c24fb2bd8e7d7732ec3f36ccfea201cb3d7e1c792f329c136bcba47",
-    "train/select-tanh/metrics.csv": "a8eb9bdda7c6c6c82cf358cb4e3a94368b8cb4be1e5f0e821e3899b6e4fe0504",
+    "train/select-tanh/checkpoint_seed0.json": "cee113be81d6e6b044a375e97df0fed8d676e9850feaca71642eb16b1c1855bc",
+    "train/select-tanh/metrics.csv": "02eb21e9fa4210cd6eb21b7c2df133ff10a3bbc1e774a15b3d1deb41b90fdf6c",
     "train/select-tanh/summary.json": "36ade02d4c60f859424c995401176b7d39c76239418765db0cf8a58b3eacc0fb",
 }
 
 # The stdout of each `ed` command, by its --out; recorded in tests/golden/stdout/<out>.txt.
 STDOUT = {
-    "ed": "7fffe4d89438c44e129891e4938194764258bcab48bd5e427e1a04a0d46ccd27",
-    "ed-inputs": "b00fd250d51e727e93bc0844772660db53c0b4780576812d5e4ca01fe4698466",
+    "ed": "569b491a23f01492cdadc77184d5805055b7b7c722736cef4015e1868d237cc6",
+    "ed-inputs": "87adc656377faced80b00b5ae99284f485b59a9b5da2dcf6b538c69cf055bdbe",
 }
 
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")

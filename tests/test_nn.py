@@ -1,6 +1,7 @@
 """Hybrid model tests: layers vs oracles, loss, Adam, end-to-end training."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 
 from qccnn.data import Dataset, extract_patches, generate_synthetic, SyntheticSpec
 from qccnn.nn import (
+    EVAL_BATCH_SIZE,
     AdamState,
     ClassicalConvLayer,
     DenseLayer,
     HybridModel,
     QuantumConvLayer,
     adam_step,
+    batch_bytes,
     evaluate,
     fit,
     make_model,
@@ -503,3 +506,41 @@ def test_checkpoint_round_trip():
     clone.load_state_dict(state)
     image = np.random.default_rng(9).uniform(-1, 1, (1, 4, 4))
     np.testing.assert_array_equal(model.forward(image), clone.forward(image))
+
+
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("front", [*ANSATZ_KEYS, "classical"])
+def test_a_batch_holds_no_more_than_it_counts(front, stride):
+    # `train` and `eval` refuse a batch by this count, so it must bound what
+    # one training step (batch 8) and one evaluation forward allocate.  On
+    # 28x28 images a quantum step holds about 4.7 states a row and a forward
+    # 3.6 of the 5 counted; the classical step about 20 floats of the 32.
+    # Below about 1,000 rows the backward's fixed (2, 16, 64) pair and
+    # gradient outweigh the per-row count, so the images are full size.
+    shape = (28, 28)
+    rng = np.random.default_rng(67)
+    model = make_model(front, shape, stride=stride, seed=0)
+    images = rng.uniform(0.0, 1.0, (EVAL_BATCH_SIZE, *shape))
+    labels = rng.integers(0, 2, 8)
+    model.loss_and_grads(images[:1], labels[:1])  # build and cache the circuit and gate plans
+
+    def step():
+        adam_step(model.parameters(), model.loss_and_grads(images[:8], labels)[2], AdamState())
+
+    for run, count in ((step, 8), (lambda: model.forward(images), EVAL_BATCH_SIZE)):
+        held = batch_bytes(front, shape, stride, count)
+        peak = _peak_bytes(run)
+        assert peak <= held
+        # The count is of the right size, not just large; the classical
+        # forward holds about 12 floats a row, under half its step's count.
+        if not (front == "classical" and run is not step):
+            assert peak >= held / 2

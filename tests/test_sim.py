@@ -287,6 +287,34 @@ def test_signs_hold_each_readouts_z_sign_per_basis_state():
     assert Circuit(3, (GateOp("H", (0,)),)).signs.shape == (0, 8)
 
 
+def test_support_rows_hold_each_readouts_plus_one_states():
+    # Readout (2, 0) reads +1 on states 0-3 and on the even states: all but 5 and 7.
+    circuit = Circuit(3, (GateOp("H", (0,)),), readout=(2, 0))
+    np.testing.assert_array_equal(circuit.support, [0, 1, 2, 3, 4, 6])
+    np.testing.assert_array_equal(circuit.mask, [[1, 1, 1, 1, 0, 0], [1, 0, 1, 0, 1, 1]])
+    assert not circuit.support.flags.writeable and not circuit.mask.flags.writeable
+
+
+def test_readouts_of_support_rows_equal_the_sign_row_sum():
+    # On unit states z = 2 P(+1) - 1 = P(+1) - P(-1): the readout of the
+    # support rows is the full state's sign-row sum, for any readout set.
+    rng = np.random.default_rng(23)
+    circuits = [build_ansatz(key).circuit for key in ANSATZ_KEYS]
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        readout = tuple(int(q) for q in rng.integers(n, size=int(rng.integers(1, 5))))
+        circuits.append(replace(random_circuit(rng, num_qubits=n, depth=5), readout=readout))
+    for circuit in circuits:
+        shape = (1 << circuit.width, 7)
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        psi /= np.linalg.norm(psi, axis=0)
+        want = (np.abs(psi) ** 2).T @ circuit.signs.T
+        np.testing.assert_allclose(readouts(circuit, psi[circuit.support]), want,
+                                   rtol=0, atol=1e-14)
+        with pytest.raises(ValueError, match="support rows"):
+            readouts(circuit, psi if len(circuit.support) < len(psi) else psi[1:])
+
+
 def test_run_deferred_param_length_checked():
     circuit = Circuit(1, (GateOp("RX", (0,), param_slot=0),), num_params=1, readout=(0,))
     with pytest.raises(ValueError, match="parameters"):
@@ -433,7 +461,7 @@ def _check_kernel_unitaries(circuit, params, xs):
             want = want[:dim] * math.sqrt(2.0)
         np.testing.assert_allclose(u[k] @ encoded, want, atol=1e-12)
         np.testing.assert_allclose(
-            readouts(circuit, u[k] @ encoded),
+            readouts(circuit, (u[k] @ encoded)[circuit.support]),
             [z_expectations_oracle(deferred, theta, x, fixed) for x in xs], rtol=0, atol=1e-12)
 
 
@@ -579,7 +607,7 @@ def _random_prefix(rng, n: int, length: int) -> list:
 def test_encode_equals_the_prefix_gate_by_gate_for_random_encodings():
     rng = np.random.default_rng(19)
     for _ in range(40):
-        n = int(rng.integers(1, 6))
+        n = int(rng.integers(2, 6))
         prefix = _random_prefix(rng, n, int(rng.integers(0, 25)))
         body = (GateOp("RY", (0,), param_slot=0), GateOp("RZ", (0,), angle=0.5))
         circuit = Circuit(n, tuple(prefix) + body, num_params=1, num_inputs=n, readout=(0,))
