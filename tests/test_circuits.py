@@ -208,13 +208,8 @@ def test_every_ansatz_simulates_four_qubits(key):
     circuit = build_ansatz(key).circuit
     assert circuit.width == 4
     assert circuit.signs.shape == (len(circuit.readout), 16)
-
-
-@pytest.mark.parametrize("key", ANSATZ_KEYS)
-def test_every_pooled_readout_needs_half_the_rows(key):
     # One readout's +1 eigenspace is 8 of 16 basis states, the ancilla's
     # parity row included; conv's four single-qubit readouts miss only |1111>.
-    circuit = build_ansatz(key).circuit
     assert len(circuit.support) == (15 if key == "conv" else 8)
     assert circuit.mask.shape == (len(circuit.readout), len(circuit.support))
 

@@ -607,7 +607,7 @@ def _random_prefix(rng, n: int, length: int) -> list:
 def test_encode_equals_the_prefix_gate_by_gate_for_random_encodings():
     rng = np.random.default_rng(19)
     for _ in range(40):
-        n = int(rng.integers(2, 6))
+        n = int(rng.integers(1, 6))
         prefix = _random_prefix(rng, n, int(rng.integers(0, 25)))
         body = (GateOp("RY", (0,), param_slot=0), GateOp("RZ", (0,), angle=0.5))
         circuit = Circuit(n, tuple(prefix) + body, num_params=1, num_inputs=n, readout=(0,))
