@@ -1,9 +1,11 @@
-"""Golden outputs: `train` on every front and the `ed` tables write the recorded bytes.
+"""Golden outputs: `train` on every front, the `ed` tables and `curves` write the recorded bytes.
 
 Each command runs in-process from a fresh working directory with a relative
 ``--out``, because ``summary.json`` and ``ed_summary.json`` echo it.  Every
 output file's sha256 is compared with ``GOLDEN``, and each `ed` command's
-stdout (its ``key: value`` records and ``==`` lines) with ``STDOUT``;
+stdout (its ``key: value`` records and ``==`` lines) with ``STDOUT``.
+`curves` reads recorded runs (``CURVES_RUNS``), and its CSV and SVG are
+compared with ``CURVES``;
 ``tests/golden/`` holds the recorded files themselves, so a mismatch names
 the first differing line and the largest relative difference between its
 numbers.  A last-digit rounding move then reads differently from a real
@@ -92,6 +94,29 @@ STDOUT = {
     "ed-inputs": "87adc656377faced80b00b5ae99284f485b59a9b5da2dcf6b538c69cf055bdbe",
 }
 
+# `curves` over recorded runs, by name: the run directories under tests/golden/ it reads.
+# The 11 `train` runs have one seed each; the fixture's four seeds stop after 6, 6, 5
+# and 1 epochs, so its later epochs average fewer seeds.
+CURVES_RUNS = {
+    "train": [f"train/{front}" for front in (*ANSATZ_KEYS, "classical")],
+    "classical-4-seeds": ["curves/classical-4-seeds"],
+}
+
+# The command that wrote the fixture's metrics.csv, run from tests/golden/curves/.
+SEEDS_FIXTURE = ["train", "--ansatz", "classical", "--data", "synthetic:size=6,train_n=12,val_n=6",
+                 "--epochs", "6", "--seeds", "0,1,2,3", "--stop-at-train-acc", "0.7",
+                 "--out", "classical-4-seeds"]
+
+# The fixture and each `curves` output (curves/<name>.csv and .svg), recorded under tests/golden/.
+CURVES = {
+    "curves/classical-4-seeds/metrics.csv":
+        "8ade31ead5625c7f5c7657be410319c213a5392452635f6af67dd28a7b9859f5",
+    "curves/classical-4-seeds.csv": "3804f40dff53bce62cfb2812a9fd5aad6ff4ef5791a808ae38281ed2486568ed",
+    "curves/classical-4-seeds.svg": "cd6b973da332920b470c236fa2ec538682597e8c5483622d0a81a4ed9240c83f",
+    "curves/train.csv": "8c704b13fe7302ea4da330ff2eb35360241e50fd4d2dc2c874534396d4cb0e92",
+    "curves/train.svg": "9cb1f62a42a65c02ed1c7d82cf065a8ef1f04a6cc321da26522c6059b86aa066",
+}
+
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
@@ -144,7 +169,8 @@ def test_the_commands_write_exactly_the_recorded_files(outputs):
 
 
 def test_recorded_files_match_the_table():
-    recorded = [*GOLDEN.items(), *((f"stdout/{out}.txt", d) for out, d in STDOUT.items())]
+    recorded = [*GOLDEN.items(), *CURVES.items(),
+                *((f"stdout/{out}.txt", d) for out, d in STDOUT.items())]
     for name, digest in recorded:
         assert _sha256((REFERENCE / name).read_bytes()) == digest, name
 
@@ -169,6 +195,29 @@ def test_ed_stdout_matches_its_golden_digest(runs, out):
     # then each key's ``==`` line, byte for byte.
     assert sorted(STDOUT) == sorted(a[-1] for a in COMMANDS if a[0] == "ed")
     _assert_matches(runs[1][out].encode(), f"stdout/{out}.txt", STDOUT[out])
+
+
+def test_the_multi_seed_fixture_is_what_train_writes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(SEEDS_FIXTURE) == EXIT_OK
+    name = "curves/classical-4-seeds/metrics.csv"
+    _assert_matches((tmp_path / "classical-4-seeds" / "metrics.csv").read_bytes(), name,
+                    CURVES[name])
+
+
+@pytest.mark.parametrize("name", sorted(CURVES_RUNS))
+def test_curves_match_their_golden_digests(tmp_path, name):
+    # Run on the recorded inputs, so these pin `curves` alone, not the runs it reads.
+    # Each series is labelled by its directory's name.
+    written = {suffix: tmp_path / f"{name}.{suffix}" for suffix in ("csv", "svg")}
+    argv = ["curves", *(str(REFERENCE / run) for run in CURVES_RUNS[name]),
+            "--out", str(written["csv"]), "--svg", str(written["svg"])]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == EXIT_OK
+    for suffix, path in written.items():
+        recorded = f"curves/{name}.{suffix}"
+        _assert_matches(path.read_bytes(), recorded, CURVES[recorded])
 
 
 def test_train_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
