@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from urllib.parse import quote
 
@@ -223,7 +223,8 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-_METRICS_HEADER = "epoch,seed,train_acc,train_loss,val_acc,val_loss"
+_METRICS = tuple(f.name for f in fields(FitResult))
+_METRICS_HEADER = "epoch,seed," + ",".join(_METRICS)
 
 
 def _read_table(path: Path, header: str, name: str):
@@ -242,48 +243,54 @@ def _read_table(path: Path, header: str, name: str):
         yield lineno, cells
 
 
+def _by_epoch(per_seed: dict[int, FitResult], metric: str):
+    """Yield each epoch's values of `metric`, over the seeds that ran it, in seed order."""
+    traces = [getattr(res, metric) for res in per_seed.values()]
+    for e in range(max(map(len, traces), default=0)):
+        yield [trace[e] for trace in traces if e < len(trace)]
+
+
 def write_metrics_csv(path: Path, per_seed: dict[int, FitResult]):
     """Per-seed epoch rows plus per-epoch mean rows keyed ``seed=agg``."""
     lines = [_METRICS_HEADER]
     for seed, res in per_seed.items():
-        for e in range(res.epochs_run):
-            lines.append(
-                f"{e},{seed},{_fmt(res.train_acc[e])},{_fmt(res.train_loss[e])},"
-                f"{_fmt(res.val_acc[e])},{_fmt(res.val_loss[e])}"
-            )
-    max_epochs = max(res.epochs_run for res in per_seed.values())
-    for e in range(max_epochs):
-        cols = []
-        for metric in ("train_acc", "train_loss", "val_acc", "val_loss"):
-            vals = [getattr(r, metric)[e] for r in per_seed.values() if e < r.epochs_run]
-            cols.append(_fmt(float(np.mean(vals))))
-        lines.append(f"{e},agg," + ",".join(cols))
+        lines += [f"{e},{seed}," + ",".join(map(_fmt, row))
+                  for e, row in enumerate(zip(*astuple(res)))]
+    means = zip(*([_fmt(np.mean(values)) for values in _by_epoch(per_seed, metric)]
+                  for metric in _METRICS))
+    lines += [f"{e},agg," + ",".join(row) for e, row in enumerate(means)]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def read_metrics_csv(path: Path) -> dict[str, dict[int, list]]:
-    """Per-seed metric traces from a metrics.csv (aggregate rows skipped).
+def read_metrics_csv(path: Path) -> dict[int, FitResult]:
+    """Each seed's `FitResult` from a metrics.csv, as `write_metrics_csv` wrote it.
 
-    A cell that is not a finite number, or an accuracy outside [0, 1],
-    raises DataError naming its line.
+    Each row is appended to its seed's traces, so a seed's rows must come at
+    epochs 0, 1, 2, ... in order.  A row at another epoch, a cell that is not
+    a finite number, or an accuracy outside [0, 1] raises DataError naming
+    its line.  The ``agg`` rows are read and checked as a seed's, then dropped.
     """
     if not path.is_file():
         raise DataError(f"missing metrics file: {path}")
-    per_seed: dict[str, dict[int, list]] = {}
+    per_seed = {}
     for lineno, cells in _read_table(path, _METRICS_HEADER, "metrics"):
         epoch, seed, *values = cells
-        if seed == "agg":
-            continue
         try:
             epoch, values = int(epoch), [float(v) for v in values]
+            seed = seed if seed == "agg" else int(seed)
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-numeric cell in {','.join(cells)!r}") from None
         if not all(map(math.isfinite, values)):
             raise DataError(f"{path}:{lineno}: non-finite cell in {','.join(cells)!r}")
-        for name, acc in zip(("train_acc", "val_acc"), values[::2]):
-            if not 0.0 <= acc <= 1.0:
-                raise DataError(f"{path}:{lineno}: {name} {acc!r} outside [0, 1]")
-        per_seed.setdefault(seed, {})[epoch] = values
+        res = per_seed.setdefault(seed, FitResult([], [], [], []))
+        if epoch != res.epochs_run:
+            raise DataError(f"{path}:{lineno}: epoch {epoch} of seed {seed},"
+                            f" expected epoch {res.epochs_run}")
+        for name, value in zip(_METRICS, values):
+            if name.endswith("_acc") and not 0.0 <= value <= 1.0:
+                raise DataError(f"{path}:{lineno}: {name} {value!r} outside [0, 1]")
+            getattr(res, name).append(value)
+    per_seed.pop("agg", None)
     return per_seed
 
 
@@ -419,9 +426,17 @@ def _ed_inputs_cell(cfg: RunConfig) -> str:
 
 
 def _read_ed_table(path: Path) -> dict:
-    """The rows of an existing ED table, keyed by their settings, the first seven cells."""
-    return {tuple(cells[:7]): ",".join(cells)
-            for _, cells in _read_table(path, _ED_HEADER, "ED table")}
+    """The rows of an existing ED table, keyed by their settings, the first seven cells.
+
+    A row with the settings of an earlier row raises DataError naming both lines.
+    """
+    table, lines = {}, {}
+    for lineno, cells in _read_table(path, _ED_HEADER, "ED table"):
+        settings = tuple(cells[:7])
+        if settings in table:
+            raise DataError(f"{path}:{lineno}: repeats the settings of line {lines[settings]}")
+        table[settings], lines[settings] = ",".join(cells), lineno
+    return table
 
 
 def cmd_ed(cfg: RunConfig) -> int:
@@ -479,30 +494,17 @@ def cmd_ed(cfg: RunConfig) -> int:
 
 
 def cmd_curves(run_dirs, out_csv: str | None, out_svg: str | None) -> int:
-    if not run_dirs:
-        raise ConfigError("curves needs at least one run directory")
-    series = []
-    for run_dir in run_dirs:
-        run_path = Path(run_dir)
-        per_seed = read_metrics_csv(run_path / "metrics.csv")
-        label = run_path.name
-        epochs = sorted({e for rec in per_seed.values() for e in rec})
-        stats = {}
-        for idx, metric in ((0, "train_acc"), (2, "val_acc")):  # read_metrics_csv value index
-            rows = []
-            for e in epochs:
-                vals = [rec[e][idx] for rec in per_seed.values() if e in rec]
-                rows.append(
-                    (e, float(np.mean(vals)), float(np.std(vals)), min(vals), max(vals))
-                )
-            stats[metric] = rows
-        series.append((label, stats))
+    series = []  # (label, {metric: [(epoch, mean, std, min, max), ...]})
+    for run_dir in map(Path, run_dirs):
+        per_seed = read_metrics_csv(run_dir / "metrics.csv")
+        series.append((run_dir.name, {
+            metric: [(e, float(np.mean(values)), float(np.std(values)), min(values), max(values))
+                     for e, values in enumerate(_by_epoch(per_seed, metric))]
+            for metric in ("train_acc", "val_acc")}))
     lines = ["label,metric,epoch,mean,std,min,max"]
     for label, stats in series:
-        for metric in ("train_acc", "val_acc"):
-            for e, mean, std, lo, hi in stats[metric]:
-                lines.append(f"{_quoted(label)},{metric},{e},"
-                             f"{_fmt(mean)},{_fmt(std)},{_fmt(lo)},{_fmt(hi)}")
+        lines += [f"{_quoted(label)},{metric},{e}," + ",".join(map(_fmt, row))
+                  for metric, rows in stats.items() for e, *row in rows]
     outputs = [(Path(out_csv or "curves.csv"), "\n".join(lines) + "\n")]
     if out_svg:
         outputs.append((Path(out_svg), render_curves_svg(series)))
@@ -665,9 +667,7 @@ def main(argv=None) -> int:
             return cmd_train(cfg)
         if args.command == "eval":
             return cmd_eval(cfg, args.checkpoint)
-        if args.command == "ed":
-            return cmd_ed(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_ed(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,6 +20,7 @@ import pytest
 from qccnn import cli
 from qccnn.cli import (
     ED_TABLE_KEYS,
+    ConfigError,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -29,8 +30,9 @@ from qccnn.cli import (
     main,
     read_config_file,
     read_metrics_csv,
+    write_metrics_csv,
 )
-from qccnn.nn import make_model
+from qccnn.nn import FitResult, make_model
 
 SMALL_DATA = "synthetic:seed=0,train_n=24,val_n=8"
 
@@ -72,9 +74,38 @@ def test_summary_reproducible_from_metrics(tmp_path):
     out = _train(tmp_path, "run")
     summary = json.loads((out / "summary.json").read_text())
     per_seed = read_metrics_csv(out / "metrics.csv")
-    max_val = [max(v[2] for v in rec.values()) for rec in per_seed.values()]
+    max_val = [r.max_val_acc for r in per_seed.values()]
     assert summary["max_val_acc"]["mean"] == pytest.approx(float(np.mean(max_val)))
     assert summary["max_val_acc"]["std"] == pytest.approx(float(np.std(max_val)))
+
+
+def test_read_metrics_csv_returns_what_write_metrics_csv_wrote(tmp_path):
+    # Seeds in no sorted order, stopped after different epoch counts, with
+    # values whose repr takes all 17 digits.
+    rng = np.random.default_rng(5)
+    written = {seed: FitResult(*(list(rng.random(epochs)) for _ in range(4)))
+               for seed, epochs in ((3, 4), (0, 1), (12, 3))}
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(path, written)
+    read = read_metrics_csv(path)
+    assert list(read) == list(written)
+    for seed, res in written.items():
+        for name, trace in vars(res).items():
+            assert np.array(getattr(read[seed], name)).tobytes() == np.array(trace).tobytes()
+
+
+def test_the_curves_mean_column_equals_the_agg_rows(tmp_path):
+    # The four-seed golden fixture: its seeds stop after 6, 6, 5 and 1 epochs.
+    run = Path(__file__).parent / "golden" / "curves" / "classical-4-seeds"
+    out = tmp_path / "c.csv"
+    assert main(["curves", str(run), "--out", str(out)]) == EXIT_OK
+    means = {(metric, int(epoch)): mean for _, metric, epoch, mean, *_ in
+             (line.split(",") for line in out.read_text().splitlines()[1:])}
+    header, *rows = (run / "metrics.csv").read_text().splitlines()
+    agg = [row.split(",") for row in rows if ",agg," in row]
+    assert len(agg) == 6
+    assert means == {(metric, int(cells[0])): cells[header.split(",").index(metric)]
+                     for cells in agg for metric in ("train_acc", "val_acc")}
 
 
 def test_train_quantum_ansatz_same_schema(tmp_path):
@@ -594,6 +625,27 @@ FAILURES = [
      EXIT_DATA, "metrics.csv:2: train_acc -3.0 outside [0, 1]"),
     ("metrics-not-utf8", lambda tmp: _curves_argv(tmp, "0,0,caf\xe9,0.5,0.5,0.7"), {},
      EXIT_DATA, "metrics.csv as UTF-8 text"),
+    # Each row is appended to its seed's traces, so a seed's rows come at
+    # epochs 0, 1, 2, ... in order; the line that breaks the order is named.
+    # Two runs of one seed concatenated would otherwise plot the later run alone.
+    ("metrics-repeated-row", lambda tmp: _curves_argv(
+        tmp, "0,0,0.5,0.7,0.5,0.7\n0,0,0.9,0.1,0.9,0.1"), {}, EXIT_DATA,
+     "metrics.csv:3: epoch 0 of seed 0, expected epoch 1"),
+    ("metrics-negative-epoch", lambda tmp: _curves_argv(tmp, "-1,0,0.5,0.7,0.5,0.7"), {},
+     EXIT_DATA, "metrics.csv:2: epoch -1 of seed 0, expected epoch 0"),
+    ("metrics-skipped-epoch", lambda tmp: _curves_argv(
+        tmp, "0,0,0.5,0.7,0.5,0.7\n2,0,0.5,0.7,0.5,0.7"), {}, EXIT_DATA,
+     "metrics.csv:3: epoch 2 of seed 0, expected epoch 1"),
+    ("metrics-epochs-out-of-order", lambda tmp: _curves_argv(
+        tmp, "1,0,0.5,0.7,0.5,0.7\n0,0,0.5,0.7,0.5,0.7"), {}, EXIT_DATA,
+     "metrics.csv:2: epoch 1 of seed 0, expected epoch 0"),
+    # The agg rows are checked as a seed's rows are, though `curves` does not plot them.
+    *[(f"metrics-agg-{kind}", lambda tmp, cell=cell: _curves_argv(
+        tmp, f"0,0,0.5,0.7,0.5,0.7\n0,agg,{cell},0.7,0.5,0.7"), {}, EXIT_DATA,
+       f"metrics.csv:3: {message}") for kind, cell, message in (
+        ("non-numeric", "abc", "non-numeric cell in '0,agg,abc,0.7,0.5,0.7'"),
+        ("non-finite", "nan", "non-finite cell in '0,agg,nan,0.7,0.5,0.7'"),
+        ("accuracy-above-one", "1.5", "train_acc 1.5 outside [0, 1]"))],
     ("curves-missing-metrics", lambda tmp: ["curves", str(_made(tmp / "nothing")),
                                             "--out", str(tmp / "c.csv")], {}, EXIT_DATA,
      "missing metrics file"),
@@ -612,6 +664,13 @@ FAILURES = [
     ("ed-table-blank-line", lambda tmp: _ed_prior_table_argv(tmp, lambda path: path.write_text(
         f"{ED_HEADER}\nselect-tanh,0,1.0,546,1,2,uniform,4,0.5,0.125\n\n")), {}, EXIT_DATA,
      "ed_results.csv:3: expected 10 cells, got 1"),
+    # Rows are keyed by their settings: of two rows with one key, neither is dropped unseen.
+    ("ed-table-repeated-settings", lambda tmp: _ed_prior_table_argv(
+        tmp, lambda path: path.write_text(
+            f"{ED_HEADER}\nselect-tanh,0,1.0,546,1,2,uniform,4,0.5,0.125\n"
+            "conv,0,1.0,546,1,2,uniform,4,0.5,0.125\n"
+            "select-tanh,0,1.0,546,1,2,uniform,4,0.75,0.25\n")), {}, EXIT_DATA,
+     "ed_results.csv:4: repeats the settings of line 2"),
     # A table from before rows recorded their inputs cannot say what it measured.
     ("ed-table-without-inputs-cell", lambda tmp: _ed_prior_table_argv(
         tmp, lambda path: path.write_text(
@@ -860,8 +919,8 @@ def test_checkpoint_field_edges_exit_cleanly(tmp_path, capsys, front, group, fie
         assert err.startswith(CLASS_PREFIX[code]) and out == ""
 
 
-# A valid metrics.csv: the header, two seeds of two epochs, then the agg rows
-# that `curves` skips.
+# A valid metrics.csv: the header, two seeds of two epochs, then the agg rows,
+# which `curves` checks as it checks a seed's rows and then drops.
 METRICS_LINES = (
     "epoch,seed,train_acc,train_loss,val_acc,val_loss",
     "0,0,0.5,0.69,0.5,0.7",
@@ -871,7 +930,7 @@ METRICS_LINES = (
     "0,agg,0.375,0.7,0.5,0.695",
     "1,agg,0.625,0.63,0.75,0.625",
 )
-SEED_ROWS = range(1, 5)  # indices of METRICS_LINES whose cells `curves` reads
+SEED_ROWS = range(1, 5)  # indices of METRICS_LINES that hold a seed's epoch
 # Row edits: (kind, the cells it may replace, the values it draws from).
 METRICS_CELL_EDITS = (
     ("not-a-number", (2, 3, 4, 5), ("abc", "", "0x1", "1.0.0", "--1")),
@@ -879,14 +938,19 @@ METRICS_CELL_EDITS = (
     ("accuracy-out-of-range", (2, 4), ("1.5", "-0.25", "1.0000001", "2")),
     ("epoch-not-an-integer", (0,), ("1.5", "one", "", "1e0")),
 )
-METRICS_EDITS = ("header-drop-column", "header-add-column", "header-swap-columns",
-                 "header-rename-column", "header-missing", "header-empty", "header-bom",
-                 "drop-cell", "add-cell", "blank-line", *(e[0] for e in METRICS_CELL_EDITS))
+# Edits of the header and the row layout, which any table the CLI reads refuses.
+LAYOUT_EDITS = ("header-drop-column", "header-add-column", "header-swap-columns",
+                "header-rename-column", "header-missing", "header-empty", "header-bom",
+                "drop-cell", "add-cell", "blank-line")
+METRICS_EDITS = (*LAYOUT_EDITS, *(e[0] for e in METRICS_CELL_EDITS))
 
 
-def _metrics_edit(rng, kind: str) -> tuple[str, int, str]:
-    """METRICS_LINES with one `kind` edit: (the text, the line it makes invalid, a case id)."""
-    lines = list(METRICS_LINES)
+def _table_edit(rng, kind: str, table: tuple) -> tuple[str, int, str]:
+    """The lines of `table` with one `kind` edit: (the text, the line it makes invalid, a case id).
+
+    The cell edits of METRICS_CELL_EDITS edit a seed row of METRICS_LINES.
+    """
+    lines = list(table)
     names = lines[0].split(",")
     i, j = (int(k) for k in rng.choice(len(names), 2, replace=False))
     row, name = 0, kind
@@ -909,6 +973,11 @@ def _metrics_edit(rng, kind: str) -> tuple[str, int, str]:
         row = int(rng.integers(1, len(lines) + 1))
         lines.insert(row, "")
         name = f"{kind}-line{row + 1}"
+    elif kind == "repeated-settings":
+        source = int(rng.integers(1, len(lines)))
+        row = int(rng.integers(source + 1, len(lines) + 1))
+        lines.insert(row, lines[source])
+        name = f"{kind}-of-line{source + 1}-at-line{row + 1}"
     else:
         row = int(rng.integers(1, len(lines)))
         cells = lines[row].split(",")
@@ -927,14 +996,14 @@ def _metrics_edit(rng, kind: str) -> tuple[str, int, str]:
     return "\n".join(lines) + "\n", row + 1, name
 
 
-def _metrics_mutations(count: int, seed: int) -> list:
-    """`count` distinct cases (text, invalid line), each kind of edit in turn; the rest drawn."""
+def _mutations(count: int, seed: int, table: tuple, kinds: tuple) -> list:
+    """`count` distinct cases (text, invalid line) of `table`, each kind in turn; the rest drawn."""
     rng = np.random.default_rng(seed)
     cases = {}
     for n in range(50 * count):  # a bound: the header-missing, -empty and -bom edits repeat
         if len(cases) == count:
             break
-        text, line, name = _metrics_edit(rng, METRICS_EDITS[n % len(METRICS_EDITS)])
+        text, line, name = _table_edit(rng, kinds[n % len(kinds)], table)
         cases.setdefault(text, pytest.param(text, line, id=name))
     return list(cases.values())
 
@@ -953,7 +1022,7 @@ def test_the_metrics_edits_start_from_a_valid_table(tmp_path, capsys):
     assert (tmp_path / "c.csv").read_text().count("\n") == 1 + 2 * 2  # 2 metrics x 2 epochs
 
 
-@pytest.mark.parametrize("text, line", _metrics_mutations(40, seed=31))
+@pytest.mark.parametrize("text, line", _mutations(40, 31, METRICS_LINES, METRICS_EDITS))
 def test_metrics_edits_exit_naming_their_line(tmp_path, capsys, text, line):
     # A seeded sweep of single header and row edits of a valid metrics.csv:
     # each is refused as a data error that names the file and the edited
@@ -963,6 +1032,48 @@ def test_metrics_edits_exit_naming_their_line(tmp_path, capsys, text, line):
     code, out, err = _run(capsys, argv)
     assert code == EXIT_DATA, err
     assert err.startswith(f"{CLASS_PREFIX[EXIT_DATA]}{metrics}:{line}: "), err
+    assert "Traceback" not in err and out == ""
+    assert _tree(tmp_path, with_dirs=False) == before
+
+
+# A valid ed_results.csv whose rows are not SMALL_ED's at seed 0, so a run adds its row.
+# Only its layout is edited: rows are kept verbatim, so a cell's content is
+# never read, and edits of it are out of scope.
+ED_LINES = (
+    ED_HEADER,
+    "select-tanh,1,1.0,546,1,2,uniform,4,1.0,0.25",
+    "conv,0,1.0,546,100,100,uniform,4,2.5,0.625",
+    "select-tanh,2,1.0,546,1,2,synthetic;stride=2,4,1.5,0.375",
+)
+ED_EDITS = (*LAYOUT_EDITS, "repeated-settings")
+
+
+def _ed_on(tmp_path, text) -> tuple[list, Path]:
+    out = _made(tmp_path / "ed")
+    (out / "ed_results.csv").write_text(text, encoding="utf-8")
+    return [*SMALL_ED, "--seeds", "0", "--out", str(out)], out / "ed_results.csv"
+
+
+def test_the_ed_table_edits_start_from_a_valid_table(tmp_path, capsys):
+    argv, table = _ed_on(tmp_path, "\n".join(ED_LINES) + "\n")
+    code, out, err = _run(capsys, argv)
+    assert code == EXIT_OK, err
+    rows = table.read_text().splitlines()
+    assert rows[:4] == list(ED_LINES)
+    assert rows[4].startswith("select-tanh,0,1.0,546,1,2,uniform,") and len(rows) == 5
+
+
+@pytest.mark.parametrize("text, line", _mutations(30, 32, ED_LINES, ED_EDITS))
+def test_ed_table_edits_exit_naming_their_line(tmp_path, capsys, text, line):
+    # A seeded sweep of single header and row edits of a valid prior
+    # ed_results.csv: each is refused as a data error that names the file
+    # and the edited line, before any key is computed (nothing on stdout),
+    # and leaves the table as it was, with no ed_summary.json.
+    argv, table = _ed_on(tmp_path, text)
+    before = _tree(tmp_path, with_dirs=False)
+    code, out, err = _run(capsys, argv)
+    assert code == EXIT_DATA, err
+    assert err.startswith(f"{CLASS_PREFIX[EXIT_DATA]}{table}:{line}: "), err
     assert "Traceback" not in err and out == ""
     assert _tree(tmp_path, with_dirs=False) == before
 
@@ -1086,6 +1197,34 @@ def test_every_source_casts_an_option_alike(tmp_path, capsys, monkeypatch, name)
             assert main(argv) == EXIT_CONFIG, source
         errors[source] = capsys.readouterr().err
     assert errors == dict.fromkeys(errors, CAST_ERRORS[name])
+
+
+# The numeric options, and edge texts for each: the last is the byte 0xE9, not
+# UTF-8, as a config file holds it and as os.environ gives it (surrogate-escaped).
+NUMERIC_OPTIONS = ("epochs", "batch_size", "lr", "stride", "seeds", "stop_at_train_acc",
+                   "gamma", "n", "theta_samples", "data_samples")
+OPTION_EDGES = ("0", "-1", str(2**63), "nan", "inf", "", "1e400", "\udce9")
+
+
+@pytest.mark.parametrize("source", ("config", "env"))
+@pytest.mark.parametrize("edge", OPTION_EDGES, ids=ascii)
+@pytest.mark.parametrize("name", NUMERIC_OPTIONS)
+def test_numeric_option_edges_give_a_config_or_a_config_error(tmp_path, monkeypatch, name,
+                                                               edge, source):
+    # build_config alone, so an accepted `epochs` of 2**63 starts no run.
+    command = "train" if name in cli._COMMANDS["train"][1] else "ed"
+    argv = [command]
+    if source == "config":
+        config = tmp_path / "edge.cfg"
+        config.write_bytes(f"{name} = ".encode() + os.fsencode(edge) + b"\n")
+        argv += ["--config", str(config)]
+    else:
+        monkeypatch.setenv("QCCNN_" + name.upper(), edge)
+    try:
+        cfg = build_config(cli._make_parser().parse_args(argv))
+    except ConfigError:
+        return
+    assert getattr(cfg, name) == cli._cast(name, edge)
 
 
 def test_a_wrong_boolean_is_shown_as_given(capsys, monkeypatch):
