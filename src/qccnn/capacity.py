@@ -47,10 +47,6 @@ _PSD_TOLERANCE = -1e-10
 _BATCH_ROWS = 2048
 
 
-class NumericError(RuntimeError):
-    """Raised when a numerical invariant (PSD spectrum, valid kappa) fails."""
-
-
 # ---------------------------------------------------------------------------
 # class probabilities and scores
 # ---------------------------------------------------------------------------
@@ -154,7 +150,7 @@ def _kappa(gamma: float, n: int) -> float:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
     kappa = gamma * n / (2.0 * math.pi * math.log(n))
     if kappa <= 1.0:
-        raise NumericError(
+        raise FloatingPointError(
             f"gamma*n/(2*pi*log n) = {kappa:.4f} <= 1; effective dimension undefined"
         )
     return kappa
@@ -183,7 +179,7 @@ def effective_dimension_from_fims(fims, gamma: float, n: int) -> tuple[float, fl
         m /= 2.0
     eigvals = np.linalg.eigvalsh(fims)
     if eigvals.min() < _PSD_TOLERANCE:
-        raise NumericError(f"FIM eigenvalue {eigvals.min():.3e} below PSD tolerance")
+        raise FloatingPointError(f"FIM eigenvalue {eigvals.min():.3e} below PSD tolerance")
     np.clip(eigvals, 0.0, None, out=eigvals)
     eigvals *= kappa
     half_logdets = 0.5 * np.log1p(eigvals, out=eigvals).sum(axis=1)

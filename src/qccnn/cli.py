@@ -22,7 +22,6 @@ from urllib.parse import quote
 import numpy as np
 
 from .capacity import (
-    NumericError,
     dataset_input_sampler,
     effective_dimension,
     effective_dimension_from_fims,  # noqa: F401  (a perfbench span target)
@@ -61,18 +60,9 @@ _fix_malloc_thresholds()
 ENV_PREFIX = "QCCNN_"
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
 
-# ED rows mirroring the reference comparison table (one row per circuit).
-ED_TABLE_KEYS = (
-    "conv",
-    "midcircuit-rx",
-    "midcircuit-ry",
-    "ancilla-cy",
-    "ancilla-cz",
-    "mod-a",
-    "mod-b",
-    "mod-c",
-    "select-sign",
-)
+# ED rows mirroring the reference comparison table, one row per circuit: the ED
+# is a property of the circuit alone, and select-tanh runs select-sign's.
+ED_TABLE_KEYS = tuple(k for k in ANSATZ_KEYS if k != "select-tanh")
 
 
 class ConfigError(Exception):
@@ -246,7 +236,7 @@ def _read_table(path: Path, header: str, name: str):
 def _by_epoch(per_seed: dict[int, FitResult], metric: str):
     """Yield each epoch's values of `metric`, over the seeds that ran it, in seed order."""
     traces = [getattr(res, metric) for res in per_seed.values()]
-    for e in range(max(map(len, traces), default=0)):
+    for e in range(max(map(len, traces))):
         yield [trace[e] for trace in traces if e < len(trace)]
 
 
@@ -268,7 +258,8 @@ def read_metrics_csv(path: Path) -> dict[int, FitResult]:
     Each row is appended to its seed's traces, so a seed's rows must come at
     epochs 0, 1, 2, ... in order.  A row at another epoch, a cell that is not
     a finite number, or an accuracy outside [0, 1] raises DataError naming
-    its line.  The ``agg`` rows are read and checked as a seed's, then dropped.
+    its line.  The ``agg`` rows are read and checked as a seed's, then dropped;
+    a file with no seed row left raises DataError naming it.
     """
     if not path.is_file():
         raise DataError(f"missing metrics file: {path}")
@@ -291,6 +282,8 @@ def read_metrics_csv(path: Path) -> dict[int, FitResult]:
                 raise DataError(f"{path}:{lineno}: {name} {value!r} outside [0, 1]")
             getattr(res, name).append(value)
     per_seed.pop("agg", None)
+    if not per_seed:
+        raise DataError(f"{path}: no seed row")
     return per_seed
 
 
@@ -509,6 +502,13 @@ def cmd_curves(run_dirs, out_csv: str | None, out_svg: str | None) -> int:
     if out_svg:
         outputs.append((Path(out_svg), render_curves_svg(series)))
     _check_writable([path for path, _ in outputs])
+    inputs = {(Path(run_dir) / "metrics.csv").resolve() for run_dir in run_dirs}
+    targets = [path.resolve() for path, _ in outputs]
+    for (path, _), target in zip(outputs, targets):
+        if target in inputs:
+            raise ConfigError(f"cannot write {path}: it is an input metrics.csv")
+    if len(set(targets)) < len(targets):
+        raise ConfigError(f"--out and --svg name one file, {out_svg}")
     for path, text in outputs:
         _atomic_write(path, text)
         print(f"wrote {path}")
@@ -526,10 +526,7 @@ _PANEL_W, _PANEL_H, _MARGIN = 460, 320, 52
 
 
 def _panel(series, metric: str, title: str, x0: int) -> list[str]:
-    max_epoch = max(
-        (row[0] for _, stats in series for row in stats[metric]), default=1
-    )
-    max_epoch = max(max_epoch, 1)
+    max_epoch = max(1, *(row[0] for _, stats in series for row in stats[metric]))
 
     def sx(e):
         return x0 + _MARGIN + (e / max_epoch) * (_PANEL_W - 2 * _MARGIN)
@@ -674,7 +671,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

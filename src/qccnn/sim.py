@@ -20,11 +20,12 @@ qubit above the circuit's, as the adjoint walk holds them, takes each gate
 in one call.
 Mid-circuit measurements and classically conditioned gates always execute
 exactly, deferred: each conditioned rotation becomes a controlled rotation
-on the measured qubit.  :class:`Circuit` does this in the one walk that
-checks its rules when it is built, so the check that passes an op is the
-one that makes its rewrite exact.  It then holds what runs, which every
-function here and in :mod:`qccnn.autodiff` reads: the encoding prefix as a
-phase program, the body (the deferred ops after it) and the readout signs.
+on the measured qubit, which after its measurement is only ever a control.
+:class:`Circuit` does this in the one walk that checks its rules when it is
+built, so the check that passes an op is the one that makes its rewrite
+exact.  It then holds what runs, which every function here and in
+:mod:`qccnn.autodiff` reads: the encoding prefix as a phase program, the
+body (the deferred ops after it) and the readout signs.
 
 The prefix is the patch encoding of the ansatz circuits, the diagonal ZZ
 feature map of Havlicek et al. 2019 (arXiv:1804.11279): leading Hadamards
@@ -83,10 +84,6 @@ _CONTROLLED_BASE = {"CNOT": "X", "CRX": "RX", "CRY": "RY", "CRZ": "RZ"}
 # Deferred-measurement rewrite of a conditioned rotation.
 _CONTROLLED_FORM = {b: k for k, b in _CONTROLLED_BASE.items() if k in ROTATION_KINDS}
 
-# Gates diagonal in the computational basis commute with a Z measurement on
-# every qubit they touch, so they may follow a mid-circuit measurement.
-_Z_DIAGONAL_KINDS = frozenset({"RZ", "CZ", "CRZ"})
-
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -141,10 +138,10 @@ class Circuit:
     checks the template rules and defers the ops, each conditioned rotation
     rewritten to a controlled rotation whose control is the measured qubit.
     The rules are what make that rewrite exact: a qubit is measured at most
-    once and is then only the control of a gate or the target of a
-    Z-diagonal one; a conditioned gate is an RX, RY or RZ on a qubit not yet
-    measured.  `prefix` is the encoding prefix of the deferred ops as a
-    phase program (:func:`_compile_prefix`), which :func:`encode` runs;
+    once and is then only ever a control, never the target of a gate; a
+    conditioned gate is an RX, RY or RZ on a qubit not yet measured.
+    `prefix` is the encoding prefix of the deferred ops as a phase program
+    (:func:`_compile_prefix`), which :func:`encode` runs;
     `body` is the ops after it, which :func:`unitary` and the adjoint walk
     run; row j of the read-only (readouts, 2**width) `signs` is readout j's
     Z sign per basis state.  `support` lists, in order, the basis states
@@ -203,7 +200,7 @@ class Circuit:
                         raise ValueError(f"input index {i} out of range")
             target = op.targets[-1]  # the control of a controlled kind comes first
             if op.condition is None:
-                if target in measured and op.kind not in _Z_DIAGONAL_KINDS:
+                if target in measured:
                     raise ValueError(
                         f"{op.kind} on {op.targets} reuses a measured qubit; outside the"
                         " deferred-measurement-valid class"

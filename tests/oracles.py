@@ -103,7 +103,7 @@ def deferred_ops(circuit: Circuit) -> tuple:
     A measurement is dropped, and a gate conditioned on its bit becomes the
     controlled form of its kind ("C" + kind), with the measured qubit as
     control.  That is exact for the circuits `Circuit` accepts, whose
-    measured qubits afterwards act only as controls or Z-diagonal targets.
+    measured qubits afterwards act only as controls.
     """
     qubit_of_bit, ops = {}, []
     for op in circuit.ops:

@@ -8,7 +8,6 @@ import pytest
 
 from qccnn import capacity
 from qccnn.capacity import (
-    NumericError,
     class_probabilities,
     dataset_input_sampler,
     effective_dimension,
@@ -264,16 +263,16 @@ def test_ed_rejects_bad_settings():
         effective_dimension_from_fims(fims, gamma=0.0, n=546)
     with pytest.raises(ValueError):
         effective_dimension_from_fims(fims, gamma=1.0, n=1)
-    with pytest.raises(NumericError):
+    with pytest.raises(FloatingPointError):
         effective_dimension_from_fims(fims, gamma=0.01, n=100)
 
 
 def test_ed_rejects_non_psd():
-    with pytest.raises(NumericError, match="PSD"):
+    with pytest.raises(FloatingPointError, match="PSD"):
         effective_dimension_from_fims([np.diag([1.0, -0.5])], 1.0, 546)
     # The message names the smallest eigenvalue over all draws, not the
     # first draw's: normalized, -0.002 * 2 / 1.9985.
-    with pytest.raises(NumericError, match=r"FIM eigenvalue -2\.002e-03 below"):
+    with pytest.raises(FloatingPointError, match=r"FIM eigenvalue -2\.002e-03 below"):
         effective_dimension_from_fims([np.diag([1.0, -0.001]), np.diag([3.0, -0.002])], 1.0, 546)
 
 

@@ -504,6 +504,14 @@ FAILURES = [
     ("curves-svg-under-file", lambda tmp: [*_curves_run(tmp), "--out", str(tmp / "c.csv"),
                                            "--svg", str(_file(tmp / "file") / "c.svg")], {},
      EXIT_CONFIG, "configuration error: cannot write "),
+    # An output may overwrite neither the other output nor an input, however spelt.
+    ("curves-out-is-svg", lambda tmp: [*_curves_run(tmp), "--out", "c.svg",
+                                       "--svg", str(tmp / "c.svg")], {}, EXIT_CONFIG,
+     "configuration error: --out and --svg name one file, {tmp}/c.svg"),
+    ("curves-out-is-input", lambda tmp: [*_curves_run(tmp), "--out",
+                                         str(tmp / "run" / ".." / "run" / "metrics.csv")], {},
+     EXIT_CONFIG, "configuration error: cannot write {tmp}/run/../run/metrics.csv: it is an"
+                  " input metrics.csv"),
     # 2: argparse's usage errors
     ("unknown-command", lambda tmp: ["bogus"], {}, EXIT_CONFIG, "invalid choice: 'bogus'"),
     ("unread-flag-eval-stride", lambda tmp: [
@@ -646,6 +654,11 @@ FAILURES = [
         ("non-numeric", "abc", "non-numeric cell in '0,agg,abc,0.7,0.5,0.7'"),
         ("non-finite", "nan", "non-finite cell in '0,agg,nan,0.7,0.5,0.7'"),
         ("accuracy-above-one", "1.5", "train_acc 1.5 outside [0, 1]"))],
+    # train writes at least one seed row, so a table without one lost its run.
+    ("metrics-header-only", lambda tmp: _curves_on(tmp, METRICS_LINES[0] + "\n")[0], {},
+     EXIT_DATA, "run/metrics.csv: no seed row"),
+    ("metrics-agg-rows-only", lambda tmp: _curves_argv(tmp, "0,agg,0.5,0.7,0.5,0.7"), {},
+     EXIT_DATA, "run/metrics.csv: no seed row"),
     ("curves-missing-metrics", lambda tmp: ["curves", str(_made(tmp / "nothing")),
                                             "--out", str(tmp / "c.csv")], {}, EXIT_DATA,
      "missing metrics file"),

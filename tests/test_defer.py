@@ -55,7 +55,7 @@ def test_rewrite_rejects_reuse_of_measured_qubit():
     ops = (
         GateOp("H", (0,)),
         MidMeasure(0, 0),
-        GateOp("H", (0,)),  # non-diagonal gate on a measured qubit
+        GateOp("H", (0,)),  # a gate that targets a measured qubit
     )
     with pytest.raises(ValueError, match="deferred-measurement-valid"):
         Circuit(2, ops, readout=(1,))
@@ -90,6 +90,19 @@ def test_circuit_rejects_conditioned_gate_on_its_own_measured_qubit():
         GateOp("RY", (0,), angle=0.4, condition=0),
     )
     with pytest.raises(ValueError, match="its own measured qubit 0"):
+        Circuit(2, ops, readout=(1,))
+
+
+@pytest.mark.parametrize("gate", [
+    GateOp("RZ", (0,), angle=0.3),
+    GateOp("CZ", (1, 0)),
+    GateOp("CRZ", (1, 0), angle=0.3),
+], ids=lambda op: op.kind)
+def test_circuit_rejects_a_z_diagonal_gate_on_a_measured_qubit(gate):
+    # Such a gate commutes with the measurement, but no ansatz needs one:
+    # a measured qubit is only ever a control, whatever the gate's kind.
+    ops = (GateOp("H", (0,)), MidMeasure(0, 0), gate)
+    with pytest.raises(ValueError, match="reuses a measured qubit"):
         Circuit(2, ops, readout=(1,))
 
 

@@ -1,6 +1,10 @@
-"""Every import in the package is used, and names a declared dependency."""
+"""Every import in the package is used, and names a declared dependency.
+
+The package also declares one exception class per exit code it owns.
+"""
 
 import ast
+import builtins
 import re
 import sys
 from pathlib import Path
@@ -116,3 +120,34 @@ def test_a_noqa_import_and_the_span_targets_are_found():
     assert _noqa_imports(source) == ["math", "path", "sep"]
     assert ("qccnn.capacity", "run_deferred_batch") in _span_targets()
     assert ("qccnn.nn", "QuantumConvLayer.forward") in _span_targets()
+
+
+def _exception_classes(sources: dict[str, str]) -> set[str]:
+    """``module.Class`` for each class in `sources` (module -> text) that derives from an exception.
+
+    A base counts by its last name: a built-in exception, or a class found here.
+    """
+    bases = {f"{module}.{node.name}": {getattr(b, "id", getattr(b, "attr", None))
+                                       for b in node.bases}
+             for module, source in sources.items() for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.ClassDef)}
+    names = {name for name, value in vars(builtins).items()
+             if isinstance(value, type) and issubclass(value, BaseException)}
+    found = set()
+    while new := {c for c, b in bases.items() if b & names} - found:
+        found |= new
+        names |= {c.rsplit(".", 1)[1] for c in new}
+    return found
+
+
+def test_the_exception_classes_are_one_per_exit_code():
+    # ConfigError exits 2 and DataError 3; exit 4 is the built-in
+    # ArithmeticError family (FloatingPointError), which `main` catches.
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert _exception_classes(sources) == {"cli.ConfigError", "data.DataError"}
+
+
+def test_an_exception_class_is_found():
+    source = ("class A(ValueError): pass\nclass B(A): pass\nclass C: pass\n"
+              "class D(errors.B): pass\nclass E(C, Exception): pass\n")
+    assert _exception_classes({"m": source}) == {"m.A", "m.B", "m.D", "m.E"}
